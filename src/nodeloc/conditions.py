@@ -90,11 +90,15 @@ class _CapSummary:
     all_monitor_adjacent: bool
 
 
-def _cap_summary(topology: Topology) -> _CapSummary:
-    merged = merge_monitors(topology)
+def _merged_connectivity(topology: Topology) -> int:
+    # The all-monitors merged graph is the same graph for CAP and CSP.
+    return vertex_connectivity(merge_monitors(topology))
+
+
+def _cap_summary(topology: Topology, merged_connectivity: int) -> _CapSummary:
     return _CapSummary(
         sigma=topology.sigma,
-        merged_connectivity=vertex_connectivity(merged),
+        merged_connectivity=merged_connectivity,
         all_monitor_adjacent=all(
             topology.monitor_neighbor_count(v) >= 1 for v in topology.non_monitors
         ),
@@ -121,15 +125,18 @@ def cap_verdict(topology: Topology, k: int) -> Verdict:
     _check_k(topology, k)
     if k == 0:
         return _TRIVIAL
-    return _cap_verdict_at(_cap_summary(topology), k)
+    return _cap_verdict_at(_cap_summary(topology, _merged_connectivity(topology)), k)
+
+
+def _cap_table(s: _CapSummary) -> tuple[Verdict, ...]:
+    return tuple(_cap_verdict_at(s, k) for k in range(s.sigma + 1))
 
 
 def cap_verdicts(topology: Topology) -> tuple[Verdict, ...]:
     """Verdicts for every k from 0 to the number of non-monitors."""
     if topology.sigma == 0:
         return (_TRIVIAL,)
-    s = _cap_summary(topology)
-    return tuple(_cap_verdict_at(s, k) for k in range(topology.sigma + 1))
+    return _cap_table(_cap_summary(topology, _merged_connectivity(topology)))
 
 
 def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
@@ -139,7 +146,10 @@ def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
     the maximum lies in [d-1, d]; otherwise that bound is out of its stated
     range and the exact full-budget rule takes over.
     """
-    s = _cap_summary(topology)
+    return _cap_bounds(_cap_summary(topology, _merged_connectivity(topology)))
+
+
+def _cap_bounds(s: _CapSummary) -> IdentifiabilityBounds:
     d = s.merged_connectivity
     if d <= s.sigma - 1:
         return IdentifiabilityBounds(max(d - 1, 0), d, None, True, "")
@@ -161,13 +171,13 @@ def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
 class _CspSummary:
     sigma: int
     merged_connectivity: int
-    leave_one_out: dict[int, int]
+    min_leave_one_out: int  # equals min_leave_one_out_connectivity(topology)
     weakly_covered: tuple[int, ...]  # non-monitors with fewer than 2 monitor neighbors
     near_full_exact: bool
     full_exact: bool
 
 
-def _csp_summary(topology: Topology) -> _CspSummary:
+def _csp_summary(topology: Topology, merged_connectivity: int) -> _CspSummary:
     weak = tuple(
         sorted(v for v in topology.non_monitors if topology.monitor_neighbor_count(v) < 2)
     )
@@ -184,11 +194,11 @@ def _csp_summary(topology: Topology) -> _CspSummary:
         near_full_exact = False
     return _CspSummary(
         sigma=topology.sigma,
-        merged_connectivity=vertex_connectivity(merge_monitors(topology)),
-        leave_one_out={
-            m: vertex_connectivity(merge_monitors_leaving_out(topology, m))
+        merged_connectivity=merged_connectivity,
+        min_leave_one_out=min(
+            vertex_connectivity(merge_monitors_leaving_out(topology, m))
             for m in sorted(topology.monitors)
-        },
+        ),
         weakly_covered=weak,
         near_full_exact=near_full_exact,
         full_exact=full_exact,
@@ -209,17 +219,10 @@ def _csp_verdict_at(s: _CspSummary, k: int) -> Verdict:
         hit = s.near_full_exact
         return _make_verdict(hit, hit, "near-full-budget-characterization")
     nodes = s.sigma + 1
-    loo = s.leave_one_out.values()
     sufficient = (
-        nodes > k + 2
-        and s.merged_connectivity >= k + 2
-        and all(nodes > k + 1 and c >= k + 1 for c in loo)
+        nodes > k + 2 and s.merged_connectivity >= k + 2 and s.min_leave_one_out >= k + 1
     )
-    necessary = (
-        nodes > k + 1
-        and s.merged_connectivity >= k + 1
-        and all(nodes > k and c >= k for c in loo)
-    )
+    necessary = nodes > k + 1 and s.merged_connectivity >= k + 1 and s.min_leave_one_out >= k
     return _make_verdict(sufficient, necessary, "merged-and-leave-one-out-connectivity")
 
 
@@ -228,14 +231,17 @@ def csp_verdict(topology: Topology, k: int) -> Verdict:
     _check_k(topology, k)
     if k == 0:
         return _TRIVIAL
-    return _csp_verdict_at(_csp_summary(topology), k)
+    return _csp_verdict_at(_csp_summary(topology, _merged_connectivity(topology)), k)
+
+
+def _csp_table(s: _CspSummary) -> tuple[Verdict, ...]:
+    return tuple(_csp_verdict_at(s, k) for k in range(s.sigma + 1))
 
 
 def csp_verdicts(topology: Topology) -> tuple[Verdict, ...]:
     if topology.sigma == 0:
         return (_TRIVIAL,)
-    s = _csp_summary(topology)
-    return tuple(_csp_verdict_at(s, k) for k in range(topology.sigma + 1))
+    return _csp_table(_csp_summary(topology, _merged_connectivity(topology)))
 
 
 def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
@@ -245,8 +251,11 @@ def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
     connectivity; outside the guard it falls back to the two exact edge
     rules and finally to scanning the per-k verdicts.
     """
-    s = _csp_summary(topology)
-    dm = min(s.leave_one_out.values())
+    return _csp_bounds(_csp_summary(topology, _merged_connectivity(topology)))
+
+
+def _csp_bounds(s: _CspSummary) -> IdentifiabilityBounds:
+    dm = s.min_leave_one_out
     upper = min(dm, s.merged_connectivity - 1)
     if upper <= s.sigma - 2:
         lower = min(dm - 1, s.merged_connectivity - 2)
@@ -262,11 +271,32 @@ def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
         return IdentifiabilityBounds(exact, exact, exact, False, note)
     # Scan the per-k verdicts: the largest certified k bounds from below, the
     # smallest refuted k bounds from above.
-    verdicts = tuple(_csp_verdict_at(s, k) for k in range(s.sigma + 1))
+    verdicts = _csp_table(s)
     lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
     refuted = [k for k, v in enumerate(verdicts) if not v.necessary_holds]
     upper = refuted[0] - 1 if refuted else s.sigma
     return IdentifiabilityBounds(lower, upper, lower if lower == upper else None, False, note)
+
+
+def controllable_tables(
+    topology: Topology, kinds: tuple[str, ...]
+) -> dict[str, tuple[tuple[Verdict, ...], IdentifiabilityBounds]]:
+    """Verdict table and bounds for each of CAP and CSP named in ``kinds``.
+
+    Together the two regimes need the connectivity of the merged graph and
+    of each leave-one-out graph, and each is computed once here: 1 + m
+    connectivity computations for m monitors, where calling the four public
+    functions one by one costs 4 + 2m.
+    """
+    merged = _merged_connectivity(topology)
+    tables = {}
+    if "CAP" in kinds:
+        s = _cap_summary(topology, merged)
+        tables["CAP"] = (_cap_table(s), _cap_bounds(s))
+    if "CSP" in kinds:
+        s = _csp_summary(topology, merged)
+        tables["CSP"] = (_csp_table(s), _csp_bounds(s))
+    return tables
 
 
 # ---------------------------------------------------------------------------

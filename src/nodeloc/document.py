@@ -102,6 +102,7 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
             f"edge {i} must be a two-element list",
         )
         for name in edge:
+            _expect(isinstance(name, str), f"edge {i} endpoint {name!r} must be a node name")
             _expect(name in index, f"edge {i} references unknown node {name!r}")
         u, v = index[edge[0]], index[edge[1]]
         _expect(u != v, f"edge {i} is a self-loop at {edge[0]!r}")
@@ -117,6 +118,7 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
         for i, path in enumerate(raw_paths):
             _expect(isinstance(path, list) and len(path) >= 2, f"path {i} must list at least two nodes")
             for name in path:
+                _expect(isinstance(name, str), f"path {i} entry {name!r} must be a node name")
                 _expect(name in index, f"path {i} references unknown node {name!r}")
             parsed.append(tuple(index[name] for name in path))
         paths = tuple(parsed)

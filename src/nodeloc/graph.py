@@ -184,40 +184,68 @@ class _FlowNet:
             level = self._bfs_levels(s, t)
             if level is None:
                 break
-            it = [0] * self.n
-            while flow < limit:
-                pushed = self._dfs(s, t, limit - flow, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
+            flow += self._blocking_flow(s, t, limit - flow, level)
         return flow
 
     def _bfs_levels(self, s: int, t: int) -> list[int] | None:
+        # Stop at t: every node on a shortest s-t path is levelled by then.
+        adj, to, cap = self.adj, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
         queue = [s]
         for u in queue:
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            next_level = level[u] + 1
+            for a in adj[u]:
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = next_level
+                    if v == t:
+                        return level
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return None
 
-    def _dfs(self, u: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            a = self.adj[u][it[u]]
-            v = self.to[a]
-            if self.cap[a] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(limit, self.cap[a]), level, it)
-                if pushed > 0:
-                    self.cap[a] -= pushed
-                    self.cap[a ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
+    def _blocking_flow(self, s: int, t: int, limit: int, level: list[int]) -> int:
+        """Push up to ``limit`` units along level-graph paths, without recursion.
+
+        ``path`` holds the arcs from ``s`` to the current node.  A node with no
+        usable arc left is a dead end: the walk retreats one arc and sets the
+        node's level to -1 so that no later path enters it again.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        it = [0] * self.n
+        path: list[int] = []
+        flow = 0
+        u = s
+        while flow < limit:
+            if u == t:
+                pushed = min(limit - flow, min(cap[a] for a in path))
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                flow += pushed
+                # Resume from the tail of the first saturated arc.
+                for i, a in enumerate(path):
+                    if cap[a] == 0:
+                        del path[i:]
+                        u = to[a ^ 1]
+                        break
+                continue
+            arcs = adj[u]
+            next_level = level[u] + 1
+            for i in range(it[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == next_level:
+                    it[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                if u == s:
+                    break
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+        return flow
 
 
 def _resolve(graph) -> Topology:
@@ -230,28 +258,55 @@ def _resolve(graph) -> Topology:
 
 
 def _split_flow_net(
-    topology: Topology,
-    uncapacitated: frozenset[int],
-    excluded: frozenset[int],
-    extra_nodes: int = 0,
+    topology: Topology, excluded: frozenset[int] = frozenset(), extra_nodes: int = 0
 ) -> _FlowNet:
     """Node-split digraph: node v becomes arc 2v -> 2v+1 of capacity one.
 
-    Nodes in ``uncapacitated`` get unbounded internal capacity, nodes in
-    ``excluded`` are unusable.  ``extra_nodes`` reserves ids past the split
-    pairs (used for a super-sink).
+    Nodes in ``excluded`` are unusable.  ``extra_nodes`` reserves ids past the
+    split pairs (used for a super-sink).  A flow from a source's out-copy
+    ``2s+1`` never uses the source's own split arc, and one into a target's
+    in-copy ``2t`` never uses the target's, so no node needs more capacity.
     """
     net = _FlowNet(2 * topology.node_count + extra_nodes)
     for v in topology.nodes:
         if v in excluded:
             continue
-        net.add_arc(2 * v, 2 * v + 1, _BIG if v in uncapacitated else 1)
+        net.add_arc(2 * v, 2 * v + 1, 1)
     for u, v in topology.edges:
         if u in excluded or v in excluded:
             continue
         net.add_arc(2 * u + 1, 2 * v, _BIG)
         net.add_arc(2 * v + 1, 2 * u, _BIG)
     return net
+
+
+def _flow_to_targets(
+    topology: Topology,
+    source: int,
+    targets: Iterable[int],
+    forbidden: Iterable[int],
+    limit: int | None,
+) -> tuple[_FlowNet, int, int]:
+    """Validate the arguments, then run the flow behind the disjoint-path queries.
+
+    Every target feeds a super-sink through a capacity-one arc.  Returns the
+    network carrying the flow, the super-sink id and the flow value.
+    """
+    topology._check_node(source)
+    target_set = topology._check_nodes(targets)
+    forbidden_set = topology._check_nodes(forbidden)
+    if source in forbidden_set:
+        raise InputError("source must not be forbidden")
+    if target_set & forbidden_set:
+        raise InputError("targets and forbidden nodes must be disjoint")
+    if source in target_set:
+        raise InputError("source must not be a target")
+    net = _split_flow_net(topology, forbidden_set, extra_nodes=1)
+    sink = 2 * topology.node_count
+    for t in target_set:
+        net.add_arc(2 * t + 1, sink, 1)
+    cap = len(target_set) if limit is None else min(limit, len(target_set))
+    return net, sink, net.max_flow(2 * source + 1, sink, limit=cap)
 
 
 def max_disjoint_paths(
@@ -265,27 +320,11 @@ def max_disjoint_paths(
 
     Paths may share only the source, must avoid every ``forbidden`` node, and
     each ends at a distinct target.  Computed as a unit-capacity flow on the
-    node-split digraph: the source is uncapacitated, every other node has
-    capacity one, and each target feeds a super-sink through a capacity-one
-    arc.  Pass ``limit`` to stop counting early once that many paths exist.
+    node-split digraph, where each target feeds a super-sink through a
+    capacity-one arc.  Pass ``limit`` to stop counting early once that many
+    paths exist.
     """
-    topology._check_node(source)
-    target_set = topology._check_nodes(targets)
-    forbidden_set = topology._check_nodes(forbidden)
-    if source in forbidden_set:
-        raise InputError("source must not be forbidden")
-    if target_set & forbidden_set:
-        raise InputError("targets and forbidden nodes must be disjoint")
-    if source in target_set:
-        raise InputError("source must not be a target")
-    if not target_set:
-        return 0
-    net = _split_flow_net(topology, frozenset({source}), forbidden_set, extra_nodes=1)
-    sink = 2 * topology.node_count
-    for t in target_set:
-        net.add_arc(2 * t + 1, sink, 1)
-    cap = len(target_set) if limit is None else min(limit, len(target_set))
-    return net.max_flow(2 * source + 1, sink, limit=cap)
+    return _flow_to_targets(topology, source, targets, forbidden, limit)[2]
 
 
 def disjoint_paths(
@@ -300,19 +339,7 @@ def disjoint_paths(
     Returns node sequences from ``source`` to distinct targets; used to build
     human-checkable probe witnesses.
     """
-    topology._check_node(source)
-    target_set = topology._check_nodes(targets)
-    forbidden_set = topology._check_nodes(forbidden)
-    if source in forbidden_set or (target_set & forbidden_set) or source in target_set:
-        raise InputError("source, targets and forbidden nodes must be pairwise consistent")
-    if not target_set:
-        return []
-    net = _split_flow_net(topology, frozenset({source}), forbidden_set, extra_nodes=1)
-    sink = 2 * topology.node_count
-    for t in target_set:
-        net.add_arc(2 * t + 1, sink, 1)
-    cap = len(target_set) if limit is None else min(limit, len(target_set))
-    flow = net.max_flow(2 * source + 1, sink, limit=cap)
+    net, sink, flow = _flow_to_targets(topology, source, targets, forbidden, limit)
     # Decompose the integral flow into node sequences.  Saturated arcs are
     # exactly those whose residual capacity moved to the reverse arc.
     used = [False] * len(net.to)
@@ -340,11 +367,6 @@ def disjoint_paths(
     return paths
 
 
-def _st_vertex_cut(topology: Topology, s: int, t: int, limit: int) -> int:
-    net = _split_flow_net(topology, frozenset({s, t}), frozenset())
-    return net.max_flow(2 * s + 1, 2 * t, limit=limit)
-
-
 def vertex_connectivity(graph) -> int:
     """Vertex connectivity, with the conventions the analyses rely on.
 
@@ -356,6 +378,12 @@ def vertex_connectivity(graph) -> int:
     every non-adjacent pair of neighbors of x.  The second family is needed
     when x sits inside every minimum cut; together the two families always
     contain a pair realizing the global minimum.
+
+    All pairs share one node-split flow network, built once per graph; each
+    pair restores its saved capacities and runs a max-flow from s's
+    out-copy to t's in-copy, stopped at the smallest cut found so far.
+    Dinic's blocking flow walks an explicit arc stack instead of recursing,
+    so long paths (an 800-node ring, say) need no Python stack depth.
     """
     topo = _resolve(graph)
     n = topo.node_count
@@ -365,15 +393,21 @@ def vertex_connectivity(graph) -> int:
         return 0
     if len(topo.edges) == n * (n - 1) // 2:
         return n - 1
+    net = _split_flow_net(topo)
+    base = net.cap[:]
+
+    def cut(s: int, t: int, limit: int) -> int:
+        net.cap[:] = base
+        return net.max_flow(2 * s + 1, 2 * t, limit=limit)
+
     x = min(topo.nodes, key=lambda v: (topo.degree(v), v))
     best = topo.degree(x)
     for w in topo.nodes:
-        if w == x or w in topo.adjacency[x]:
-            continue
-        best = min(best, _st_vertex_cut(topo, x, w, limit=best))
+        if w != x and w not in topo.adjacency[x]:
+            best = cut(x, w, best)
     for y, z in combinations(sorted(topo.adjacency[x]), 2):
         if z not in topo.adjacency[y]:
-            best = min(best, _st_vertex_cut(topo, y, z, limit=best))
+            best = cut(y, z, best)
     return best
 
 

@@ -20,10 +20,7 @@ from .conditions import (
     Identifiability,
     IdentifiabilityBounds,
     Verdict,
-    cap_bounds,
-    cap_verdicts,
-    csp_bounds,
-    csp_verdicts,
+    controllable_tables,
     up_bounds,
     up_verdicts,
 )
@@ -84,19 +81,15 @@ def analyze(
     if not 0 <= lo <= hi <= sigma:
         raise UsageError(f"k range must satisfy 0 <= lo <= hi <= {sigma}")
 
+    tables = controllable_tables(topology, models) if {"CAP", "CSP"} & set(models) else {}
     sections = []
     for kind in _MODEL_ORDER:
         if kind not in models:
             continue
         profile = None
-        if kind == "CAP":
-            verdicts = cap_verdicts(topology)
-            bounds = cap_bounds(topology)
-            model = CAP
-        elif kind == "CSP":
-            verdicts = csp_verdicts(topology)
-            bounds = csp_bounds(topology)
-            model = CSP
+        if kind in tables:
+            verdicts, bounds = tables[kind]
+            model = CAP if kind == "CAP" else CSP
         else:
             ensemble = doc.to_ensemble(topology)
             profile = cover_profile(ensemble)

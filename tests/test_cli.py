@@ -56,6 +56,40 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", bad)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("entry", ['[["m"], "v"]', '[{"n": 1}, "v"]'])
+    def test_non_string_edge_endpoint_exits_2(self, entry, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"version": 1, "nodes": [{"name": "m", "monitor": true},'
+            ' {"name": "v", "monitor": false}], "edges": [' + entry + "]}",
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "analyze", bad)
+        assert code == 2 and "must be a node name" in err
+
+    def test_long_ring_bounds(self, tmp_path, capsys):
+        # An 800-node ring with one monitor: the merged graph is a cycle
+        # (connectivity 2) and the only leave-one-out graph isolates the
+        # virtual monitor (connectivity 0).  Augmenting paths run hundreds
+        # of nodes long here.
+        n = 800
+        ring = tmp_path / "ring800.json"
+        ring.write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "nodes": [{"name": f"v{i}", "monitor": i == 0} for i in range(n)],
+                    "edges": [[f"v{i}", f"v{(i + 1) % n}"] for i in range(n)],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "analyze", ring, "--models", "CAP,CSP")
+        assert code == 0
+        models = json.loads(out)["models"]
+        assert (models["CAP"]["bounds"]["lower"], models["CAP"]["bounds"]["upper"]) == (1, 2)
+        assert (models["CSP"]["bounds"]["lower"], models["CSP"]["bounds"]["upper"]) == (0, 0)
+
     def test_guard_exceeded_exits_3(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "gen", "topo", "--model", "er", "--nodes", 12, "--edge-prob", "0.4",

@@ -47,6 +47,13 @@ class TestParseTopology:
         with pytest.raises(FormatError, match="ghost"):
             parse_topology(json.dumps(raw))
 
+    @pytest.mark.parametrize("key", ["edges", "paths"])
+    def test_non_string_name_is_a_format_error(self, key):
+        raw = json.loads(MINIMAL)
+        raw[key] = [[["m1"], "v"]]
+        with pytest.raises(FormatError, match="must be a node name"):
+            parse_topology(json.dumps(raw))
+
     def test_duplicate_name(self):
         raw = json.loads(MINIMAL)
         raw["nodes"].append({"name": "v", "monitor": False})

@@ -170,6 +170,14 @@ class TestDisjointPaths:
         interiors = [set(p) - {1} for p in paths]
         assert not interiors[0] & interiors[1]
 
+    def test_long_path_needs_no_recursion(self):
+        # The augmenting path crosses 6,000 split nodes, far past Python's
+        # default recursion limit.
+        n = 3000
+        t = Topology(n, [(i, i + 1) for i in range(n - 1)], [n - 1])
+        assert max_disjoint_paths(t, 0, {n - 1}) == 1
+        assert disjoint_paths(t, 0, {n - 1}) == [tuple(range(n))]
+
     @given(topologies(max_nodes=7))
     def test_matches_bruteforce(self, topo):
         monitors = frozenset(topo.monitors)

@@ -76,6 +76,34 @@ class TestAnalyze:
         with pytest.raises(UsageError):
             analyze(PATH4, k_range=(0, 9))
 
+    def test_one_connectivity_per_auxiliary_graph(self, monkeypatch):
+        import nodeloc.conditions as conditions
+        from nodeloc.generate import erdos_renyi
+
+        doc = erdos_renyi(20, 0.3, seed=5, monitors=4)
+        calls = []
+        original = conditions.vertex_connectivity
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(conditions, "vertex_connectivity", counted)
+        report = analyze(doc, models=("CAP", "CSP"))
+        assert len(calls) == 1 + len(doc.monitors)
+
+        # The shared summaries give what the public functions give one by one.
+        topology = doc.to_topology()
+        cap, csp = report.sections
+        assert (cap.verdicts, cap.bounds) == (
+            conditions.cap_verdicts(topology),
+            conditions.cap_bounds(topology),
+        )
+        assert (csp.verdicts, csp.bounds) == (
+            conditions.csp_verdicts(topology),
+            conditions.csp_bounds(topology),
+        )
+
     def test_oracle_guard(self):
         from nodeloc.generate import erdos_renyi
 
