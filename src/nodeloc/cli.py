@@ -24,8 +24,8 @@ from ._version import __version__
 from .document import emit_topology, parse_outcomes, parse_path_lines, parse_topology
 from .errors import CapacityError, FormatError, InputError, UsageError
 from .generate import generate_paths, generate_topology
-from .oracle import CAP, CSP, DEFAULT_GUARD, k_identifiable, localize, max_identifiability, up_model
-from .report import analyze, emit_report, reformat_report
+from .oracle import DEFAULT_GUARD, k_identifiable, localize, max_identifiability
+from .report import analyze, emit_report, reformat_report, resolve_models
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,28 +164,11 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     _write(emit_report(report, args.format), args.out)
 
 
-def _models_for(doc, requested: tuple[str, ...] | None):
-    kinds = requested or (("CAP", "CSP") + (("UP",) if doc.paths is not None else ()))
-    out = []
-    for kind in kinds:
-        if kind == "CAP":
-            out.append((kind, CAP))
-        elif kind == "CSP":
-            out.append((kind, CSP))
-        elif kind == "UP":
-            if doc.paths is None:
-                raise UsageError("UP analysis requested but the document has no paths")
-            out.append((kind, up_model(doc.to_ensemble())))
-        else:
-            raise UsageError(f"unknown probing model {kind!r}")
-    return out
-
-
 def _cmd_oracle(args: argparse.Namespace) -> None:
     doc = _load_document(args)
     topology = doc.to_topology()
     results = {}
-    for kind, model in _models_for(doc, _parse_models(args.models)):
+    for kind, model in resolve_models(doc, topology, _parse_models(args.models)):
         if args.k is None:
             results[kind] = {"max_identifiability": max_identifiability(topology, model, guard=args.guard)}
         else:
@@ -217,7 +200,7 @@ def _cmd_localize(args: argparse.Namespace) -> None:
     doc = _load_document(args)
     topology = doc.to_topology()
     kind, states = parse_outcomes(_read(args.outcomes), doc)
-    (_, model), = _models_for(doc, (kind,))
+    (_, model), = resolve_models(doc, topology, (kind,))
     candidates = localize(topology, model, states, args.k_max, guard=args.guard)
     named = [sorted(doc.names[v] for v in failure) for failure in candidates]
     if args.format == "json":
@@ -274,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:
-        print(f"capacity error: {exc} (rerun without --oracle or raise --guard)", file=sys.stderr)
+        print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except Exception as exc:  # noqa: BLE001 - surface as invariant violation
         print(f"internal error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ node names as probes for CAP/CSP and integer path ids for UP.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 from .ensemble import PathEnsemble, build_ensemble
@@ -38,11 +38,15 @@ class TopologyDocument:
     edges: frozenset[tuple[int, int]]
     paths: tuple[tuple[int, ...], ...] | None = None
     version: int = FORMAT_VERSION
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {name: i for i, name in enumerate(self.names)})
 
     def id_of(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self.index[name]
+        except KeyError:
             raise FormatError(f"unknown node name {name!r}") from None
 
     def to_topology(self) -> Topology:
@@ -79,20 +83,19 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
     nodes = raw.get("nodes")
     _expect(isinstance(nodes, list) and nodes, "'nodes' must be a non-empty list")
 
-    names: list[str] = []
+    index: dict[str, int] = {}
     monitors: set[int] = set()
     for i, node in enumerate(nodes):
         _expect(isinstance(node, dict), f"node {i} must be an object")
         name = node.get("name")
         _expect(isinstance(name, str) and name, f"node {i} needs a non-empty string name")
-        _expect(name not in names, f"duplicate node name {name!r}")
+        _expect(name not in index, f"duplicate node name {name!r}")
         _expect(isinstance(node.get("monitor"), bool), f"node {name!r} needs a boolean 'monitor'")
         if node["monitor"]:
             monitors.add(i)
-        names.append(name)
+        index[name] = i
     _expect(bool(monitors), "at least one node must be a monitor")
 
-    index = {name: i for i, name in enumerate(names)}
     edges: set[tuple[int, int]] = set()
     raw_edges = raw.get("edges", [])
     _expect(isinstance(raw_edges, list), "'edges' must be a list")
@@ -125,7 +128,7 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
 
     unknown = set(raw) - {"version", "nodes", "edges", "paths"}
     _expect(not unknown, f"unknown top-level keys: {sorted(unknown)}")
-    return TopologyDocument(tuple(names), frozenset(monitors), frozenset(edges), paths)
+    return TopologyDocument(tuple(index), frozenset(monitors), frozenset(edges), paths)
 
 
 def emit_topology(doc: TopologyDocument) -> str:
@@ -161,9 +164,9 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
         if len(names) < 2:
             raise FormatError(f"path line {lineno} lists fewer than two nodes")
         for name in names:
-            if name not in doc.names:
+            if name not in doc.index:
                 raise FormatError(f"path line {lineno} references unknown node {name!r}")
-        paths.append(tuple(doc.id_of(name) for name in names))
+        paths.append(tuple(doc.index[name] for name in names))
     return tuple(paths)
 
 

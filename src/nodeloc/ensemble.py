@@ -140,7 +140,7 @@ def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = 20) -> 
     if len(candidates) > max_candidates:
         raise CapacityError(
             f"{len(candidates)} candidate covering sets exceed the exact-cover "
-            f"guard of {max_candidates}"
+            f"guard of {max_candidates}; no option raises this guard"
         )
     return _exact_min_cover(targets, candidates)
 

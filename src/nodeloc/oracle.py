@@ -17,9 +17,8 @@ ensemble (UP).  A node is measurable while a failure set is down when
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import CapacityError, FormatError, InputError
@@ -100,7 +99,28 @@ def _check_guard(topology: Topology, guard: int) -> None:
     if topology.sigma > guard:
         raise CapacityError(
             f"{topology.sigma} non-monitors exceed the brute-force guard of {guard}"
+            " (raise it with --guard)"
         )
+
+
+def _check_probe(
+    topology: Topology, model: ProbingModel, v: int, avoid: Iterable[int]
+) -> FailureSet:
+    _check_model(topology, model)
+    avoid_set = _check_failure_set(topology, avoid)
+    topology._check_node(v)
+    if v in topology.monitors:
+        raise InputError(f"node {v} is a monitor; only non-monitors are probed")
+    if v in avoid_set:
+        raise InputError("the probed node cannot itself be avoided")
+    return avoid_set
+
+
+def _failure_sets(pool: Sequence[int], k: int) -> Iterator[FailureSet]:
+    """Subsets of ``pool`` of at most k members: ascending size, then ``pool`` order."""
+    for size in range(k + 1):
+        for nodes in combinations(pool, size):
+            yield frozenset(nodes)
 
 
 def find_measurable_path(
@@ -110,17 +130,9 @@ def find_measurable_path(
 
     Returns a node walk for CAP/CSP and a path id for UP.
     """
-    _check_model(topology, model)
-    avoid_set = _check_failure_set(topology, avoid)
-    topology._check_node(v)
-    if v in topology.monitors:
-        raise InputError(f"node {v} is a monitor; only non-monitors are probed")
-    if v in avoid_set:
-        raise InputError("the probed node cannot itself be avoided")
-
+    avoid_set = _check_probe(topology, model, v, avoid)
     if model.kind == "CAP":
-        walk = _monitor_walk(topology, v, avoid_set)
-        return walk
+        return _monitor_walk(topology, v, avoid_set)
     if model.kind == "CSP":
         paths = disjoint_paths(topology, v, topology.monitors, avoid_set, limit=2)
         if len(paths) < 2:
@@ -155,13 +167,9 @@ def _monitor_walk(topology: Topology, v: int, avoid: FailureSet) -> tuple[int, .
     return tuple(path) + tuple(reversed(path[:-1]))
 
 
-@lru_cache(maxsize=1 << 20)
 def _measurable(topology: Topology, model: ProbingModel, v: int, avoid: FailureSet) -> bool:
     if model.kind == "CAP":
-        for component in connected_components(topology, avoid).components:
-            if v in component:
-                return bool(component & topology.monitors)
-        return False
+        return _monitor_walk(topology, v, avoid) is not None
     if model.kind == "CSP":
         if len(topology.monitors) < 2:
             return False
@@ -176,14 +184,7 @@ def measurable_path_exists(
     topology: Topology, model: ProbingModel, v: int, avoid: Iterable[int] = ()
 ) -> bool:
     """Whether some probe of ``model`` traverses ``v`` while ``avoid`` is down."""
-    _check_model(topology, model)
-    avoid_set = _check_failure_set(topology, avoid)
-    topology._check_node(v)
-    if v in topology.monitors:
-        raise InputError(f"node {v} is a monitor; only non-monitors are probed")
-    if v in avoid_set:
-        raise InputError("the probed node cannot itself be avoided")
-    return _measurable(topology, model, v, avoid_set)
+    return _measurable(topology, model, v, _check_probe(topology, model, v, avoid))
 
 
 def abstract_sufficient(
@@ -200,10 +201,9 @@ def abstract_sufficient(
     non_monitors = sorted(topology.non_monitors)
     for v in non_monitors:
         pool = [w for w in non_monitors if w != v]
-        for size in range(0, k + 1):
-            for failure in combinations(pool, size):
-                if not _measurable(topology, model, v, frozenset(failure)):
-                    return False
+        for failure in _failure_sets(pool, k):
+            if not _measurable(topology, model, v, failure):
+                return False
     return True
 
 
@@ -225,19 +225,30 @@ def simulate_measurements(
     """
     _check_model(topology, model)
     truth_set = _check_failure_set(topology, truth)
+    return dict(zip(_probes(topology, model), _signature(topology, model, truth_set)))
+
+
+def _probes(topology: Topology, model: ProbingModel) -> list[int]:
+    """Keys of the probe battery in ascending order: path ids or non-monitors."""
     if model.kind == "UP":
-        return {
-            p.path_id: not (p.node_set & truth_set) for p in model.ensemble.paths
-        }
-    return {
-        v: v not in truth_set and _measurable(topology, model, v, truth_set)
-        for v in sorted(topology.non_monitors)
-    }
+        return [p.path_id for p in model.ensemble.paths]
+    return sorted(topology.non_monitors)
 
 
 def _signature(topology: Topology, model: ProbingModel, truth: FailureSet) -> tuple[bool, ...]:
-    outcome = simulate_measurements(topology, model, truth)
-    return tuple(outcome[key] for key in sorted(outcome))
+    """Observations of the probe battery while ``truth`` is down, in ``_probes`` order."""
+    if model.kind == "UP":
+        return tuple(not (p.node_set & truth) for p in model.ensemble.paths)
+    if model.kind == "CAP":
+        reached: set[int] = set()
+        for component in connected_components(topology, truth).components:
+            if component & topology.monitors:
+                reached |= component
+        return tuple(v in reached for v in sorted(topology.non_monitors))
+    return tuple(
+        v not in truth and _measurable(topology, model, v, truth)
+        for v in sorted(topology.non_monitors)
+    )
 
 
 def distinguishable(
@@ -248,6 +259,7 @@ def distinguishable(
     The positive witness is a probe that traverses a node of exactly one set
     while avoiding the other entirely; the negative witness is the pair.
     """
+    _check_model(topology, model)
     f1 = _check_failure_set(topology, first)
     f2 = _check_failure_set(topology, second)
     if f1 == f2:
@@ -262,13 +274,17 @@ def distinguishable(
     return False, IndistinguishablePair(f1, f2)
 
 
-def _failure_sets_ascending(topology: Topology, k: int) -> list[FailureSet]:
-    pool = sorted(topology.non_monitors)
-    out: list[FailureSet] = []
-    for size in range(0, k + 1):
-        for nodes in combinations(pool, size):
-            out.append(frozenset(nodes))
-    return out
+def _first_collision(
+    topology: Topology, model: ProbingModel, k: int
+) -> IndistinguishablePair | None:
+    """First pair of failure sets of size at most k with equal signatures, or None."""
+    seen: dict[tuple[bool, ...], FailureSet] = {}
+    for failure in _failure_sets(sorted(topology.non_monitors), k):
+        signature = _signature(topology, model, failure)
+        if signature in seen:
+            return IndistinguishablePair(seen[signature], failure)
+        seen[signature] = failure
+    return None
 
 
 def k_identifiable(
@@ -282,13 +298,8 @@ def k_identifiable(
     """
     _check_model(topology, model)
     _check_k_guarded(topology, k, guard)
-    seen: dict[tuple[bool, ...], FailureSet] = {}
-    for failure in _failure_sets_ascending(topology, k):
-        signature = _signature(topology, model, failure)
-        if signature in seen:
-            return False, IndistinguishablePair(seen[signature], failure)
-        seen[signature] = failure
-    return True, None
+    pair = _first_collision(topology, model, k)
+    return pair is None, pair
 
 
 def max_identifiability(
@@ -297,13 +308,8 @@ def max_identifiability(
     """Largest k for which the network is k-identifiable under ``model``."""
     _check_model(topology, model)
     _check_guard(topology, guard)
-    seen: dict[tuple[bool, ...], FailureSet] = {}
-    for failure in _failure_sets_ascending(topology, topology.sigma):
-        signature = _signature(topology, model, failure)
-        if signature in seen:
-            return len(failure) - 1
-        seen[signature] = failure
-    return topology.sigma
+    pair = _first_collision(topology, model, topology.sigma)
+    return topology.sigma if pair is None else len(pair.second) - 1
 
 
 def abstract_necessary(
@@ -317,13 +323,11 @@ def abstract_necessary(
     """
     _check_model(topology, model)
     _check_k_guarded(topology, k, guard)
-    pool = sorted(topology.non_monitors)
-    for size in range(0, k):
-        for removed in combinations(pool, size):
-            sub_topology, sub_model = restrict(topology, model, frozenset(removed))
-            ok, _ = k_identifiable(sub_topology, sub_model, k - size, guard=guard)
-            if not ok:
-                return False
+    for removed in _failure_sets(sorted(topology.non_monitors), k - 1):
+        sub_topology, sub_model = restrict(topology, model, removed)
+        ok, _ = k_identifiable(sub_topology, sub_model, k - len(removed), guard=guard)
+        if not ok:
+            return False
     return True
 
 
@@ -364,30 +368,34 @@ def localize(
 
     Candidates are returned by ascending size then lexicographic member
     order.  When ``k_max`` does not exceed the network's maximum
-    identifiability the result is a single set.
+    identifiability the result is a single set.  Only nodes the observations
+    allow to be down are enumerated: under CAP/CSP a failed node reads down,
+    and under UP it lies on no path that reads up.
     """
     _check_model(topology, model)
     if k_max < 0:
         raise InputError("k_max must be non-negative")
     k_max = min(k_max, topology.sigma)  # larger sets cannot exist
     _check_guard(topology, guard)
-    expected = (
-        {p.path_id for p in model.ensemble.paths}
-        if model.kind == "UP"
-        else set(topology.non_monitors)
-    )
-    if set(outcomes) != expected:
+    keys = _probes(topology, model)
+    if set(outcomes) != set(keys):
         raise FormatError(
             "outcome map does not cover the probe battery: expected "
-            f"{sorted(expected)}, got {sorted(outcomes)}"
+            f"{keys}, got {sorted(outcomes)}"
         )
-    target = tuple(bool(outcomes[key]) for key in sorted(outcomes))
-    matches = [
+    target = tuple(bool(outcomes[key]) for key in keys)
+    if model.kind == "UP":
+        on_up_paths = set().union(
+            *(p.node_set for p, up in zip(model.ensemble.paths, target) if up)
+        )
+        pool = sorted(topology.non_monitors - on_up_paths)
+    else:
+        pool = [v for v, up in zip(keys, target) if not up]
+    return [
         failure
-        for failure in _failure_sets_ascending(topology, k_max)
+        for failure in _failure_sets(pool, k_max)
         if _signature(topology, model, failure) == target
     ]
-    return sorted(matches, key=lambda f: (len(f), sorted(f)))
 
 
 def exhaustive_component_condition(
@@ -409,31 +417,19 @@ def exhaustive_component_condition(
     _check_guard(topology, guard)
     pool = sorted(topology.non_monitors)
 
-    def monitored(removed: frozenset[int]) -> bool:
-        return all(
-            component & topology.monitors
-            for component in connected_components(topology, removed).components
-        )
-
-    if with_monitor is None or with_monitor == ANY_MONITOR:
-        for size in range(0, s + 1):
-            for failure in combinations(pool, size):
-                if not monitored(frozenset(failure)):
-                    return False
-        if with_monitor is None:
-            return True
-        for m in sorted(topology.monitors):
-            for size in range(0, s):
-                for failure in combinations(pool, size):
-                    if not monitored(frozenset(failure) | {m}):
-                        return False
-        return True
-
-    topology._check_node(with_monitor)
-    if with_monitor not in topology.monitors:
-        raise InputError(f"node {with_monitor} is not a monitor")
-    for size in range(0, s + 1):
-        for failure in combinations(pool, size):
-            if not monitored(frozenset(failure) | {with_monitor}):
-                return False
-    return True
+    # (monitors deleted, how many non-monitors may be deleted with them)
+    if with_monitor is None:
+        variants = [(frozenset(), s)]
+    elif with_monitor == ANY_MONITOR:
+        variants = [(frozenset(), s)] + [(frozenset({m}), s - 1) for m in sorted(topology.monitors)]
+    else:
+        topology._check_node(with_monitor)
+        if with_monitor not in topology.monitors:
+            raise InputError(f"node {with_monitor} is not a monitor")
+        variants = [(frozenset({with_monitor}), s)]
+    return all(
+        component & topology.monitors
+        for dropped, size in variants
+        for failure in _failure_sets(pool, size)
+        for component in connected_components(topology, failure | dropped).components
+    )

@@ -27,7 +27,8 @@ from .conditions import (
 from .document import TopologyDocument, emit_topology
 from .ensemble import CoverProfile, cover_profile
 from .errors import FormatError, InternalError, UsageError
-from .oracle import CAP, CSP, DEFAULT_GUARD, max_identifiability, up_model
+from .graph import Topology
+from .oracle import DEFAULT_GUARD, ProbingModel, max_identifiability, up_model
 
 _MODEL_ORDER = ("CAP", "CSP", "UP")
 
@@ -51,6 +52,27 @@ class AnalysisReport:
     input_sha256: str
 
 
+def resolve_models(
+    doc: TopologyDocument, topology: Topology, models: tuple[str, ...] | None
+) -> list[tuple[str, ProbingModel]]:
+    """The probing model of each requested kind, in request order.
+
+    ``models`` defaults to CAP and CSP, plus UP when the document carries
+    paths; UP's ensemble is built on ``topology``.
+    """
+    if models is None:
+        models = ("CAP", "CSP") + (("UP",) if doc.paths is not None else ())
+    for kind in models:
+        if kind not in _MODEL_ORDER:
+            raise UsageError(f"unknown probing model {kind!r}")
+    if "UP" in models and doc.paths is None:
+        raise UsageError("UP analysis requested but the document has no paths")
+    return [
+        (kind, up_model(doc.to_ensemble(topology)) if kind == "UP" else ProbingModel(kind))
+        for kind in models
+    ]
+
+
 def analyze(
     doc: TopologyDocument,
     *,
@@ -70,32 +92,26 @@ def analyze(
     sigma = topology.sigma
     if sigma == 0:
         raise UsageError("every node is a monitor; there are no failures to analyze")
-    if models is None:
-        models = ("CAP", "CSP") + (("UP",) if doc.paths is not None else ())
-    for kind in models:
-        if kind not in _MODEL_ORDER:
-            raise UsageError(f"unknown probing model {kind!r}")
-    if "UP" in models and doc.paths is None:
-        raise UsageError("UP analysis requested but the document has no paths")
+    resolved = resolve_models(doc, topology, models)
+    kinds = [kind for kind, _ in resolved]
+    chosen = dict(resolved)
     lo, hi = k_range if k_range is not None else (0, sigma)
     if not 0 <= lo <= hi <= sigma:
         raise UsageError(f"k range must satisfy 0 <= lo <= hi <= {sigma}")
 
-    tables = controllable_tables(topology, models) if {"CAP", "CSP"} & set(models) else {}
+    tables = controllable_tables(topology, tuple(kinds)) if {"CAP", "CSP"} & set(kinds) else {}
     sections = []
     for kind in _MODEL_ORDER:
-        if kind not in models:
+        if kind not in chosen:
             continue
+        model = chosen[kind]
         profile = None
         if kind in tables:
             verdicts, bounds = tables[kind]
-            model = CAP if kind == "CAP" else CSP
         else:
-            ensemble = doc.to_ensemble(topology)
-            profile = cover_profile(ensemble)
+            profile = cover_profile(model.ensemble)
             verdicts = up_verdicts(profile)
             bounds = up_bounds(profile)
-            model = up_model(ensemble)
         oracle_max = max_identifiability(topology, model, guard=guard) if oracle else None
         section = ModelSection(kind, verdicts[lo : hi + 1], bounds, oracle_max, profile)
         _validate_section(section, lo)
@@ -106,7 +122,7 @@ def analyze(
         sigma=sigma,
         k_range=(lo, hi),
         sections=tuple(sections),
-        options={"models": list(models), "oracle": oracle, "guard": guard, "k_range": [lo, hi]},
+        options={"models": kinds, "oracle": oracle, "guard": guard, "k_range": [lo, hi]},
         input_sha256=hashlib.sha256(emit_topology(doc).encode("utf-8")).hexdigest(),
     )
 

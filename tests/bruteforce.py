@@ -105,6 +105,27 @@ def simple_monitor_path_through(topo: Topology, v: int, avoid: frozenset[int]) -
     return False
 
 
+def brute_observations(topo: Topology, model, truth: frozenset[int]) -> dict[int, bool]:
+    """Probe battery outcomes while ``truth`` is down, from first principles.
+
+    CAP: a non-monitor reads up when it survives in a component holding a
+    monitor.  CSP: when a simple monitor-to-monitor path through it avoids
+    ``truth``.  UP: a path reads up when it visits no failed node.
+    """
+    if model.kind == "UP":
+        return {p.path_id: not set(p.nodes) & truth for p in model.ensemble.paths}
+    if model.kind == "CAP":
+        live = set()
+        for component in _components_after(topo, truth):
+            if component & topo.monitors:
+                live |= component
+        return {v: v in live for v in topo.non_monitors}
+    return {
+        v: v not in truth and simple_monitor_path_through(topo, v, truth)
+        for v in topo.non_monitors
+    }
+
+
 def brute_min_cover(ensemble: PathEnsemble, v: int) -> int | float:
     """Exhaustive minimum-cover search over all subsets of the other nodes."""
     targets = ensemble.incidence[v]

@@ -101,6 +101,21 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", big, "--oracle")
         assert code == 3 and "guard" in err
 
+    def test_cover_guard_refusal_names_no_flag(self, tmp_path, capsys):
+        # no option raises the exact-cover guard, so the message names none
+        code, out, _ = run(
+            capsys, "gen", "topo", "--model", "grid", "--width", 8, "--height", 8,
+            "--monitors", 8, "--seed", 1,
+        )
+        topo = tmp_path / "grid.json"
+        topo.write_text(out, encoding="utf-8")
+        code, out, _ = run(capsys, "gen", "paths", topo, "--per-pair", 2)
+        assert code == 0
+        topo.write_text(out, encoding="utf-8")
+        code, _, err = run(capsys, "analyze", topo, "--models", "UP")
+        assert code == 3 and "exact-cover guard" in err
+        assert "--guard" not in err and "--oracle" not in err
+
 
 class TestOracleCommand:
     def test_max_identifiability(self, topo_file, capsys):
@@ -115,6 +130,17 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert code == 0 and payload["CSP"]["identifiable"] is False
         assert payload["CSP"]["indistinguishable_pair"] == [["v1"], ["v2"]]
+
+    def test_guard_refusal_names_guard_flag(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "gen", "topo", "--model", "er", "--nodes", 10, "--edge-prob", "0.4",
+            "--monitors", "2", "--seed", "9",
+        )
+        big = tmp_path / "sigma8.json"
+        big.write_text(out, encoding="utf-8")
+        code, _, err = run(capsys, "oracle", big)
+        assert code == 3 and "brute-force guard of 7" in err
+        assert "--guard" in err and "--oracle" not in err
 
 
 class TestLocalize:

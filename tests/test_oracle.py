@@ -120,6 +120,11 @@ class TestDistinguishable:
         with pytest.raises(InputError):
             distinguishable(PATH4, CAP, {1}, {1})
 
+    def test_foreign_ensemble_rejected_without_a_probe(self):
+        # no path of the DIAMOND ensemble survives either set on PATH4
+        with pytest.raises(InputError, match="different topology"):
+            distinguishable(PATH4, diamond_up(), {1}, {1, 2})
+
     def test_matches_signature_equality(self, corpus):
         # distinguishable iff the canonical batteries differ
         from itertools import combinations
@@ -296,3 +301,67 @@ def test_localize_clamps_kmax_to_nonmonitor_count():
     assert localize(STAR, CAP, out, 99) == [frozenset({2})]
     with pytest.raises(InputError):
         localize(STAR, CAP, out, -1)
+
+
+def _small_instances(corpus, up_corpus):
+    """(topology, model) pairs with at most six non-monitors, every regime."""
+    for doc in corpus:
+        topo = doc.to_topology()
+        if topo.sigma <= 6:
+            yield topo, CAP
+            yield topo, CSP
+    for doc in up_corpus:
+        topo = doc.to_topology()
+        if topo.sigma <= 6:
+            yield topo, up_model(doc.to_ensemble(topo))
+
+
+class TestAgainstBruteObservations:
+    def test_simulation_matches_reference(self, corpus, up_corpus):
+        from itertools import combinations
+
+        from bruteforce import brute_observations
+
+        checked = 0
+        for topo, model in _small_instances(corpus, up_corpus):
+            pool = sorted(topo.non_monitors)
+            for size in range(len(pool) + 1):
+                for failure in map(frozenset, combinations(pool, size)):
+                    want = brute_observations(topo, model, failure)
+                    assert simulate_measurements(topo, model, failure) == want, (
+                        topo, model.kind, failure,
+                    )
+                    checked += 1
+        assert checked > 1000
+
+    def test_localize_matches_enumeration(self, corpus, up_corpus):
+        # Every produced outcome map, plus each one with one probe flipped,
+        # against the failure sets whose reference observations equal it.
+        from itertools import combinations
+
+        from bruteforce import brute_observations
+
+        shared = unproduced = 0
+        for topo, model in _small_instances(corpus, up_corpus):
+            pool = sorted(topo.non_monitors)
+            sets = [frozenset(c) for size in range(len(pool) + 1) for c in combinations(pool, size)]
+            producers: dict[tuple, list] = {}
+            for failure in sets:
+                outcome = brute_observations(topo, model, failure)
+                producers.setdefault(tuple(sorted(outcome.items())), []).append(failure)
+            maps = set(producers)
+            for key in list(producers):
+                for i, (probe, up) in enumerate(key):
+                    maps.add(key[:i] + ((probe, not up),) + key[i + 1 :])
+            for key in maps:
+                want = producers.get(key, [])
+                assert localize(topo, model, dict(key), topo.sigma) == want, (
+                    topo, model.kind, key,
+                )
+                shared += len(want) > 1
+                unproduced += not want
+        assert shared > 0 and unproduced > 0
+
+    def test_unproduced_map_has_no_candidates(self):
+        # v2 reads up only while v1 or v3 survives, yet both read down
+        assert localize(RING, CAP, {1: False, 2: True, 3: False}, 3) == []
