@@ -152,6 +152,65 @@ def connected_components(topology: Topology, removed: Iterable[int] = ()) -> Com
     return ComponentPartition(tuple(components), removed_set)
 
 
+def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> frozenset[int]:
+    """Non-monitors sharing a block with a virtual sink joined to every monitor.
+
+    The block (biconnected component) is taken in ``topology`` minus
+    ``removed`` plus the sink t.  By the fan lemma these are exactly the
+    surviving non-monitors with two vertex-disjoint paths to distinct
+    monitors.  Empty when there are fewer than two monitors.
+
+    One Hopcroft-Tarjan low-point DFS rooted at t, walked with an explicit
+    iterator stack so that long paths need no Python stack depth.  A node w
+    whose tree parent u is not t shares t's block iff u does and
+    ``low[w] < disc[u]``; every child of t (a monitor) does.
+    """
+    removed_set = topology._check_nodes(removed)
+    monitors = topology.monitors
+    if len(monitors) < 2:
+        return frozenset()
+    adjacency = topology.adjacency
+    sink = topology.node_count
+    disc = [-1] * (sink + 1)
+    # A removed node counts as visited with a discovery time above every
+    # real one, so it is never entered and never lowers a low point.
+    for v in removed_set:
+        disc[v] = sink + 1
+    low = [0] * (sink + 1)
+    parent = [sink] * (sink + 1)
+    disc[sink] = 0
+    order = [sink]
+    stack = [(sink, iter(monitors))]
+    while stack:
+        u, neighbors = stack[-1]
+        for w in neighbors:
+            if disc[w] < 0:
+                disc[w] = len(order)
+                # A monitor's edge to t is a back edge to the root, or the
+                # tree edge from it, whose child's low point is never read.
+                low[w] = 0 if w in monitors else disc[w]
+                parent[w] = u
+                order.append(w)
+                stack.append((w, iter(adjacency[w])))
+                break
+            # Includes the tree edge to u's parent: a low point equal to
+            # disc[parent] still fails the strict test below.
+            if disc[w] < low[u]:
+                low[u] = disc[w]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+    reached: set[int] = set()
+    for w in order[1:]:
+        u = parent[w]
+        if u == sink or (u in reached and low[w] < disc[u]):
+            reached.add(w)
+    return frozenset(reached - monitors)
+
+
 def neighborhood_of_set(topology: Topology, nodes: Iterable[int]) -> frozenset[int]:
     """All nodes outside ``nodes`` adjacent to at least one member of it."""
     inside = topology._check_nodes(nodes)

@@ -12,17 +12,24 @@ ensemble (UP).  A node is measurable while a failure set is down when
 * CAP: its surviving component still contains a monitor,
 * CSP: it still has two vertex-disjoint paths to distinct monitors,
 * UP: some given path through it avoids the failure set.
+
+Each failure set is answered for every node at once by one sweep of the
+surviving graph: a component sweep for CAP, the union of the surviving
+paths for UP, and for CSP one block (biconnected-component) sweep.  By the
+fan lemma a non-monitor has two vertex-disjoint paths to distinct monitors
+iff it shares a block with a virtual sink joined to every monitor, so one
+low-point DFS replaces a max-flow per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, connected_components, disjoint_paths, max_disjoint_paths
+from .graph import Topology, biconnected_to_monitors, connected_components, disjoint_paths
 
 DEFAULT_GUARD = 7
 
@@ -167,24 +174,28 @@ def _monitor_walk(topology: Topology, v: int, avoid: FailureSet) -> tuple[int, .
     return tuple(path) + tuple(reversed(path[:-1]))
 
 
-def _measurable(topology: Topology, model: ProbingModel, v: int, avoid: FailureSet) -> bool:
+def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> AbstractSet[int]:
+    """Nodes some probe of ``model`` traverses while ``failure`` is down.
+
+    One sweep answers every non-monitor; only non-monitors are read from
+    the result, and whether it holds the monitors differs by regime.
+    """
     if model.kind == "CAP":
-        return _monitor_walk(topology, v, avoid) is not None
+        reached: set[int] = set()
+        for component in connected_components(topology, failure).components:
+            if component & topology.monitors:
+                reached |= component
+        return reached
     if model.kind == "CSP":
-        if len(topology.monitors) < 2:
-            return False
-        return max_disjoint_paths(topology, v, topology.monitors, avoid, limit=2) >= 2
-    return any(
-        not model.ensemble.paths[pid].node_set & avoid
-        for pid in model.ensemble.paths_through(v)
-    )
+        return biconnected_to_monitors(topology, failure)
+    return set().union(*(p.node_set for p in model.ensemble.paths if not p.node_set & failure))
 
 
 def measurable_path_exists(
     topology: Topology, model: ProbingModel, v: int, avoid: Iterable[int] = ()
 ) -> bool:
     """Whether some probe of ``model`` traverses ``v`` while ``avoid`` is down."""
-    return _measurable(topology, model, v, _check_probe(topology, model, v, avoid))
+    return v in _reached(topology, model, _check_probe(topology, model, v, avoid))
 
 
 def abstract_sufficient(
@@ -194,17 +205,15 @@ def abstract_sufficient(
 
     This is the raw enumeration form of the sufficient condition; it implies
     k-identifiability directly (the surviving probe separates any two
-    candidate sets differing at that node).
+    candidate sets differing at that node).  Each failure set is swept once,
+    and every node outside it must be reached.
     """
     _check_model(topology, model)
     _check_k_guarded(topology, k, guard)
-    non_monitors = sorted(topology.non_monitors)
-    for v in non_monitors:
-        pool = [w for w in non_monitors if w != v]
-        for failure in _failure_sets(pool, k):
-            if not _measurable(topology, model, v, failure):
-                return False
-    return True
+    return all(
+        topology.non_monitors - failure <= _reached(topology, model, failure)
+        for failure in _failure_sets(sorted(topology.non_monitors), k)
+    )
 
 
 def _check_k_guarded(topology: Topology, k: int, guard: int) -> None:
@@ -236,19 +245,17 @@ def _probes(topology: Topology, model: ProbingModel) -> list[int]:
 
 
 def _signature(topology: Topology, model: ProbingModel, truth: FailureSet) -> tuple[bool, ...]:
-    """Observations of the probe battery while ``truth`` is down, in ``_probes`` order."""
+    """Observations of the probe battery while ``truth`` is down, in ``_probes`` order.
+
+    UP reads each path.  CAP and CSP read every non-monitor from one sweep
+    (:func:`_reached`): the component sweep, or for CSP the block sweep that
+    finds the nodes sharing a block with a sink joined to every monitor
+    (the fan lemma), one O(n + m) DFS per failure set.
+    """
     if model.kind == "UP":
         return tuple(not (p.node_set & truth) for p in model.ensemble.paths)
-    if model.kind == "CAP":
-        reached: set[int] = set()
-        for component in connected_components(topology, truth).components:
-            if component & topology.monitors:
-                reached |= component
-        return tuple(v in reached for v in sorted(topology.non_monitors))
-    return tuple(
-        v not in truth and _measurable(topology, model, v, truth)
-        for v in sorted(topology.non_monitors)
-    )
+    reached = _reached(topology, model, truth)
+    return tuple(v in reached for v in sorted(topology.non_monitors))
 
 
 def distinguishable(
@@ -265,8 +272,9 @@ def distinguishable(
     if f1 == f2:
         raise InputError("the two failure sets must differ")
     for mine, other in ((f2, f1), (f1, f2)):
+        reached = _reached(topology, model, other)
         for v in sorted(mine - other):
-            if _measurable(topology, model, v, other):
+            if v in reached:
                 probe = find_measurable_path(topology, model, v, other)
                 if isinstance(probe, int):
                     return True, DistinguishingPath(path_id=probe)

@@ -18,7 +18,9 @@ from nodeloc.conditions import (
 )
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.errors import InputError
+from nodeloc.generate import erdos_renyi
 from nodeloc.graph import Topology
+from nodeloc.oracle import CSP, max_identifiability
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -221,3 +223,33 @@ class TestAllMonitorEdgeCases:
             cap_bounds(every)
         with pytest.raises(InputError):
             csp_bounds(every)
+
+
+# Dense ER instances past the default brute-force guard of 7 non-monitors:
+# (sigma, monitors, edge probability, seed).  Sigma ranges over 9-12.
+CSP_BEYOND_GUARD = [
+    (9, 3, 0.6, 901),
+    (10, 3, 0.6, 902),
+    (11, 4, 0.65, 903),
+    (12, 4, 0.7, 904),
+    (12, 3, 0.6, 905),
+    (10, 2, 0.7, 906),
+    (9, 4, 0.5, 907),
+    (11, 3, 0.75, 908),
+    (12, 5, 0.8, 909),
+    (11, 3, 0.35, 910),
+]
+
+
+@pytest.mark.parametrize("sigma, monitors, p, seed", CSP_BEYOND_GUARD)
+def test_csp_conditions_against_oracle_beyond_default_guard(sigma, monitors, p, seed):
+    topo = erdos_renyi(sigma + monitors, p, seed=seed, monitors=monitors).to_topology()
+    assert topo.sigma == sigma
+    omega = max_identifiability(topo, CSP, guard=12)
+    b = csp_bounds(topo)
+    assert b.lower <= omega <= b.upper, (omega, b)
+    for k, verdict in enumerate(csp_verdicts(topo)):
+        if verdict.value is Identifiability.IDENTIFIABLE:
+            assert k <= omega, (k, omega)
+        elif verdict.value is Identifiability.NOT_IDENTIFIABLE:
+            assert k > omega, (k, omega)

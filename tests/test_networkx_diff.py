@@ -1,17 +1,20 @@
-"""Vertex connectivity against networkx, at sizes the brute-force corpus cannot reach.
+"""Graph primitives against networkx, at sizes the brute-force corpus cannot reach.
 
-Seeded ER, BA and grid topologies with 30 to 300 nodes; each is checked as a
-plain graph, as its all-monitors merged graph and as every leave-one-out
-graph.
+Seeded ER, BA and grid topologies with 30 to 300 nodes.  Vertex
+connectivity is checked on each as a plain graph, as its all-monitors
+merged graph and as every leave-one-out graph; the monitor block sweep is
+checked under several seeded removed sets.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
-from nodeloc.graph import Topology, vertex_connectivity
+from nodeloc.graph import Topology, biconnected_to_monitors, vertex_connectivity
 
 nx = pytest.importorskip("networkx")
 
@@ -41,3 +44,67 @@ def test_plain_merged_and_leave_one_out_graphs(name):
         graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m).graph
     for label, graph in graphs.items():
         assert vertex_connectivity(graph) == _networkx_connectivity(graph), label
+
+
+def _networkx_sink_block(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
+    """Non-monitors in a biconnected component of G - removed + t holding t."""
+    g = nx.Graph()
+    g.add_nodes_from(v for v in topology.nodes if v not in removed)
+    g.add_edges_from((u, v) for u, v in topology.edges if u not in removed and v not in removed)
+    g.add_edges_from(("t", m) for m in topology.monitors)
+    members: set = set()
+    for component in nx.biconnected_components(g):
+        if "t" in component:
+            members |= component
+    return frozenset(members - {"t"} - topology.monitors)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_monitor_block_sweep_under_seeded_removals(name):
+    topology = INSTANCES[name]().to_topology()
+    rng = random.Random(name)
+    pool = sorted(topology.non_monitors)
+    for size in (0, 1, 2, 3, len(pool) // 10, len(pool) // 3):
+        removed = frozenset(rng.sample(pool, size))
+        got = biconnected_to_monitors(topology, removed)
+        assert got == _networkx_sink_block(topology, removed), (name, sorted(removed))
+
+
+# A 5-node path 0-1-2-3-4 with a chord 1-3, so node 2 sits on a cycle.
+CHORDED = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
+
+EDGE_CASES = {
+    # one monitor: the sink is a leaf, so no block holds it and a non-monitor
+    "one-monitor": (Topology(5, CHORDED + [(0, 4)], [0]), frozenset()),
+    # adjacent monitors close a triangle with the sink
+    "adjacent-monitors": (Topology(5, CHORDED + [(0, 4)], [0, 4]), frozenset()),
+    # removing cut vertex 1 strands monitor 0, so 2 and 3 reach monitor 4 only
+    "cut-vertex-removed": (Topology(5, CHORDED, [0, 4]), frozenset({1})),
+    # removing 3 leaves triangle 0-1-2 with two monitors and cycle 4-5-6-7 with one
+    "disconnected-remainder": (
+        Topology(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 4)], [0, 1, 5]),
+        frozenset({3}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_monitor_block_sweep_edge_cases(name):
+    topology, removed = EDGE_CASES[name]
+    assert biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
+
+
+def test_monitor_block_sweep_edge_case_values():
+    assert biconnected_to_monitors(*EDGE_CASES["one-monitor"]) == frozenset()
+    assert biconnected_to_monitors(*EDGE_CASES["adjacent-monitors"]) == {1, 2, 3}
+    assert biconnected_to_monitors(*EDGE_CASES["cut-vertex-removed"]) == frozenset()
+    assert biconnected_to_monitors(*EDGE_CASES["disconnected-remainder"]) == {2}
+
+
+def test_monitor_block_sweep_on_a_long_path_does_not_recurse():
+    # Deeper than Python's default recursion limit: a recursive DFS fails here.
+    n = 3000
+    topology = Topology(n, [(i, i + 1) for i in range(n - 1)], [0, n - 1])
+    assert biconnected_to_monitors(topology) == frozenset(range(1, n - 1))
+    assert _networkx_sink_block(topology, frozenset()) == frozenset(range(1, n - 1))
+    assert biconnected_to_monitors(topology, {n // 2}) == frozenset()

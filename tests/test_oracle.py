@@ -27,7 +27,7 @@ from nodeloc.oracle import (
     up_model,
 )
 
-from bruteforce import simple_monitor_path_through
+from bruteforce import brute_observations, simple_monitor_path_through
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -320,8 +320,6 @@ class TestAgainstBruteObservations:
     def test_simulation_matches_reference(self, corpus, up_corpus):
         from itertools import combinations
 
-        from bruteforce import brute_observations
-
         checked = 0
         for topo, model in _small_instances(corpus, up_corpus):
             pool = sorted(topo.non_monitors)
@@ -338,8 +336,6 @@ class TestAgainstBruteObservations:
         # Every produced outcome map, plus each one with one probe flipped,
         # against the failure sets whose reference observations equal it.
         from itertools import combinations
-
-        from bruteforce import brute_observations
 
         shared = unproduced = 0
         for topo, model in _small_instances(corpus, up_corpus):
@@ -365,3 +361,70 @@ class TestAgainstBruteObservations:
     def test_unproduced_map_has_no_candidates(self):
         # v2 reads up only while v1 or v3 survives, yet both read down
         assert localize(RING, CAP, {1: False, 2: True, 3: False}, 3) == []
+
+
+class TestCspWalks:
+    def test_exists_iff_a_simple_monitor_path_is_found(self, corpus):
+        # The block sweep answers existence; the flow still builds the walk.
+        from itertools import combinations
+
+        walks = 0
+        for doc in corpus:
+            topo = doc.to_topology()
+            if topo.sigma > 6:
+                continue
+            pool = sorted(topo.non_monitors)
+            for v in pool:
+                others = [w for w in pool if w != v]
+                for size in range(len(others) + 1):
+                    for avoid in map(frozenset, combinations(others, size)):
+                        walk = find_measurable_path(topo, CSP, v, avoid)
+                        exists = measurable_path_exists(topo, CSP, v, avoid)
+                        assert exists == (walk is not None), (topo, v, avoid)
+                        if walk is None:
+                            continue
+                        walks += 1
+                        assert len(set(walk)) == len(walk)
+                        assert walk[0] != walk[-1]
+                        assert walk[0] in topo.monitors and walk[-1] in topo.monitors
+                        assert v in walk and not set(walk) & avoid
+                        assert all(b in topo.adjacency[a] for a, b in zip(walk, walk[1:]))
+        assert walks > 1000
+
+
+def _literal_sufficient(topo, model, k, measurable) -> bool:
+    """Every node measurable under every set of at most k other nodes, node by node."""
+    from itertools import combinations
+
+    pool = sorted(topo.non_monitors)
+    for v in pool:
+        others = [w for w in pool if w != v]
+        for size in range(k + 1):
+            for avoid in map(frozenset, combinations(others, size)):
+                if (v, avoid) not in measurable:
+                    if model.kind == "UP":
+                        measurable[v, avoid] = any(
+                            v in p.node_set and not p.node_set & avoid
+                            for p in model.ensemble.paths
+                        )
+                    else:
+                        measurable[v, avoid] = brute_observations(topo, model, avoid)[v]
+                if not measurable[v, avoid]:
+                    return False
+    return True
+
+
+class TestAbstractSufficientPerFailureSet:
+    def test_matches_per_node_definition(self, corpus, up_corpus):
+        instances = [(doc.to_topology(), model) for doc in corpus[:30] for model in (CAP, CSP)]
+        for doc in up_corpus[:30]:
+            topo = doc.to_topology()
+            instances.append((topo, up_model(doc.to_ensemble(topo))))
+        outcomes = set()
+        for topo, model in instances:
+            measurable: dict = {}
+            for k in range(topo.sigma + 1):
+                want = _literal_sufficient(topo, model, k, measurable)
+                assert abstract_sufficient(topo, model, k) == want, (topo, model.kind, k)
+                outcomes.add((model.kind, want))
+        assert outcomes == {(kind, ok) for kind in ("CAP", "CSP", "UP") for ok in (True, False)}
