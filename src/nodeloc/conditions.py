@@ -73,9 +73,10 @@ def _make_verdict(sufficient: bool, necessary: bool, rationale: str) -> Verdict:
 _TRIVIAL = _make_verdict(True, True, "empty-failure-set")
 
 
-def _check_k(topology: Topology, k: int) -> None:
+def _check_k(topology: Topology, k: int, name: str = "k") -> None:
+    """A failure budget must lie in 0..sigma; ``name`` is how the error calls it."""
     if not 0 <= k <= topology.sigma:
-        raise InputError(f"k must lie in 0..{topology.sigma}, got {k}")
+        raise InputError(f"{name} must lie in 0..{topology.sigma}, got {k}")
 
 
 # ---------------------------------------------------------------------------

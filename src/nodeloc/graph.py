@@ -132,8 +132,12 @@ def connected_components(topology: Topology, removed: Iterable[int] = ()) -> Com
     Components are returned sorted by their smallest member id, which makes
     every downstream report deterministic.
     """
-    removed_set = topology._check_nodes(removed)
-    seen: set[int] = set(removed_set)
+    return _components(topology, topology._check_nodes(removed))
+
+
+def _components(topology: Topology, removed: frozenset[int]) -> ComponentPartition:
+    """:func:`connected_components` for a removed set the caller has checked."""
+    seen: set[int] = set(removed)
     components: list[frozenset[int]] = []
     for start in topology.nodes:
         if start in seen:
@@ -149,7 +153,7 @@ def connected_components(topology: Topology, removed: Iterable[int] = ()) -> Com
                     members.add(w)
                     stack.append(w)
         components.append(frozenset(members))
-    return ComponentPartition(tuple(components), removed_set)
+    return ComponentPartition(tuple(components), removed)
 
 
 def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> frozenset[int]:
@@ -165,7 +169,11 @@ def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> 
     whose tree parent u is not t shares t's block iff u does and
     ``low[w] < disc[u]``; every child of t (a monitor) does.
     """
-    removed_set = topology._check_nodes(removed)
+    return _biconnected_to_monitors(topology, topology._check_nodes(removed))
+
+
+def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
+    """:func:`biconnected_to_monitors` for a removed set the caller has checked."""
     monitors = topology.monitors
     if len(monitors) < 2:
         return frozenset()
@@ -174,7 +182,7 @@ def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> 
     disc = [-1] * (sink + 1)
     # A removed node counts as visited with a discovery time above every
     # real one, so it is never entered and never lowers a low point.
-    for v in removed_set:
+    for v in removed:
         disc[v] = sink + 1
     low = [0] * (sink + 1)
     parent = [sink] * (sink + 1)

@@ -1,7 +1,7 @@
 """Brute-force ground truth for identifiability questions.
 
-Everything here enumerates failure sets outright, so results are exact and
-serve as the arbiter for the polynomial-time conditions.  The enumeration is
+Everything here sweeps failure sets outright, so results are exact and
+serve as the arbiter for the polynomial-time conditions.  The sweeps are
 bounded by a configurable guard on the number of non-monitors (default 7);
 beyond it the functions refuse with a capacity error instead of stalling.
 
@@ -19,6 +19,20 @@ paths for UP, and for CSP one block (biconnected-component) sweep.  By the
 fan lemma a non-monitor has two vertex-disjoint paths to distinct monitors
 iff it shares a block with a virtual sink joined to every monitor, so one
 low-point DFS replaces a max-flow per node.
+
+Identifiability needs two levels of failure sets (the sets of one size),
+not every set.  R(F), the non-monitors reached while F is down, misses F,
+shrinks as F grows, and holds every probe that witnesses one of its nodes;
+so adding v to F changes no observation exactly when v is outside R(F).
+Let P(j) say some set of j non-monitors leaves another one unreached: P is
+monotone up to j = sigma - 1, and its least level J is found by testing
+sigma - 1 and bisecting.  No set below J has a twin (a distinct set with
+equal observations), a stranding set at J has one a level up, and twins of
+one size make P hold there.  So k-identifiability fails exactly when
+P(k - 1) holds or level k holds twins, and the maximum is sigma without a
+J, else J - 1 or J as level J does or does not hold twins.  The worst case
+stays exponential: with the maximum near sigma / 2 the bisection sweeps
+whole middle levels, hence the guard.
 """
 
 from __future__ import annotations
@@ -27,9 +41,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Sequence
 
+from .conditions import _check_k
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, biconnected_to_monitors, connected_components, disjoint_paths
+from .graph import Topology, _biconnected_to_monitors, _components, disjoint_paths
 
 DEFAULT_GUARD = 7
 
@@ -123,11 +138,10 @@ def _check_probe(
     return avoid_set
 
 
-def _failure_sets(pool: Sequence[int], k: int) -> Iterator[FailureSet]:
-    """Subsets of ``pool`` of at most k members: ascending size, then ``pool`` order."""
-    for size in range(k + 1):
-        for nodes in combinations(pool, size):
-            yield frozenset(nodes)
+def _failure_sets(pool: Sequence[int], sizes: range) -> Iterator[FailureSet]:
+    """Subsets of ``pool`` with a size in ``sizes``: ascending size, then ``pool`` order."""
+    for size in sizes:
+        yield from map(frozenset, combinations(pool, size))
 
 
 def find_measurable_path(
@@ -179,15 +193,16 @@ def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> Ab
 
     One sweep answers every non-monitor; only non-monitors are read from
     the result, and whether it holds the monitors differs by regime.
+    ``failure`` must be checked already (the enumerations build theirs).
     """
     if model.kind == "CAP":
         reached: set[int] = set()
-        for component in connected_components(topology, failure).components:
+        for component in _components(topology, failure).components:
             if component & topology.monitors:
                 reached |= component
         return reached
     if model.kind == "CSP":
-        return biconnected_to_monitors(topology, failure)
+        return _biconnected_to_monitors(topology, failure)
     return set().union(*(p.node_set for p in model.ensemble.paths if not p.node_set & failure))
 
 
@@ -205,21 +220,35 @@ def abstract_sufficient(
 
     This is the raw enumeration form of the sufficient condition; it implies
     k-identifiability directly (the surviving probe separates any two
-    candidate sets differing at that node).  Each failure set is swept once,
-    and every node outside it must be reached.
+    candidate sets differing at that node).  A stranded node stays stranded
+    as the set grows, so the one level min(k, sigma - 1) decides it.
     """
     _check_model(topology, model)
-    _check_k_guarded(topology, k, guard)
-    return all(
-        topology.non_monitors - failure <= _reached(topology, model, failure)
-        for failure in _failure_sets(sorted(topology.non_monitors), k)
+    _check_k(topology, k)
+    _check_guard(topology, guard)
+    return not _traps(topology, model, min(k, topology.sigma - 1))
+
+
+def _traps(
+    topology: Topology, model: ProbingModel, size: int, dropped: FailureSet = frozenset()
+) -> bool:
+    """P(size): some set of ``size`` non-monitors (plus ``dropped``) strands another."""
+    non_monitors = topology.non_monitors
+    return size >= 0 and any(
+        not non_monitors - failure <= _reached(topology, model, failure | dropped)
+        for failure in _failure_sets(sorted(non_monitors), range(size, size + 1))
     )
 
 
-def _check_k_guarded(topology: Topology, k: int, guard: int) -> None:
-    if not 0 <= k <= topology.sigma:
-        raise InputError(f"k must lie in 0..{topology.sigma}, got {k}")
-    _check_guard(topology, guard)
+def _first_trap_level(topology: Topology, model: ProbingModel, top: int) -> int | None:
+    """Least level J <= ``top`` with P(J), or None: ``top`` first, then bisection."""
+    if not _traps(topology, model, top):
+        return None
+    lo, hi = 0, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _traps(topology, model, mid) else (mid + 1, hi)
+    return hi
 
 
 def simulate_measurements(
@@ -283,11 +312,11 @@ def distinguishable(
 
 
 def _first_collision(
-    topology: Topology, model: ProbingModel, k: int
+    topology: Topology, model: ProbingModel, levels: range
 ) -> IndistinguishablePair | None:
-    """First pair of failure sets of size at most k with equal signatures, or None."""
+    """First pair of failure sets within ``levels`` with equal signatures, or None."""
     seen: dict[tuple[bool, ...], FailureSet] = {}
-    for failure in _failure_sets(sorted(topology.non_monitors), k):
+    for failure in _failure_sets(sorted(topology.non_monitors), levels):
         signature = _signature(topology, model, failure)
         if signature in seen:
             return IndistinguishablePair(seen[signature], failure)
@@ -300,24 +329,36 @@ def k_identifiable(
 ) -> tuple[bool, IndistinguishablePair | None]:
     """Whether every pair of failure sets of size at most k is distinguishable.
 
-    Enumerates candidate sets by ascending size, lexicographic within size,
-    and reports the first indistinguishable pair it meets, so the
-    counterexample is deterministic.
+    The counterexample is the first indistinguishable pair met when the
+    sets are listed by ascending size, lexicographic within size, so it is
+    deterministic.  It sweeps level k alone when no set of size k - 1
+    strands a node, else the least stranding level J and J + 1: no set
+    below J has a twin (see the module docstring).
     """
     _check_model(topology, model)
-    _check_k_guarded(topology, k, guard)
-    pair = _first_collision(topology, model, k)
+    _check_k(topology, k)
+    _check_guard(topology, guard)
+    low = _first_trap_level(topology, model, k - 1)
+    levels = range(k, k + 1) if low is None else range(low, low + 2)
+    pair = _first_collision(topology, model, levels)
     return pair is None, pair
 
 
 def max_identifiability(
     topology: Topology, model: ProbingModel, guard: int = DEFAULT_GUARD
 ) -> int:
-    """Largest k for which the network is k-identifiable under ``model``."""
+    """Largest k for which the network is k-identifiable under ``model``.
+
+    Sigma when no set strands a node, else J - 1 or J as the least
+    stranding level J does or does not hold twins (see the module
+    docstring).  A network identifiable up to sigma costs sigma sweeps.
+    """
     _check_model(topology, model)
     _check_guard(topology, guard)
-    pair = _first_collision(topology, model, topology.sigma)
-    return topology.sigma if pair is None else len(pair.second) - 1
+    low = _first_trap_level(topology, model, topology.sigma - 1)
+    if low is None:
+        return topology.sigma
+    return low - 1 if _first_collision(topology, model, range(low, low + 1)) else low
 
 
 def abstract_necessary(
@@ -330,8 +371,9 @@ def abstract_necessary(
     (k - |V'|)-identifiable.
     """
     _check_model(topology, model)
-    _check_k_guarded(topology, k, guard)
-    for removed in _failure_sets(sorted(topology.non_monitors), k - 1):
+    _check_k(topology, k)
+    _check_guard(topology, guard)
+    for removed in _failure_sets(sorted(topology.non_monitors), range(k)):
         sub_topology, sub_model = restrict(topology, model, removed)
         ok, _ = k_identifiable(sub_topology, sub_model, k - len(removed), guard=guard)
         if not ok:
@@ -401,7 +443,7 @@ def localize(
         pool = [v for v, up in zip(keys, target) if not up]
     return [
         failure
-        for failure in _failure_sets(pool, k_max)
+        for failure in _failure_sets(pool, range(k_max + 1))
         if _signature(topology, model, failure) == target
     ]
 
@@ -418,12 +460,12 @@ def exhaustive_component_condition(
     non-monitors, every surviving component contains a monitor.  With a
     monitor id, that monitor is deleted alongside the non-monitors.  With
     :data:`ANY_MONITOR`, the deleted set may include at most one monitor of
-    any identity (total size still at most ``s``).
+    any identity (total size still at most ``s``).  A monitorless component
+    strands its non-monitors, which stay stranded as the set grows, so each
+    variant is decided at its budget capped at sigma - 1.
     """
-    if not 0 <= s <= topology.sigma:
-        raise InputError(f"s must lie in 0..{topology.sigma}, got {s}")
+    _check_k(topology, s, "s")
     _check_guard(topology, guard)
-    pool = sorted(topology.non_monitors)
 
     # (monitors deleted, how many non-monitors may be deleted with them)
     if with_monitor is None:
@@ -435,9 +477,7 @@ def exhaustive_component_condition(
         if with_monitor not in topology.monitors:
             raise InputError(f"node {with_monitor} is not a monitor")
         variants = [(frozenset({with_monitor}), s)]
-    return all(
-        component & topology.monitors
+    return not any(
+        _traps(topology, CAP, min(size, topology.sigma - 1), dropped)
         for dropped, size in variants
-        for failure in _failure_sets(pool, size)
-        for component in connected_components(topology, failure | dropped).components
     )

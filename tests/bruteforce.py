@@ -140,3 +140,63 @@ def brute_min_cover(ensemble: PathEnsemble, v: int) -> int | float:
             if targets <= covered:
                 return size
     return INFINITE_COVER
+
+
+def all_failure_sets(pool, k: int):
+    """Every subset of ``pool`` with at most k members: ascending size, then lexicographic."""
+    for size in range(k + 1):
+        for nodes in combinations(pool, size):
+            yield frozenset(nodes)
+
+
+def reference_identifiability(topo: Topology, model, observe):
+    """Identifiability facts from one pass over every failure set, smallest first.
+
+    ``observe(failure)`` gives the observation map.  Returns ``(pair, trap)``:
+    ``pair`` is the first two sets with equal observations (the earliest set
+    with that observation, then the set repeating it) or None, and ``trap``
+    is the size of the smallest set leaving some other non-monitor
+    unmeasurable, or None.  The network is then k-identifiable exactly for
+    k below the size of ``pair[1]``, with ``pair`` as the witness from that
+    size on, and every node stays measurable under sets of at most k nodes
+    exactly for k below ``trap``.
+    """
+    pair = trap = None
+    seen = {}
+    for failure in all_failure_sets(sorted(topo.non_monitors), topo.sigma):
+        outcome = observe(failure)
+        if model.kind == "UP":
+            reached = set()
+            for p in model.ensemble.paths:
+                if outcome[p.path_id]:
+                    reached |= set(p.nodes)
+        else:
+            reached = {v for v, up in outcome.items() if up}
+        if trap is None and topo.non_monitors - failure - reached:
+            trap = len(failure)
+        key = tuple(sorted(outcome.items()))
+        if pair is None and key in seen:
+            pair = (seen[key], failure)
+        seen.setdefault(key, failure)
+    return pair, trap
+
+
+def brute_component_condition(topo: Topology, s: int, with_monitor=None) -> bool:
+    """Every component keeps a monitor after deleting at most ``s`` nodes.
+
+    ``with_monitor``: None deletes non-monitors only, a monitor id deletes
+    that monitor as well, and ``"any"`` lets one monitor of the ``s`` be any.
+    """
+    pool = sorted(topo.non_monitors)
+    if with_monitor is None:
+        cases = [(frozenset(), s)]
+    elif with_monitor == "any":
+        cases = [(frozenset(), s)] + [(frozenset({m}), s - 1) for m in sorted(topo.monitors)]
+    else:
+        cases = [(frozenset({with_monitor}), s)]
+    return all(
+        component & topo.monitors
+        for dropped, budget in cases
+        for failure in all_failure_sets(pool, budget)
+        for component in _components_after(topo, failure | dropped)
+    )
