@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage or format error, 3 capacity guard exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,9 @@ def _global_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; each leaf subcommand names its handler.
     parser = argparse.ArgumentParser(
         prog="nodeloc",
         description="Identifiability analysis for node-failure localization",
@@ -66,6 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", default=None, metavar="LO:HI", help="restrict the verdict table")
     p.add_argument("--oracle", action="store_true", help="add brute-force results")
     p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("oracle", help="brute-force identifiability results only")
     _global_options(p, top_level=False)
@@ -74,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", default=None, help="comma list among CAP,CSP,UP")
     p.add_argument("--k", type=int, default=None, help="check one k instead of the maximum")
     p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("localize", help="failure sets consistent with observations")
     _global_options(p, top_level=False)
@@ -82,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("outcomes", type=Path)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(handler=_cmd_localize)
 
     gen = sub.add_parser("gen", help="seeded instance generators")
     gensub = gen.add_subparsers(dest="gen_command", required=True)
@@ -97,17 +103,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitors", type=int, default=None)
     p.add_argument("--monitor-fraction", type=float, default=None)
     p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(handler=_cmd_gen_topo)
 
     p = gensub.add_parser("paths", help="attach a shortest-path ensemble")
     _global_options(p, top_level=False)
     p.add_argument("topology", type=Path)
     p.add_argument("--per-pair", type=int, required=True)
     p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(handler=_cmd_gen_paths)
 
     p = sub.add_parser("report", help="re-emit an analysis report")
     _global_options(p, top_level=False)
     p.add_argument("report", type=Path)
     p.add_argument("--out", type=Path, default=None)
+    p.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -117,13 +126,18 @@ def _read(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_models(arg: str | None) -> tuple[str, ...] | None:
@@ -237,22 +251,9 @@ def _cmd_report(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "oracle": _cmd_oracle,
-        "localize": _cmd_localize,
-        "report": _cmd_report,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            if args.gen_command == "topo":
-                _cmd_gen_topo(args)
-            else:
-                _cmd_gen_paths(args)
-        else:
-            handlers[args.command](args)
+        args.handler(args)
     except (UsageError, FormatError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

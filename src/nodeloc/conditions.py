@@ -8,6 +8,11 @@ conditions themselves are connectivity thresholds on the auxiliary graphs
 (controllable probing) or cover-size thresholds (uncontrollable probing),
 with exact special cases when the failure budget reaches the total number of
 non-monitors or stops one short of it.
+
+The controllable regimes share one table builder, :func:`controllable_tables`:
+one merged-graph connectivity serves CAP and CSP, CSP adds one leave-one-out
+connectivity per monitor, and every public CAP/CSP function is a view of its
+table.
 """
 
 from __future__ import annotations
@@ -91,21 +96,6 @@ class _CapSummary:
     all_monitor_adjacent: bool
 
 
-def _merged_connectivity(topology: Topology) -> int:
-    # The all-monitors merged graph is the same graph for CAP and CSP.
-    return vertex_connectivity(merge_monitors(topology))
-
-
-def _cap_summary(topology: Topology, merged_connectivity: int) -> _CapSummary:
-    return _CapSummary(
-        sigma=topology.sigma,
-        merged_connectivity=merged_connectivity,
-        all_monitor_adjacent=all(
-            topology.monitor_neighbor_count(v) >= 1 for v in topology.non_monitors
-        ),
-    )
-
-
 def _cap_verdict_at(s: _CapSummary, k: int) -> Verdict:
     if k == 0:
         return _TRIVIAL
@@ -124,20 +114,12 @@ def _cap_verdict_at(s: _CapSummary, k: int) -> Verdict:
 def cap_verdict(topology: Topology, k: int) -> Verdict:
     """Per-k verdict under controllable arbitrary-path probing."""
     _check_k(topology, k)
-    if k == 0:
-        return _TRIVIAL
-    return _cap_verdict_at(_cap_summary(topology, _merged_connectivity(topology)), k)
-
-
-def _cap_table(s: _CapSummary) -> tuple[Verdict, ...]:
-    return tuple(_cap_verdict_at(s, k) for k in range(s.sigma + 1))
+    return cap_verdicts(topology)[k]
 
 
 def cap_verdicts(topology: Topology) -> tuple[Verdict, ...]:
     """Verdicts for every k from 0 to the number of non-monitors."""
-    if topology.sigma == 0:
-        return (_TRIVIAL,)
-    return _cap_table(_cap_summary(topology, _merged_connectivity(topology)))
+    return _verdicts(topology, "CAP")
 
 
 def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
@@ -147,7 +129,7 @@ def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
     the maximum lies in [d-1, d]; otherwise that bound is out of its stated
     range and the exact full-budget rule takes over.
     """
-    return _cap_bounds(_cap_summary(topology, _merged_connectivity(topology)))
+    return controllable_tables(topology, ("CAP",))["CAP"][1]
 
 
 def _cap_bounds(s: _CapSummary) -> IdentifiabilityBounds:
@@ -173,36 +155,24 @@ class _CspSummary:
     sigma: int
     merged_connectivity: int
     min_leave_one_out: int  # equals min_leave_one_out_connectivity(topology)
-    weakly_covered: tuple[int, ...]  # non-monitors with fewer than 2 monitor neighbors
     near_full_exact: bool
     full_exact: bool
 
 
 def _csp_summary(topology: Topology, merged_connectivity: int) -> _CspSummary:
-    weak = tuple(
-        sorted(v for v in topology.non_monitors if topology.monitor_neighbor_count(v) < 2)
+    # Weakly covered: non-monitors with fewer than two monitor neighbors.
+    weak = [v for v in topology.non_monitors if topology.monitor_neighbor_count(v) < 2]
+    near_full_exact = not weak or (
+        len(weak) == 1
+        and topology.monitor_neighbor_count(weak[0]) == 1
+        and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
     )
-    full_exact = not weak
-    if full_exact:
-        near_full_exact = True
-    elif len(weak) == 1:
-        v = weak[0]
-        near_full_exact = (
-            topology.monitor_neighbor_count(v) == 1
-            and topology.non_monitors - {v} <= topology.neighbors(v)
-        )
-    else:
-        near_full_exact = False
+    min_leave_one_out = min(
+        vertex_connectivity(merge_monitors_leaving_out(topology, m))
+        for m in sorted(topology.monitors)
+    )
     return _CspSummary(
-        sigma=topology.sigma,
-        merged_connectivity=merged_connectivity,
-        min_leave_one_out=min(
-            vertex_connectivity(merge_monitors_leaving_out(topology, m))
-            for m in sorted(topology.monitors)
-        ),
-        weakly_covered=weak,
-        near_full_exact=near_full_exact,
-        full_exact=full_exact,
+        topology.sigma, merged_connectivity, min_leave_one_out, near_full_exact, not weak
     )
 
 
@@ -230,19 +200,11 @@ def _csp_verdict_at(s: _CspSummary, k: int) -> Verdict:
 def csp_verdict(topology: Topology, k: int) -> Verdict:
     """Per-k verdict under controllable simple-path probing."""
     _check_k(topology, k)
-    if k == 0:
-        return _TRIVIAL
-    return _csp_verdict_at(_csp_summary(topology, _merged_connectivity(topology)), k)
-
-
-def _csp_table(s: _CspSummary) -> tuple[Verdict, ...]:
-    return tuple(_csp_verdict_at(s, k) for k in range(s.sigma + 1))
+    return csp_verdicts(topology)[k]
 
 
 def csp_verdicts(topology: Topology) -> tuple[Verdict, ...]:
-    if topology.sigma == 0:
-        return (_TRIVIAL,)
-    return _csp_table(_csp_summary(topology, _merged_connectivity(topology)))
+    return _verdicts(topology, "CSP")
 
 
 def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
@@ -252,10 +214,10 @@ def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
     connectivity; outside the guard it falls back to the two exact edge
     rules and finally to scanning the per-k verdicts.
     """
-    return _csp_bounds(_csp_summary(topology, _merged_connectivity(topology)))
+    return controllable_tables(topology, ("CSP",))["CSP"][1]
 
 
-def _csp_bounds(s: _CspSummary) -> IdentifiabilityBounds:
+def _csp_bounds(s: _CspSummary, verdicts: tuple[Verdict, ...]) -> IdentifiabilityBounds:
     dm = s.min_leave_one_out
     upper = min(dm, s.merged_connectivity - 1)
     if upper <= s.sigma - 2:
@@ -272,7 +234,6 @@ def _csp_bounds(s: _CspSummary) -> IdentifiabilityBounds:
         return IdentifiabilityBounds(exact, exact, exact, False, note)
     # Scan the per-k verdicts: the largest certified k bounds from below, the
     # smallest refuted k bounds from above.
-    verdicts = _csp_table(s)
     lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
     refuted = [k for k, v in enumerate(verdicts) if not v.necessary_holds]
     upper = refuted[0] - 1 if refuted else s.sigma
@@ -284,20 +245,33 @@ def controllable_tables(
 ) -> dict[str, tuple[tuple[Verdict, ...], IdentifiabilityBounds]]:
     """Verdict table and bounds for each of CAP and CSP named in ``kinds``.
 
-    Together the two regimes need the connectivity of the merged graph and
-    of each leave-one-out graph, and each is computed once here: 1 + m
-    connectivity computations for m monitors, where calling the four public
-    functions one by one costs 4 + 2m.
+    The one builder behind every CAP and CSP function.  Both regimes read
+    the merged graph's connectivity, computed once; CSP adds the
+    connectivity of each leave-one-out graph, so a call costs 1 + m
+    connectivity computations for m monitors when CSP is asked for and 1
+    otherwise.  Without CAP or CSP in ``kinds`` it returns ``{}``.
     """
-    merged = _merged_connectivity(topology)
+    if not {"CAP", "CSP"} & set(kinds):
+        return {}
+    merged = vertex_connectivity(merge_monitors(topology))
     tables = {}
     if "CAP" in kinds:
-        s = _cap_summary(topology, merged)
-        tables["CAP"] = (_cap_table(s), _cap_bounds(s))
+        adjacent = all(topology.monitor_neighbor_count(v) >= 1 for v in topology.non_monitors)
+        s = _CapSummary(topology.sigma, merged, adjacent)
+        verdicts = tuple(_cap_verdict_at(s, k) for k in range(s.sigma + 1))
+        tables["CAP"] = (verdicts, _cap_bounds(s))
     if "CSP" in kinds:
         s = _csp_summary(topology, merged)
-        tables["CSP"] = (_csp_table(s), _csp_bounds(s))
+        verdicts = tuple(_csp_verdict_at(s, k) for k in range(s.sigma + 1))
+        tables["CSP"] = (verdicts, _csp_bounds(s, verdicts))
     return tables
+
+
+def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:
+    # Without a non-monitor only k = 0 exists, and no auxiliary graph does.
+    if topology.sigma == 0:
+        return (_TRIVIAL,)
+    return controllable_tables(topology, (kind,))[kind][0]
 
 
 # ---------------------------------------------------------------------------

@@ -66,18 +66,32 @@ def _expect(condition: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _text(data: bytes | str) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
+
+
+def _load_json(data: bytes | str):
+    """Decode and parse JSON; every way malformed input fails is a FormatError."""
+    try:
+        return json.loads(_text(data))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError comes from deeply nested arrays or objects.
+        raise FormatError(f"not valid JSON: {exc}") from exc
+
+
 def parse_topology(data: bytes | str) -> TopologyDocument:
     """Parse and validate a topology document.
 
     Rejects duplicate names, duplicate or dangling edges, and self-loops,
     naming the offending entry in the error message.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    raw = _load_json(data)
     _expect(isinstance(raw, dict), "top level must be a JSON object")
     _expect(raw.get("version") == FORMAT_VERSION, f"expected version {FORMAT_VERSION}")
     nodes = raw.get("nodes")
@@ -154,10 +168,8 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
     resolution happens here; walk validity is checked when the ensemble is
     built.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     paths = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    for lineno, line in enumerate(_text(data).splitlines(), start=1):
         names = line.split()
         if not names or names[0].startswith("#"):
             continue
@@ -172,12 +184,7 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
 
 def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[int, bool]]:
     """Parse an outcome map; returns the model kind and probe states."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    raw = _load_json(data)
     _expect(isinstance(raw, dict), "top level must be a JSON object")
     model = raw.get("model")
     _expect(model in ("CAP", "CSP", "UP"), "'model' must be CAP, CSP or UP")

@@ -347,17 +347,35 @@ def _split_flow_net(
     return net
 
 
-def _flow_to_targets(
+def max_disjoint_paths(
     topology: Topology,
     source: int,
     targets: Iterable[int],
-    forbidden: Iterable[int],
-    limit: int | None,
-) -> tuple[_FlowNet, int, int]:
-    """Validate the arguments, then run the flow behind the disjoint-path queries.
+    forbidden: Iterable[int] = (),
+    limit: int | None = None,
+) -> int:
+    """Maximum number of vertex-disjoint paths from ``source`` to distinct targets.
 
-    Every target feeds a super-sink through a capacity-one arc.  Returns the
-    network carrying the flow, the super-sink id and the flow value.
+    Paths may share only the source, must avoid every ``forbidden`` node, and
+    each ends at a distinct target.  Pass ``limit`` to stop counting early
+    once that many paths exist.  The count of :func:`disjoint_paths`.
+    """
+    return len(disjoint_paths(topology, source, targets, forbidden, limit))
+
+
+def disjoint_paths(
+    topology: Topology,
+    source: int,
+    targets: Iterable[int],
+    forbidden: Iterable[int] = (),
+    limit: int | None = None,
+) -> list[tuple[int, ...]]:
+    """Concrete vertex-disjoint paths matching :func:`max_disjoint_paths`.
+
+    Returns node sequences from ``source`` to distinct targets; used to build
+    human-checkable probe witnesses.  Computed as a unit-capacity flow on the
+    node-split digraph, where each target feeds a super-sink through a
+    capacity-one arc, stopped at ``limit`` paths.
     """
     topology._check_node(source)
     target_set = topology._check_nodes(targets)
@@ -373,40 +391,7 @@ def _flow_to_targets(
     for t in target_set:
         net.add_arc(2 * t + 1, sink, 1)
     cap = len(target_set) if limit is None else min(limit, len(target_set))
-    return net, sink, net.max_flow(2 * source + 1, sink, limit=cap)
-
-
-def max_disjoint_paths(
-    topology: Topology,
-    source: int,
-    targets: Iterable[int],
-    forbidden: Iterable[int] = (),
-    limit: int | None = None,
-) -> int:
-    """Maximum number of vertex-disjoint paths from ``source`` to distinct targets.
-
-    Paths may share only the source, must avoid every ``forbidden`` node, and
-    each ends at a distinct target.  Computed as a unit-capacity flow on the
-    node-split digraph, where each target feeds a super-sink through a
-    capacity-one arc.  Pass ``limit`` to stop counting early once that many
-    paths exist.
-    """
-    return _flow_to_targets(topology, source, targets, forbidden, limit)[2]
-
-
-def disjoint_paths(
-    topology: Topology,
-    source: int,
-    targets: Iterable[int],
-    forbidden: Iterable[int] = (),
-    limit: int | None = None,
-) -> list[tuple[int, ...]]:
-    """Concrete vertex-disjoint paths matching :func:`max_disjoint_paths`.
-
-    Returns node sequences from ``source`` to distinct targets; used to build
-    human-checkable probe witnesses.
-    """
-    net, sink, flow = _flow_to_targets(topology, source, targets, forbidden, limit)
+    flow = net.max_flow(2 * source + 1, sink, limit=cap)
     # Decompose the integral flow into node sequences.  Saturated arcs are
     # exactly those whose residual capacity moved to the reverse arc.
     used = [False] * len(net.to)

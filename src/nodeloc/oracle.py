@@ -368,17 +368,13 @@ def abstract_necessary(
 
     For every non-monitor set V' with fewer than k members, the residual
     network (V' deleted, probes intersecting V' dropped) must still be
-    (k - |V'|)-identifiable.
+    (k - |V'|)-identifiable.  That is k-identifiability itself: V' = {} asks
+    exactly it, and twins F1, F2 of a residual network (equal observations
+    with V' deleted) lift to the twins F1 | V', F2 | V' of the whole network,
+    since probes through V' read down on both sides and every other probe
+    reads as it did in the residual network.
     """
-    _check_model(topology, model)
-    _check_k(topology, k)
-    _check_guard(topology, guard)
-    for removed in _failure_sets(sorted(topology.non_monitors), range(k)):
-        sub_topology, sub_model = restrict(topology, model, removed)
-        ok, _ = k_identifiable(sub_topology, sub_model, k - len(removed), guard=guard)
-        if not ok:
-            return False
-    return True
+    return k_identifiable(topology, model, k, guard=guard)[0]
 
 
 def restrict(

@@ -24,7 +24,7 @@ from .conditions import (
     up_bounds,
     up_verdicts,
 )
-from .document import TopologyDocument, emit_topology
+from .document import TopologyDocument, _load_json, emit_topology
 from .ensemble import CoverProfile, cover_profile
 from .errors import FormatError, InternalError, UsageError
 from .graph import Topology
@@ -99,7 +99,7 @@ def analyze(
     if not 0 <= lo <= hi <= sigma:
         raise UsageError(f"k range must satisfy 0 <= lo <= hi <= {sigma}")
 
-    tables = controllable_tables(topology, tuple(kinds)) if {"CAP", "CSP"} & set(kinds) else {}
+    tables = controllable_tables(topology, tuple(kinds))
     sections = []
     for kind in _MODEL_ORDER:
         if kind not in chosen:
@@ -202,24 +202,22 @@ def report_payload(report: AnalysisReport) -> dict[str, Any]:
 
 def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
     """Serialize a report; ``fmt`` is ``json`` or ``text``."""
-    payload = report_payload(report)
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if fmt == "text":
-        return render_text(payload)
-    raise UsageError(f"unknown report format {fmt!r}")
+    return _render(report_payload(report), fmt)
 
 
 def reformat_report(data: bytes | str, fmt: str) -> str:
     """Re-emit an existing report JSON file in the requested format."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    payload = _load_json(data)
     if not isinstance(payload, dict) or payload.get("report_version") != 1:
         raise FormatError("not a nodeloc report (missing report_version 1)")
+    try:
+        return _render(payload, fmt)
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        # A file claiming report_version 1 without a report's fields or types.
+        raise FormatError(f"malformed nodeloc report: {exc!r}") from exc
+
+
+def _render(payload: Mapping[str, Any], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "text":

@@ -11,6 +11,7 @@ from itertools import combinations
 
 from nodeloc.ensemble import INFINITE_COVER, PathEnsemble
 from nodeloc.graph import Topology
+from nodeloc.oracle import k_identifiable, restrict
 
 
 def _components_after(topo: Topology, removed: frozenset[int]) -> list[set[int]]:
@@ -200,3 +201,17 @@ def brute_component_condition(topo: Topology, s: int, with_monitor=None) -> bool
         for failure in all_failure_sets(pool, budget)
         for component in _components_after(topo, failure | dropped)
     )
+
+
+def reference_abstract_necessary(topo: Topology, model, k: int, guard: int) -> bool:
+    """The necessary condition as defined: every residual network stays identifiable.
+
+    For each non-monitor set V' with fewer than k members, delete V' and the
+    probes through it (``restrict``) and ask whether the residual network is
+    (k - |V'|)-identifiable.
+    """
+    for removed in all_failure_sets(sorted(topo.non_monitors), k - 1):
+        sub_topo, sub_model = restrict(topo, model, removed)
+        if not k_identifiable(sub_topo, sub_model, k - len(removed), guard=guard)[0]:
+            return False
+    return True

@@ -235,3 +235,47 @@ def test_out_flag_writes_file(topo_file, tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", topo_file, "--out", target)
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["sigma"] == 2
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        from nodeloc.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "gen", "topo", "--model", "er", "--nodes", 10, "--edge-prob", "0.4",
+            "--monitors", "2", "--seed", "9",
+        )
+        big = tmp_path / "sigma8.json"
+        big.write_text(out, encoding="utf-8")
+        code, out, _ = run(capsys, "--guard", "9", "oracle", big)
+        assert code == 0 and "max_identifiability" in out
+        code, _, err = run(capsys, "oracle", big)
+        assert code == 3 and "brute-force guard of 7" in err
+
+
+class TestBadFilesExit2:
+    def test_unwritable_out(self, topo_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "analyze", topo_file, "--out", target)
+        assert code == 2 and "cannot write" in err and out == ""
+
+    def test_non_utf8_topology(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"version": 1, "nodes": [{"name": "caf\xe9"}]}')
+        code, _, err = run(capsys, "analyze", bad)
+        assert code == 2 and "UTF-8" in err
+
+    def test_deeply_nested_topology(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000, encoding="utf-8")
+        code, _, err = run(capsys, "analyze", bad)
+        assert code == 2 and "not valid JSON" in err
+
+    def test_report_without_report_fields(self, tmp_path, capsys):
+        bad = tmp_path / "hollow.json"
+        bad.write_text('{"report_version": 1}', encoding="utf-8")
+        code, _, err = run(capsys, "report", bad, "--format", "text")
+        assert code == 2 and "malformed nodeloc report" in err

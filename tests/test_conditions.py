@@ -253,3 +253,57 @@ def test_csp_conditions_against_oracle_beyond_default_guard(sigma, monitors, p, 
             assert k <= omega, (k, omega)
         elif verdict.value is Identifiability.NOT_IDENTIFIABLE:
             assert k > omega, (k, omega)
+
+
+class TestOneTableBuilder:
+    """Every CAP/CSP function is a view of ``controllable_tables``."""
+
+    def _count(self, monkeypatch):
+        import nodeloc.conditions as conditions
+
+        calls = []
+        original = conditions.vertex_connectivity
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(conditions, "vertex_connectivity", counted)
+        return calls
+
+    def test_connectivity_calls_per_public_function(self, monkeypatch):
+        from nodeloc.conditions import controllable_tables
+
+        topo = erdos_renyi(14, 0.35, seed=4, monitors=3).to_topology()
+        calls = self._count(monkeypatch)
+        for fn, want in (
+            (cap_verdicts, 1), (cap_bounds, 1), (lambda t: cap_verdict(t, 2), 1),
+            (csp_verdicts, 4), (csp_bounds, 4), (lambda t: csp_verdict(t, 2), 4),
+            (lambda t: controllable_tables(t, ("CAP", "CSP")), 4),
+            (lambda t: controllable_tables(t, ("UP",)), 0),
+        ):
+            del calls[:]
+            fn(topo)
+            assert len(calls) == want
+
+    def test_views_agree_with_the_table(self):
+        from nodeloc.conditions import controllable_tables
+
+        for seed in range(20):
+            topo = erdos_renyi(9, 0.45, seed=seed, monitors=1 + seed % 3).to_topology()
+            tables = controllable_tables(topo, ("CSP", "CAP"))
+            assert tables["CAP"] == (cap_verdicts(topo), cap_bounds(topo))
+            assert tables["CSP"] == (csp_verdicts(topo), csp_bounds(topo))
+            for k in range(topo.sigma + 1):
+                assert cap_verdict(topo, k) == tables["CAP"][0][k]
+                assert csp_verdict(topo, k) == tables["CSP"][0][k]
+            assert controllable_tables(topo, ("UP",)) == {}
+
+    def test_all_monitor_verdicts_build_no_auxiliary_graph(self, monkeypatch):
+        every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
+        calls = self._count(monkeypatch)
+        assert cap_verdicts(every) == csp_verdicts(every) == (cap_verdict(every, 0),)
+        assert csp_verdict(every, 0).value is Identifiability.IDENTIFIABLE
+        with pytest.raises(InputError):
+            cap_verdict(every, 1)
+        assert calls == []

@@ -20,6 +20,7 @@ from nodeloc.oracle import (
     CAP,
     CSP,
     IndistinguishablePair,
+    abstract_necessary,
     abstract_sufficient,
     distinguishable,
     exhaustive_component_condition,
@@ -30,7 +31,11 @@ from nodeloc.oracle import (
     up_model,
 )
 
-from bruteforce import brute_component_condition, reference_identifiability
+from bruteforce import (
+    brute_component_condition,
+    reference_abstract_necessary,
+    reference_identifiability,
+)
 from test_conditions import CSP_BEYOND_GUARD
 
 
@@ -84,6 +89,37 @@ class TestAgainstEveryFailureSet:
                     if exhaustive_component_condition(topo, s, with_monitor) != want:
                         bad.append((doc, with_monitor, s, want))
         assert bad == []
+
+
+class TestNecessaryIsIdentifiability:
+    """``abstract_necessary`` answers from the whole network alone; the
+    reference conditions on every smaller deleted set."""
+
+    def test_cap_and_csp_corpus(self, corpus):
+        bad = []
+        outcomes = set()
+        for doc in corpus[:60]:
+            topo = doc.to_topology()
+            for model in (CAP, CSP):
+                for k in range(topo.sigma + 1):
+                    want = reference_abstract_necessary(topo, model, k, 7)
+                    outcomes.add(want)
+                    if abstract_necessary(topo, model, k) != want:
+                        bad.append((doc, model.kind, k, want))
+        assert bad == [] and outcomes == {True, False}
+
+    def test_up_corpus(self, up_corpus):
+        bad = []
+        outcomes = set()
+        for doc in up_corpus[:60]:
+            topo = doc.to_topology()
+            model = up_model(doc.to_ensemble(topo))
+            for k in range(topo.sigma + 1):
+                want = reference_abstract_necessary(topo, model, k, 7)
+                outcomes.add(want)
+                if abstract_necessary(topo, model, k) != want:
+                    bad.append((doc, k, want))
+        assert bad == [] and outcomes == {True, False}
 
 
 def _count_sweeps(monkeypatch) -> list:
