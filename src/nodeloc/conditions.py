@@ -1,18 +1,18 @@
 """Polynomial-time identifiability verdicts and maximum-identifiability bounds.
 
-Each probing regime gets a per-k verdict built from a sufficient and a
-necessary condition.  The sufficient side certifies identifiability, the
-necessary side certifies its absence; when only the necessary side holds the
-verdict is indeterminate and only the brute-force engine can settle it.  The
-conditions themselves are connectivity thresholds on the auxiliary graphs
-(controllable probing) or cover-size thresholds (uncontrollable probing),
-with exact special cases when the failure budget reaches the total number of
-non-monitors or stops one short of it.
-
-The controllable regimes share one table builder, :func:`controllable_tables`:
-one merged-graph connectivity serves CAP and CSP, CSP adds one leave-one-out
-connectivity per monitor, and every public CAP/CSP function is a view of its
-table.
+Every probing regime reads one threshold T off the network: the merged-graph
+connectivity d under controllable arbitrary-path probing (CAP), min(d - 1, dm)
+under controllable simple-path probing (CSP), with dm the weakest
+leave-one-out connectivity, and the minimum cover size delta under
+uncontrollable probing (UP).  A failure-set size k >= 1 is certified
+identifiable when T >= k + 1 (the sufficient condition) and refuted when
+T < k (the necessary one fails); in between the verdict is indeterminate and
+only the brute-force engine can settle it.  Exact if-and-only-if rules
+override T at the full failure budget (CAP, CSP) and one short of it (CSP).
+The largest identifiable k lies in [T - 1, T] while T is at most sigma - 1
+(CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.  Every
+public CAP/CSP function is a view of :func:`controllable_tables`, which
+computes d once and dm from one connectivity per monitor.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ class IdentifiabilityBounds:
 
     ``exact`` is set when an if-and-only-if rule pins the value.  When the
     formula guard fails, ``applicable`` is False and ``guard_note`` names the
-    violated precondition; the bounds then come from the exact special cases
-    or from scanning the per-k verdicts, never from extrapolating the guarded
-    formula.
+    violated precondition; the bounds then span the per-k verdict table,
+    exact edge rules included, never extrapolating the guarded formula.
     """
 
     lower: int
@@ -84,31 +83,42 @@ def _check_k(topology: Topology, k: int, name: str = "k") -> None:
         raise InputError(f"{name} must lie in 0..{topology.sigma}, got {k}")
 
 
+def _table(
+    sigma: int, threshold: int | float, exact: dict[int, tuple[bool, str]], rationale: str
+) -> tuple[Verdict, ...]:
+    """Verdicts for k = 0..sigma under one threshold.
+
+    k = 0 is trivially identifiable; ``exact`` maps a k to the outcome and
+    name of its if-and-only-if rule; every other k is certified when
+    ``threshold >= k + 1`` and refuted when ``threshold < k``.
+    """
+    verdicts = [_TRIVIAL]
+    for k in range(1, sigma + 1):
+        if k in exact:
+            hit, name = exact[k]
+            verdicts.append(_make_verdict(hit, hit, name))
+        else:
+            verdicts.append(_make_verdict(threshold >= k + 1, threshold >= k, rationale))
+    return tuple(verdicts)
+
+
+def _bounds(
+    verdicts: tuple[Verdict, ...], threshold: int, top: int, note: str
+) -> IdentifiabilityBounds:
+    """[T - 1, T] while T <= ``top``; past it, the span of the verdict table."""
+    if threshold <= top:
+        return IdentifiabilityBounds(max(threshold - 1, 0), max(threshold, 0), None, True, "")
+    # From the largest certified k to one below the smallest refuted k.
+    lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
+    upper = next(
+        (k - 1 for k, v in enumerate(verdicts) if not v.necessary_holds), len(verdicts) - 1
+    )
+    return IdentifiabilityBounds(lower, upper, lower if lower == upper else None, False, note)
+
+
 # ---------------------------------------------------------------------------
-# Controllable arbitrary-path probing
+# Controllable probing: CAP and CSP
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _CapSummary:
-    sigma: int
-    merged_connectivity: int
-    all_monitor_adjacent: bool
-
-
-def _cap_verdict_at(s: _CapSummary, k: int) -> Verdict:
-    if k == 0:
-        return _TRIVIAL
-    if k == s.sigma:
-        # Exact rule at full failure budget: 1-hop probing reaches a node iff
-        # it has a monitor neighbor, and nothing else survives to help.
-        hit = s.all_monitor_adjacent
-        return _make_verdict(hit, hit, "full-budget-monitor-adjacency")
-    # node counts: the merged graph has sigma+1 nodes, so the (k+1) threshold
-    # is meaningful exactly for k <= sigma-1.
-    sufficient = s.sigma + 1 > k + 1 and s.merged_connectivity >= k + 1
-    necessary = s.sigma + 1 > k and s.merged_connectivity >= k
-    return _make_verdict(sufficient, necessary, "merged-graph-connectivity")
 
 
 def cap_verdict(topology: Topology, k: int) -> Verdict:
@@ -126,75 +136,10 @@ def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
     """Maximum-identifiability bounds under arbitrary-path probing.
 
     When the merged-graph connectivity d stays below the non-monitor count,
-    the maximum lies in [d-1, d]; otherwise that bound is out of its stated
-    range and the exact full-budget rule takes over.
+    the maximum lies in [d-1, d]; otherwise the merged graph is complete and
+    the exact full-budget rule pins the maximum at sigma.
     """
     return controllable_tables(topology, ("CAP",))["CAP"][1]
-
-
-def _cap_bounds(s: _CapSummary) -> IdentifiabilityBounds:
-    d = s.merged_connectivity
-    if d <= s.sigma - 1:
-        return IdentifiabilityBounds(max(d - 1, 0), d, None, True, "")
-    note = (
-        f"merged-graph connectivity {d} exceeds sigma-1={s.sigma - 1}; "
-        "the connectivity bound is stated only below that threshold"
-    )
-    if s.all_monitor_adjacent:
-        return IdentifiabilityBounds(s.sigma, s.sigma, s.sigma, False, note)
-    return IdentifiabilityBounds(0, s.sigma, None, False, note + "; full-budget rule failed too")
-
-
-# ---------------------------------------------------------------------------
-# Controllable simple-path probing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _CspSummary:
-    sigma: int
-    merged_connectivity: int
-    min_leave_one_out: int  # equals min_leave_one_out_connectivity(topology)
-    near_full_exact: bool
-    full_exact: bool
-
-
-def _csp_summary(topology: Topology, merged_connectivity: int) -> _CspSummary:
-    # Weakly covered: non-monitors with fewer than two monitor neighbors.
-    weak = [v for v in topology.non_monitors if topology.monitor_neighbor_count(v) < 2]
-    near_full_exact = not weak or (
-        len(weak) == 1
-        and topology.monitor_neighbor_count(weak[0]) == 1
-        and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
-    )
-    min_leave_one_out = min(
-        vertex_connectivity(merge_monitors_leaving_out(topology, m))
-        for m in sorted(topology.monitors)
-    )
-    return _CspSummary(
-        topology.sigma, merged_connectivity, min_leave_one_out, near_full_exact, not weak
-    )
-
-
-def _csp_verdict_at(s: _CspSummary, k: int) -> Verdict:
-    if k == 0:
-        return _TRIVIAL
-    if k == s.sigma:
-        # Exact: cycle-free 2-hop probing needs two distinct monitor
-        # endpoints per node once every other non-monitor may be down.
-        return _make_verdict(s.full_exact, s.full_exact, "full-budget-two-monitor-adjacency")
-    if k == s.sigma - 1:
-        # Exact one short of the full budget: at most one weakly covered
-        # node, and that node must be reachable around any failure pattern
-        # through its own neighborhood.
-        hit = s.near_full_exact
-        return _make_verdict(hit, hit, "near-full-budget-characterization")
-    nodes = s.sigma + 1
-    sufficient = (
-        nodes > k + 2 and s.merged_connectivity >= k + 2 and s.min_leave_one_out >= k + 1
-    )
-    necessary = nodes > k + 1 and s.merged_connectivity >= k + 1 and s.min_leave_one_out >= k
-    return _make_verdict(sufficient, necessary, "merged-and-leave-one-out-connectivity")
 
 
 def csp_verdict(topology: Topology, k: int) -> Verdict:
@@ -211,33 +156,10 @@ def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
     """Maximum-identifiability bounds under simple-path probing.
 
     Combines the merged-graph connectivity with the weakest leave-one-out
-    connectivity; outside the guard it falls back to the two exact edge
-    rules and finally to scanning the per-k verdicts.
+    connectivity; outside the guard the two exact edge rules settle the
+    bounds through the verdict table.
     """
     return controllable_tables(topology, ("CSP",))["CSP"][1]
-
-
-def _csp_bounds(s: _CspSummary, verdicts: tuple[Verdict, ...]) -> IdentifiabilityBounds:
-    dm = s.min_leave_one_out
-    upper = min(dm, s.merged_connectivity - 1)
-    if upper <= s.sigma - 2:
-        lower = min(dm - 1, s.merged_connectivity - 2)
-        return IdentifiabilityBounds(max(lower, 0), max(upper, 0), None, True, "")
-    note = (
-        f"min(leave-one-out {dm}, merged-1 {s.merged_connectivity - 1}) exceeds "
-        f"sigma-2={s.sigma - 2}; the connectivity bound is stated only below that threshold"
-    )
-    if s.full_exact:
-        return IdentifiabilityBounds(s.sigma, s.sigma, s.sigma, False, note)
-    if s.sigma >= 2 and s.near_full_exact:
-        exact = s.sigma - 1
-        return IdentifiabilityBounds(exact, exact, exact, False, note)
-    # Scan the per-k verdicts: the largest certified k bounds from below, the
-    # smallest refuted k bounds from above.
-    lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
-    refuted = [k for k, v in enumerate(verdicts) if not v.necessary_holds]
-    upper = refuted[0] - 1 if refuted else s.sigma
-    return IdentifiabilityBounds(lower, upper, lower if lower == upper else None, False, note)
 
 
 def controllable_tables(
@@ -253,17 +175,50 @@ def controllable_tables(
     """
     if not {"CAP", "CSP"} & set(kinds):
         return {}
-    merged = vertex_connectivity(merge_monitors(topology))
+    sigma = topology.sigma
+    d = vertex_connectivity(merge_monitors(topology))
     tables = {}
     if "CAP" in kinds:
+        # Exact at the full budget: 1-hop probing reaches a node iff it has
+        # a monitor neighbor, and nothing else survives to help.  Past the
+        # guard (d >= sigma) the merged graph is complete, so the rule holds.
         adjacent = all(topology.monitor_neighbor_count(v) >= 1 for v in topology.non_monitors)
-        s = _CapSummary(topology.sigma, merged, adjacent)
-        verdicts = tuple(_cap_verdict_at(s, k) for k in range(s.sigma + 1))
-        tables["CAP"] = (verdicts, _cap_bounds(s))
+        exact = {sigma: (adjacent, "full-budget-monitor-adjacency")}
+        verdicts = _table(sigma, d, exact, "merged-graph-connectivity")
+        note = (
+            f"merged-graph connectivity {d} exceeds sigma-1={sigma - 1}; "
+            "the connectivity bound is stated only below that threshold"
+        )
+        tables["CAP"] = (verdicts, _bounds(verdicts, d, sigma - 1, note))
     if "CSP" in kinds:
-        s = _csp_summary(topology, merged)
-        verdicts = tuple(_csp_verdict_at(s, k) for k in range(s.sigma + 1))
-        tables["CSP"] = (verdicts, _csp_bounds(s, verdicts))
+        # Weakly covered: non-monitors with fewer than two monitor neighbors.
+        weak = [v for v in topology.non_monitors if topology.monitor_neighbor_count(v) < 2]
+        # Exact one short of the full budget: at most one weakly covered
+        # node, and that node must be reachable around any failure pattern
+        # through its own neighborhood.
+        near_full = not weak or (
+            len(weak) == 1
+            and topology.monitor_neighbor_count(weak[0]) == 1
+            and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
+        )
+        dm = min(
+            vertex_connectivity(merge_monitors_leaving_out(topology, m))
+            for m in sorted(topology.monitors)
+        )
+        # Exact at the full budget: cycle-free 2-hop probing needs two
+        # distinct monitor endpoints per node once every other non-monitor
+        # may be down.
+        exact = {
+            sigma: (not weak, "full-budget-two-monitor-adjacency"),
+            sigma - 1: (near_full, "near-full-budget-characterization"),
+        }
+        threshold = min(d - 1, dm)
+        verdicts = _table(sigma, threshold, exact, "merged-and-leave-one-out-connectivity")
+        note = (
+            f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds "
+            f"sigma-2={sigma - 2}; the connectivity bound is stated only below that threshold"
+        )
+        tables["CSP"] = (verdicts, _bounds(verdicts, threshold, sigma - 2, note))
     return tables
 
 
@@ -287,17 +242,11 @@ def up_verdict(profile: CoverProfile, k: int) -> Verdict:
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    if k == 0:
-        return _TRIVIAL
-    sizes = profile.cover_sizes.values()
-    sufficient = all(size > k for size in sizes)
-    necessary = all(size > k - 1 for size in sizes)
-    return _make_verdict(sufficient, necessary, "cover-size-threshold")
+    return _table(k, profile.min_cover, {}, "cover-size-threshold")[k]
 
 
 def up_verdicts(profile: CoverProfile) -> tuple[Verdict, ...]:
-    sigma = len(profile.cover_sizes)
-    return tuple(up_verdict(profile, k) for k in range(sigma + 1))
+    return _table(len(profile.cover_sizes), profile.min_cover, {}, "cover-size-threshold")
 
 
 def up_bounds(profile: CoverProfile) -> IdentifiabilityBounds:

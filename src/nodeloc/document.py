@@ -93,7 +93,9 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
     """
     raw = _load_json(data)
     _expect(isinstance(raw, dict), "top level must be a JSON object")
-    _expect(raw.get("version") == FORMAT_VERSION, f"expected version {FORMAT_VERSION}")
+    # JSON true parses to a bool, which Python compares equal to 1.
+    version = raw.get("version")
+    _expect(type(version) is int and version == FORMAT_VERSION, f"expected version {FORMAT_VERSION}")
     nodes = raw.get("nodes")
     _expect(isinstance(nodes, list) and nodes, "'nodes' must be a non-empty list")
 
@@ -196,7 +198,7 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
         _expect(obs.get("state") in ("up", "down"), f"observation {i} state must be up or down")
         probe = obs.get("probe")
         if model == "UP":
-            _expect(isinstance(probe, int), f"observation {i} probe must be a path id")
+            _expect(type(probe) is int, f"observation {i} probe must be a path id")
             key = probe
         else:
             _expect(isinstance(probe, str), f"observation {i} probe must be a node name")

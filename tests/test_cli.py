@@ -154,6 +154,19 @@ class TestLocalize:
         payload = json.loads(out)
         assert code == 0 and payload["candidates"] == [["v1"]]
 
+    def test_boolean_up_probe_exits_2(self, tmp_path, capsys):
+        raw = json.loads(PATH4_JSON)
+        raw["paths"] = [["m1", "v1", "v2", "m2"]]
+        topo_file = tmp_path / "paths.json"
+        topo_file.write_text(json.dumps(raw), encoding="utf-8")
+        outcomes = tmp_path / "obs.json"
+        outcomes.write_text(
+            '{"model": "UP", "observations": [{"probe": false, "state": "up"}]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "localize", topo_file, outcomes, "--k-max", "1")
+        assert code == 2 and "must be a path id" in err and out == ""
+
 
 class TestGen:
     def test_topo_requires_seed(self, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from nodeloc.auxgraph import merge_monitors, min_leave_one_out_connectivity
 from nodeloc.conditions import (
     Identifiability,
     cap_bounds,
@@ -19,7 +20,7 @@ from nodeloc.conditions import (
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.errors import InputError
 from nodeloc.generate import erdos_renyi
-from nodeloc.graph import Topology
+from nodeloc.graph import Topology, vertex_connectivity
 from nodeloc.oracle import CSP, max_identifiability
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
@@ -307,3 +308,57 @@ class TestOneTableBuilder:
         with pytest.raises(InputError):
             cap_verdict(every, 1)
         assert calls == []
+
+
+class TestOneThresholdRule:
+    """Each regime's verdicts and bounds follow one threshold T.
+
+    T is computed here independently of ``nodeloc.conditions``: the merged
+    connectivity d for CAP, min(d - 1, dm) for CSP and the minimum cover
+    size for UP.  Only the exact edges (k = 0, the full budget, and for CSP
+    one short of it) may depart from the threshold rule.
+    """
+
+    @staticmethod
+    def _check_rule(verdicts, threshold, edges):
+        for k, verdict in enumerate(verdicts):
+            if k not in edges:
+                assert verdict.sufficient_holds == (threshold >= k + 1), (k, threshold)
+                assert verdict.necessary_holds == (threshold >= k), (k, threshold)
+
+    def test_controllable_regimes(self, corpus):
+        past_guard = {"CAP": 0, "CSP": 0}
+        for doc in corpus:
+            topo = doc.to_topology()
+            sigma = topo.sigma
+            d = vertex_connectivity(merge_monitors(topo))
+            dm = min_leave_one_out_connectivity(topo)
+            regimes = (
+                ("CAP", cap_verdicts(topo), cap_bounds(topo), d, sigma - 1, {0, sigma}),
+                ("CSP", csp_verdicts(topo), csp_bounds(topo), min(d - 1, dm), sigma - 2,
+                 {0, sigma - 1, sigma}),
+            )
+            for kind, verdicts, bounds, threshold, top, edges in regimes:
+                self._check_rule(verdicts, threshold, edges)
+                assert bounds.applicable == (threshold <= top)
+                if bounds.applicable:
+                    window = (max(threshold - 1, 0), max(threshold, 0))
+                    assert (bounds.lower, bounds.upper) == window
+                    continue
+                past_guard[kind] += 1
+                lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
+                refuted = [k for k, v in enumerate(verdicts) if not v.necessary_holds]
+                upper = refuted[0] - 1 if refuted else sigma
+                assert (bounds.lower, bounds.upper) == (lower, upper)
+                assert bounds.exact == (lower if lower == upper else None)
+                if kind == "CAP":
+                    # d >= sigma: the merged graph is complete, so every
+                    # non-monitor borders a monitor.
+                    assert all(topo.monitor_neighbor_count(v) >= 1 for v in topo.non_monitors)
+        assert past_guard["CAP"] > 0 and past_guard["CSP"] > 0
+
+    def test_uncontrollable_regime(self, up_corpus):
+        for doc in up_corpus:
+            topo = doc.to_topology()
+            profile = cover_profile(doc.to_ensemble(topo))
+            self._check_rule(up_verdicts(profile), profile.min_cover, {0})

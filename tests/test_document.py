@@ -77,6 +77,8 @@ class TestParseTopology:
             parse_topology('{"version": 2, "nodes": []}')
         with pytest.raises(FormatError):
             parse_topology("not json")
+        with pytest.raises(FormatError, match="expected version 1"):
+            parse_topology(MINIMAL.replace('"version": 1', '"version": true'))
 
     def test_round_trip_identity(self, corpus, up_corpus):
         for doc in corpus[:30] + up_corpus[:30]:
@@ -135,6 +137,13 @@ class TestOutcomes:
                 '{"model": "CAP", "observations": [{"probe": "ghost", "state": "up"}]}',
                 doc,
             )
+        # JSON booleans are Python ints, yet no path id.
+        for probe in ("false", "true"):
+            with pytest.raises(FormatError, match="must be a path id"):
+                parse_outcomes(
+                    '{"model": "UP", "observations": [{"probe": ' + probe + ', "state": "up"}]}',
+                    doc,
+                )
 
 
 class TestGenerators:
