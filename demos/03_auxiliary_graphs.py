@@ -27,8 +27,8 @@ TOPO = Topology(
 
 def describe(aux, label) -> None:
     print(f"  {label}")
-    print(f"    nodes: {aux.graph.node_count} (virtual monitor is id {aux.virtual_monitor})")
-    print(f"    inherited + virtual edges: {sorted(aux.graph.edges)}")
+    print(f"    nodes: {aux.node_count} (virtual monitor is id {aux.virtual_monitor})")
+    print(f"    inherited + virtual edges: {sorted(aux.edges)}")
     print(f"    virtual edges only:        {sorted(aux.virtual_edges)}")
     print(f"    vertex connectivity:       {vertex_connectivity(aux)}")
 

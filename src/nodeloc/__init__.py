@@ -78,7 +78,6 @@ from .oracle import (
     FailureSet,
     IndistinguishablePair,
     ProbingModel,
-    UnprobeableNode,
     Witness,
     abstract_necessary,
     abstract_sufficient,

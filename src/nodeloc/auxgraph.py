@@ -5,8 +5,10 @@ surviving non-monitors densely (ascending original id), and append one
 virtual monitor as the last node.  The virtual monitor is wired to the
 non-monitors that were adjacent to a real monitor, and those boundary nodes
 are additionally joined into a clique by virtual links, so that their mutual
-reachability survives deletion of the virtual monitor itself.  The vertex
-connectivity of the resulting graphs is what the per-k identifiability
+reachability survives deletion of the virtual monitor itself.  Each result
+is an :class:`AuxiliaryGraph`, a :class:`~nodeloc.graph.Topology` whose only
+monitor is the virtual one, so every graph primitive takes it directly.  The
+vertex connectivity of these graphs is what the per-k identifiability
 conditions inspect.
 """
 
@@ -29,11 +31,13 @@ class AuxKind(Enum):
 
 
 @dataclass(frozen=True)
-class AuxiliaryGraph:
+class AuxiliaryGraph(Topology):
     """A topology over the non-monitors plus one virtual monitor.
 
+    It is a :class:`Topology` whose only monitor is ``virtual_monitor``, with
+    the construction's bookkeeping alongside.
+
     Attributes:
-        graph: the derived graph; its only monitor is ``virtual_monitor``.
         virtual_monitor: id of the appended virtual monitor (always last).
         kind: construction variant.
         excluded_monitor: original id of the monitor left out, when
@@ -44,7 +48,6 @@ class AuxiliaryGraph:
             holds the original id of auxiliary node i.
     """
 
-    graph: Topology
     virtual_monitor: int
     kind: AuxKind
     excluded_monitor: int | None
@@ -81,13 +84,10 @@ def _merge(topology: Topology, excluded: int | None, kind: AuxKind) -> Auxiliary
         if (a, b) not in inherited:
             virtual_edges.add((a, b))
 
-    graph = Topology(
+    return AuxiliaryGraph(
         node_count=virtual + 1,
         edges=frozenset(inherited | virtual_edges),
         monitors=frozenset({virtual}),
-    )
-    return AuxiliaryGraph(
-        graph=graph,
         virtual_monitor=virtual,
         kind=kind,
         excluded_monitor=excluded,

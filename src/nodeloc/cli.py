@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from ._version import __version__
-from .document import emit_topology, parse_outcomes, parse_path_lines, parse_topology
+from .document import _dump_json, emit_topology, parse_outcomes, parse_path_lines, parse_topology
 from .errors import CapacityError, FormatError, InputError, UsageError
 from .generate import generate_paths, generate_topology
 from .oracle import DEFAULT_GUARD, k_identifiable, localize, max_identifiability
@@ -195,7 +194,7 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
                 ]
             results[kind] = entry
     if args.format == "json":
-        _write(json.dumps(results, indent=2, sort_keys=True) + "\n", args.out)
+        _write(_dump_json(results), args.out)
     else:
         lines = []
         for kind in sorted(results):
@@ -218,7 +217,7 @@ def _cmd_localize(args: argparse.Namespace) -> None:
     candidates = localize(topology, model, states, args.k_max, guard=args.guard)
     named = [sorted(doc.names[v] for v in failure) for failure in candidates]
     if args.format == "json":
-        _write(json.dumps({"model": kind, "candidates": named}, indent=2, sort_keys=True) + "\n", args.out)
+        _write(_dump_json({"model": kind, "candidates": named}), args.out)
     else:
         body = "\n".join("{" + ", ".join(c) + "}" for c in named) or "(no consistent failure set)"
         _write(body + "\n", args.out)

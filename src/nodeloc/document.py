@@ -85,6 +85,11 @@ def _load_json(data: bytes | str):
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 
+def _dump_json(payload) -> str:
+    """The canonical JSON layout of every file nodeloc writes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def parse_topology(data: bytes | str) -> TopologyDocument:
     """Parse and validate a topology document.
 
@@ -160,7 +165,7 @@ def emit_topology(doc: TopologyDocument) -> str:
     }
     if doc.paths is not None:
         payload["paths"] = [[doc.names[v] for v in path] for path in doc.paths]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _dump_json(payload)
 
 
 def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[int, ...], ...]:
@@ -217,4 +222,4 @@ def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument)
         }
         for key in sorted(states)
     ]
-    return json.dumps({"model": model, "observations": observations}, indent=2, sort_keys=True) + "\n"
+    return _dump_json({"model": model, "observations": observations})

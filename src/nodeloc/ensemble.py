@@ -58,12 +58,14 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     """Validate raw node sequences into a :class:`PathEnsemble`.
 
     Every sequence must start and end at a monitor and follow edges of the
-    topology.  Interior repetition is allowed (walks are accepted as given);
-    incidence is computed on the set of visited nodes.
+    topology; entries are node ids, never coerced.  Interior repetition is
+    allowed (walks are accepted as given); incidence is computed on the set
+    of visited nodes.
     """
+    adjacency = topology.adjacency
     validated: list[MeasurementPath] = []
     for idx, seq in enumerate(paths):
-        nodes = tuple(int(v) for v in seq)
+        nodes = tuple(seq)
         if len(nodes) < 2:
             raise FormatError(f"path {idx} has fewer than two nodes")
         for v in nodes:
@@ -72,7 +74,7 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
             if end not in topology.monitors:
                 raise FormatError(f"path {idx} endpoint {end} is not a monitor")
         for a, b in zip(nodes, nodes[1:]):
-            if not topology.has_edge(a, b):
+            if b not in adjacency[a]:
                 raise FormatError(f"path {idx} steps over a missing edge ({a}, {b})")
         validated.append(MeasurementPath(idx, nodes))
 

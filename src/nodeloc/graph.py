@@ -24,13 +24,20 @@ Edge = tuple[int, int]
 _BIG = 1 << 20
 
 
+def _is_node(v: object, node_count: int) -> bool:
+    """The one node-id rule: an int (not a bool) in ``0..node_count-1``, never coerced."""
+    return type(v) is int and 0 <= v < node_count
+
+
 def _normalized_edges(node_count: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
     out: set[Edge] = set()
     for edge in edges:
-        u, v = edge
-        u, v = int(u), int(v)
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InputError(f"edge ({u}, {v}) references a node outside 0..{node_count - 1}")
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InputError(f"edge {edge!r} is not a pair of node ids") from None
+        if not (_is_node(u, node_count) and _is_node(v, node_count)):
+            raise InputError(f"edge ({u!r}, {v!r}) references a node outside 0..{node_count - 1}")
         if u == v:
             raise InputError(f"self-loop at node {u} is not allowed")
         out.add((u, v) if u < v else (v, u))
@@ -57,10 +64,10 @@ class Topology:
         if self.node_count < 1:
             raise InputError("a topology needs at least one node")
         object.__setattr__(self, "edges", _normalized_edges(self.node_count, self.edges))
-        monitors = frozenset(int(m) for m in self.monitors)
+        monitors = frozenset(self.monitors)
         for m in monitors:
-            if not 0 <= m < self.node_count:
-                raise InputError(f"monitor id {m} outside 0..{self.node_count - 1}")
+            if not _is_node(m, self.node_count):
+                raise InputError(f"monitor id {m!r} outside 0..{self.node_count - 1}")
         if not monitors:
             raise InputError("a topology needs at least one monitor")
         object.__setattr__(self, "monitors", monitors)
@@ -104,7 +111,7 @@ class Topology:
         return len(self.neighbors(v) & self.monitors)
 
     def _check_node(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.node_count:
+        if not _is_node(v, self.node_count):
             raise InputError(f"unknown node id {v!r}")
 
     def _check_nodes(self, nodes: Iterable[int]) -> frozenset[int]:
@@ -229,7 +236,11 @@ def neighborhood_of_set(topology: Topology, nodes: Iterable[int]) -> frozenset[i
 
 
 class _FlowNet:
-    """Minimal integer max-flow network (Dinic) used by the cut routines."""
+    """Minimal max-flow network (Dinic) for the node-split cut routines.
+
+    Every augmenting path there crosses an arc of residual capacity one, so
+    it pushes exactly one unit.
+    """
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -245,7 +256,7 @@ class _FlowNet:
         self.to.append(u)
         self.cap.append(0)
 
-    def max_flow(self, s: int, t: int, limit: int = _BIG) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> int:
         flow = 0
         while flow < limit:
             level = self._bfs_levels(s, t)
@@ -274,9 +285,9 @@ class _FlowNet:
     def _blocking_flow(self, s: int, t: int, limit: int, level: list[int]) -> int:
         """Push up to ``limit`` units along level-graph paths, without recursion.
 
-        ``path`` holds the arcs from ``s`` to the current node.  A node with no
-        usable arc left is a dead end: the walk retreats one arc and sets the
-        node's level to -1 so that no later path enters it again.
+        ``path`` holds the arcs from ``s`` to the current node; reaching ``t``
+        pushes one unit and restarts at ``s``, whose arc pointers ``it`` keep.
+        A dead end (no usable arc left) is retreated from and levelled -1.
         """
         adj, to, cap = self.adj, self.to, self.cap
         it = [0] * self.n
@@ -285,17 +296,12 @@ class _FlowNet:
         u = s
         while flow < limit:
             if u == t:
-                pushed = min(limit - flow, min(cap[a] for a in path))
                 for a in path:
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                flow += pushed
-                # Resume from the tail of the first saturated arc.
-                for i, a in enumerate(path):
-                    if cap[a] == 0:
-                        del path[i:]
-                        u = to[a ^ 1]
-                        break
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                flow += 1
+                path.clear()
+                u = s
                 continue
             arcs = adj[u]
             next_level = level[u] + 1
@@ -313,15 +319,6 @@ class _FlowNet:
                 u = to[path.pop() ^ 1]
                 it[u] += 1
         return flow
-
-
-def _resolve(graph) -> Topology:
-    # Accepts either a Topology or anything exposing one under .graph
-    # (the auxiliary graphs built elsewhere in the package).
-    inner = getattr(graph, "graph", graph)
-    if not isinstance(inner, Topology):
-        raise InputError(f"expected a topology or auxiliary graph, got {type(graph).__name__}")
-    return inner
 
 
 def _split_flow_net(
@@ -392,19 +389,15 @@ def disjoint_paths(
         net.add_arc(2 * t + 1, sink, 1)
     cap = len(target_set) if limit is None else min(limit, len(target_set))
     flow = net.max_flow(2 * source + 1, sink, limit=cap)
-    # Decompose the integral flow into node sequences.  Saturated arcs are
-    # exactly those whose residual capacity moved to the reverse arc.
-    used = [False] * len(net.to)
+    # Decompose the unit flow into node sequences.  A forward (even) arc carries
+    # flow iff its reverse has residual capacity; taking that unit consumes it.
     paths: list[tuple[int, ...]] = []
     for _ in range(flow):
         path = [source]
         u = 2 * source + 1
         while u != sink:
             for a in net.adj[u]:
-                if used[a] or a % 2 == 1:
-                    continue
-                if net.cap[a ^ 1] > 0:  # forward arc carrying flow
-                    used[a] = True
+                if a % 2 == 0 and net.cap[a ^ 1] > 0:
                     net.cap[a ^ 1] -= 1
                     v = net.to[a]
                     if v == sink:
@@ -419,11 +412,11 @@ def disjoint_paths(
     return paths
 
 
-def vertex_connectivity(graph) -> int:
-    """Vertex connectivity, with the conventions the analyses rely on.
+def vertex_connectivity(topology: Topology) -> int:
+    """Vertex connectivity of a topology, with the conventions the analyses rely on.
 
     A complete graph on n nodes has connectivity n-1; a disconnected graph
-    has connectivity 0.  Accepts a plain topology or an auxiliary graph.
+    has connectivity 0.  Anything but a topology is an input error.
 
     The cut search anchors at a fixed minimum-degree vertex x: it takes the
     minimum s-t cut over every pair (x, w) with w non-adjacent to x and over
@@ -437,43 +430,41 @@ def vertex_connectivity(graph) -> int:
     Dinic's blocking flow walks an explicit arc stack instead of recursing,
     so long paths (an 800-node ring, say) need no Python stack depth.
     """
-    topo = _resolve(graph)
-    n = topo.node_count
+    if not isinstance(topology, Topology):
+        raise InputError(f"expected a Topology, got {type(topology).__name__}")
+    n = topology.node_count
     if n < 2:
         raise InputError("vertex connectivity needs at least 2 nodes")
-    if len(connected_components(topo).components) > 1:
+    if len(_components(topology, frozenset()).components) > 1:
         return 0
-    if len(topo.edges) == n * (n - 1) // 2:
+    if len(topology.edges) == n * (n - 1) // 2:
         return n - 1
-    net = _split_flow_net(topo)
+    net = _split_flow_net(topology)
     base = net.cap[:]
 
     def cut(s: int, t: int, limit: int) -> int:
         net.cap[:] = base
         return net.max_flow(2 * s + 1, 2 * t, limit=limit)
 
-    x = min(topo.nodes, key=lambda v: (topo.degree(v), v))
-    best = topo.degree(x)
-    for w in topo.nodes:
-        if w != x and w not in topo.adjacency[x]:
+    x = min(topology.nodes, key=lambda v: (len(topology.adjacency[v]), v))
+    best = len(topology.adjacency[x])
+    for w in topology.nodes:
+        if w != x and w not in topology.adjacency[x]:
             best = cut(x, w, best)
-    for y, z in combinations(sorted(topo.adjacency[x]), 2):
-        if z not in topo.adjacency[y]:
+    for y, z in combinations(sorted(topology.adjacency[x]), 2):
+        if z not in topology.adjacency[y]:
             best = cut(y, z, best)
     return best
 
 
-def is_k_connected(graph, k: int) -> bool:
-    """True when the graph is k-vertex-connected.
+def is_k_connected(topology: Topology, k: int) -> bool:
+    """True when the topology is k-vertex-connected.
 
-    ``k = 0`` holds for every non-empty graph; otherwise the graph needs more
-    than k nodes and connectivity at least k.
+    ``k = 0`` holds for every topology; otherwise it needs more than k nodes
+    and connectivity at least k.
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    topo = _resolve(graph)
-    if k == 0:
-        return topo.node_count > 0
-    if topo.node_count <= k:
-        return False
-    return vertex_connectivity(topo) >= k
+    if not isinstance(topology, Topology):
+        raise InputError(f"expected a Topology, got {type(topology).__name__}")
+    return k == 0 or (topology.node_count > k and vertex_connectivity(topology) >= k)

@@ -86,14 +86,6 @@ class DistinguishingPath:
 
 
 @dataclass(frozen=True)
-class UnprobeableNode:
-    """A node no measurement can reach once ``trapped_by`` is down."""
-
-    node: int
-    trapped_by: FailureSet
-
-
-@dataclass(frozen=True)
 class IndistinguishablePair:
     """Two failure sets producing identical observations."""
 
@@ -101,7 +93,7 @@ class IndistinguishablePair:
     second: FailureSet
 
 
-Witness = DistinguishingPath | UnprobeableNode | IndistinguishablePair
+Witness = DistinguishingPath | IndistinguishablePair
 
 
 def _check_model(topology: Topology, model: ProbingModel) -> None:

@@ -10,7 +10,6 @@ or to a human-readable text table.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -24,7 +23,7 @@ from .conditions import (
     up_bounds,
     up_verdicts,
 )
-from .document import TopologyDocument, _load_json, emit_topology
+from .document import TopologyDocument, _dump_json, _load_json, emit_topology
 from .ensemble import CoverProfile, cover_profile
 from .errors import FormatError, InternalError, UsageError
 from .graph import Topology
@@ -219,7 +218,7 @@ def reformat_report(data: bytes | str, fmt: str) -> str:
 
 def _render(payload: Mapping[str, Any], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _dump_json(payload)
     if fmt == "text":
         return render_text(payload)
     raise UsageError(f"unknown report format {fmt!r}")

@@ -27,16 +27,16 @@ class TestMergeMonitors:
         # non-monitors 1,2 renumber to 0,1; the virtual monitor is 2
         assert aux.original_ids == (1, 2)
         assert aux.virtual_monitor == 2
-        assert aux.graph.monitors == {2}
-        assert aux.graph.edges == {(0, 1), (0, 2), (1, 2)}
+        assert aux.monitors == {2}
+        assert aux.edges == {(0, 1), (0, 2), (1, 2)}
         assert vertex_connectivity(aux) == 2 == brute_vertex_connectivity(aux)
         # the boundary clique edge (0, 1) already existed, so it is inherited
         assert aux.virtual_edges == {(0, 2), (1, 2)}
 
     def test_star_gives_complete_graph(self):
         aux = merge_monitors(STAR)
-        assert aux.graph.node_count == 4
-        assert len(aux.graph.edges) == 6
+        assert aux.node_count == 4
+        assert len(aux.edges) == 6
         assert vertex_connectivity(aux) == 3 == brute_vertex_connectivity(aux)
         # leaf-leaf edges are virtual clique links
         assert {(0, 1), (0, 2), (1, 2)} <= aux.virtual_edges
@@ -44,15 +44,15 @@ class TestMergeMonitors:
     def test_single_nonmonitor(self):
         t = Topology(2, [(0, 1)], [0])
         aux = merge_monitors(t)
-        assert aux.graph.edges == {(0, 1)}
+        assert aux.edges == {(0, 1)}
         assert vertex_connectivity(aux) == 1
 
     def test_nonmonitor_out_of_monitor_reach_is_isolated_from_virtual(self):
         # m-v1, v1-v2: only v1 borders the monitor set
         t = Topology(3, [(0, 1), (1, 2)], [0])
         aux = merge_monitors(t)
-        assert aux.graph.edges == {(0, 1), (0, 2)}  # v1-v2 kept, virtual-v1 added
-        assert aux.graph.neighbors(aux.virtual_monitor) == {0}
+        assert aux.edges == {(0, 1), (0, 2)}  # v1-v2 kept, virtual-v1 added
+        assert aux.neighbors(aux.virtual_monitor) == {0}
 
     def test_kind_and_id_mapping(self):
         aux = merge_monitors(PATH4)
@@ -71,13 +71,13 @@ class TestMergeLeavingOneOut:
     def test_short_path_keeps_other_side(self):
         aux = merge_monitors_leaving_out(PATH3, 0)
         # v keeps only its link to the virtual monitor (via m2)
-        assert aux.graph.edges == {(0, 1)}
+        assert aux.edges == {(0, 1)}
         assert vertex_connectivity(aux) == 1
 
     def test_excluding_far_monitor_detaches_far_node(self):
         aux = merge_monitors_leaving_out(PATH4, 3)
         # boundary is {v1} only; graph is v2-v1-virtual
-        assert aux.graph.edges == {(0, 1), (0, 2)}
+        assert aux.edges == {(0, 1), (0, 2)}
         assert vertex_connectivity(aux) == 1
 
     def test_node_covered_only_by_excluded_monitor(self):
@@ -85,12 +85,12 @@ class TestMergeLeavingOneOut:
         # strips v2 down to its non-monitor edges.
         t = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
         aux = merge_monitors_leaving_out(t, 3)
-        assert aux.graph.neighbors(aux.aux_id(2)) == {aux.aux_id(1)}
+        assert aux.neighbors(aux.aux_id(2)) == {aux.aux_id(1)}
 
     def test_no_other_monitor_neighbor_isolates_virtual(self):
         t = Topology(2, [(0, 1)], [0])
         aux = merge_monitors_leaving_out(t, 0)
-        assert aux.graph.edges == frozenset()
+        assert aux.edges == frozenset()
         assert vertex_connectivity(aux) == 0
 
     def test_requires_monitor_argument(self):
@@ -102,6 +102,13 @@ class TestMergeLeavingOneOut:
         assert aux.kind is AuxKind.LEAVE_ONE_OUT
         assert aux.excluded_monitor == 0
 
+    def test_auxiliary_graphs_are_topologies(self):
+        merged, left_out = merge_monitors(PATH4), merge_monitors_leaving_out(PATH4, 0)
+        assert isinstance(merged, Topology) and isinstance(left_out, Topology)
+        assert not hasattr(merged, "graph")
+        assert merged.sigma == 2 and merged.non_monitors == {0, 1}
+        assert vertex_connectivity(merged) == 2
+
 
 class TestInvariants:
     def test_no_original_monitor_id_survives(self, corpus):
@@ -111,7 +118,7 @@ class TestInvariants:
                 continue
             aux = merge_monitors(topo)
             assert set(aux.original_ids) == set(topo.non_monitors)
-            assert aux.graph.node_count == topo.sigma + 1
+            assert aux.node_count == topo.sigma + 1
 
     def test_virtual_degree_is_boundary_size(self, corpus):
         from nodeloc.graph import neighborhood_of_set
@@ -120,7 +127,7 @@ class TestInvariants:
             topo = doc.to_topology()
             aux = merge_monitors(topo)
             boundary = neighborhood_of_set(topo, topo.monitors) - topo.monitors
-            assert aux.graph.degree(aux.virtual_monitor) == len(boundary)
+            assert aux.degree(aux.virtual_monitor) == len(boundary)
             for m in sorted(topo.monitors):
                 aux_m = merge_monitors_leaving_out(topo, m)
                 boundary_m = (
@@ -128,7 +135,7 @@ class TestInvariants:
                     if len(topo.monitors) > 1
                     else frozenset()
                 )
-                assert aux_m.graph.degree(aux_m.virtual_monitor) == len(boundary_m)
+                assert aux_m.degree(aux_m.virtual_monitor) == len(boundary_m)
 
     def test_relabelled_topology_yields_isomorphic_merge(self):
         perm = {0: 2, 1: 0, 2: 3, 3: 1}  # relabel PATH4
@@ -138,9 +145,9 @@ class TestInvariants:
             [perm[m] for m in PATH4.monitors],
         )
         a, b = merge_monitors(PATH4), merge_monitors(relabelled)
-        assert a.graph.node_count == b.graph.node_count
-        assert sorted(sorted(map(len, (a.graph.adjacency)))) == sorted(
-            sorted(map(len, (b.graph.adjacency)))
+        assert a.node_count == b.node_count
+        assert sorted(sorted(map(len, (a.adjacency)))) == sorted(
+            sorted(map(len, (b.adjacency)))
         )
         assert vertex_connectivity(a) == vertex_connectivity(b)
 

@@ -62,6 +62,17 @@ class TestBuildEnsemble:
         with pytest.raises(FormatError):
             build_ensemble(DIAMOND, [(0,)])
 
+    def test_node_ids_are_never_coerced(self):
+        t = Topology(3, [(0, 1), (1, 2)], [0, 2])
+        with pytest.raises(InputError):
+            build_ensemble(t, [(0, "1", 2)])
+        with pytest.raises(InputError):
+            build_ensemble(t, [(0, 1.9, 2)])
+        with pytest.raises(InputError):
+            build_ensemble(t, [(0, 1, 5)])
+        with pytest.raises(InputError):
+            build_ensemble(t, [(0, True, 2)])
+
     def test_monitor_incidence_query_rejected(self):
         with pytest.raises(InputError):
             diamond_ensemble().paths_through(0)

@@ -70,6 +70,31 @@ class TestTopology:
         with pytest.raises(InputError):
             Topology(3, [(0, 1)], [5])
 
+    def test_node_ids_are_never_coerced(self):
+        # A float endpoint or monitor is not silently truncated to an int.
+        with pytest.raises(InputError):
+            Topology(3, [(0, 1.5), (1, 2)], [0])
+        with pytest.raises(InputError):
+            Topology(3, [(0, 1), (1, 2)], [0.9])
+        with pytest.raises(InputError):
+            Topology(3, [(0, "x")], [0])
+        with pytest.raises(InputError):
+            Topology(3, [(0, 1)], ["0"])
+        with pytest.raises(InputError):
+            Topology(3, [(True, 2)], [0])
+        with pytest.raises(InputError):
+            Topology(3, [(1, 2)], [False])
+        with pytest.raises(InputError):
+            PATH4.neighbors(True)
+
+    def test_edge_entries_must_be_pairs(self):
+        with pytest.raises(InputError):
+            Topology(3, [(0, 1, 2)], [0])
+        with pytest.raises(InputError):
+            Topology(3, [(0,)], [0])
+        with pytest.raises(InputError):
+            Topology(3, [7], [0])
+
     def test_unknown_node_queries(self):
         with pytest.raises(InputError):
             PATH4.neighbors(9)
@@ -207,6 +232,10 @@ class TestVertexConnectivity:
         with pytest.raises(InputError):
             vertex_connectivity(Topology(1, [], [0]))
 
+    def test_non_topology_rejected(self):
+        with pytest.raises(InputError):
+            vertex_connectivity(object())
+
     def test_anchor_inside_every_minimum_cut(self):
         # Here every minimum cut contains the minimum-degree anchor, so the
         # anchored source-sink family alone overshoots (it reports 4); the
@@ -243,6 +272,12 @@ class TestIsKConnected:
     def test_negative_k_rejected(self):
         with pytest.raises(InputError):
             is_k_connected(CYCLE5, -1)
+
+    def test_non_topology_rejected(self):
+        with pytest.raises(InputError):
+            is_k_connected("x", 1)
+        with pytest.raises(InputError):
+            is_k_connected("x", 0)
 
     @given(topologies(max_nodes=7), st.integers(min_value=0, max_value=6))
     def test_equivalent_to_component_survival(self, topo, k):

@@ -1,9 +1,11 @@
 """Graph primitives against networkx, at sizes the brute-force corpus cannot reach.
 
-Seeded ER, BA and grid topologies with 30 to 300 nodes.  Vertex
+Seeded ER, BA and grid topologies with 30 to 300 nodes, one of them dense
+(connectivity 16 to 18), so that a Dinic phase pushes many units.  Vertex
 connectivity is checked on each as a plain graph, as its all-monitors
-merged graph and as every leave-one-out graph; the monitor block sweep is
-checked under several seeded removed sets.
+merged graph and as every leave-one-out graph; disjoint paths from a few
+sources under seeded forbidden sets, and the monitor block sweep under
+several seeded removed sets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 
 from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
-from nodeloc.graph import Topology, biconnected_to_monitors, vertex_connectivity
+from nodeloc.graph import Topology, biconnected_to_monitors, disjoint_paths, vertex_connectivity
 
 nx = pytest.importorskip("networkx")
 
@@ -22,6 +24,7 @@ INSTANCES = {
     "er30": lambda: erdos_renyi(30, 0.2, seed=11, monitors=3),
     "er80": lambda: erdos_renyi(80, 0.15, seed=12, monitors=4),
     "er150": lambda: erdos_renyi(150, 0.06, seed=13, monitors=3),
+    "er60dense": lambda: erdos_renyi(60, 0.4, seed=14, monitors=3),
     "ba60": lambda: barabasi_albert(60, 3, seed=21, monitors=4),
     "ba300": lambda: barabasi_albert(300, 2, seed=23, monitors=2),
     "grid6x5": lambda: grid(6, 5, seed=31, monitors=3),
@@ -39,11 +42,53 @@ def _networkx_connectivity(topology: Topology) -> int:
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_plain_merged_and_leave_one_out_graphs(name):
     topology = INSTANCES[name]().to_topology()
-    graphs = {"plain": topology, "merged": merge_monitors(topology).graph}
+    graphs = {"plain": topology, "merged": merge_monitors(topology)}
     for m in sorted(topology.monitors):
-        graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m).graph
+        graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m)
     for label, graph in graphs.items():
         assert vertex_connectivity(graph) == _networkx_connectivity(graph), label
+
+
+def _networkx_paths_to_targets(topology: Topology, source, targets, forbidden) -> int:
+    """Local node connectivity from source to a super-sink joined to the targets."""
+    g = nx.Graph()
+    g.add_nodes_from(v for v in topology.nodes if v not in forbidden)
+    g.add_edges_from((u, v) for u, v in topology.edges if u not in forbidden and v not in forbidden)
+    g.add_edges_from(("sink", t) for t in targets)
+    return nx.algorithms.connectivity.local_node_connectivity(g, source, "sink")
+
+
+def _assert_disjoint_paths(topology: Topology, source, targets, forbidden, paths):
+    ends, inner_nodes = set(), set()
+    for path in paths:
+        assert path[0] == source
+        assert all(b in topology.adjacency[a] for a, b in zip(path, path[1:])), path
+        assert not set(path) & forbidden, path
+        assert path[-1] in targets and path[-1] not in ends, path
+        ends.add(path[-1])
+        rest = set(path[1:])
+        assert len(rest) == len(path) - 1 and source not in rest, path
+        assert not rest & inner_nodes, path
+        inner_nodes |= rest
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_disjoint_paths_under_seeded_forbidden_sets(name):
+    topology = INSTANCES[name]().to_topology()
+    rng = random.Random(name)
+    pool = sorted(topology.non_monitors)
+    for source in rng.sample(pool, 3):
+        others = [v for v in pool if v != source]
+        for targets in (topology.monitors, frozenset(rng.sample(others, len(others) // 4))):
+            free = [v for v in others if v not in targets]
+            forbidden = frozenset(rng.sample(free, len(free) // 5))
+            want = _networkx_paths_to_targets(topology, source, targets, forbidden)
+            paths = disjoint_paths(topology, source, targets, forbidden)
+            assert len(paths) == want, (name, source)
+            _assert_disjoint_paths(topology, source, targets, forbidden, paths)
+            capped = disjoint_paths(topology, source, targets, forbidden, limit=2)
+            assert len(capped) == min(2, want), (name, source)
+            _assert_disjoint_paths(topology, source, targets, forbidden, capped)
 
 
 def _networkx_sink_block(topology: Topology, removed: frozenset[int]) -> frozenset[int]:

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "DistinguishingPath", "FailureSet", "FormatError", "INFINITE_COVER",
     "Identifiability", "IdentifiabilityBounds", "IndistinguishablePair", "InputError",
     "InternalError", "MeasurementPath", "ModelSection", "NodelocError", "PathEnsemble",
-    "ProbingModel", "Topology", "TopologyDocument", "UnprobeableNode", "UsageError",
+    "ProbingModel", "Topology", "TopologyDocument", "UsageError",
     "Verdict", "Witness", "abstract_necessary", "abstract_sufficient", "analyze",
     "auxgraph", "barabasi_albert", "build_ensemble", "cap_bounds", "cap_verdict",
     "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
@@ -57,7 +57,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 83
+    assert len(PUBLIC_NAMES) == 82
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
