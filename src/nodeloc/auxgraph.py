@@ -4,10 +4,11 @@ Both constructions delete every monitor from the topology, renumber the
 surviving non-monitors densely (ascending original id), and append one
 virtual monitor as the last node.  The virtual monitor is wired to the
 non-monitors that were adjacent to a real monitor, and those boundary nodes
-are additionally joined into a clique by virtual links, so that their mutual
-reachability survives deletion of the virtual monitor itself.  Each result
-is an :class:`AuxiliaryGraph`, a :class:`~nodeloc.graph.Topology` whose only
-monitor is the virtual one, so every graph primitive takes it directly.  The
+are joined into a clique by virtual links, so that their mutual reachability
+survives deletion of the virtual monitor; that also makes the virtual
+monitor simplicial, the anchor :func:`~nodeloc.graph.vertex_connectivity`
+takes.  Each result is an :class:`AuxiliaryGraph`, a
+:class:`~nodeloc.graph.Topology` whose only monitor is the virtual one.  The
 vertex connectivity of these graphs is what the per-k identifiability
 conditions inspect.
 """

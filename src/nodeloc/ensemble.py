@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology
+from .graph import Topology, _entries
 
 #: Cover size meaning "no set of other nodes can hide this one".
 INFINITE_COVER = math.inf
@@ -64,8 +64,8 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     """
     adjacency = topology.adjacency
     validated: list[MeasurementPath] = []
-    for idx, seq in enumerate(paths):
-        nodes = tuple(seq)
+    for idx, seq in enumerate(_entries(paths, "paths")):
+        nodes = _entries(seq, f"path {idx}")
         if len(nodes) < 2:
             raise FormatError(f"path {idx} has fewer than two nodes")
         for v in nodes:

@@ -29,9 +29,17 @@ def _is_node(v: object, node_count: int) -> bool:
     return type(v) is int and 0 <= v < node_count
 
 
+def _entries(values: object, what: str) -> tuple:
+    """``values`` as a tuple; an :class:`InputError` naming ``what`` if it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, not {type(values).__name__}") from None
+
+
 def _normalized_edges(node_count: int, edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
     out: set[Edge] = set()
-    for edge in edges:
+    for edge in _entries(edges, "edges"):
         try:
             u, v = edge
         except (TypeError, ValueError):
@@ -61,23 +69,23 @@ class Topology:
     non_monitors: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise InputError("a topology needs at least one node")
+        if type(self.node_count) is not int or self.node_count < 1:
+            raise InputError(f"node count {self.node_count!r} is not an int of at least 1")
         object.__setattr__(self, "edges", _normalized_edges(self.node_count, self.edges))
-        monitors = frozenset(self.monitors)
+        monitors = _entries(self.monitors, "monitors")
         for m in monitors:
             if not _is_node(m, self.node_count):
                 raise InputError(f"monitor id {m!r} outside 0..{self.node_count - 1}")
         if not monitors:
             raise InputError("a topology needs at least one monitor")
-        object.__setattr__(self, "monitors", monitors)
+        object.__setattr__(self, "monitors", frozenset(monitors))
         adj: list[set[int]] = [set() for _ in range(self.node_count)]
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "adjacency", tuple(frozenset(a) for a in adj))
         object.__setattr__(
-            self, "non_monitors", frozenset(range(self.node_count)) - monitors
+            self, "non_monitors", frozenset(range(self.node_count)) - self.monitors
         )
 
     @property
@@ -115,10 +123,10 @@ class Topology:
             raise InputError(f"unknown node id {v!r}")
 
     def _check_nodes(self, nodes: Iterable[int]) -> frozenset[int]:
-        out = frozenset(nodes)
+        out = _entries(nodes, "node set")
         for v in out:
             self._check_node(v)
-        return out
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -171,10 +179,9 @@ def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> 
     surviving non-monitors with two vertex-disjoint paths to distinct
     monitors.  Empty when there are fewer than two monitors.
 
-    One Hopcroft-Tarjan low-point DFS rooted at t, walked with an explicit
-    iterator stack so that long paths need no Python stack depth.  A node w
-    whose tree parent u is not t shares t's block iff u does and
-    ``low[w] < disc[u]``; every child of t (a monitor) does.
+    One low-point DFS rooted at t (:func:`_low_points`): a node w whose tree
+    parent u is not t shares t's block iff u does and ``low[w] < disc[u]``;
+    every child of t (a monitor) does.
     """
     return _biconnected_to_monitors(topology, topology._check_nodes(removed))
 
@@ -184,32 +191,50 @@ def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> fro
     monitors = topology.monitors
     if len(monitors) < 2:
         return frozenset()
-    adjacency = topology.adjacency
     sink = topology.node_count
-    disc = [-1] * (sink + 1)
+    order, disc, low, parent = _low_points(topology.adjacency, sink, monitors, removed)
+    reached: set[int] = set()
+    for w in order[1:]:
+        u = parent[w]
+        if u == sink or (u in reached and low[w] < disc[u]):
+            reached.add(w)
+    return frozenset(reached - monitors)
+
+
+def _low_points(
+    adjacency: tuple[frozenset[int], ...], root: int, root_neighbors: frozenset[int], removed: frozenset[int]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Hopcroft-Tarjan low-point DFS from ``root``: ``(order, disc, low, parent)``.
+
+    ``root`` may be ``len(adjacency)``, a virtual node joined to
+    ``root_neighbors`` alone.  ``order`` lists the nodes reached, root first.
+    Low points count the tree edge to the parent too, so a non-root u cuts
+    its child w's subtree off the root iff ``low[w] >= disc[u]``.  An
+    explicit iterator stack keeps long paths off the Python stack.
+    """
+    size = max(len(adjacency), root + 1)
+    disc = [-1] * size
     # A removed node counts as visited with a discovery time above every
     # real one, so it is never entered and never lowers a low point.
     for v in removed:
-        disc[v] = sink + 1
-    low = [0] * (sink + 1)
-    parent = [sink] * (sink + 1)
-    disc[sink] = 0
-    order = [sink]
-    stack = [(sink, iter(monitors))]
+        disc[v] = size
+    low = [0] * size
+    parent = [root] * size
+    disc[root] = 0
+    order = [root]
+    stack = [(root, iter(root_neighbors))]
     while stack:
         u, neighbors = stack[-1]
         for w in neighbors:
             if disc[w] < 0:
                 disc[w] = len(order)
-                # A monitor's edge to t is a back edge to the root, or the
-                # tree edge from it, whose child's low point is never read.
-                low[w] = 0 if w in monitors else disc[w]
+                # An edge to the root is a back edge to disc 0, or the tree
+                # edge from it, whose child's low point is never read.
+                low[w] = 0 if w in root_neighbors else disc[w]
                 parent[w] = u
                 order.append(w)
                 stack.append((w, iter(adjacency[w])))
                 break
-            # Includes the tree edge to u's parent: a low point equal to
-            # disc[parent] still fails the strict test below.
             if disc[w] < low[u]:
                 low[u] = disc[w]
         else:
@@ -218,12 +243,7 @@ def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> fro
                 p = stack[-1][0]
                 if low[u] < low[p]:
                     low[p] = low[u]
-    reached: set[int] = set()
-    for w in order[1:]:
-        u = parent[w]
-        if u == sink or (u in reached and low[w] < disc[u]):
-            reached.add(w)
-    return frozenset(reached - monitors)
+    return order, disc, low, parent
 
 
 def neighborhood_of_set(topology: Topology, nodes: Iterable[int]) -> frozenset[int]:
@@ -415,45 +435,54 @@ def disjoint_paths(
 def vertex_connectivity(topology: Topology) -> int:
     """Vertex connectivity of a topology, with the conventions the analyses rely on.
 
-    A complete graph on n nodes has connectivity n-1; a disconnected graph
-    has connectivity 0.  Anything but a topology is an input error.
+    A complete graph on n nodes has connectivity n-1 and a disconnected one
+    0; anything but a topology is an input error.  One low-point DFS answers
+    up to 2 (Hopcroft & Tarjan): with minimum degree delta, delta <= 1 gives
+    delta, a cut vertex 1, and delta = 2 without one 2.
 
-    The cut search anchors at a fixed minimum-degree vertex x: it takes the
-    minimum s-t cut over every pair (x, w) with w non-adjacent to x and over
-    every non-adjacent pair of neighbors of x.  The second family is needed
-    when x sits inside every minimum cut; together the two families always
-    contain a pair realizing the global minimum.
-
-    All pairs share one node-split flow network, built once per graph; each
-    pair restores its saved capacities and runs a max-flow from s's
-    out-copy to t's in-copy, stopped at the smallest cut found so far.
-    Dinic's blocking flow walks an explicit arc stack instead of recursing,
-    so long paths (an 800-node ring, say) need no Python stack depth.
+    Only a biconnected graph with delta >= 3 runs flows (Esfahanian & Hakimi):
+    from an anchor x, the least s-t cut, capped at delta, over every pair
+    (x, w) with w non-adjacent to x and every non-adjacent pair of neighbors
+    of x.  A minimum cut avoids x, and separates it from some w, or holds x,
+    which then has neighbors on two of its sides; so any x will do.  A
+    simplicial x (its neighbors form a clique) lies in no minimal separator
+    and has no such pair.  The lone monitor is that anchor when simplicial,
+    as in every auxiliary graph; otherwise x has minimum degree.  A pair
+    with as many common neighbors as the best cut so far needs no flow; the
+    rest share one node-split network, each running Dinic over an explicit
+    arc stack from restored capacities.
     """
     if not isinstance(topology, Topology):
         raise InputError(f"expected a Topology, got {type(topology).__name__}")
     n = topology.node_count
     if n < 2:
         raise InputError("vertex connectivity needs at least 2 nodes")
-    if len(_components(topology, frozenset()).components) > 1:
-        return 0
     if len(topology.edges) == n * (n - 1) // 2:
         return n - 1
+    adjacency = topology.adjacency
+    x = min(topology.nodes, key=lambda v: (len(adjacency[v]), v))
+    order, disc, low, parent = _low_points(adjacency, x, adjacency[x], frozenset())
+    if len(order) < n:
+        return 0
+    delta = len(adjacency[x])
+    tree = [(parent[w], w) for w in order[1:]]
+    # Connected, so delta >= 1: a leaf's neighbor or any cut vertex gives 1.
+    if delta == 1 or sum(u == x for u, _ in tree) > 1 or any(u != x and low[w] >= disc[u] for u, w in tree):
+        return 1
+    if delta == 2:
+        return 2
+    m = min(topology.monitors)
+    if len(topology.monitors) == 1 and all(len(adjacency[m] - adjacency[y]) == 1 for y in adjacency[m]):
+        x = m
+    pairs = [(x, w) for w in topology.nodes if w != x and w not in adjacency[x]]
+    pairs += [(y, z) for y, z in combinations(sorted(adjacency[x]), 2) if z not in adjacency[y]]
     net = _split_flow_net(topology)
     base = net.cap[:]
-
-    def cut(s: int, t: int, limit: int) -> int:
-        net.cap[:] = base
-        return net.max_flow(2 * s + 1, 2 * t, limit=limit)
-
-    x = min(topology.nodes, key=lambda v: (len(topology.adjacency[v]), v))
-    best = len(topology.adjacency[x])
-    for w in topology.nodes:
-        if w != x and w not in topology.adjacency[x]:
-            best = cut(x, w, best)
-    for y, z in combinations(sorted(topology.adjacency[x]), 2):
-        if z not in topology.adjacency[y]:
-            best = cut(y, z, best)
+    best = delta
+    for s, t in pairs:
+        if len(adjacency[s] & adjacency[t]) < best:
+            net.cap[:] = base
+            best = net.max_flow(2 * s + 1, 2 * t, limit=best)
     return best
 
 

@@ -73,6 +73,12 @@ class TestBuildEnsemble:
         with pytest.raises(InputError):
             build_ensemble(t, [(0, True, 2)])
 
+    def test_rejects_non_sequence_path(self):
+        with pytest.raises(InputError):
+            build_ensemble(DIAMOND, [5])
+        with pytest.raises(InputError):
+            build_ensemble(DIAMOND, 5)
+
     def test_monitor_incidence_query_rejected(self):
         with pytest.raises(InputError):
             diamond_ensemble().paths_through(0)

@@ -95,6 +95,23 @@ class TestTopology:
         with pytest.raises(InputError):
             Topology(3, [7], [0])
 
+    def test_malformed_containers(self):
+        with pytest.raises(InputError):
+            Topology(3, [(0, 1)], [[0]])
+        with pytest.raises(InputError):
+            Topology(3, 5, [0])
+        with pytest.raises(InputError):
+            connected_components(PATH4, 5)
+        with pytest.raises(InputError):
+            connected_components(PATH4, [[1]])
+        with pytest.raises(InputError):
+            disjoint_paths(PATH4, 1, 0)
+
+    def test_node_count_is_a_plain_int_of_at_least_one(self):
+        for count in ("3", 3.0, True, 0):
+            with pytest.raises(InputError):
+                Topology(count, [], [0])
+
     def test_unknown_node_queries(self):
         with pytest.raises(InputError):
             PATH4.neighbors(9)

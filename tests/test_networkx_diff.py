@@ -5,20 +5,23 @@ Seeded ER, BA and grid topologies with 30 to 300 nodes, one of them dense
 connectivity is checked on each as a plain graph, as its all-monitors
 merged graph and as every leave-one-out graph; disjoint paths from a few
 sources under seeded forbidden sets, and the monitor block sweep under
-several seeded removed sets.
+several seeded removed sets.  Hand-built graphs reach every rung of the
+connectivity ladder, and a hypothesis property covers small random graphs.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 from nodeloc.graph import Topology, biconnected_to_monitors, disjoint_paths, vertex_connectivity
-
-nx = pytest.importorskip("networkx")
 
 INSTANCES = {
     "er30": lambda: erdos_renyi(30, 0.2, seed=11, monitors=3),
@@ -47,6 +50,72 @@ def test_plain_merged_and_leave_one_out_graphs(name):
         graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m)
     for label, graph in graphs.items():
         assert vertex_connectivity(graph) == _networkx_connectivity(graph), label
+
+
+def _k4(offset: int) -> list[tuple[int, int]]:
+    return list(combinations(range(offset, offset + 4), 2))
+
+
+def _prism(n: int) -> list[tuple[int, int]]:
+    """C_n x K_2: two n-cycles joined by a perfect matching."""
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    return ring + [(n + u, n + v) for u, v in ring] + [(i, n + i) for i in range(n)]
+
+
+# Each graph reaches one rung of the connectivity ladder, with its expected value.
+LADDER = {
+    # two 4-cycles sharing node 0: delta = 2, but node 0 is a cut vertex
+    "cycles-sharing-a-node": (Topology(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)], [1]), 1),
+    # two K4s sharing node 3: delta = 3 with a cut vertex
+    "k4s-sharing-a-node": (Topology(7, _k4(0) + _k4(3), [0]), 1),
+    # two K4s joined by the disjoint edges 0-4 and 1-5: delta = 3, kappa = 2
+    "k4s-joined-by-two-edges": (Topology(8, _k4(0) + _k4(4) + [(0, 4), (1, 5)], [0]), 2),
+    # the lone monitor 0 is not simplicial, so the flows anchor at the
+    # minimum-degree node 2, which sits in every minimum cut: only the
+    # neighbor-pair family finds kappa = 3
+    "non-simplicial-monitor": (
+        Topology(
+            7,
+            [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6),
+             (2, 3), (2, 4), (2, 5), (2, 6), (3, 6), (4, 5)],
+            [0],
+        ),
+        3,
+    ),
+    # augmenting paths about 150 nodes long on the flow rung
+    "prism-300": (Topology(600, _prism(300), [0]), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_connectivity_ladder_rungs(name):
+    topology, want = LADDER[name]
+    assert vertex_connectivity(topology) == want == _networkx_connectivity(topology)
+
+
+@st.composite
+def small_topologies(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    monitors = rng.sample(range(n), draw(st.integers(min_value=1, max_value=n)))
+    removed = frozenset(v for v in range(n) if v not in monitors and rng.random() < 0.3)
+    return Topology(n, edges, monitors), removed
+
+
+@settings(max_examples=300)
+@given(small_topologies())
+def test_connectivity_and_block_sweep_on_small_random_graphs(case):
+    topology, removed = case
+    graphs = {"plain": topology}
+    if topology.sigma:
+        graphs["merged"] = merge_monitors(topology)
+        for m in sorted(topology.monitors):
+            graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m)
+    for label, graph in graphs.items():
+        assert vertex_connectivity(graph) == _networkx_connectivity(graph), label
+    assert biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
 
 
 def _networkx_paths_to_targets(topology: Topology, source, targets, forbidden) -> int:
