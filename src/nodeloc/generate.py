@@ -16,13 +16,25 @@ from .errors import UsageError
 from .graph import Topology
 
 
+def _check_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_real(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{what} must be a number, got {value!r}")
+
+
 def _resolve_monitor_count(n: int, monitors: int | None, monitor_fraction: float | None) -> int:
     if (monitors is None) == (monitor_fraction is None):
         raise UsageError("give exactly one of a monitor count or a monitor fraction")
     if monitor_fraction is not None:
+        _check_real(monitor_fraction, "monitor fraction")
         if not 0.0 < monitor_fraction < 1.0:
             raise UsageError("monitor fraction must lie strictly between 0 and 1")
         monitors = max(1, round(monitor_fraction * n))
+    _check_int(monitors, "monitor count")
     if monitors < 1:
         raise UsageError("at least one monitor is required")
     if monitors >= n:
@@ -47,6 +59,8 @@ def erdos_renyi(
     monitor_fraction: float | None = None,
 ) -> TopologyDocument:
     """G(n, p) random graph with seeded monitor placement."""
+    _check_int(n, "node count")
+    _check_real(edge_prob, "edge probability")
     if n < 2:
         raise UsageError("need at least two nodes")
     if not 0.0 <= edge_prob <= 1.0:
@@ -69,6 +83,8 @@ def barabasi_albert(
     monitor_fraction: float | None = None,
 ) -> TopologyDocument:
     """Preferential-attachment graph: each new node links to ``attach`` others."""
+    _check_int(n, "node count")
+    _check_int(attach, "attachment count")
     if attach < 1:
         raise UsageError("each new node must attach to at least one existing node")
     if n <= attach:
@@ -100,6 +116,8 @@ def grid(
     monitor_fraction: float | None = None,
 ) -> TopologyDocument:
     """Rectangular grid in row-major node order."""
+    _check_int(width, "grid width")
+    _check_int(height, "grid height")
     n = width * height
     if width < 1 or height < 1 or n < 2:
         raise UsageError("grid needs at least two nodes")
@@ -183,6 +201,7 @@ def generate_paths(doc: TopologyDocument, per_pair: int) -> TopologyDocument:
     taken in lexicographic node order; a path already present in the
     opposite orientation is dropped.  Fully deterministic.
     """
+    _check_int(per_pair, "per-pair path count")
     if per_pair < 1:
         raise UsageError("per-pair path count must be positive")
     if len(doc.monitors) < 2:

@@ -7,23 +7,26 @@ beyond it the functions refuse with a capacity error instead of stalling.
 
 A probing regime is captured by :class:`ProbingModel`: controllable
 arbitrary walks (CAP), controllable simple paths (CSP), or a fixed path
-ensemble (UP).  A node is measurable while a failure set is down when
+ensemble (UP).  The one observation of a failure set F is R(F), the
+non-monitors some probe still traverses while F is down:
 
-* CAP: its surviving component still contains a monitor,
-* CSP: it still has two vertex-disjoint paths to distinct monitors,
-* UP: some given path through it avoids the failure set.
+* CAP: the non-monitors whose surviving component contains a monitor,
+* CSP: those with two vertex-disjoint paths to distinct monitors,
+* UP: those on some given path that avoids F.
 
-Each failure set is answered for every node at once by one sweep of the
-surviving graph: a component sweep for CAP, the union of the surviving
-paths for UP, and for CSP one block (biconnected-component) sweep.  By the
-fan lemma a non-monitor has two vertex-disjoint paths to distinct monitors
-iff it shares a block with a virtual sink joined to every monitor, so one
-low-point DFS replaces a max-flow per node.
+One sweep of the surviving graph finds R(F): a component sweep for CAP,
+the failed nodes' path incidence for UP, and for CSP one block
+(biconnected-component) sweep.  By the fan lemma a non-monitor has two
+vertex-disjoint paths to distinct monitors iff it shares a block with a
+virtual sink joined to every monitor, so one low-point DFS replaces a
+max-flow per node.  The probe battery maps each probe to the non-monitors
+it traverses, and a probe reads up exactly when they all lie in R(F); so
+two failure sets are indistinguishable exactly when their R(F) are equal.
 
 Identifiability needs two levels of failure sets (the sets of one size),
-not every set.  R(F), the non-monitors reached while F is down, misses F,
-shrinks as F grows, and holds every probe that witnesses one of its nodes;
-so adding v to F changes no observation exactly when v is outside R(F).
+not every set.  R(F) misses F, shrinks as F grows, and holds every probe
+that witnesses one of its nodes; so adding v to F changes no observation
+exactly when v is outside R(F).
 Let P(j) say some set of j non-monitors leaves another one unreached: P is
 monotone up to j = sigma - 1, and its least level J is found by testing
 sigma - 1 and bisecting.  No set below J has a twin (a distinct set with
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .conditions import _check_k
 from .ensemble import PathEnsemble, build_ensemble
@@ -180,22 +183,36 @@ def _monitor_walk(topology: Topology, v: int, avoid: FailureSet) -> tuple[int, .
     return tuple(path) + tuple(reversed(path[:-1]))
 
 
-def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> AbstractSet[int]:
-    """Nodes some probe of ``model`` traverses while ``failure`` is down.
+def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> frozenset[int]:
+    """R(F): the non-monitors some probe of ``model`` traverses while ``failure`` is down.
 
-    One sweep answers every non-monitor; only non-monitors are read from
-    the result, and whether it holds the monitors differs by regime.
-    ``failure`` must be checked already (the enumerations build theirs).
+    One sweep answers every non-monitor.  ``failure`` must be checked
+    already (the enumerations build theirs).
     """
     if model.kind == "CAP":
         reached: set[int] = set()
         for component in _components(topology, failure).components:
             if component & topology.monitors:
                 reached |= component
-        return reached
+        return frozenset(reached - topology.monitors)
     if model.kind == "CSP":
         return _biconnected_to_monitors(topology, failure)
-    return set().union(*(p.node_set for p in model.ensemble.paths if not p.node_set & failure))
+    incidence = model.ensemble.incidence
+    down = set().union(*(incidence[v] for v in failure))
+    return frozenset(v for v in topology.non_monitors if not incidence[v] <= down)
+
+
+def _battery(topology: Topology, model: ProbingModel) -> dict[int, frozenset[int]]:
+    """Each probe key, ascending, mapped to the non-monitors that probe traverses.
+
+    A probe reads up exactly when its non-monitors all lie in R(F).  UP keys
+    path ids: an up path's nodes are all reached, and a down path passes a
+    failed node, which is never reached.  CAP/CSP key one virtual probe per
+    non-monitor v, asking whether some probe of the regime traverses v.
+    """
+    if model.kind == "UP":
+        return {p.path_id: p.node_set - topology.monitors for p in model.ensemble.paths}
+    return {v: frozenset({v}) for v in sorted(topology.non_monitors)}
 
 
 def measurable_path_exists(
@@ -254,29 +271,8 @@ def simulate_measurements(
     any set of probes of the regime can reveal.
     """
     _check_model(topology, model)
-    truth_set = _check_failure_set(topology, truth)
-    return dict(zip(_probes(topology, model), _signature(topology, model, truth_set)))
-
-
-def _probes(topology: Topology, model: ProbingModel) -> list[int]:
-    """Keys of the probe battery in ascending order: path ids or non-monitors."""
-    if model.kind == "UP":
-        return [p.path_id for p in model.ensemble.paths]
-    return sorted(topology.non_monitors)
-
-
-def _signature(topology: Topology, model: ProbingModel, truth: FailureSet) -> tuple[bool, ...]:
-    """Observations of the probe battery while ``truth`` is down, in ``_probes`` order.
-
-    UP reads each path.  CAP and CSP read every non-monitor from one sweep
-    (:func:`_reached`): the component sweep, or for CSP the block sweep that
-    finds the nodes sharing a block with a sink joined to every monitor
-    (the fan lemma), one O(n + m) DFS per failure set.
-    """
-    if model.kind == "UP":
-        return tuple(not (p.node_set & truth) for p in model.ensemble.paths)
-    reached = _reached(topology, model, truth)
-    return tuple(v in reached for v in sorted(topology.non_monitors))
+    reached = _reached(topology, model, _check_failure_set(topology, truth))
+    return {key: nodes <= reached for key, nodes in _battery(topology, model).items()}
 
 
 def distinguishable(
@@ -306,13 +302,13 @@ def distinguishable(
 def _first_collision(
     topology: Topology, model: ProbingModel, levels: range
 ) -> IndistinguishablePair | None:
-    """First pair of failure sets within ``levels`` with equal signatures, or None."""
-    seen: dict[tuple[bool, ...], FailureSet] = {}
+    """First pair of failure sets within ``levels`` with equal R(F), or None."""
+    seen: dict[frozenset[int], FailureSet] = {}
     for failure in _failure_sets(sorted(topology.non_monitors), levels):
-        signature = _signature(topology, model, failure)
-        if signature in seen:
-            return IndistinguishablePair(seen[signature], failure)
-        seen[signature] = failure
+        reached = _reached(topology, model, failure)
+        if reached in seen:
+            return IndistinguishablePair(seen[reached], failure)
+        seen[reached] = failure
     return None
 
 
@@ -406,33 +402,29 @@ def localize(
 
     Candidates are returned by ascending size then lexicographic member
     order.  When ``k_max`` does not exceed the network's maximum
-    identifiability the result is a single set.  Only nodes the observations
-    allow to be down are enumerated: under CAP/CSP a failed node reads down,
-    and under UP it lies on no path that reads up.
+    identifiability the result is a single set.  The probes that read up
+    give the target R(F); a map that no R(F) yields has no candidates, and
+    only non-monitors outside the target are enumerated.
     """
     _check_model(topology, model)
     if k_max < 0:
         raise InputError("k_max must be non-negative")
     k_max = min(k_max, topology.sigma)  # larger sets cannot exist
     _check_guard(topology, guard)
-    keys = _probes(topology, model)
-    if set(outcomes) != set(keys):
+    battery = _battery(topology, model)
+    if set(outcomes) != set(battery):
         raise FormatError(
             "outcome map does not cover the probe battery: expected "
-            f"{keys}, got {sorted(outcomes)}"
+            f"{list(battery)}, got {sorted(outcomes)}"
         )
-    target = tuple(bool(outcomes[key]) for key in keys)
-    if model.kind == "UP":
-        on_up_paths = set().union(
-            *(p.node_set for p, up in zip(model.ensemble.paths, target) if up)
-        )
-        pool = sorted(topology.non_monitors - on_up_paths)
-    else:
-        pool = [v for v, up in zip(keys, target) if not up]
+    target = frozenset().union(*(nodes for key, nodes in battery.items() if outcomes[key]))
+    if any(bool(outcomes[key]) != (nodes <= target) for key, nodes in battery.items()):
+        return []
+    pool = sorted(topology.non_monitors - target)
     return [
         failure
         for failure in _failure_sets(pool, range(k_max + 1))
-        if _signature(topology, model, failure) == target
+        if _reached(topology, model, failure) == target
     ]
 
 

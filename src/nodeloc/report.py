@@ -61,9 +61,11 @@ def resolve_models(
     """
     if models is None:
         models = ("CAP", "CSP") + (("UP",) if doc.paths is not None else ())
-    for kind in models:
+    for i, kind in enumerate(models):
         if kind not in _MODEL_ORDER:
             raise UsageError(f"unknown probing model {kind!r}")
+        if kind in models[:i]:
+            raise UsageError(f"probing model {kind!r} is repeated")
     if "UP" in models and doc.paths is None:
         raise UsageError("UP analysis requested but the document has no paths")
     return [

@@ -292,3 +292,135 @@ class TestBadFilesExit2:
         bad.write_text('{"report_version": 1}', encoding="utf-8")
         code, _, err = run(capsys, "report", bad, "--format", "text")
         assert code == 2 and "malformed nodeloc report" in err
+
+
+HEADER = """node failure identifiability report
+tool: nodeloc 0.1.0
+input sha256: {sha}
+nodes: 4  monitors: m1, m2  non-monitors: 2
+"""
+
+CAP_FORMULA = (
+    "  max identifiability in [2, 2] exact 2  [formula guard failed]  (merged-graph"
+    " connectivity 2 exceeds sigma-1=1; the connectivity bound is stated only below"
+    " that threshold)\n"
+)
+CSP_FORMULA = (
+    "  max identifiability in [0, 0] exact 0  [formula guard failed]  (min(leave-one-out 1,"
+    " merged-1 1) exceeds sigma-2=0; the connectivity bound is stated only below that"
+    " threshold)\n"
+)
+PATH4_SHA = "b764889d323573f19ed0c1e1ea60e8a5b19b1ebd0c2f513ace9abd3b5e2fb176"
+
+
+class TestTextOutput:
+    def test_k_range_restricts_the_table(self, topo_file, capsys):
+        code, out, _ = run(capsys, "analyze", topo_file, "--k-range", "1:2", "--format", "text")
+        assert code == 0
+        assert out == HEADER.format(sha=PATH4_SHA) + (
+            "\nmodel CAP\n"
+            "  k  verdict           sufficient  necessary  rationale\n"
+            "  1  identifiable      yes         yes        merged-graph-connectivity\n"
+            "  2  identifiable      yes         yes        full-budget-monitor-adjacency\n"
+            + CAP_FORMULA
+            + "\nmodel CSP\n"
+            "  k  verdict           sufficient  necessary  rationale\n"
+            "  1  not-identifiable  no          no         near-full-budget-characterization\n"
+            "  2  not-identifiable  no          no         full-budget-two-monitor-adjacency\n"
+            + CSP_FORMULA
+        )
+
+    @pytest.mark.parametrize("bad", ["3", "a:b"])
+    def test_malformed_k_range_exits_2(self, bad, topo_file, capsys):
+        code, out, err = run(capsys, "analyze", topo_file, "--k-range", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --k-range {bad!r}; expected LO:HI\n"
+
+    def test_analyze_oracle_line(self, topo_file, capsys):
+        code, out, _ = run(capsys, "analyze", topo_file, "--oracle", "--format", "text")
+        assert code == 0
+        assert out == HEADER.format(sha=PATH4_SHA) + (
+            "\nmodel CAP\n"
+            "  k  verdict           sufficient  necessary  rationale\n"
+            "  0  identifiable      yes         yes        empty-failure-set\n"
+            "  1  identifiable      yes         yes        merged-graph-connectivity\n"
+            "  2  identifiable      yes         yes        full-budget-monitor-adjacency\n"
+            + CAP_FORMULA
+            + "  oracle max identifiability: 2\n"
+            "\nmodel CSP\n"
+            "  k  verdict           sufficient  necessary  rationale\n"
+            "  0  identifiable      yes         yes        empty-failure-set\n"
+            "  1  not-identifiable  no          no         near-full-budget-characterization\n"
+            "  2  not-identifiable  no          no         full-budget-two-monitor-adjacency\n"
+            + CSP_FORMULA
+            + "  oracle max identifiability: 0\n"
+        )
+
+    def test_analyze_up_cover_lines(self, topo_file, tmp_path, capsys):
+        # The walk m1 v1 m1 leaves v2 on no path, and nothing else covers v1.
+        paths = tmp_path / "paths.txt"
+        paths.write_text("m1 v1 m1\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "analyze", topo_file, "--paths", paths, "--models", "UP", "--oracle",
+            "--format", "text",
+        )
+        assert code == 0
+        sha = "99b5fca175223f46578db491cc09c306cafe5d36f3408c6315c6126956545149"
+        assert out == HEADER.format(sha=sha) + (
+            "\nmodel UP\n"
+            "  k  verdict           sufficient  necessary  rationale\n"
+            "  0  identifiable      yes         yes        empty-failure-set\n"
+            "  1  not-identifiable  no          no         cover-size-threshold\n"
+            "  2  not-identifiable  no          no         cover-size-threshold\n"
+            "  max identifiability in [0, 0] exact 0\n"
+            "  oracle max identifiability: 0\n"
+            "  cover sizes: v1=inf, v2=0  (min 0)\n"
+            "  unobserved nodes: v2\n"
+        )
+
+    def test_oracle_max(self, topo_file, capsys):
+        code, out, _ = run(capsys, "oracle", topo_file, "--format", "text")
+        assert (code, out) == (0, "CAP: max identifiability 2\nCSP: max identifiability 0\n")
+
+    def test_oracle_k_with_counterexample(self, topo_file, capsys):
+        code, out, _ = run(capsys, "oracle", topo_file, "--k", "1", "--format", "text")
+        assert (code, out) == (
+            0,
+            "CAP: k=1 identifiable: yes\nCSP: k=1 identifiable: no\n"
+            "  counterexample: {v1} vs {v2}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "kind, states, k_max, want",
+        [
+            ("CSP", {1: False, 2: False}, 2, "{v1}\n{v2}\n{v1, v2}\n"),
+            ("CAP", {1: True, 2: False}, 0, "(no consistent failure set)\n"),
+        ],
+    )
+    def test_localize_candidates(self, kind, states, k_max, want, topo_file, tmp_path, capsys):
+        outcomes = tmp_path / "obs.json"
+        outcomes.write_text(emit_outcomes(kind, states, parse_topology(PATH4_JSON)), encoding="utf-8")
+        code, out, _ = run(
+            capsys, "localize", topo_file, outcomes, "--k-max", k_max, "--format", "text"
+        )
+        assert (code, out) == (0, want)
+
+
+class TestUsageErrorsExit2:
+    def test_empty_models_list(self, topo_file, capsys):
+        code, out, err = run(capsys, "analyze", topo_file, "--models", ",")
+        assert (code, out, err) == (2, "", "error: empty --models list\n")
+
+    def test_unreadable_topology(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", tmp_path / "missing.json")
+        assert (code, out) == (2, "") and err.startswith("error: cannot read ")
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [(("analyze", "--models", "CAP,CAP"), "CAP"), (("oracle", "--models", "CSP,csp"), "CSP")],
+    )
+    def test_repeated_model(self, argv, kind, topo_file, capsys):
+        command, *rest = argv
+        code, out, err = run(capsys, command, topo_file, *rest)
+        assert (code, out) == (2, "")
+        assert err == f"error: probing model {kind!r} is repeated\n"

@@ -178,6 +178,35 @@ class TestGenerators:
         assert len(doc.edges) == 2 * (7 - 2)
         assert all(topo.degree(v) >= 2 for v in range(2, 7))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: erdos_renyi(5.5, 0.5, seed=1, monitors=1), "node count must be an integer"),
+            (lambda: grid(2.5, 2, seed=1, monitors=1), "grid width must be an integer"),
+            (lambda: grid(2, 2.0, seed=1, monitors=1), "grid height must be an integer"),
+            (lambda: barabasi_albert(6, 1.5, seed=1, monitors=1), "attachment count must be an integer"),
+            (lambda: barabasi_albert(6.0, 1, seed=1, monitors=1), "node count must be an integer"),
+            (lambda: erdos_renyi(5, 0.5, seed=1, monitors=2.5), "monitor count must be an integer"),
+            (lambda: erdos_renyi(5, 0.5, seed=1, monitors=True), "monitor count must be an integer"),
+            (lambda: erdos_renyi(5, "x", seed=1, monitors=1), "edge probability must be a number"),
+            (lambda: erdos_renyi(5, True, seed=1, monitors=1), "edge probability must be a number"),
+            (
+                lambda: erdos_renyi(5, 0.5, seed=1, monitor_fraction=False),
+                "monitor fraction must be a number",
+            ),
+        ],
+        ids=[
+            "er-nodes", "grid-width", "grid-height", "ba-attach", "ba-nodes", "er-monitors",
+            "er-monitors-bool", "er-edge-prob", "er-edge-prob-bool", "er-fraction-bool",
+        ],
+    )
+    def test_arguments_are_never_coerced(self, make, message):
+        with pytest.raises(UsageError, match=message):
+            make()
+
+    def test_integral_edge_probability_is_accepted(self):
+        assert erdos_renyi(4, 1, seed=1, monitors=1) == erdos_renyi(4, 1.0, seed=1, monitors=1)
+
 
 class TestGeneratePaths:
     def test_unique_shortest_path(self):
@@ -206,6 +235,12 @@ class TestGeneratePaths:
         doc = TopologyDocument(("m1", "v"), frozenset({0}), frozenset({(0, 1)}))
         with pytest.raises(UsageError):
             generate_paths(doc, 1)
+
+    @pytest.mark.parametrize("per_pair", [1.5, True])
+    def test_per_pair_must_be_an_integer(self, per_pair):
+        doc = TopologyDocument(("m1", "m2"), frozenset({0, 1}), frozenset({(0, 1)}))
+        with pytest.raises(UsageError, match="per-pair path count must be an integer"):
+            generate_paths(doc, per_pair)
 
     def test_deterministic_and_lexicographic(self):
         doc = grid(3, 2, seed=11, monitors=2)

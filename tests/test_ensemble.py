@@ -100,6 +100,17 @@ class TestMinCoverSize:
         ens = build_ensemble(DIAMOND, [(0, 1, 3)])
         assert min_cover_size(ens, 2) == 0
 
+    def test_search_beats_greedy(self):
+        # Node 5 lies on four of node 2's six paths, so greedy takes it first
+        # and needs three nodes; {3, 4} covers all six.
+        k6 = Topology(6, [(u, v) for u in range(6) for v in range(u + 1, 6)], [0, 1])
+        paths = [
+            (0, 2, 3, 5, 1), (0, 3, 2, 5, 1), (0, 2, 3, 1),
+            (0, 2, 4, 5, 1), (0, 4, 2, 5, 1), (0, 2, 4, 1),
+        ]
+        ens = build_ensemble(k6, paths)
+        assert min_cover_size(ens, 2) == brute_min_cover(ens, 2) == 2
+
     def test_monitor_rejected(self):
         with pytest.raises(InputError):
             min_cover_size(diamond_ensemble(), 0)

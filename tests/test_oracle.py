@@ -362,6 +362,17 @@ class TestAgainstBruteObservations:
         # v2 reads up only while v1 or v3 survives, yet both read down
         assert localize(RING, CAP, {1: False, 2: True, 3: False}, 3) == []
 
+    def test_down_path_inside_the_up_paths_has_no_candidates(self):
+        # Path 0 reads down, yet its one non-monitor v1 lies on the up path 1.
+        assert localize(DIAMOND, diamond_up(), {0: False, 1: True}, 2) == []
+
+    def test_guard_is_checked_before_the_outcome_map(self):
+        # The same kind of map on eight non-monitors: the guard refuses first.
+        line = Topology(10, [(0, 2)] + [(v, v + 1) for v in range(2, 9)] + [(9, 1)], [0, 1])
+        model = up_model(build_ensemble(line, [(0, 2, 0), (0, *range(2, 10), 1)]))
+        with pytest.raises(CapacityError):
+            localize(line, model, {0: False, 1: True}, 2)
+
 
 class TestCspWalks:
     def test_exists_iff_a_simple_monitor_path_is_found(self, corpus):

@@ -69,6 +69,11 @@ class TestAnalyze:
         with pytest.raises(UsageError):
             analyze(PATH4, models=("UP",))
 
+    @pytest.mark.parametrize("models", [("CAP", "CAP"), ("UP", "CSP", "UP")])
+    def test_repeated_model_is_a_usage_error(self, models):
+        with pytest.raises(UsageError, match=f"probing model '{models[0]}' is repeated"):
+            analyze(UP_DOC, models=models)
+
     def test_k_range_restricts_table(self):
         report = analyze(PATH4, k_range=(1, 2))
         payload = json.loads(emit_report(report, "json"))
