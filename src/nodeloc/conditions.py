@@ -23,8 +23,8 @@ from enum import Enum
 
 from .auxgraph import merge_monitors, merge_monitors_leaving_out
 from .ensemble import CoverProfile
-from .errors import InputError, InternalError
-from .graph import Topology, vertex_connectivity
+from .errors import InternalError
+from .graph import Topology, _plain_int, vertex_connectivity
 
 
 class Identifiability(Enum):
@@ -78,9 +78,8 @@ _TRIVIAL = _make_verdict(True, True, "empty-failure-set")
 
 
 def _check_k(topology: Topology, k: int, name: str = "k") -> None:
-    """A failure budget must lie in 0..sigma; ``name`` is how the error calls it."""
-    if not 0 <= k <= topology.sigma:
-        raise InputError(f"{name} must lie in 0..{topology.sigma}, got {k}")
+    """A failure budget is a plain int in 0..sigma; ``name`` is how the error calls it."""
+    _plain_int(k, name, 0, topology.sigma)
 
 
 def _table(
@@ -235,14 +234,13 @@ def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:
 
 
 def up_verdict(profile: CoverProfile, k: int) -> Verdict:
-    """Per-k verdict under a fixed path ensemble.
+    """Per-k verdict under a fixed path ensemble, for k in 0..sigma.
 
     Identifiability is certified when every node's minimum cover size
     exceeds k, and refuted when some node's cover size is below k.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    return _table(k, profile.min_cover, {}, "cover-size-threshold")[k]
+    _plain_int(k, "k", 0, len(profile.cover_sizes))
+    return up_verdicts(profile)[k]
 
 
 def up_verdicts(profile: CoverProfile) -> tuple[Verdict, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, _entries
+from .graph import Topology, _entries, _plain_int
 
 #: Cover size meaning "no set of other nodes can hide this one".
 INFINITE_COVER = math.inf
@@ -89,35 +89,26 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
 
 
 def _exact_min_cover(universe: frozenset[int], candidates: list[frozenset[int]]) -> int | float:
-    """Smallest number of candidate sets covering ``universe`` (inf if none)."""
-    if not universe:
-        return 0
-    reachable = frozenset().union(*candidates) if candidates else frozenset()
-    if not universe <= reachable:
+    """Smallest number of candidate sets covering ``universe`` (inf if none).
+
+    Branches on the uncovered element with the fewest covering sets, listed
+    once per call, largest first; |universe| sets always suffice.
+    """
+    ordered = sorted(candidates, key=len, reverse=True)
+    covers = {e: [s for s in ordered if e in s] for e in universe}
+    if not all(covers.values()):
         return INFINITE_COVER
-
-    # Greedy pass fixes the initial upper bound for the branch-and-bound.
-    best = 0
-    left = set(universe)
-    while left:
-        pick = max(candidates, key=lambda s: len(s & left))
-        left -= pick
-        best += 1
-
-    order = sorted(range(len(candidates)), key=lambda i: -len(candidates[i]))
+    best = len(universe)
 
     def descend(uncovered: frozenset[int], used: int) -> None:
         nonlocal best
         if not uncovered:
-            best = min(best, used)
+            best = used  # a descent happens only below the bound
             return
         if used + 1 >= best:
             return
-        # Branch on the uncovered element with the fewest covering sets.
-        element = min(uncovered, key=lambda e: sum(1 for s in candidates if e in s))
-        for i in order:
-            if element in candidates[i]:
-                descend(uncovered - candidates[i], used + 1)
+        for s in covers[min(uncovered, key=lambda e: len(covers[e]))]:
+            descend(uncovered - s, used + 1)
 
     descend(universe, 0)
     return best
@@ -134,11 +125,9 @@ def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = 20) -> 
     capacity error rather than approximating.
     """
     targets = ensemble.paths_through(v)
-    if not targets:
-        return 0
+    _plain_int(max_candidates, "max_candidates")
     others = sorted(ensemble.topology.non_monitors - {v})
-    candidates = [ensemble.incidence[w] & targets for w in others]
-    candidates = [c for c in candidates if c]
+    candidates = [c for w in others if (c := ensemble.incidence[w] & targets)]
     if len(candidates) > max_candidates:
         raise CapacityError(
             f"{len(candidates)} candidate covering sets exceed the exact-cover "

@@ -29,6 +29,20 @@ def _is_node(v: object, node_count: int) -> bool:
     return type(v) is int and 0 <= v < node_count
 
 
+def _plain_int(
+    value: object, what: str, lo: int = 0, hi: int | None = None, error: type = InputError
+) -> int:
+    """The one budget rule: an int (not a bool) in ``lo..hi``, never coerced.
+
+    Budgets, guards and limits all pass through it; ``hi=None`` leaves the
+    range open above, and ``error`` is the class the caller raises.
+    """
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise error(f"{what} must be an integer {span}, got {value!r}")
+    return value
+
+
 def _entries(values: object, what: str) -> tuple:
     """``values`` as a tuple; an :class:`InputError` naming ``what`` if it is not iterable."""
     try:
@@ -403,11 +417,11 @@ def disjoint_paths(
         raise InputError("targets and forbidden nodes must be disjoint")
     if source in target_set:
         raise InputError("source must not be a target")
+    cap = len(target_set) if limit is None else min(_plain_int(limit, "limit"), len(target_set))
     net = _split_flow_net(topology, forbidden_set, extra_nodes=1)
     sink = 2 * topology.node_count
     for t in target_set:
         net.add_arc(2 * t + 1, sink, 1)
-    cap = len(target_set) if limit is None else min(limit, len(target_set))
     flow = net.max_flow(2 * source + 1, sink, limit=cap)
     # Decompose the unit flow into node sequences.  A forward (even) arc carries
     # flow iff its reverse has residual capacity; taking that unit consumes it.
@@ -492,8 +506,7 @@ def is_k_connected(topology: Topology, k: int) -> bool:
     ``k = 0`` holds for every topology; otherwise it needs more than k nodes
     and connectivity at least k.
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
+    _plain_int(k, "k")
     if not isinstance(topology, Topology):
         raise InputError(f"expected a Topology, got {type(topology).__name__}")
     return k == 0 or (topology.node_count > k and vertex_connectivity(topology) >= k)

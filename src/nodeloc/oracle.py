@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Literal, Mapping, Sequence
 from .conditions import _check_k
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, _biconnected_to_monitors, _components, disjoint_paths
+from .graph import Topology, _biconnected_to_monitors, _components, _plain_int, disjoint_paths
 
 DEFAULT_GUARD = 7
 
@@ -113,7 +113,7 @@ def _check_failure_set(topology: Topology, nodes: Iterable[int]) -> FailureSet:
 
 
 def _check_guard(topology: Topology, guard: int) -> None:
-    if topology.sigma > guard:
+    if topology.sigma > _plain_int(guard, "guard"):
         raise CapacityError(
             f"{topology.sigma} non-monitors exceed the brute-force guard of {guard}"
             " (raise it with --guard)"
@@ -407,9 +407,7 @@ def localize(
     only non-monitors outside the target are enumerated.
     """
     _check_model(topology, model)
-    if k_max < 0:
-        raise InputError("k_max must be non-negative")
-    k_max = min(k_max, topology.sigma)  # larger sets cannot exist
+    k_max = min(_plain_int(k_max, "k_max"), topology.sigma)  # larger sets cannot exist
     _check_guard(topology, guard)
     battery = _battery(topology, model)
     if set(outcomes) != set(battery):

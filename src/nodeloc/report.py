@@ -26,7 +26,7 @@ from .conditions import (
 from .document import TopologyDocument, _dump_json, _load_json, emit_topology
 from .ensemble import CoverProfile, cover_profile
 from .errors import FormatError, InternalError, UsageError
-from .graph import Topology
+from .graph import Topology, _plain_int
 from .oracle import DEFAULT_GUARD, ProbingModel, max_identifiability, up_model
 
 _MODEL_ORDER = ("CAP", "CSP", "UP")
@@ -97,8 +97,8 @@ def analyze(
     kinds = [kind for kind, _ in resolved]
     chosen = dict(resolved)
     lo, hi = k_range if k_range is not None else (0, sigma)
-    if not 0 <= lo <= hi <= sigma:
-        raise UsageError(f"k range must satisfy 0 <= lo <= hi <= {sigma}")
+    _plain_int(lo, "k range low end", 0, sigma, UsageError)
+    _plain_int(hi, "k range high end", lo, sigma, UsageError)
 
     tables = controllable_tables(topology, tuple(kinds))
     sections = []

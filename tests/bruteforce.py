@@ -33,9 +33,8 @@ def _components_after(topo: Topology, removed: frozenset[int]) -> list[set[int]]
     return out
 
 
-def brute_vertex_connectivity(graph) -> int:
+def brute_vertex_connectivity(topo: Topology) -> int:
     """Smallest vertex set whose removal disconnects; n-1 for complete graphs."""
-    topo = getattr(graph, "graph", graph)
     n = topo.node_count
     if len(topo.edges) == n * (n - 1) // 2:
         return n - 1

@@ -110,6 +110,16 @@ class TestUpVerdict:
         profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
         assert up_verdict(profile, 0).value is Identifiability.IDENTIFIABLE
 
+    def test_budget_past_sigma_rejected(self):
+        with pytest.raises(InputError):
+            up_verdict(diamond_profile(), DIAMOND.sigma + 1)
+
+    def test_view_of_the_table(self, up_corpus):
+        for doc in up_corpus[:60]:
+            profile = cover_profile(doc.to_ensemble())
+            table = up_verdicts(profile)
+            assert [up_verdict(profile, k) for k in range(len(table))] == list(table)
+
 
 class TestCapBounds:
     def test_single_monitor_ring_window(self):

@@ -111,6 +111,30 @@ class TestMinCoverSize:
         ens = build_ensemble(k6, paths)
         assert min_cover_size(ens, 2) == brute_min_cover(ens, 2) == 2
 
+    def test_search_reaches_past_its_first_cover(self):
+        # Nodes 3-7 carry the sets below.  The first cover the search finds
+        # takes three nodes ({3, 4, 6}); the optimum {5, 7} lies further on.
+        sets = [{2, 3, 4}, {0, 4, 5}, {0, 2, 3}, {1, 2, 5}, {1, 4, 5}]
+        k8 = Topology(8, [(u, v) for u in range(8) for v in range(u + 1, 8)], [0, 1])
+        paths = [(0, 2, *[3 + j for j, c in enumerate(sets) if e in c], 1) for e in range(6)]
+        ens = build_ensemble(k8, paths)
+        assert min_cover_size(ens, 2) == brute_min_cover(ens, 2) == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_deep_search_matches_bruteforce(self, seed):
+        # 10-14 non-monitors on short paths: covers take up to five nodes,
+        # so the search runs several levels deep.
+        rng = random.Random(seed)
+        n = rng.randint(12, 16)
+        complete = Topology(n, [(u, v) for u in range(n) for v in range(u + 1, n)], [0, 1])
+        paths = [
+            (0, *rng.sample(range(2, n), rng.randint(2, 4)), 1)
+            for _ in range(rng.randint(14, 24))
+        ]
+        ens = build_ensemble(complete, paths)
+        for v in range(2, n):
+            assert min_cover_size(ens, v) == brute_min_cover(ens, v), (paths, v)
+
     def test_monitor_rejected(self):
         with pytest.raises(InputError):
             min_cover_size(diamond_ensemble(), 0)
