@@ -68,7 +68,7 @@ from .document import (
     parse_outcomes,
     parse_topology,
 )
-from .generate import barabasi_albert, erdos_renyi, generate_paths, generate_topology, grid
+from .generate import barabasi_albert, erdos_renyi, generate_paths, grid
 from .oracle import (
     ANY_MONITOR,
     CAP,

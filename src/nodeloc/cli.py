@@ -23,7 +23,7 @@ from pathlib import Path
 from ._version import __version__
 from .document import _dump_json, emit_topology, parse_outcomes, parse_path_lines, parse_topology
 from .errors import CapacityError, FormatError, InputError, UsageError
-from .generate import generate_paths, generate_topology
+from .generate import barabasi_albert, erdos_renyi, generate_paths, grid
 from .oracle import DEFAULT_GUARD, k_identifiable, localize, max_identifiability
 from .report import analyze, emit_report, reformat_report, resolve_models
 
@@ -49,9 +49,18 @@ def _global_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
     )
 
 
+# gen topo: each model's generator and the two flags it needs, in call order.
+_TOPO_MODELS = {
+    "er": (erdos_renyi, ("nodes", "edge_prob")),
+    "ba": (barabasi_albert, ("nodes", "attach")),
+    "grid": (grid, ("width", "height")),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process; each leaf subcommand names its handler.
+    # Built once per process; each leaf subcommand names its handler.  Parent
+    # parsers declare the shared flags once: leaf < reader < document.
     parser = argparse.ArgumentParser(
         prog="nodeloc",
         description="Identifiability analysis for node-failure localization",
@@ -60,40 +69,35 @@ def _build_parser() -> argparse.ArgumentParser:
     _global_options(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="condition tables and identifiability bounds")
-    _global_options(p, top_level=False)
-    p.add_argument("topology", type=Path)
-    p.add_argument("--paths", type=Path, default=None, help="text file, one path of node names per line")
+    leaf = argparse.ArgumentParser(add_help=False)
+    _global_options(leaf, top_level=False)
+    leaf.add_argument("--out", type=Path, default=None)
+    reader = argparse.ArgumentParser(add_help=False, parents=[leaf])
+    reader.add_argument("topology", type=Path)
+    document = argparse.ArgumentParser(add_help=False, parents=[reader])
+    document.add_argument("--paths", type=Path, default=None, help="text file, one path of node names per line")
+
+    p = sub.add_parser("analyze", parents=[document], help="condition tables and identifiability bounds")
     p.add_argument("--models", default=None, help="comma list among CAP,CSP,UP")
     p.add_argument("--k-range", default=None, metavar="LO:HI", help="restrict the verdict table")
     p.add_argument("--oracle", action="store_true", help="add brute-force results")
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("oracle", help="brute-force identifiability results only")
-    _global_options(p, top_level=False)
-    p.add_argument("topology", type=Path)
-    p.add_argument("--paths", type=Path, default=None, help="text file, one path of node names per line")
+    p = sub.add_parser("oracle", parents=[document], help="brute-force identifiability results only")
     p.add_argument("--models", default=None, help="comma list among CAP,CSP,UP")
     p.add_argument("--k", type=int, default=None, help="check one k instead of the maximum")
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("localize", help="failure sets consistent with observations")
-    _global_options(p, top_level=False)
-    p.add_argument("topology", type=Path)
-    p.add_argument("--paths", type=Path, default=None, help="text file, one path of node names per line")
+    p = sub.add_parser("localize", parents=[document], help="failure sets consistent with observations")
     p.add_argument("outcomes", type=Path)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_localize)
 
     gen = sub.add_parser("gen", help="seeded instance generators")
     gensub = gen.add_subparsers(dest="gen_command", required=True)
 
-    p = gensub.add_parser("topo", help="generate a random topology document")
-    _global_options(p, top_level=False)
-    p.add_argument("--model", choices=("er", "ba", "grid"), required=True)
+    p = gensub.add_parser("topo", parents=[leaf], help="generate a random topology document")
+    p.add_argument("--model", choices=tuple(_TOPO_MODELS), required=True)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--edge-prob", type=float, default=None)
     p.add_argument("--attach", type=int, default=None)
@@ -101,20 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--monitors", type=int, default=None)
     p.add_argument("--monitor-fraction", type=float, default=None)
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_gen_topo)
 
-    p = gensub.add_parser("paths", help="attach a shortest-path ensemble")
-    _global_options(p, top_level=False)
-    p.add_argument("topology", type=Path)
+    p = gensub.add_parser("paths", parents=[reader], help="attach a shortest-path ensemble")
     p.add_argument("--per-pair", type=int, required=True)
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_gen_paths)
 
-    p = sub.add_parser("report", help="re-emit an analysis report")
-    _global_options(p, top_level=False)
+    p = sub.add_parser("report", parents=[leaf], help="re-emit an analysis report")
     p.add_argument("report", type=Path)
-    p.add_argument("--out", type=Path, default=None)
     p.set_defaults(handler=_cmd_report)
 
     return parser
@@ -160,7 +158,7 @@ def _parse_k_range(arg: str | None) -> tuple[int, int] | None:
 
 def _load_document(args: argparse.Namespace):
     doc = parse_topology(_read(args.topology))
-    if getattr(args, "paths", None) is not None:
+    if args.paths is not None:
         doc = doc.with_paths(parse_path_lines(_read(args.paths), doc))
     return doc
 
@@ -226,17 +224,12 @@ def _cmd_localize(args: argparse.Namespace) -> None:
 def _cmd_gen_topo(args: argparse.Namespace) -> None:
     if args.seed is None:
         raise UsageError("gen topo requires --seed for reproducibility")
-    doc = generate_topology(
-        args.model,
-        seed=args.seed,
-        nodes=args.nodes,
-        edge_prob=args.edge_prob,
-        attach=args.attach,
-        width=args.width,
-        height=args.height,
-        monitors=args.monitors,
-        monitor_fraction=args.monitor_fraction,
-    )
+    generator, needed = _TOPO_MODELS[args.model]
+    values = [getattr(args, name) for name in needed]
+    if None in values:
+        flags = " and ".join("--" + name.replace("_", "-") for name in needed)
+        raise UsageError(f"{args.model} needs {flags}")
+    doc = generator(*values, seed=args.seed, monitors=args.monitors, monitor_fraction=args.monitor_fraction)
     _write(emit_topology(doc), args.out)
 
 

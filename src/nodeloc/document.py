@@ -37,7 +37,6 @@ class TopologyDocument:
     monitors: frozenset[int]
     edges: frozenset[tuple[int, int]]
     paths: tuple[tuple[int, ...], ...] | None = None
-    version: int = FORMAT_VERSION
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -155,7 +154,7 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
 def emit_topology(doc: TopologyDocument) -> str:
     """Canonical JSON form; stable key order, two-space indent."""
     payload = {
-        "version": doc.version,
+        "version": FORMAT_VERSION,
         "nodes": [
             {"name": name, "monitor": i in doc.monitors} for i, name in enumerate(doc.names)
         ],

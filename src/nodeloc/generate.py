@@ -13,12 +13,7 @@ from typing import Iterable
 
 from .document import TopologyDocument
 from .errors import UsageError
-from .graph import Topology
-
-
-def _check_int(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
+from .graph import Topology, _plain_int
 
 
 def _check_real(value, what: str) -> None:
@@ -34,9 +29,7 @@ def _resolve_monitor_count(n: int, monitors: int | None, monitor_fraction: float
         if not 0.0 < monitor_fraction < 1.0:
             raise UsageError("monitor fraction must lie strictly between 0 and 1")
         monitors = max(1, round(monitor_fraction * n))
-    _check_int(monitors, "monitor count")
-    if monitors < 1:
-        raise UsageError("at least one monitor is required")
+    _plain_int(monitors, "monitor count", 1, error=UsageError)
     if monitors >= n:
         raise UsageError("at least one non-monitor is required")
     return monitors
@@ -59,10 +52,8 @@ def erdos_renyi(
     monitor_fraction: float | None = None,
 ) -> TopologyDocument:
     """G(n, p) random graph with seeded monitor placement."""
-    _check_int(n, "node count")
+    _plain_int(n, "node count", 2, error=UsageError)
     _check_real(edge_prob, "edge probability")
-    if n < 2:
-        raise UsageError("need at least two nodes")
     if not 0.0 <= edge_prob <= 1.0:
         raise UsageError("edge probability must lie in [0, 1]")
     count = _resolve_monitor_count(n, monitors, monitor_fraction)
@@ -83,12 +74,8 @@ def barabasi_albert(
     monitor_fraction: float | None = None,
 ) -> TopologyDocument:
     """Preferential-attachment graph: each new node links to ``attach`` others."""
-    _check_int(n, "node count")
-    _check_int(attach, "attachment count")
-    if attach < 1:
-        raise UsageError("each new node must attach to at least one existing node")
-    if n <= attach:
-        raise UsageError("need more nodes than the attachment count")
+    _plain_int(attach, "attachment count", 1, error=UsageError)
+    _plain_int(n, "node count", attach + 1, error=UsageError)
     count = _resolve_monitor_count(n, monitors, monitor_fraction)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
@@ -116,11 +103,9 @@ def grid(
     monitor_fraction: float | None = None,
 ) -> TopologyDocument:
     """Rectangular grid in row-major node order."""
-    _check_int(width, "grid width")
-    _check_int(height, "grid height")
+    _plain_int(width, "grid width", 1, error=UsageError)
+    _plain_int(height, "grid height", 2 if width == 1 else 1, error=UsageError)  # two nodes at least
     n = width * height
-    if width < 1 or height < 1 or n < 2:
-        raise UsageError("grid needs at least two nodes")
     count = _resolve_monitor_count(n, monitors, monitor_fraction)
     edges = []
     for r in range(height):
@@ -133,40 +118,6 @@ def grid(
     rng = random.Random(seed)
     monitor_ids = rng.sample(range(n), count)
     return _document(n, edges, monitor_ids)
-
-
-def generate_topology(
-    kind: str,
-    *,
-    seed: int,
-    nodes: int | None = None,
-    edge_prob: float | None = None,
-    attach: int | None = None,
-    width: int | None = None,
-    height: int | None = None,
-    monitors: int | None = None,
-    monitor_fraction: float | None = None,
-) -> TopologyDocument:
-    """Dispatch over the three generator families by ``kind``."""
-    if kind == "er":
-        if nodes is None or edge_prob is None:
-            raise UsageError("er needs --nodes and --edge-prob")
-        return erdos_renyi(
-            nodes, edge_prob, seed=seed, monitors=monitors, monitor_fraction=monitor_fraction
-        )
-    if kind == "ba":
-        if nodes is None or attach is None:
-            raise UsageError("ba needs --nodes and --attach")
-        return barabasi_albert(
-            nodes, attach, seed=seed, monitors=monitors, monitor_fraction=monitor_fraction
-        )
-    if kind == "grid":
-        if width is None or height is None:
-            raise UsageError("grid needs --width and --height")
-        return grid(
-            width, height, seed=seed, monitors=monitors, monitor_fraction=monitor_fraction
-        )
-    raise UsageError(f"unknown topology model {kind!r}; pick er, ba or grid")
 
 
 def _shortest_paths_lexicographic(topology: Topology, source: int, target: int, limit: int):
@@ -201,9 +152,7 @@ def generate_paths(doc: TopologyDocument, per_pair: int) -> TopologyDocument:
     taken in lexicographic node order; a path already present in the
     opposite orientation is dropped.  Fully deterministic.
     """
-    _check_int(per_pair, "per-pair path count")
-    if per_pair < 1:
-        raise UsageError("per-pair path count must be positive")
+    _plain_int(per_pair, "per-pair path count", 1, error=UsageError)
     if len(doc.monitors) < 2:
         raise UsageError("path generation needs at least two monitors")
     topology = doc.to_topology()

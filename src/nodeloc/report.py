@@ -89,6 +89,9 @@ def analyze(
     ``oracle`` adds brute-force results, refusing when the non-monitor count
     exceeds ``guard``.
     """
+    _plain_int(guard, "guard")
+    if k_range is not None and not (isinstance(k_range, (tuple, list)) and len(k_range) == 2):
+        raise UsageError(f"k range must be a (low, high) pair, got {k_range!r}")
     topology = doc.to_topology()
     sigma = topology.sigma
     if sigma == 0:

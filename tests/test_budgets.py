@@ -78,6 +78,7 @@ def test_brute_force_guard(guard):
         lambda: localize(STAR, CAP, outcomes, 1, guard=guard),
         lambda: exhaustive_component_condition(STAR, 1, guard=guard),
         lambda: analyze(UP_DOC, oracle=True, guard=guard),
+        lambda: analyze(UP_DOC, guard=guard),
     ):
         with pytest.raises(InputError, match="guard must be an integer"):
             call()
@@ -100,7 +101,9 @@ def test_cover_candidate_guard(max_candidates):
         cover_profile(ens, max_candidates=max_candidates)
 
 
-@pytest.mark.parametrize("k_range", [(0.5, 1), (True, 1), (0, None), (-1, 1), (2, 1), (0, 3)])
+@pytest.mark.parametrize(
+    "k_range", [(0.5, 1), (True, 1), (0, None), (-1, 1), (2, 1), (0, 3), (0, 1, 2), 5, [0]]
+)
 def test_analyze_k_range(k_range):
     with pytest.raises(UsageError, match="k range"):
         analyze(UP_DOC, k_range=k_range)
@@ -112,3 +115,11 @@ def test_cli_negative_guard_exits_2(tmp_path, capsys):
     for argv in (["oracle", topo], ["analyze", topo, "--oracle"]):
         assert main(["--guard", "-1", *map(str, argv)]) == 2
         assert "guard must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_analyze_checks_guard_without_oracle(tmp_path, capsys):
+    topo = tmp_path / "up.json"
+    topo.write_text(emit_topology(UP_DOC), encoding="utf-8")
+    assert main(["analyze", str(topo), "--guard", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "guard must be an integer >= 0, got -1" in captured.err

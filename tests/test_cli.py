@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from nodeloc.cli import main
-from nodeloc.document import emit_outcomes, parse_topology
+from nodeloc.cli import _build_parser, main
+from nodeloc.document import emit_outcomes, emit_topology, parse_topology
+from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 
 PATH4_JSON = """
 {"version": 1,
@@ -194,6 +195,43 @@ class TestGen:
         doc = parse_topology(first)
         assert len(doc.monitors) == 4 and len(doc.names) == 9
 
+    @pytest.mark.parametrize(
+        "argv, make",
+        [
+            (
+                ("--model", "er", "--nodes", 7, "--edge-prob", "0.4", "--monitors", 2, "--seed", 3),
+                lambda: erdos_renyi(7, 0.4, seed=3, monitors=2),
+            ),
+            (
+                ("--model", "ba", "--nodes", 8, "--attach", 2, "--monitor-fraction", "0.25",
+                 "--seed", 5),
+                lambda: barabasi_albert(8, 2, seed=5, monitor_fraction=0.25),
+            ),
+            (
+                ("--model", "grid", "--width", 3, "--height", 4, "--monitors", 3, "--seed", 7),
+                lambda: grid(3, 4, seed=7, monitors=3),
+            ),
+        ],
+        ids=["er", "ba", "grid"],
+    )
+    def test_topo_is_the_library_generator(self, argv, make, capsys):
+        code, out, _ = run(capsys, "gen", "topo", *argv)
+        assert (code, out) == (0, emit_topology(make()))
+
+    @pytest.mark.parametrize(
+        "model, given, message",
+        [
+            ("er", ("--nodes", 6), "er needs --nodes and --edge-prob"),
+            ("ba", ("--attach", 2), "ba needs --nodes and --attach"),
+            ("grid", ("--width", 3), "grid needs --width and --height"),
+        ],
+    )
+    def test_topo_missing_model_flags_exit_2(self, model, given, message, capsys):
+        code, out, err = run(
+            capsys, "gen", "topo", "--model", model, *given, "--monitors", 1, "--seed", 1
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_paths_pipeline(self, topo_file, tmp_path, capsys):
         code, out, _ = run(capsys, "gen", "paths", topo_file, "--per-pair", "1")
         assert code == 0
@@ -267,6 +305,51 @@ class TestParserReuse:
         assert code == 0 and "max_identifiability" in out
         code, _, err = run(capsys, "oracle", big)
         assert code == 3 and "brute-force guard of 7" in err
+
+
+# One argv per leaf subcommand; parsing never opens the files named.
+LEAF_ARGV = {
+    "analyze": ("analyze", "t.json"),
+    "oracle": ("oracle", "t.json"),
+    "localize": ("localize", "t.json", "o.json", "--k-max", "1"),
+    "gen-topo": ("gen", "topo", "--model", "er"),
+    "gen-paths": ("gen", "paths", "t.json", "--per-pair", "1"),
+    "report": ("report", "r.json"),
+}
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize("leaf", LEAF_ARGV)
+    @pytest.mark.parametrize(
+        "flag, value, dest, want",
+        [("--seed", "5", "seed", 5), ("--guard", "9", "guard", 9), ("--format", "text", "format", "text")],
+        ids=["seed", "guard", "format"],
+    )
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    def test_either_side_of_the_subcommand(self, leaf, flag, value, dest, want, before):
+        argv = LEAF_ARGV[leaf]
+        argv = (flag, value, *argv) if before else (*argv, flag, value)
+        assert getattr(_build_parser().parse_args(argv), dest) == want
+
+    @pytest.mark.parametrize("leaf", LEAF_ARGV)
+    def test_defaults(self, leaf):
+        args = _build_parser().parse_args(LEAF_ARGV[leaf])
+        assert (args.seed, args.guard, args.format) == (None, 7, "json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*LEAF_ARGV["localize"], "--models", "CAP"),
+            (*LEAF_ARGV["gen-paths"], "--paths", "x"),
+            (*LEAF_ARGV["gen-topo"], "--paths", "x"),
+            (*LEAF_ARGV["report"], "--models", "CAP"),
+        ],
+        ids=["localize-models", "gen-paths-paths", "gen-topo-paths", "report-models"],
+    )
+    def test_no_subcommand_gains_a_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBadFilesExit2:

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "csp_verdict", "csp_verdicts", "distinguishable", "document", "emit_outcomes",
     "emit_report", "emit_topology", "ensemble", "erdos_renyi", "errors",
     "exhaustive_component_condition", "find_measurable_path", "generate",
-    "generate_paths", "generate_topology", "graph", "grid", "is_k_connected",
+    "generate_paths", "graph", "grid", "is_k_connected",
     "k_identifiable", "localize", "max_disjoint_paths", "max_identifiability",
     "measurable_path_exists", "merge_monitors", "merge_monitors_leaving_out",
     "min_cover_size", "min_leave_one_out_connectivity", "neighborhood_of_set", "oracle",
@@ -57,7 +57,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 82
+    assert len(PUBLIC_NAMES) == 81
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
