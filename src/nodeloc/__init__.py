@@ -14,13 +14,7 @@ Polynomial-time sufficient/necessary conditions live in
 condition is verified against lives in :mod:`nodeloc.oracle`.
 """
 
-from .auxgraph import (
-    AuxiliaryGraph,
-    AuxKind,
-    merge_monitors,
-    merge_monitors_leaving_out,
-    min_leave_one_out_connectivity,
-)
+from .auxgraph import AuxiliaryGraph, merge_monitors, merge_monitors_leaving_out
 from .conditions import (
     Identifiability,
     IdentifiabilityBounds,
@@ -31,6 +25,7 @@ from .conditions import (
     csp_bounds,
     csp_verdict,
     csp_verdicts,
+    min_leave_one_out_connectivity,
     up_bounds,
     up_verdict,
     up_verdicts,

@@ -8,27 +8,19 @@ are joined into a clique by virtual links, so that their mutual reachability
 survives deletion of the virtual monitor; that also makes the virtual
 monitor simplicial, the anchor :func:`~nodeloc.graph.vertex_connectivity`
 takes.  Each result is an :class:`AuxiliaryGraph`, a
-:class:`~nodeloc.graph.Topology` whose only monitor is the virtual one.  The
-vertex connectivity of these graphs is what the per-k identifiability
-conditions inspect.
+:class:`~nodeloc.graph.Topology` whose only monitor is the virtual one.  This
+module only builds the graphs; :mod:`nodeloc.conditions` takes their vertex
+connectivity and reads the per-k identifiability conditions off it.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 from .errors import InputError
-from .graph import Edge, Topology, neighborhood_of_set, vertex_connectivity
-
-
-class AuxKind(Enum):
-    """Which monitor set was merged into the virtual monitor."""
-
-    ALL_MONITORS = "all-monitors"
-    LEAVE_ONE_OUT = "leave-one-out"
+from .graph import Edge, Topology, neighborhood_of_set
 
 
 @dataclass(frozen=True)
@@ -40,9 +32,8 @@ class AuxiliaryGraph(Topology):
 
     Attributes:
         virtual_monitor: id of the appended virtual monitor (always last).
-        kind: construction variant.
-        excluded_monitor: original id of the monitor left out, when
-            ``kind`` is LEAVE_ONE_OUT.
+        excluded_monitor: original id of the monitor left out, or None when
+            every monitor was merged.
         virtual_edges: edges that are not inherited from the source topology
             (virtual-monitor links plus added clique links).
         original_ids: ascending original ids of the non-monitors; position i
@@ -50,7 +41,6 @@ class AuxiliaryGraph(Topology):
     """
 
     virtual_monitor: int
-    kind: AuxKind
     excluded_monitor: int | None
     virtual_edges: frozenset[Edge]
     original_ids: tuple[int, ...]
@@ -63,7 +53,7 @@ class AuxiliaryGraph(Topology):
         return i
 
 
-def _merge(topology: Topology, excluded: int | None, kind: AuxKind) -> AuxiliaryGraph:
+def _merge(topology: Topology, excluded: int | None) -> AuxiliaryGraph:
     if topology.sigma == 0:
         raise InputError("auxiliary graphs need at least one non-monitor")
     merged_monitors = topology.monitors - ({excluded} if excluded is not None else set())
@@ -90,7 +80,6 @@ def _merge(topology: Topology, excluded: int | None, kind: AuxKind) -> Auxiliary
         edges=frozenset(inherited | virtual_edges),
         monitors=frozenset({virtual}),
         virtual_monitor=virtual,
-        kind=kind,
         excluded_monitor=excluded,
         virtual_edges=frozenset(virtual_edges),
         original_ids=originals,
@@ -103,7 +92,7 @@ def merge_monitors(topology: Topology) -> AuxiliaryGraph:
     The virtual monitor is adjacent to exactly the non-monitor neighbors of
     the monitor set, and those neighbors form a clique.
     """
-    return _merge(topology, None, AuxKind.ALL_MONITORS)
+    return _merge(topology, None)
 
 
 def merge_monitors_leaving_out(topology: Topology, monitor: int) -> AuxiliaryGraph:
@@ -116,12 +105,5 @@ def merge_monitors_leaving_out(topology: Topology, monitor: int) -> AuxiliaryGra
     topology._check_node(monitor)
     if monitor not in topology.monitors:
         raise InputError(f"node {monitor} is not a monitor")
-    return _merge(topology, monitor, AuxKind.LEAVE_ONE_OUT)
+    return _merge(topology, monitor)
 
-
-def min_leave_one_out_connectivity(topology: Topology) -> int:
-    """Smallest vertex connectivity over all leave-one-out auxiliary graphs."""
-    return min(
-        vertex_connectivity(merge_monitors_leaving_out(topology, m))
-        for m in sorted(topology.monitors)
-    )

@@ -42,7 +42,7 @@ def _global_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--guard",
         type=int,
         default=default(DEFAULT_GUARD),
-        help="max non-monitor count for brute-force work (default 7)",
+        help=f"max non-monitor count for brute-force work (default {DEFAULT_GUARD})",
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default=default("json"), help="output format"

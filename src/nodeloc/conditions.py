@@ -10,9 +10,10 @@ T < k (the necessary one fails); in between the verdict is indeterminate and
 only the brute-force engine can settle it.  Exact if-and-only-if rules
 override T at the full failure budget (CAP, CSP) and one short of it (CSP).
 The largest identifiable k lies in [T - 1, T] while T is at most sigma - 1
-(CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.  Every
-public CAP/CSP function is a view of :func:`controllable_tables`, which
-computes d once and dm from one connectivity per monitor.
+(CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.  This
+module owns both connectivities: every public CAP/CSP function is a view of
+:func:`controllable_tables`, which computes d once and dm with
+:func:`min_leave_one_out_connectivity`, one connectivity per monitor.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from enum import Enum
 from .auxgraph import merge_monitors, merge_monitors_leaving_out
 from .ensemble import CoverProfile
 from .errors import InternalError
-from .graph import Topology, _plain_int, vertex_connectivity
+from .graph import Topology, _check_k, _plain_int, vertex_connectivity
 
 
 class Identifiability(Enum):
@@ -75,11 +76,6 @@ def _make_verdict(sufficient: bool, necessary: bool, rationale: str) -> Verdict:
 
 
 _TRIVIAL = _make_verdict(True, True, "empty-failure-set")
-
-
-def _check_k(topology: Topology, k: int, name: str = "k") -> None:
-    """A failure budget is a plain int in 0..sigma; ``name`` is how the error calls it."""
-    _plain_int(k, name, 0, topology.sigma)
 
 
 def _table(
@@ -200,10 +196,7 @@ def controllable_tables(
             and topology.monitor_neighbor_count(weak[0]) == 1
             and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
         )
-        dm = min(
-            vertex_connectivity(merge_monitors_leaving_out(topology, m))
-            for m in sorted(topology.monitors)
-        )
+        dm = min_leave_one_out_connectivity(topology)
         # Exact at the full budget: cycle-free 2-hop probing needs two
         # distinct monitor endpoints per node once every other non-monitor
         # may be down.
@@ -219,6 +212,14 @@ def controllable_tables(
         )
         tables["CSP"] = (verdicts, _bounds(verdicts, threshold, sigma - 2, note))
     return tables
+
+
+def min_leave_one_out_connectivity(topology: Topology) -> int:
+    """Smallest vertex connectivity over all leave-one-out auxiliary graphs."""
+    return min(
+        vertex_connectivity(merge_monitors_leaving_out(topology, m))
+        for m in sorted(topology.monitors)
+    )
 
 
 def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:

@@ -20,6 +20,8 @@ from .graph import Topology, _entries, _plain_int
 #: Cover size meaning "no set of other nodes can hide this one".
 INFINITE_COVER = math.inf
 
+_MAX_CANDIDATES = 20  # exact-cover guard: candidate covering sets per node
+
 
 @dataclass(frozen=True)
 class MeasurementPath:
@@ -114,7 +116,7 @@ def _exact_min_cover(universe: frozenset[int], candidates: list[frozenset[int]])
     return best
 
 
-def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = 20) -> int | float:
+def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CANDIDATES) -> int | float:
     """Minimum number of other non-monitors whose paths cover all of v's paths.
 
     Returns :data:`INFINITE_COVER` when some path through v traverses no
@@ -145,7 +147,7 @@ class CoverProfile:
     unobserved: frozenset[int]
 
 
-def cover_profile(ensemble: PathEnsemble, max_candidates: int = 20) -> CoverProfile:
+def cover_profile(ensemble: PathEnsemble, max_candidates: int = _MAX_CANDIDATES) -> CoverProfile:
     """Minimum cover size for every non-monitor, and the network-wide minimum."""
     if ensemble.topology.sigma == 0:
         raise InputError("the topology has no non-monitors to profile")

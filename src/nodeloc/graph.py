@@ -19,10 +19,6 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 
-# Arc capacity standing in for "unbounded" in the unit-capacity flow networks
-# below; any value larger than the node count works.
-_BIG = 1 << 20
-
 
 def _is_node(v: object, node_count: int) -> bool:
     """The one node-id rule: an int (not a bool) in ``0..node_count-1``, never coerced."""
@@ -41,6 +37,11 @@ def _plain_int(
         span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
         raise error(f"{what} must be an integer {span}, got {value!r}")
     return value
+
+
+def _check_k(topology: Topology, k: int, name: str = "k") -> None:
+    """A failure budget is a plain int in 0..sigma; ``name`` is how the error calls it."""
+    _plain_int(k, name, 0, topology.sigma)
 
 
 def _entries(values: object, what: str) -> tuple:
@@ -270,11 +271,7 @@ def neighborhood_of_set(topology: Topology, nodes: Iterable[int]) -> frozenset[i
 
 
 class _FlowNet:
-    """Minimal max-flow network (Dinic) for the node-split cut routines.
-
-    Every augmenting path there crosses an arc of residual capacity one, so
-    it pushes exactly one unit.
-    """
+    """Unit-capacity max-flow network (Dinic); each augmenting path pushes one unit."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -282,10 +279,10 @@ class _FlowNet:
         self.cap: list[int] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
-    def add_arc(self, u: int, v: int, cap: int) -> None:
+    def add_arc(self, u: int, v: int) -> None:
         self.adj[u].append(len(self.to))
         self.to.append(v)
-        self.cap.append(cap)
+        self.cap.append(1)
         self.adj[v].append(len(self.to))
         self.to.append(u)
         self.cap.append(0)
@@ -355,26 +352,20 @@ class _FlowNet:
         return flow
 
 
-def _split_flow_net(
-    topology: Topology, excluded: frozenset[int] = frozenset(), extra_nodes: int = 0
-) -> _FlowNet:
-    """Node-split digraph: node v becomes arc 2v -> 2v+1 of capacity one.
+def _split_flow_net(topology: Topology) -> _FlowNet:
+    """Node-split digraph: node v is arc number 2v, from in-copy 2v to out-copy 2v+1.
 
-    Nodes in ``excluded`` are unusable.  ``extra_nodes`` reserves ids past the
-    split pairs (used for a super-sink).  A flow from a source's out-copy
-    ``2s+1`` never uses the source's own split arc, and one into a target's
-    in-copy ``2t`` never uses the target's, so no node needs more capacity.
+    Edge {u, v} gives arcs 2u+1 -> 2v and 2v+1 -> 2u; id 2n is left for a
+    super-sink.  Flows start at a source's out-copy and end at a target's
+    in-copy, and any other out-copy receives only through its split arc, so
+    capacity one suffices everywhere.  Setting ``cap[2v]`` to 0 closes node v.
     """
-    net = _FlowNet(2 * topology.node_count + extra_nodes)
+    net = _FlowNet(2 * topology.node_count + 1)
     for v in topology.nodes:
-        if v in excluded:
-            continue
-        net.add_arc(2 * v, 2 * v + 1, 1)
+        net.add_arc(2 * v, 2 * v + 1)
     for u, v in topology.edges:
-        if u in excluded or v in excluded:
-            continue
-        net.add_arc(2 * u + 1, 2 * v, _BIG)
-        net.add_arc(2 * v + 1, 2 * u, _BIG)
+        net.add_arc(2 * u + 1, 2 * v)
+        net.add_arc(2 * v + 1, 2 * u)
     return net
 
 
@@ -405,8 +396,8 @@ def disjoint_paths(
 
     Returns node sequences from ``source`` to distinct targets; used to build
     human-checkable probe witnesses.  Computed as a unit-capacity flow on the
-    node-split digraph, where each target feeds a super-sink through a
-    capacity-one arc, stopped at ``limit`` paths.
+    node-split digraph, with each forbidden node's split arc closed and each
+    target feeding a super-sink, stopped at ``limit`` paths.
     """
     topology._check_node(source)
     target_set = topology._check_nodes(targets)
@@ -418,10 +409,12 @@ def disjoint_paths(
     if source in target_set:
         raise InputError("source must not be a target")
     cap = len(target_set) if limit is None else min(_plain_int(limit, "limit"), len(target_set))
-    net = _split_flow_net(topology, forbidden_set, extra_nodes=1)
+    net = _split_flow_net(topology)
+    for v in forbidden_set:
+        net.cap[2 * v] = 0
     sink = 2 * topology.node_count
     for t in target_set:
-        net.add_arc(2 * t + 1, sink, 1)
+        net.add_arc(2 * t + 1, sink)
     flow = net.max_flow(2 * source + 1, sink, limit=cap)
     # Decompose the unit flow into node sequences.  A forward (even) arc carries
     # flow iff its reverse has residual capacity; taking that unit consumes it.

@@ -44,10 +44,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .conditions import _check_k
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, _biconnected_to_monitors, _components, _plain_int, disjoint_paths
+from .graph import Topology, _biconnected_to_monitors, _check_k, _components, _plain_int, disjoint_paths
 
 DEFAULT_GUARD = 7
 

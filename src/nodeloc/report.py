@@ -215,10 +215,11 @@ def reformat_report(data: bytes | str, fmt: str) -> str:
     if not isinstance(payload, dict) or payload.get("report_version") != 1:
         raise FormatError("not a nodeloc report (missing report_version 1)")
     try:
-        return _render(payload, fmt)
+        text = render_text(payload)  # reads every field, so it checks both formats
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         # A file claiming report_version 1 without a report's fields or types.
         raise FormatError(f"malformed nodeloc report: {exc!r}") from exc
+    return text if fmt == "text" else _render(payload, fmt)
 
 
 def _render(payload: Mapping[str, Any], fmt: str) -> str:

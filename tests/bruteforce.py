@@ -71,27 +71,25 @@ def brute_max_disjoint_paths(
 ) -> int:
     """Largest set of source-target paths sharing only the source.
 
-    Paths must reach pairwise distinct targets and avoid ``forbidden``.
+    Paths must reach pairwise distinct targets and avoid ``forbidden``.  Every
+    choice of at most one simple path per target is tried, keeping the chosen
+    paths' interiors (all but the source) pairwise disjoint.
     """
-    candidates = []
-    for t in sorted(targets):
-        candidates.extend(all_simple_paths(topo, source, t, forbidden))
-    best = 0
-    for size in range(len(targets), 0, -1):
-        if size <= best:
-            break
-        for combo in combinations(candidates, size):
-            if len({p[-1] for p in combo}) != size:
-                continue
-            interiors = [set(p) - {source} for p in combo]
-            if all(
-                not (interiors[i] & interiors[j])
-                for i in range(size)
-                for j in range(i + 1, size)
-            ):
-                best = size
-                break
-    return best
+    options = [
+        [frozenset(p[1:]) for p in all_simple_paths(topo, source, t, forbidden)]
+        for t in sorted(targets)
+    ]
+
+    def most(i: int, used: frozenset[int]) -> int:
+        if i == len(options):
+            return 0
+        best = most(i + 1, used)
+        for interior in options[i]:
+            if not interior & used:
+                best = max(best, 1 + most(i + 1, used | interior))
+        return best
+
+    return most(0, frozenset())
 
 
 def simple_monitor_path_through(topo: Topology, v: int, avoid: frozenset[int]) -> bool:

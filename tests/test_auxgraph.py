@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from nodeloc.auxgraph import (
-    AuxKind,
-    merge_monitors,
-    merge_monitors_leaving_out,
-    min_leave_one_out_connectivity,
-)
+from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
+from nodeloc.conditions import min_leave_one_out_connectivity
 from nodeloc.errors import InputError
 from nodeloc.graph import Topology, vertex_connectivity
 
@@ -56,7 +52,6 @@ class TestMergeMonitors:
 
     def test_kind_and_id_mapping(self):
         aux = merge_monitors(PATH4)
-        assert aux.kind is AuxKind.ALL_MONITORS
         assert aux.excluded_monitor is None
         assert aux.aux_id(1) == 0 and aux.aux_id(2) == 1
         with pytest.raises(InputError):
@@ -99,7 +94,6 @@ class TestMergeLeavingOneOut:
 
     def test_kind_fields(self):
         aux = merge_monitors_leaving_out(PATH4, 0)
-        assert aux.kind is AuxKind.LEAVE_ONE_OUT
         assert aux.excluded_monitor == 0
 
     def test_auxiliary_graphs_are_topologies(self):

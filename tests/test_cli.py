@@ -373,8 +373,9 @@ class TestBadFilesExit2:
     def test_report_without_report_fields(self, tmp_path, capsys):
         bad = tmp_path / "hollow.json"
         bad.write_text('{"report_version": 1}', encoding="utf-8")
-        code, _, err = run(capsys, "report", bad, "--format", "text")
-        assert code == 2 and "malformed nodeloc report" in err
+        for fmt in ("text", "json"):
+            code, _, err = run(capsys, "report", bad, "--format", fmt)
+            assert code == 2 and "malformed nodeloc report" in err, fmt
 
 
 HEADER = """node failure identifiability report

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from nodeloc.auxgraph import merge_monitors, min_leave_one_out_connectivity
+from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.conditions import (
     Identifiability,
     cap_bounds,
@@ -342,7 +342,9 @@ class TestOneThresholdRule:
             topo = doc.to_topology()
             sigma = topo.sigma
             d = vertex_connectivity(merge_monitors(topo))
-            dm = min_leave_one_out_connectivity(topo)
+            dm = min(
+                vertex_connectivity(merge_monitors_leaving_out(topo, m)) for m in topo.monitors
+            )
             regimes = (
                 ("CAP", cap_verdicts(topo), cap_bounds(topo), d, sigma - 1, {0, sigma}),
                 ("CSP", csp_verdicts(topo), csp_bounds(topo), min(d - 1, dm), sigma - 2,

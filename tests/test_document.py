@@ -41,6 +41,10 @@ class TestParseTopology:
         ens = doc.to_ensemble()
         assert ens.paths_through(doc.id_of("v")) == {0}
 
+    def test_document_without_paths_has_no_ensemble(self):
+        with pytest.raises(FormatError, match="carries no measurement paths"):
+            parse_topology(MINIMAL).to_ensemble()
+
     def test_unknown_edge_name(self):
         raw = json.loads(MINIMAL)
         raw["edges"].append(["m1", "ghost"])
@@ -203,6 +207,15 @@ class TestGenerators:
     def test_arguments_are_never_coerced(self, make, message):
         with pytest.raises(UsageError, match=message):
             make()
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_edge_probability_outside_the_unit_interval(self, p):
+        with pytest.raises(UsageError, match=r"edge probability must lie in \[0, 1\]"):
+            erdos_renyi(5, p, seed=1, monitors=1)
+
+    def test_monitor_fraction_of_one_leaves_no_non_monitor(self):
+        with pytest.raises(UsageError, match="strictly between 0 and 1"):
+            erdos_renyi(5, 0.5, seed=1, monitor_fraction=1.0)
 
     def test_integral_edge_probability_is_accepted(self):
         assert erdos_renyi(4, 1, seed=1, monitors=1) == erdos_renyi(4, 1.0, seed=1, monitors=1)

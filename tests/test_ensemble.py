@@ -200,6 +200,11 @@ class TestCoverProfile:
         assert profile.min_cover == 0
         assert profile.unobserved == {2}
 
+    def test_all_monitor_topology_has_nothing_to_profile(self):
+        ensemble = build_ensemble(Topology(2, [(0, 1)], [0, 1]), [(0, 1)])
+        with pytest.raises(InputError, match="no non-monitors to profile"):
+            cover_profile(ensemble)
+
 
 class TestMonotonicity:
     def test_adding_path_through_v_never_decreases_cover(self):

@@ -118,6 +118,11 @@ class TestTopology:
         with pytest.raises(InputError):
             PATH4.is_monitor(-1)
 
+    def test_is_monitor_reads_the_labelling(self):
+        assert [PATH4.is_monitor(v) for v in PATH4.nodes] == [True, False, False, True]
+        with pytest.raises(InputError, match="unknown node id 4"):
+            PATH4.is_monitor(4)
+
 
 class TestComponents:
     def test_cut_vertex_of_path(self):
@@ -220,13 +225,17 @@ class TestDisjointPaths:
         assert max_disjoint_paths(t, 0, {n - 1}) == 1
         assert disjoint_paths(t, 0, {n - 1}) == [tuple(range(n))]
 
-    @given(topologies(max_nodes=7))
-    def test_matches_bruteforce(self, topo):
+    @given(topologies(max_nodes=7), st.sets(st.integers(min_value=0, max_value=6)))
+    def test_matches_bruteforce(self, topo, drawn):
+        # Once with no forbidden node, once with the drawn non-monitors other than v.
         monitors = frozenset(topo.monitors)
         for v in sorted(topo.non_monitors):
-            got = max_disjoint_paths(topo, v, monitors)
-            want = brute_max_disjoint_paths(topo, v, monitors, frozenset())
-            assert got == want
+            for forbidden in (frozenset(), frozenset(drawn) & topo.non_monitors - {v}):
+                got = disjoint_paths(topo, v, monitors, forbidden)
+                want = brute_max_disjoint_paths(topo, v, monitors, forbidden)
+                assert len(got) == want, (v, forbidden)
+                assert max_disjoint_paths(topo, v, monitors, forbidden) == want
+                assert not any(set(p) & forbidden for p in got)
 
 
 class TestVertexConnectivity:

@@ -1,0 +1,51 @@
+"""Import layering of the package, read from each module's source with ``ast``.
+
+The oracle is the independent check on the conditions, so it must not reach
+them; the auxiliary-graph module leaves connectivity to the conditions; and
+the graph primitives sit below everything but the error taxonomy.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import nodeloc
+
+PACKAGE = Path(nodeloc.__file__).parent
+
+
+def _imports(module: str) -> dict[str, set[str]]:
+    """Each nodeloc module ``module`` imports from, mapped to the names it takes."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                source = node.module or ""
+            elif node.module and node.module.startswith("nodeloc."):
+                source = node.module.removeprefix("nodeloc.")
+            else:
+                continue
+            found.setdefault(source, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("nodeloc."):
+                    found.setdefault(alias.name.removeprefix("nodeloc."), set())
+    return found
+
+
+def test_reader_sees_relative_imports():
+    assert "vertex_connectivity" in _imports("conditions")["graph"]
+
+
+def test_oracle_imports_only_ensemble_errors_and_graph():
+    assert set(_imports("oracle")) <= {"ensemble", "errors", "graph"}
+
+
+def test_auxgraph_leaves_connectivity_to_conditions():
+    assert not any("vertex_connectivity" in names for names in _imports("auxgraph").values())
+
+
+def test_graph_imports_only_errors():
+    assert set(_imports("graph")) <= {"errors"}

@@ -24,6 +24,7 @@ from nodeloc.oracle import (
     measurable_path_exists,
     restrict,
     simulate_measurements,
+    ProbingModel,
     up_model,
 )
 
@@ -65,6 +66,11 @@ class TestMeasurablePath:
         assert not measurable_path_exists(DIAMOND, model, 2, {1})
         assert find_measurable_path(DIAMOND, model, 2) == 1
 
+    def test_up_without_an_avoiding_path_finds_none(self):
+        # Both paths run through v1, and v2's only path too.
+        assert find_measurable_path(DIAMOND, diamond_up(), 2, {1}) is None
+        assert find_measurable_path(DIAMOND, diamond_up(), 1, {2}) == 0
+
     def test_csp_agrees_with_simple_path_enumeration(self, corpus):
         for doc in corpus[:60]:
             topo = doc.to_topology()
@@ -80,6 +86,20 @@ class TestMeasurablePath:
             measurable_path_exists(PATH4, CAP, 1, {1})  # probing an avoided node
         with pytest.raises(InputError):
             measurable_path_exists(PATH4, CAP, 1, {0})  # monitors never fail
+
+
+class TestProbingModel:
+    def test_unknown_kind(self):
+        with pytest.raises(InputError, match="unknown probing model 'XP'"):
+            ProbingModel("XP")
+
+    def test_exactly_up_carries_an_ensemble(self):
+        ensemble = diamond_up().ensemble
+        with pytest.raises(InputError, match="exactly the UP model"):
+            ProbingModel("UP")
+        with pytest.raises(InputError, match="exactly the UP model"):
+            ProbingModel("CAP", ensemble)
+        assert ProbingModel("UP", ensemble) == up_model(ensemble)
 
 
 class TestSimulate:

@@ -8,7 +8,7 @@ import nodeloc
 from nodeloc.graph import disjoint_paths
 
 PUBLIC_NAMES = [
-    "ANY_MONITOR", "AnalysisReport", "AuxKind", "AuxiliaryGraph", "CAP", "CSP",
+    "ANY_MONITOR", "AnalysisReport", "AuxiliaryGraph", "CAP", "CSP",
     "CapacityError", "ComponentPartition", "CoverProfile", "DEFAULT_GUARD",
     "DistinguishingPath", "FailureSet", "FormatError", "INFINITE_COVER",
     "Identifiability", "IdentifiabilityBounds", "IndistinguishablePair", "InputError",
@@ -57,7 +57,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 81
+    assert len(PUBLIC_NAMES) == 80
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
