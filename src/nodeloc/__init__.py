@@ -33,7 +33,6 @@ from .conditions import (
 from .ensemble import (
     INFINITE_COVER,
     CoverProfile,
-    MeasurementPath,
     PathEnsemble,
     build_ensemble,
     cover_profile,
@@ -48,11 +47,10 @@ from .errors import (
     UsageError,
 )
 from .graph import (
-    ComponentPartition,
     Topology,
     connected_components,
+    disjoint_paths,
     is_k_connected,
-    max_disjoint_paths,
     neighborhood_of_set,
     vertex_connectivity,
 )
@@ -87,7 +85,7 @@ from .oracle import (
     simulate_measurements,
     up_model,
 )
-from .report import AnalysisReport, ModelSection, analyze, emit_report, reformat_report
+from .report import analyze, emit_report, reformat_report
 
 from ._version import __version__
 

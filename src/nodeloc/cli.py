@@ -179,9 +179,9 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
     doc = _load_document(args)
     topology = doc.to_topology()
     results = {}
-    for kind, model in resolve_models(doc, topology, _parse_models(args.models)):
+    for model in resolve_models(doc, topology, _parse_models(args.models)):
         if args.k is None:
-            results[kind] = {"max_identifiability": max_identifiability(topology, model, guard=args.guard)}
+            results[model.kind] = {"max_identifiability": max_identifiability(topology, model, guard=args.guard)}
         else:
             ok, witness = k_identifiable(topology, model, args.k, guard=args.guard)
             entry = {"k": args.k, "identifiable": ok}
@@ -190,7 +190,7 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
                     sorted(doc.names[v] for v in witness.first),
                     sorted(doc.names[v] for v in witness.second),
                 ]
-            results[kind] = entry
+            results[model.kind] = entry
     if args.format == "json":
         _write(_dump_json(results), args.out)
     else:
@@ -211,7 +211,7 @@ def _cmd_localize(args: argparse.Namespace) -> None:
     doc = _load_document(args)
     topology = doc.to_topology()
     kind, states = parse_outcomes(_read(args.outcomes), doc)
-    (_, model), = resolve_models(doc, topology, (kind,))
+    model, = resolve_models(doc, topology, (kind,))
     candidates = localize(topology, model, states, args.k_max, guard=args.guard)
     named = [sorted(doc.names[v] for v in failure) for failure in candidates]
     if args.format == "json":

@@ -24,28 +24,18 @@ _MAX_CANDIDATES = 20  # exact-cover guard: candidate covering sets per node
 
 
 @dataclass(frozen=True)
-class MeasurementPath:
-    """One monitor-to-monitor walk, identified by its position in the ensemble."""
-
-    path_id: int
-    nodes: tuple[int, ...]
-
-    @property
-    def node_set(self) -> frozenset[int]:
-        return frozenset(self.nodes)
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """Validated path set with a per-node incidence index.
 
+    ``paths[i]`` is path i's node tuple, the form
+    ``TopologyDocument.paths`` uses; a path's id is its index.
     ``incidence[v]`` is the set of path ids traversing node v; it is empty
     for monitors and for non-monitors no path visits.  ``unobserved`` lists
     the latter; such nodes can never be localized.
     """
 
     topology: Topology
-    paths: tuple[MeasurementPath, ...]
+    paths: tuple[tuple[int, ...], ...]
     incidence: tuple[frozenset[int], ...]
     unobserved: frozenset[int]
 
@@ -65,7 +55,7 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     of visited nodes.
     """
     adjacency = topology.adjacency
-    validated: list[MeasurementPath] = []
+    validated: list[tuple[int, ...]] = []
     for idx, seq in enumerate(_entries(paths, "paths")):
         nodes = _entries(seq, f"path {idx}")
         if len(nodes) < 2:
@@ -78,13 +68,13 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
         for a, b in zip(nodes, nodes[1:]):
             if b not in adjacency[a]:
                 raise FormatError(f"path {idx} steps over a missing edge ({a}, {b})")
-        validated.append(MeasurementPath(idx, nodes))
+        validated.append(nodes)
 
     incidence = [set() for _ in range(topology.node_count)]
-    for path in validated:
-        for v in path.node_set:
+    for pid, nodes in enumerate(validated):
+        for v in frozenset(nodes):
             if v not in topology.monitors:
-                incidence[v].add(path.path_id)
+                incidence[v].add(pid)
     frozen = tuple(frozenset(s) for s in incidence)
     unobserved = frozenset(v for v in topology.non_monitors if not frozen[v])
     return PathEnsemble(topology, tuple(validated), frozen, unobserved)
@@ -144,7 +134,6 @@ class CoverProfile:
 
     cover_sizes: dict[int, int | float]
     min_cover: int | float
-    unobserved: frozenset[int]
 
 
 def cover_profile(ensemble: PathEnsemble, max_candidates: int = _MAX_CANDIDATES) -> CoverProfile:
@@ -155,4 +144,4 @@ def cover_profile(ensemble: PathEnsemble, max_candidates: int = _MAX_CANDIDATES)
         v: min_cover_size(ensemble, v, max_candidates=max_candidates)
         for v in sorted(ensemble.topology.non_monitors)
     }
-    return CoverProfile(sizes, min(sizes.values()), ensemble.unobserved)
+    return CoverProfile(sizes, min(sizes.values()))

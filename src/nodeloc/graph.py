@@ -144,28 +144,17 @@ class Topology:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Connected components of a vertex-deleted subgraph.
-
-    ``components`` are pairwise disjoint, ordered by their smallest member,
-    and together with ``removed`` cover every node of the source topology.
-    """
-
-    components: tuple[frozenset[int], ...]
-    removed: frozenset[int]
-
-
-def connected_components(topology: Topology, removed: Iterable[int] = ()) -> ComponentPartition:
+def connected_components(topology: Topology, removed: Iterable[int] = ()) -> tuple[frozenset[int], ...]:
     """Connected components of ``topology`` after deleting ``removed``.
 
-    Components are returned sorted by their smallest member id, which makes
-    every downstream report deterministic.
+    A tuple of pairwise disjoint node sets that, with ``removed``, cover
+    every node; sorted by smallest member id, which makes every downstream
+    report deterministic.
     """
     return _components(topology, topology._check_nodes(removed))
 
 
-def _components(topology: Topology, removed: frozenset[int]) -> ComponentPartition:
+def _components(topology: Topology, removed: frozenset[int]) -> tuple[frozenset[int], ...]:
     """:func:`connected_components` for a removed set the caller has checked."""
     seen: set[int] = set(removed)
     components: list[frozenset[int]] = []
@@ -183,7 +172,7 @@ def _components(topology: Topology, removed: frozenset[int]) -> ComponentPartiti
                     members.add(w)
                     stack.append(w)
         components.append(frozenset(members))
-    return ComponentPartition(tuple(components), removed)
+    return tuple(components)
 
 
 def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> frozenset[int]:
@@ -369,22 +358,6 @@ def _split_flow_net(topology: Topology) -> _FlowNet:
     return net
 
 
-def max_disjoint_paths(
-    topology: Topology,
-    source: int,
-    targets: Iterable[int],
-    forbidden: Iterable[int] = (),
-    limit: int | None = None,
-) -> int:
-    """Maximum number of vertex-disjoint paths from ``source`` to distinct targets.
-
-    Paths may share only the source, must avoid every ``forbidden`` node, and
-    each ends at a distinct target.  Pass ``limit`` to stop counting early
-    once that many paths exist.  The count of :func:`disjoint_paths`.
-    """
-    return len(disjoint_paths(topology, source, targets, forbidden, limit))
-
-
 def disjoint_paths(
     topology: Topology,
     source: int,
@@ -392,12 +365,14 @@ def disjoint_paths(
     forbidden: Iterable[int] = (),
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """Concrete vertex-disjoint paths matching :func:`max_disjoint_paths`.
+    """A maximum set of vertex-disjoint paths from ``source`` to distinct targets.
 
-    Returns node sequences from ``source`` to distinct targets; used to build
-    human-checkable probe witnesses.  Computed as a unit-capacity flow on the
-    node-split digraph, with each forbidden node's split arc closed and each
-    target feeding a super-sink, stopped at ``limit`` paths.
+    Each path is a node tuple from ``source`` to its own target; paths share
+    only the source and avoid every ``forbidden`` node, so the list's length
+    is the maximum number of such paths.  Pass ``limit`` to stop once that
+    many exist.  Computed as a unit-capacity flow on the node-split digraph,
+    with each forbidden node's split arc closed and each target feeding a
+    super-sink.
     """
     topology._check_node(source)
     target_set = topology._check_nodes(targets)

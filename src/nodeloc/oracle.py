@@ -155,7 +155,7 @@ def find_measurable_path(
         first, second = paths[0], paths[1]
         return tuple(reversed(first)) + second[1:]
     for pid in sorted(model.ensemble.paths_through(v)):
-        if not model.ensemble.paths[pid].node_set & avoid_set:
+        if avoid_set.isdisjoint(model.ensemble.paths[pid]):
             return pid
     return None
 
@@ -190,7 +190,7 @@ def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> fr
     """
     if model.kind == "CAP":
         reached: set[int] = set()
-        for component in _components(topology, failure).components:
+        for component in _components(topology, failure):
             if component & topology.monitors:
                 reached |= component
         return frozenset(reached - topology.monitors)
@@ -210,7 +210,7 @@ def _battery(topology: Topology, model: ProbingModel) -> dict[int, frozenset[int
     non-monitor v, asking whether some probe of the regime traverses v.
     """
     if model.kind == "UP":
-        return {p.path_id: p.node_set - topology.monitors for p in model.ensemble.paths}
+        return {pid: frozenset(nodes) - topology.monitors for pid, nodes in enumerate(model.ensemble.paths)}
     return {v: frozenset({v}) for v in sorted(topology.non_monitors)}
 
 
@@ -383,9 +383,9 @@ def restrict(
     if model.kind != "UP":
         return sub, model
     surviving_paths = [
-        tuple(new_id[v] for v in p.nodes)
-        for p in model.ensemble.paths
-        if not p.node_set & removed_set
+        tuple(new_id[v] for v in nodes)
+        for nodes in model.ensemble.paths
+        if removed_set.isdisjoint(nodes)
     ]
     return sub, up_model(build_ensemble(sub, surviving_paths))
 
@@ -401,13 +401,19 @@ def localize(
 
     Candidates are returned by ascending size then lexicographic member
     order.  When ``k_max`` does not exceed the network's maximum
-    identifiability the result is a single set.  The probes that read up
-    give the target R(F); a map that no R(F) yields has no candidates, and
-    only non-monitors outside the target are enumerated.
+    identifiability the result is a single set.  ``outcomes`` maps each
+    probe key, a plain int, to a bool reading; neither is coerced.  The
+    probes that read up give the target R(F); a map that no R(F) yields has
+    no candidates, and only non-monitors outside the target are enumerated.
     """
     _check_model(topology, model)
     k_max = min(_plain_int(k_max, "k_max"), topology.sigma)  # larger sets cannot exist
     _check_guard(topology, guard)
+    if not isinstance(outcomes, Mapping):
+        raise InputError(f"outcomes must be a mapping, not {type(outcomes).__name__}")
+    for key, up in outcomes.items():
+        if type(key) is not int or type(up) is not bool:
+            raise InputError(f"outcome {key!r}: {up!r} is not an int probe key with a bool reading")
     battery = _battery(topology, model)
     if set(outcomes) != set(battery):
         raise FormatError(
@@ -415,7 +421,7 @@ def localize(
             f"{list(battery)}, got {sorted(outcomes)}"
         )
     target = frozenset().union(*(nodes for key, nodes in battery.items() if outcomes[key]))
-    if any(bool(outcomes[key]) != (nodes <= target) for key, nodes in battery.items()):
+    if any(outcomes[key] != (nodes <= target) for key, nodes in battery.items()):
         return []
     pool = sorted(topology.non_monitors - target)
     return [

@@ -3,15 +3,16 @@
 ``analyze`` runs the per-k condition tables and the maximum-identifiability
 bounds for the requested probing models, optionally cross-checked against
 the brute-force engine, and packages everything with provenance so repeated
-runs on the same input are byte-identical.  Reports serialize to stable JSON
-or to a human-readable text table.
+runs on the same input are byte-identical.  The report is a JSON-ready dict:
+``emit_report`` renders it as stable JSON or as a human-readable text
+table, and ``nodeloc report`` re-reads the JSON form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Any, Mapping
 
 from ._version import __version__
@@ -24,7 +25,7 @@ from .conditions import (
     up_verdicts,
 )
 from .document import TopologyDocument, _dump_json, _load_json, emit_topology
-from .ensemble import CoverProfile, cover_profile
+from .ensemble import cover_profile
 from .errors import FormatError, InternalError, UsageError
 from .graph import Topology, _plain_int
 from .oracle import DEFAULT_GUARD, ProbingModel, max_identifiability, up_model
@@ -32,28 +33,9 @@ from .oracle import DEFAULT_GUARD, ProbingModel, max_identifiability, up_model
 _MODEL_ORDER = ("CAP", "CSP", "UP")
 
 
-@dataclass(frozen=True)
-class ModelSection:
-    kind: str
-    verdicts: tuple[Verdict, ...]  # indexed by k starting at k_range[0]
-    bounds: IdentifiabilityBounds
-    oracle_max: int | None
-    profile: CoverProfile | None
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    document: TopologyDocument
-    sigma: int
-    k_range: tuple[int, int]
-    sections: tuple[ModelSection, ...]
-    options: dict[str, Any]
-    input_sha256: str
-
-
 def resolve_models(
     doc: TopologyDocument, topology: Topology, models: tuple[str, ...] | None
-) -> list[tuple[str, ProbingModel]]:
+) -> list[ProbingModel]:
     """The probing model of each requested kind, in request order.
 
     ``models`` defaults to CAP and CSP, plus UP when the document carries
@@ -69,7 +51,7 @@ def resolve_models(
     if "UP" in models and doc.paths is None:
         raise UsageError("UP analysis requested but the document has no paths")
     return [
-        (kind, up_model(doc.to_ensemble(topology)) if kind == "UP" else ProbingModel(kind))
+        up_model(doc.to_ensemble(topology)) if kind == "UP" else ProbingModel(kind)
         for kind in models
     ]
 
@@ -81,30 +63,32 @@ def analyze(
     oracle: bool = False,
     guard: int = DEFAULT_GUARD,
     k_range: tuple[int, int] | None = None,
-) -> AnalysisReport:
-    """Run every requested analysis on the document.
+) -> dict[str, Any]:
+    """Run every requested analysis on the document; return the report.
 
+    The report is the JSON-ready dict that :func:`emit_report` renders.
     ``models`` defaults to CAP and CSP, plus UP when the document carries
     paths.  ``k_range`` restricts the verdict table (inclusive bounds);
     ``oracle`` adds brute-force results, refusing when the non-monitor count
     exceeds ``guard``.
     """
     _plain_int(guard, "guard")
+    if type(oracle) is not bool:
+        raise UsageError(f"oracle must be a bool, got {oracle!r}")
     if k_range is not None and not (isinstance(k_range, (tuple, list)) and len(k_range) == 2):
         raise UsageError(f"k range must be a (low, high) pair, got {k_range!r}")
     topology = doc.to_topology()
     sigma = topology.sigma
     if sigma == 0:
         raise UsageError("every node is a monitor; there are no failures to analyze")
-    resolved = resolve_models(doc, topology, models)
-    kinds = [kind for kind, _ in resolved]
-    chosen = dict(resolved)
+    chosen = {model.kind: model for model in resolve_models(doc, topology, models)}
     lo, hi = k_range if k_range is not None else (0, sigma)
     _plain_int(lo, "k range low end", 0, sigma, UsageError)
     _plain_int(hi, "k range high end", lo, sigma, UsageError)
 
-    tables = controllable_tables(topology, tuple(kinds))
-    sections = []
+    tables = controllable_tables(topology, tuple(chosen))
+    names = doc.names
+    sections: dict[str, Any] = {}
     for kind in _MODEL_ORDER:
         if kind not in chosen:
             continue
@@ -114,99 +98,72 @@ def analyze(
             verdicts, bounds = tables[kind]
         else:
             profile = cover_profile(model.ensemble)
-            verdicts = up_verdicts(profile)
-            bounds = up_bounds(profile)
+            verdicts, bounds = up_verdicts(profile), up_bounds(profile)
+        verdicts = verdicts[lo : hi + 1]
         oracle_max = max_identifiability(topology, model, guard=guard) if oracle else None
-        section = ModelSection(kind, verdicts[lo : hi + 1], bounds, oracle_max, profile)
-        _validate_section(section, lo)
-        sections.append(section)
+        _validate_section(kind, verdicts, bounds, oracle_max, lo)
+        entry: dict[str, Any] = {
+            "verdicts": [
+                {
+                    "k": k,
+                    "value": verdict.value.value,
+                    "sufficient": verdict.sufficient_holds,
+                    "necessary": verdict.necessary_holds,
+                    "rationale": verdict.rationale,
+                }
+                for k, verdict in enumerate(verdicts, lo)
+            ],
+            "bounds": asdict(bounds),
+            "oracle": None if oracle_max is None else {"max_identifiability": oracle_max},
+        }
+        if profile is not None:
+            entry["cover_profile"] = {
+                "sizes": {names[v]: _size_json(size) for v, size in sorted(profile.cover_sizes.items())},
+                "min_cover": _size_json(profile.min_cover),
+                "unobserved": [names[v] for v in sorted(model.ensemble.unobserved)],
+            }
+        sections[kind] = entry
 
-    return AnalysisReport(
-        document=doc,
-        sigma=sigma,
-        k_range=(lo, hi),
-        sections=tuple(sections),
-        options={"models": kinds, "oracle": oracle, "guard": guard, "k_range": [lo, hi]},
-        input_sha256=hashlib.sha256(emit_topology(doc).encode("utf-8")).hexdigest(),
-    )
+    return {
+        "report_version": 1,
+        "provenance": {
+            "input_sha256": hashlib.sha256(emit_topology(doc).encode("utf-8")).hexdigest(),
+            "options": {"models": list(chosen), "oracle": oracle, "guard": guard, "k_range": [lo, hi]},
+            "tool": f"nodeloc {__version__}",
+        },
+        "nodes": list(names),
+        "monitors": [names[m] for m in sorted(doc.monitors)],
+        "sigma": sigma,
+        "models": sections,
+    }
 
 
-def _validate_section(section: ModelSection, k_lo: int) -> None:
+def _validate_section(
+    kind: str, verdicts: tuple[Verdict, ...], bounds: IdentifiabilityBounds, oracle_max: int | None, k_lo: int
+) -> None:
     dead = False
-    for offset, verdict in enumerate(section.verdicts):
+    for k, verdict in enumerate(verdicts, k_lo):
         if dead and verdict.value is not Identifiability.NOT_IDENTIFIABLE:
-            raise InternalError(
-                f"{section.kind} verdict table is not monotone at k={k_lo + offset}"
-            )
+            raise InternalError(f"{kind} verdict table is not monotone at k={k}")
         dead = dead or verdict.value is Identifiability.NOT_IDENTIFIABLE
-    if section.oracle_max is not None:
-        if not section.bounds.lower <= section.oracle_max <= section.bounds.upper:
-            raise InternalError(
-                f"{section.kind} oracle result {section.oracle_max} escapes the "
-                f"reported bounds [{section.bounds.lower}, {section.bounds.upper}]"
-            )
+    if oracle_max is not None and not bounds.lower <= oracle_max <= bounds.upper:
+        raise InternalError(
+            f"{kind} oracle result {oracle_max} escapes the "
+            f"reported bounds [{bounds.lower}, {bounds.upper}]"
+        )
 
 
 def _size_json(size: int | float) -> int | str:
     return "inf" if math.isinf(size) else int(size)
 
 
-def report_payload(report: AnalysisReport) -> dict[str, Any]:
-    """JSON-ready dict form of the report."""
-    doc = report.document
-    models: dict[str, Any] = {}
-    for section in report.sections:
-        entry: dict[str, Any] = {
-            "verdicts": [
-                {
-                    "k": report.k_range[0] + offset,
-                    "value": verdict.value.value,
-                    "sufficient": verdict.sufficient_holds,
-                    "necessary": verdict.necessary_holds,
-                    "rationale": verdict.rationale,
-                }
-                for offset, verdict in enumerate(section.verdicts)
-            ],
-            "bounds": {
-                "lower": section.bounds.lower,
-                "upper": section.bounds.upper,
-                "exact": section.bounds.exact,
-                "applicable": section.bounds.applicable,
-                "guard_note": section.bounds.guard_note,
-            },
-            "oracle": (
-                None
-                if section.oracle_max is None
-                else {"max_identifiability": section.oracle_max}
-            ),
-        }
-        if section.profile is not None:
-            entry["cover_profile"] = {
-                "sizes": {
-                    doc.names[v]: _size_json(size)
-                    for v, size in sorted(section.profile.cover_sizes.items())
-                },
-                "min_cover": _size_json(section.profile.min_cover),
-                "unobserved": [doc.names[v] for v in sorted(section.profile.unobserved)],
-            }
-        models[section.kind] = entry
-    return {
-        "report_version": 1,
-        "provenance": {
-            "input_sha256": report.input_sha256,
-            "options": report.options,
-            "tool": f"nodeloc {__version__}",
-        },
-        "nodes": list(doc.names),
-        "monitors": [doc.names[m] for m in sorted(doc.monitors)],
-        "sigma": report.sigma,
-        "models": models,
-    }
-
-
-def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
-    """Serialize a report; ``fmt`` is ``json`` or ``text``."""
-    return _render(report_payload(report), fmt)
+def emit_report(report: Mapping[str, Any], fmt: str = "json") -> str:
+    """Serialize a report dict from :func:`analyze`; ``fmt`` is ``json`` or ``text``."""
+    if fmt == "json":
+        return _dump_json(report)
+    if fmt == "text":
+        return render_text(report)
+    raise UsageError(f"unknown report format {fmt!r}")
 
 
 def reformat_report(data: bytes | str, fmt: str) -> str:
@@ -219,15 +176,7 @@ def reformat_report(data: bytes | str, fmt: str) -> str:
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         # A file claiming report_version 1 without a report's fields or types.
         raise FormatError(f"malformed nodeloc report: {exc!r}") from exc
-    return text if fmt == "text" else _render(payload, fmt)
-
-
-def _render(payload: Mapping[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json(payload)
-    if fmt == "text":
-        return render_text(payload)
-    raise UsageError(f"unknown report format {fmt!r}")
+    return text if fmt == "text" else emit_report(payload, fmt)
 
 
 def render_text(payload: Mapping[str, Any]) -> str:

@@ -111,7 +111,7 @@ def brute_observations(topo: Topology, model, truth: frozenset[int]) -> dict[int
     ``truth``.  UP: a path reads up when it visits no failed node.
     """
     if model.kind == "UP":
-        return {p.path_id: not set(p.nodes) & truth for p in model.ensemble.paths}
+        return {pid: not set(nodes) & truth for pid, nodes in enumerate(model.ensemble.paths)}
     if model.kind == "CAP":
         live = set()
         for component in _components_after(topo, truth):
@@ -165,9 +165,9 @@ def reference_identifiability(topo: Topology, model, observe):
         outcome = observe(failure)
         if model.kind == "UP":
             reached = set()
-            for p in model.ensemble.paths:
-                if outcome[p.path_id]:
-                    reached |= set(p.nodes)
+            for pid, nodes in enumerate(model.ensemble.paths):
+                if outcome[pid]:
+                    reached |= set(nodes)
         else:
             reached = {v for v, up in outcome.items() if up}
         if trap is None and topo.non_monitors - failure - reached:

@@ -15,7 +15,7 @@ from nodeloc.conditions import cap_verdict, csp_verdict, up_verdict
 from nodeloc.document import TopologyDocument, emit_topology
 from nodeloc.ensemble import cover_profile, min_cover_size
 from nodeloc.errors import InputError, UsageError
-from nodeloc.graph import Topology, is_k_connected, max_disjoint_paths
+from nodeloc.graph import Topology, disjoint_paths, is_k_connected
 from nodeloc.oracle import (
     CAP,
     exhaustive_component_condition,
@@ -87,8 +87,8 @@ def test_brute_force_guard(guard):
 @pytest.mark.parametrize("limit", [1.5, True, "2", -1])
 def test_disjoint_path_limit(limit):
     with pytest.raises(InputError, match="limit must be an integer"):
-        max_disjoint_paths(STAR, 0, {1, 2, 3}, limit=limit)
-    assert max_disjoint_paths(STAR, 0, {1, 2, 3}, limit=None) == 3
+        disjoint_paths(STAR, 0, {1, 2, 3}, limit=limit)
+    assert len(disjoint_paths(STAR, 0, {1, 2, 3}, limit=None)) == 3
 
 
 @pytest.mark.parametrize("max_candidates", NOT_INTS + [-1])

@@ -198,7 +198,6 @@ class TestCoverProfile:
         profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
         assert profile.cover_sizes[2] == 0
         assert profile.min_cover == 0
-        assert profile.unobserved == {2}
 
     def test_all_monitor_topology_has_nothing_to_profile(self):
         ensemble = build_ensemble(Topology(2, [(0, 1)], [0, 1]), [(0, 1)])

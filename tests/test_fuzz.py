@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from nodeloc.document import parse_outcomes, parse_path_lines, parse_topology
 from nodeloc.errors import NodelocError
-from nodeloc.report import analyze, report_payload, reformat_report
+from nodeloc.report import analyze, reformat_report
 
 DOC = parse_topology(
     '{"version": 1, "nodes": [{"name": "m1", "monitor": true},'
     ' {"name": "v1", "monitor": false}, {"name": "m2", "monitor": true}],'
     ' "edges": [["m1", "v1"], ["v1", "m2"]], "paths": [["m1", "v1", "m2"]]}'
 )
-REPORT = report_payload(analyze(DOC))
+REPORT = analyze(DOC)
 NAMES = st.sampled_from(DOC.names)
 KEYS = st.sampled_from(["version", "nodes", "edges", "paths", "name", "monitor", "model",
                         "observations", "probe", "state", "report_version"])

@@ -12,7 +12,6 @@ from nodeloc.graph import (
     connected_components,
     disjoint_paths,
     is_k_connected,
-    max_disjoint_paths,
     neighborhood_of_set,
     vertex_connectivity,
 )
@@ -127,21 +126,20 @@ class TestTopology:
 class TestComponents:
     def test_cut_vertex_of_path(self):
         parts = connected_components(PATH4, {1})
-        assert parts.components == (frozenset({0}), frozenset({2, 3}))
-        assert parts.removed == {1}
+        assert parts == (frozenset({0}), frozenset({2, 3}))
 
     def test_connected_graph_is_one_component(self):
         parts = connected_components(CYCLE5)
-        assert parts.components == (frozenset(range(5)),)
+        assert parts == (frozenset(range(5)),)
 
     def test_cycle_minus_two_nonadjacent(self):
         parts = connected_components(CYCLE5, {0, 2})
-        assert len(parts.components) == 2
+        assert len(parts) == 2
 
     def test_partition_property(self):
         parts = connected_components(CYCLE4, {1})
-        union = set(parts.removed)
-        for comp in parts.components:
+        union = {1}
+        for comp in parts:
             assert not union & comp
             union |= comp
         assert union == set(CYCLE4.nodes)
@@ -155,11 +153,11 @@ class TestComponents:
         removed = frozenset(list(topo.non_monitors)[:1])
         parts = connected_components(topo, removed)
         union = set(removed)
-        for comp in parts.components:
+        for comp in parts:
             assert not union & comp
             union |= comp
         assert union == set(topo.nodes)
-        index = {v: i for i, comp in enumerate(parts.components) for v in comp}
+        index = {v: i for i, comp in enumerate(parts) for v in comp}
         for u, v in topo.edges:
             if u in index and v in index:
                 assert index[u] == index[v]
@@ -186,28 +184,28 @@ class TestNeighborhoods:
 class TestDisjointPaths:
     def test_two_direct_edges(self):
         t = Topology(3, [(0, 1), (1, 2)], [0, 2])
-        assert max_disjoint_paths(t, 1, {0, 2}) == 2
+        assert len(disjoint_paths(t, 1, {0, 2})) == 2
 
     def test_forbidden_blocks_one_side(self):
-        assert max_disjoint_paths(PATH4, 2, {0, 3}, {1}) == 1
+        assert len(disjoint_paths(PATH4, 2, {0, 3}, {1})) == 1
 
     def test_four_cycle_two_ways_round(self):
-        assert max_disjoint_paths(CYCLE4, 1, {0, 2}) == 2
+        assert len(disjoint_paths(CYCLE4, 1, {0, 2})) == 2
         assert brute_max_disjoint_paths(CYCLE4, 1, frozenset({0, 2}), frozenset()) == 2
 
     def test_empty_targets(self):
-        assert max_disjoint_paths(PATH4, 1, set()) == 0
+        assert len(disjoint_paths(PATH4, 1, set())) == 0
 
     def test_limit_stops_early(self):
-        assert max_disjoint_paths(K4, 1, {0, 2, 3}, limit=2) == 2
+        assert len(disjoint_paths(K4, 1, {0, 2, 3}, limit=2)) == 2
 
     def test_precondition_errors(self):
         with pytest.raises(InputError):
-            max_disjoint_paths(PATH4, 1, {0}, {1})
+            disjoint_paths(PATH4, 1, {0}, {1})
         with pytest.raises(InputError):
-            max_disjoint_paths(PATH4, 1, {0, 3}, {0})
+            disjoint_paths(PATH4, 1, {0, 3}, {0})
         with pytest.raises(InputError):
-            max_disjoint_paths(PATH4, 0, {0, 3})
+            disjoint_paths(PATH4, 0, {0, 3})
 
     def test_concrete_paths_are_disjoint_and_reach_distinct_targets(self):
         paths = disjoint_paths(CYCLE4, 1, {0, 2})
@@ -222,7 +220,7 @@ class TestDisjointPaths:
         # default recursion limit.
         n = 3000
         t = Topology(n, [(i, i + 1) for i in range(n - 1)], [n - 1])
-        assert max_disjoint_paths(t, 0, {n - 1}) == 1
+        assert len(disjoint_paths(t, 0, {n - 1})) == 1
         assert disjoint_paths(t, 0, {n - 1}) == [tuple(range(n))]
 
     @given(topologies(max_nodes=7), st.sets(st.integers(min_value=0, max_value=6)))
@@ -234,7 +232,6 @@ class TestDisjointPaths:
                 got = disjoint_paths(topo, v, monitors, forbidden)
                 want = brute_max_disjoint_paths(topo, v, monitors, forbidden)
                 assert len(got) == want, (v, forbidden)
-                assert max_disjoint_paths(topo, v, monitors, forbidden) == want
                 assert not any(set(p) & forbidden for p in got)
 
 
@@ -312,7 +309,7 @@ class TestIsKConnected:
         from itertools import combinations
 
         survives = topo.node_count > k and all(
-            len(connected_components(topo, frozenset(cut)).components) == 1
+            len(connected_components(topo, frozenset(cut))) == 1
             for size in range(k)
             for cut in combinations(range(topo.node_count), size)
         )

@@ -243,7 +243,7 @@ class TestRestrict:
 
     def test_keeps_surviving_paths(self):
         sub, model = restrict(DIAMOND, diamond_up(), {2})
-        assert [p.nodes for p in model.ensemble.paths] == [(0, 1, 2)]
+        assert model.ensemble.paths == ((0, 1, 2),)
 
 
 class TestLocalize:
@@ -270,6 +270,26 @@ class TestLocalize:
             localize(STAR, CAP, {1: True}, 1)
         with pytest.raises(FormatError):
             localize(DIAMOND, diamond_up(), {0: True, 7: False}, 1)
+
+    @pytest.mark.parametrize(
+        "outcomes",
+        [
+            {True: True, 2: True},  # hash-equal to node 1
+            {1.0: True, 2: True},
+            {1: "yes", 2: True},
+            {1: 1, 2: True},
+            {1: 0, 2: True},
+            {1: None, 2: True},
+            [1, 2],  # a list, indexed by probe key
+        ],
+    )
+    def test_outcome_map_is_never_coerced(self, outcomes):
+        with pytest.raises(InputError):
+            localize(PATH4, CAP, outcomes, 2)
+
+    def test_up_path_ids_are_never_coerced(self):
+        with pytest.raises(InputError):
+            localize(DIAMOND, diamond_up(), {False: True, 1: False}, 1)
 
 
 class TestComponentCondition:
@@ -435,7 +455,7 @@ def _literal_sufficient(topo, model, k, measurable) -> bool:
                 if (v, avoid) not in measurable:
                     if model.kind == "UP":
                         measurable[v, avoid] = any(
-                            v in p.node_set and not p.node_set & avoid
+                            v in p and not set(p) & avoid
                             for p in model.ensemble.paths
                         )
                     else:

@@ -114,7 +114,7 @@ def test_up_verdicts_follow_relabelled_ensembles(up_corpus):
         other, mapping = _relabel(topo, seed=170 + i)
         ens = doc.to_ensemble(topo)
         relabelled = build_ensemble(
-            other, [tuple(mapping[v] for v in p.nodes) for p in ens.paths]
+            other, [tuple(mapping[v] for v in p) for p in ens.paths]
         )
         a = [v.value for v in up_verdicts(cover_profile(ens))]
         b = [v.value for v in up_verdicts(cover_profile(relabelled))]

@@ -5,23 +5,22 @@ from __future__ import annotations
 import inspect
 
 import nodeloc
-from nodeloc.graph import disjoint_paths
 
 PUBLIC_NAMES = [
-    "ANY_MONITOR", "AnalysisReport", "AuxiliaryGraph", "CAP", "CSP",
-    "CapacityError", "ComponentPartition", "CoverProfile", "DEFAULT_GUARD",
+    "ANY_MONITOR", "AuxiliaryGraph", "CAP", "CSP",
+    "CapacityError", "CoverProfile", "DEFAULT_GUARD",
     "DistinguishingPath", "FailureSet", "FormatError", "INFINITE_COVER",
     "Identifiability", "IdentifiabilityBounds", "IndistinguishablePair", "InputError",
-    "InternalError", "MeasurementPath", "ModelSection", "NodelocError", "PathEnsemble",
+    "InternalError", "NodelocError", "PathEnsemble",
     "ProbingModel", "Topology", "TopologyDocument", "UsageError",
     "Verdict", "Witness", "abstract_necessary", "abstract_sufficient", "analyze",
     "auxgraph", "barabasi_albert", "build_ensemble", "cap_bounds", "cap_verdict",
     "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
-    "csp_verdict", "csp_verdicts", "distinguishable", "document", "emit_outcomes",
+    "csp_verdict", "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
     "emit_report", "emit_topology", "ensemble", "erdos_renyi", "errors",
     "exhaustive_component_condition", "find_measurable_path", "generate",
     "generate_paths", "graph", "grid", "is_k_connected",
-    "k_identifiable", "localize", "max_disjoint_paths", "max_identifiability",
+    "k_identifiable", "localize", "max_identifiability",
     "measurable_path_exists", "merge_monitors", "merge_monitors_leaving_out",
     "min_cover_size", "min_leave_one_out_connectivity", "neighborhood_of_set", "oracle",
     "parse_outcomes", "parse_topology", "reformat_report", "report", "restrict",
@@ -38,7 +37,7 @@ PARAMETERS = {
     "csp_verdicts": [("topology", None)],
     "cap_bounds": [("topology", None)],
     "csp_bounds": [("topology", None)],
-    "max_disjoint_paths": [
+    "disjoint_paths": [
         ("topology", None), ("source", None), ("targets", None), ("forbidden", ()), ("limit", None)
     ],
     "abstract_necessary": [("topology", None), ("model", None), ("k", None), ("guard", 7)],
@@ -57,11 +56,10 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 80
+    assert len(PUBLIC_NAMES) == 76
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
 def test_shared_path_signatures():
     for name, want in PARAMETERS.items():
         assert _parameters(getattr(nodeloc, name)) == want, name
-    assert _parameters(disjoint_paths) == PARAMETERS["max_disjoint_paths"]

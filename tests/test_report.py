@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from nodeloc.document import TopologyDocument
+from nodeloc.document import TopologyDocument, parse_topology
 from nodeloc.errors import CapacityError, FormatError, UsageError
 from nodeloc.report import analyze, emit_report, reformat_report
 
@@ -18,6 +20,7 @@ RING = TopologyDocument(
     frozenset({0}),
     frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
 )
+GOLDEN_DIR = Path(__file__).parent / "golden"
 UP_DOC = TopologyDocument(
     ("m1", "v1", "v2", "m2"),
     frozenset({0, 3}),
@@ -99,15 +102,24 @@ class TestAnalyze:
 
         # The shared summaries give what the public functions give one by one.
         topology = doc.to_topology()
-        cap, csp = report.sections
-        assert (cap.verdicts, cap.bounds) == (
-            conditions.cap_verdicts(topology),
-            conditions.cap_bounds(topology),
-        )
-        assert (csp.verdicts, csp.bounds) == (
-            conditions.csp_verdicts(topology),
-            conditions.csp_bounds(topology),
-        )
+        for kind, verdicts, bounds in (
+            ("CAP", conditions.cap_verdicts(topology), conditions.cap_bounds(topology)),
+            ("CSP", conditions.csp_verdicts(topology), conditions.csp_bounds(topology)),
+        ):
+            entry = report["models"][kind]
+            assert [
+                (row["k"], row["value"], row["sufficient"], row["necessary"], row["rationale"])
+                for row in entry["verdicts"]
+            ] == [
+                (k, v.value.value, v.sufficient_holds, v.necessary_holds, v.rationale)
+                for k, v in enumerate(verdicts)
+            ]
+            assert entry["bounds"] == dataclasses.asdict(bounds)
+
+    @pytest.mark.parametrize("oracle", ["yes", 1, None])
+    def test_oracle_flag_must_be_a_bool(self, oracle):
+        with pytest.raises(UsageError, match="oracle must be a bool"):
+            analyze(PATH4, oracle=oracle)
 
     def test_oracle_guard(self):
         from nodeloc.generate import erdos_renyi
@@ -123,6 +135,24 @@ class TestEmission:
         a = emit_report(analyze(UP_DOC, oracle=True), "json")
         b = emit_report(analyze(UP_DOC, oracle=True), "json")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            *(
+                parse_topology((GOLDEN_DIR / f"{name}.topology.json").read_text())
+                for name in ("chain", "ring", "hop", "twopaths")
+            ),
+            UP_DOC,
+        ],
+        ids=["chain", "ring", "hop", "twopaths", "up_doc"],
+    )
+    def test_report_is_plain_json(self, doc):
+        # A tuple, frozenset or dataclass in the report would not survive the round trip.
+        report = analyze(doc, oracle=True)
+        assert report == json.loads(emit_report(report, "json"))
+        if doc.paths is not None:
+            assert doc.to_ensemble().paths == doc.paths
 
     def test_json_round_trips(self):
         payload = json.loads(emit_report(analyze(PATH4), "json"))
