@@ -5,15 +5,16 @@ every node that bordered a real monitor, and joins those border nodes into a
 clique.  The demo builds both auxiliary variants for a small network and
 verifies the equivalence they exist for: surviving components keep a monitor
 for all deletions up to size s exactly when the auxiliary graph is
-(s+1)-vertex-connected.
+(s+1)-vertex-connected.  The analyses never build these graphs:
+``monitor_connectivity`` reads the same connectivity off the topology.
 """
+
+from itertools import combinations
 
 from nodeloc import (
     Topology,
     exhaustive_component_condition,
-    is_k_connected,
-    merge_monitors,
-    merge_monitors_leaving_out,
+    monitor_connectivity,
     vertex_connectivity,
 )
 
@@ -25,25 +26,42 @@ TOPO = Topology(
 )
 
 
-def describe(aux, label) -> None:
+def auxiliary_graph(topology, left_out=None):
+    """The auxiliary graph as the paper builds it: ``(graph, virtual edges)``.
+
+    Non-monitors are renumbered densely in id order and the virtual monitor
+    comes last; ``left_out`` is deleted without joining the virtual monitor.
+    """
+    aux_id = {v: i for i, v in enumerate(sorted(topology.non_monitors))}
+    virtual = len(aux_id)
+    inherited = {(aux_id[u], aux_id[v]) for u, v in topology.edges if u in aux_id and v in aux_id}
+    boundary = sorted(
+        aux_id[v] for m in topology.monitors - {left_out} for v in topology.neighbors(m) if v in aux_id
+    )
+    virtual_edges = {(b, virtual) for b in boundary} | set(combinations(boundary, 2)) - inherited
+    return Topology(virtual + 1, inherited | virtual_edges, [virtual]), virtual_edges
+
+
+def describe(left_out, label) -> None:
+    aux, virtual_edges = auxiliary_graph(TOPO, left_out)
     print(f"  {label}")
-    print(f"    nodes: {aux.node_count} (virtual monitor is id {aux.virtual_monitor})")
+    print(f"    nodes: {aux.node_count} (virtual monitor is id {aux.node_count - 1})")
     print(f"    inherited + virtual edges: {sorted(aux.edges)}")
-    print(f"    virtual edges only:        {sorted(aux.virtual_edges)}")
+    print(f"    virtual edges only:        {sorted(virtual_edges)}")
     print(f"    vertex connectivity:       {vertex_connectivity(aux)}")
 
 
 def main() -> None:
     print(f"topology edges: {sorted(TOPO.edges)}, monitors {sorted(TOPO.monitors)}")
-    merged = merge_monitors(TOPO)
-    describe(merged, "all monitors merged")
+    describe(None, "all monitors merged")
     for m in sorted(TOPO.monitors):
-        describe(merge_monitors_leaving_out(TOPO, m), f"leaving monitor {m} out")
+        describe(m, f"leaving monitor {m} out")
 
     print("\nequivalence check against raw component enumeration:")
+    d = monitor_connectivity(TOPO)
     for s in range(TOPO.sigma):
         raw = exhaustive_component_condition(TOPO, s)
-        conn = is_k_connected(merged, s + 1)
+        conn = d >= s + 1
         marker = "ok" if raw == conn else "MISMATCH"
         print(
             f"  every <= {s}-node deletion keeps all components monitored: "

@@ -14,7 +14,6 @@ Polynomial-time sufficient/necessary conditions live in
 condition is verified against lives in :mod:`nodeloc.oracle`.
 """
 
-from .auxgraph import AuxiliaryGraph, merge_monitors, merge_monitors_leaving_out
 from .conditions import (
     Identifiability,
     IdentifiabilityBounds,
@@ -50,8 +49,7 @@ from .graph import (
     Topology,
     connected_components,
     disjoint_paths,
-    is_k_connected,
-    neighborhood_of_set,
+    monitor_connectivity,
     vertex_connectivity,
 )
 from .document import (
@@ -81,7 +79,6 @@ from .oracle import (
     localize,
     max_identifiability,
     measurable_path_exists,
-    restrict,
     simulate_measurements,
     up_model,
 )

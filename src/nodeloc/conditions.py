@@ -10,10 +10,12 @@ T < k (the necessary one fails); in between the verdict is indeterminate and
 only the brute-force engine can settle it.  Exact if-and-only-if rules
 override T at the full failure budget (CAP, CSP) and one short of it (CSP).
 The largest identifiable k lies in [T - 1, T] while T is at most sigma - 1
-(CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.  This
-module owns both connectivities: every public CAP/CSP function is a view of
-:func:`controllable_tables`, which computes d once and dm with
-:func:`min_leave_one_out_connectivity`, one connectivity per monitor.
+(CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.
+d and dm are vertex connectivities of auxiliary graphs, with the monitors
+merged into one virtual monitor (d) or all but one of them (dm); every
+public CAP/CSP function is a view of :func:`controllable_tables`, which
+reads them with :func:`~nodeloc.graph.monitor_connectivity` and builds no
+auxiliary graph.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .auxgraph import merge_monitors, merge_monitors_leaving_out
 from .ensemble import CoverProfile
 from .errors import InternalError
-from .graph import Topology, _check_k, _plain_int, vertex_connectivity
+from .graph import Topology, _check_k, _plain_int, monitor_connectivity
 
 
 class Identifiability(Enum):
@@ -171,7 +172,7 @@ def controllable_tables(
     if not {"CAP", "CSP"} & set(kinds):
         return {}
     sigma = topology.sigma
-    d = vertex_connectivity(merge_monitors(topology))
+    d = monitor_connectivity(topology)
     tables = {}
     if "CAP" in kinds:
         # Exact at the full budget: 1-hop probing reaches a node iff it has
@@ -216,10 +217,7 @@ def controllable_tables(
 
 def min_leave_one_out_connectivity(topology: Topology) -> int:
     """Smallest vertex connectivity over all leave-one-out auxiliary graphs."""
-    return min(
-        vertex_connectivity(merge_monitors_leaving_out(topology, m))
-        for m in sorted(topology.monitors)
-    )
+    return min(monitor_connectivity(topology, m) for m in sorted(topology.monitors))
 
 
 def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:

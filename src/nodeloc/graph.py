@@ -250,15 +250,6 @@ def _low_points(
     return order, disc, low, parent
 
 
-def neighborhood_of_set(topology: Topology, nodes: Iterable[int]) -> frozenset[int]:
-    """All nodes outside ``nodes`` adjacent to at least one member of it."""
-    inside = topology._check_nodes(nodes)
-    out: set[int] = set()
-    for v in inside:
-        out |= topology.adjacency[v]
-    return frozenset(out - inside)
-
-
 class _FlowNet:
     """Unit-capacity max-flow network (Dinic); each augmenting path pushes one unit."""
 
@@ -341,7 +332,7 @@ class _FlowNet:
         return flow
 
 
-def _split_flow_net(topology: Topology) -> _FlowNet:
+def _split_flow_net(node_count: int, edges: Iterable[Edge]) -> _FlowNet:
     """Node-split digraph: node v is arc number 2v, from in-copy 2v to out-copy 2v+1.
 
     Edge {u, v} gives arcs 2u+1 -> 2v and 2v+1 -> 2u; id 2n is left for a
@@ -349,13 +340,29 @@ def _split_flow_net(topology: Topology) -> _FlowNet:
     in-copy, and any other out-copy receives only through its split arc, so
     capacity one suffices everywhere.  Setting ``cap[2v]`` to 0 closes node v.
     """
-    net = _FlowNet(2 * topology.node_count + 1)
-    for v in topology.nodes:
+    net = _FlowNet(2 * node_count + 1)
+    for v in range(node_count):
         net.add_arc(2 * v, 2 * v + 1)
-    for u, v in topology.edges:
+    for u, v in edges:
         net.add_arc(2 * u + 1, 2 * v)
         net.add_arc(2 * v + 1, 2 * u)
     return net
+
+
+def _least_pair_cut(
+    net: _FlowNet, adjacency: tuple[frozenset[int], ...], pairs: Iterable[Edge], best: int
+) -> int:
+    """The least s-t vertex cut over ``pairs`` of non-adjacent nodes, capped at ``best``.
+
+    A pair with as many common neighbors as the best cut so far needs no
+    flow; the rest share ``net``, each running Dinic from restored capacities.
+    """
+    base = net.cap[:]
+    for s, t in pairs:
+        if len(adjacency[s] & adjacency[t]) < best:
+            net.cap[:] = base
+            best = net.max_flow(2 * s + 1, 2 * t, limit=best)
+    return best
 
 
 def disjoint_paths(
@@ -384,7 +391,7 @@ def disjoint_paths(
     if source in target_set:
         raise InputError("source must not be a target")
     cap = len(target_set) if limit is None else min(_plain_int(limit, "limit"), len(target_set))
-    net = _split_flow_net(topology)
+    net = _split_flow_net(topology.node_count, topology.edges)
     for v in forbidden_set:
         net.cap[2 * v] = 0
     sink = 2 * topology.node_count
@@ -423,16 +430,11 @@ def vertex_connectivity(topology: Topology) -> int:
     delta, a cut vertex 1, and delta = 2 without one 2.
 
     Only a biconnected graph with delta >= 3 runs flows (Esfahanian & Hakimi):
-    from an anchor x, the least s-t cut, capped at delta, over every pair
-    (x, w) with w non-adjacent to x and every non-adjacent pair of neighbors
-    of x.  A minimum cut avoids x, and separates it from some w, or holds x,
-    which then has neighbors on two of its sides; so any x will do.  A
-    simplicial x (its neighbors form a clique) lies in no minimal separator
-    and has no such pair.  The lone monitor is that anchor when simplicial,
-    as in every auxiliary graph; otherwise x has minimum degree.  A pair
-    with as many common neighbors as the best cut so far needs no flow; the
-    rest share one node-split network, each running Dinic over an explicit
-    arc stack from restored capacities.
+    from a minimum-degree anchor x, the least s-t cut, capped at delta, over
+    every pair (x, w) with w non-adjacent to x and every non-adjacent pair of
+    neighbors of x.  A minimum cut avoids x, and separates it from some w,
+    or holds x, which then has neighbors on two of its sides; so any x will
+    do.  The pairs share one node-split network (:func:`_least_pair_cut`).
     """
     if not isinstance(topology, Topology):
         raise InputError(f"expected a Topology, got {type(topology).__name__}")
@@ -453,28 +455,57 @@ def vertex_connectivity(topology: Topology) -> int:
         return 1
     if delta == 2:
         return 2
-    m = min(topology.monitors)
-    if len(topology.monitors) == 1 and all(len(adjacency[m] - adjacency[y]) == 1 for y in adjacency[m]):
-        x = m
     pairs = [(x, w) for w in topology.nodes if w != x and w not in adjacency[x]]
     pairs += [(y, z) for y, z in combinations(sorted(adjacency[x]), 2) if z not in adjacency[y]]
-    net = _split_flow_net(topology)
-    base = net.cap[:]
-    best = delta
-    for s, t in pairs:
-        if len(adjacency[s] & adjacency[t]) < best:
-            net.cap[:] = base
-            best = net.max_flow(2 * s + 1, 2 * t, limit=best)
-    return best
+    return _least_pair_cut(_split_flow_net(n, topology.edges), adjacency, pairs, delta)
 
 
-def is_k_connected(topology: Topology, k: int) -> bool:
-    """True when the topology is k-vertex-connected.
+def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int:
+    """Vertex connectivity of an auxiliary graph H, read without building H.
 
-    ``k = 0`` holds for every topology; otherwise it needs more than k nodes
-    and connectivity at least k.
+    H deletes the monitors (all of them, or all but ``left_out``, which is
+    deleted without a trace), adds a virtual monitor x joined to the boundary
+    B (the non-monitors bordering a merged monitor), and joins B into a
+    clique; so kappa(H) is sigma when B holds every non-monitor.  Otherwise
+    the simplicial x lies in no minimal separator, so kappa(H) is the least
+    kappa(x, w) over the non-monitors w outside B (Esfahanian & Hakimi).  An
+    x-w path through a clique edge b1-b2 can start at b2 instead, so
+    kappa(x, w) is the same in G', the graph with the merged monitors
+    contracted into x, the left-out one deleted, and no clique edges.
+
+    One low-point DFS of G' from x answers 0 (a non-monitor unreached) and
+    1 (a cut vertex other than x, which is simplicial in H), and a least
+    H-degree of 2 answers 2; otherwise unit flows x -> w, capped at the best
+    cut so far, tried by ascending degree (:func:`_least_pair_cut`).
     """
-    _plain_int(k, "k")
-    if not isinstance(topology, Topology):
-        raise InputError(f"expected a Topology, got {type(topology).__name__}")
-    return k == 0 or (topology.node_count > k and vertex_connectivity(topology) >= k)
+    sigma = topology.sigma
+    if sigma == 0:
+        raise InputError("auxiliary graphs need at least one non-monitor")
+    monitors = topology.monitors
+    if left_out is not None:
+        topology._check_node(left_out)
+        if left_out not in monitors:
+            raise InputError(f"node {left_out} is not a monitor")
+    adjacency = topology.adjacency
+    x = topology.node_count
+    boundary = frozenset(
+        b for m in monitors if m != left_out for b in adjacency[m] if b not in monitors
+    )
+    if len(boundary) == sigma:
+        return sigma
+    order, disc, low, parent = _low_points(adjacency, x, boundary, monitors)
+    if len(order) <= sigma:
+        return 0
+    if any(parent[w] != x and low[w] >= disc[parent[w]] for w in order[1:]):
+        return 1
+    # Now kappa(H) >= 2, and at most the least H-degree, which x or a target
+    # has: a boundary node's H-neighbors include the rest of B and x.
+    degree = {w: len(adjacency[w] - monitors) for w in topology.non_monitors - boundary}
+    targets = sorted(degree, key=lambda w: (degree[w], w))
+    delta = min(len(boundary), degree[targets[0]])
+    if delta == 2:
+        return 2
+    edges = [(u, v) for u, v in topology.edges if u not in monitors and v not in monitors]
+    edges += [(b, x) for b in boundary]
+    net = _split_flow_net(x + 1, edges)
+    return _least_pair_cut(net, adjacency + (boundary,), [(x, w) for w in targets], delta)

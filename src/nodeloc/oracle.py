@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .ensemble import PathEnsemble, build_ensemble
+from .ensemble import PathEnsemble
 from .errors import CapacityError, FormatError, InputError
 from .graph import Topology, _biconnected_to_monitors, _check_k, _components, _plain_int, disjoint_paths
 
@@ -362,32 +362,6 @@ def abstract_necessary(
     reads as it did in the residual network.
     """
     return k_identifiable(topology, model, k, guard=guard)[0]
-
-
-def restrict(
-    topology: Topology, model: ProbingModel, removed: Iterable[int]
-) -> tuple[Topology, ProbingModel]:
-    """Delete non-monitors and keep only probes that survive the deletion."""
-    removed_set = _check_failure_set(topology, removed)
-    survivors = [v for v in topology.nodes if v not in removed_set]
-    new_id = {v: i for i, v in enumerate(survivors)}
-    sub = Topology(
-        node_count=len(survivors),
-        edges=frozenset(
-            (new_id[u], new_id[v])
-            for u, v in topology.edges
-            if u in new_id and v in new_id
-        ),
-        monitors=frozenset(new_id[m] for m in topology.monitors),
-    )
-    if model.kind != "UP":
-        return sub, model
-    surviving_paths = [
-        tuple(new_id[v] for v in nodes)
-        for nodes in model.ensemble.paths
-        if removed_set.isdisjoint(nodes)
-    ]
-    return sub, up_model(build_ensemble(sub, surviving_paths))
 
 
 def localize(

@@ -2,16 +2,161 @@
 
 Everything here favors obviousness over speed: plain subset enumeration and
 simple-path listing, no flow networks and no branch-and-bound, so a bug in
-the product cannot hide in a shared code path.
+the product cannot hide in a shared code path.  The paper's auxiliary-graph
+construction lives here too, built in full (clique and all), as the
+reference that :func:`nodeloc.graph.monitor_connectivity` is checked
+against; its connectivity, and :func:`is_k_connected`, come from the
+product's :func:`~nodeloc.graph.vertex_connectivity`, which
+:func:`brute_vertex_connectivity` checks in turn.
 """
 
 from __future__ import annotations
 
+import bisect
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
-from nodeloc.ensemble import INFINITE_COVER, PathEnsemble
-from nodeloc.graph import Topology
-from nodeloc.oracle import k_identifiable, restrict
+from nodeloc.ensemble import INFINITE_COVER, PathEnsemble, build_ensemble
+from nodeloc.errors import InputError
+from nodeloc.graph import Edge, Topology, _plain_int, vertex_connectivity
+from nodeloc.oracle import ProbingModel, k_identifiable, up_model
+
+
+def neighborhood_of_set(topology: Topology, nodes: Iterable[int]) -> frozenset[int]:
+    """All nodes outside ``nodes`` adjacent to at least one member of it."""
+    inside = topology._check_nodes(nodes)
+    out: set[int] = set()
+    for v in inside:
+        out |= topology.adjacency[v]
+    return frozenset(out - inside)
+
+
+@dataclass(frozen=True)
+class AuxiliaryGraph(Topology):
+    """A topology over the non-monitors plus one virtual monitor.
+
+    Both constructions delete every monitor from the topology, renumber the
+    surviving non-monitors densely (ascending original id), and append one
+    virtual monitor as the last node.  The virtual monitor is wired to the
+    non-monitors that were adjacent to a merged monitor, and those boundary
+    nodes are joined into a clique by virtual links, so that their mutual
+    reachability survives deletion of the virtual monitor.
+
+    Attributes:
+        virtual_monitor: id of the appended virtual monitor (always last).
+        excluded_monitor: original id of the monitor left out, or None when
+            every monitor was merged.
+        virtual_edges: edges that are not inherited from the source topology
+            (virtual-monitor links plus added clique links).
+        original_ids: ascending original ids of the non-monitors; position i
+            holds the original id of auxiliary node i.
+    """
+
+    virtual_monitor: int
+    excluded_monitor: int | None
+    virtual_edges: frozenset[Edge]
+    original_ids: tuple[int, ...]
+
+    def aux_id(self, original: int) -> int:
+        """Auxiliary id of an original non-monitor node."""
+        i = bisect.bisect_left(self.original_ids, original)
+        if i == len(self.original_ids) or self.original_ids[i] != original:
+            raise InputError(f"node {original} is not a non-monitor of the source topology")
+        return i
+
+
+def _merge(topology: Topology, excluded: int | None) -> AuxiliaryGraph:
+    if topology.sigma == 0:
+        raise InputError("auxiliary graphs need at least one non-monitor")
+    merged_monitors = topology.monitors - ({excluded} if excluded is not None else set())
+    originals = tuple(sorted(topology.non_monitors))
+    aux_of = {v: i for i, v in enumerate(originals)}
+    virtual = len(originals)
+
+    inherited: set[Edge] = set()
+    for u, v in topology.edges:
+        if u in aux_of and v in aux_of:
+            a, b = aux_of[u], aux_of[v]
+            inherited.add((a, b) if a < b else (b, a))
+
+    boundary = sorted(
+        aux_of[v] for v in neighborhood_of_set(topology, merged_monitors) if v in aux_of
+    )
+    virtual_edges: set[Edge] = {(b, virtual) for b in boundary}
+    for a, b in combinations(boundary, 2):
+        if (a, b) not in inherited:
+            virtual_edges.add((a, b))
+
+    return AuxiliaryGraph(
+        node_count=virtual + 1,
+        edges=frozenset(inherited | virtual_edges),
+        monitors=frozenset({virtual}),
+        virtual_monitor=virtual,
+        excluded_monitor=excluded,
+        virtual_edges=frozenset(virtual_edges),
+        original_ids=originals,
+    )
+
+
+def merge_monitors(topology: Topology) -> AuxiliaryGraph:
+    """Auxiliary graph with every monitor merged into the virtual monitor.
+
+    The virtual monitor is adjacent to exactly the non-monitor neighbors of
+    the monitor set, and those neighbors form a clique.
+    """
+    return _merge(topology, None)
+
+
+def merge_monitors_leaving_out(topology: Topology, monitor: int) -> AuxiliaryGraph:
+    """Auxiliary graph representing every monitor except ``monitor``.
+
+    The left-out monitor is deleted like any other monitor but contributes
+    nothing to the virtual monitor's neighborhood, so a non-monitor reachable
+    only through it ends up separated from the virtual monitor.
+    """
+    topology._check_node(monitor)
+    if monitor not in topology.monitors:
+        raise InputError(f"node {monitor} is not a monitor")
+    return _merge(topology, monitor)
+
+
+def is_k_connected(topology: Topology, k: int) -> bool:
+    """True when the topology is k-vertex-connected, the paper's statement of the conditions.
+
+    ``k = 0`` holds for every topology; otherwise it needs more than k nodes
+    and connectivity at least k.
+    """
+    _plain_int(k, "k")
+    if not isinstance(topology, Topology):
+        raise InputError(f"expected a Topology, got {type(topology).__name__}")
+    return k == 0 or (topology.node_count > k and vertex_connectivity(topology) >= k)
+
+
+def restrict(
+    topology: Topology, model: ProbingModel, removed: Iterable[int]
+) -> tuple[Topology, ProbingModel]:
+    """Delete non-monitors and keep only probes that survive the deletion."""
+    removed_set = frozenset(removed)
+    survivors = [v for v in topology.nodes if v not in removed_set]
+    new_id = {v: i for i, v in enumerate(survivors)}
+    sub = Topology(
+        node_count=len(survivors),
+        edges=frozenset(
+            (new_id[u], new_id[v])
+            for u, v in topology.edges
+            if u in new_id and v in new_id
+        ),
+        monitors=frozenset(new_id[m] for m in topology.monitors),
+    )
+    if model.kind != "UP":
+        return sub, model
+    surviving_paths = [
+        tuple(new_id[v] for v in nodes)
+        for nodes in model.ensemble.paths
+        if removed_set.isdisjoint(nodes)
+    ]
+    return sub, up_model(build_ensemble(sub, surviving_paths))
 
 
 def _components_after(topo: Topology, removed: frozenset[int]) -> list[set[int]]:

@@ -1,15 +1,19 @@
-"""Auxiliary-graph construction against hand-applied definitions."""
+"""The reference auxiliary-graph construction against hand-applied definitions."""
 
 from __future__ import annotations
 
 import pytest
 
-from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.conditions import min_leave_one_out_connectivity
 from nodeloc.errors import InputError
 from nodeloc.graph import Topology, vertex_connectivity
 
-from bruteforce import brute_vertex_connectivity
+from bruteforce import (
+    brute_vertex_connectivity,
+    merge_monitors,
+    merge_monitors_leaving_out,
+    neighborhood_of_set,
+)
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -115,8 +119,6 @@ class TestInvariants:
             assert aux.node_count == topo.sigma + 1
 
     def test_virtual_degree_is_boundary_size(self, corpus):
-        from nodeloc.graph import neighborhood_of_set
-
         for doc in corpus[:40]:
             topo = doc.to_topology()
             aux = merge_monitors(topo)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.conditions import (
     Identifiability,
     cap_bounds,
@@ -20,8 +19,10 @@ from nodeloc.conditions import (
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.errors import InputError
 from nodeloc.generate import erdos_renyi
-from nodeloc.graph import Topology, vertex_connectivity
+from nodeloc.graph import Topology, monitor_connectivity, vertex_connectivity
 from nodeloc.oracle import CSP, max_identifiability
+
+from bruteforce import merge_monitors, merge_monitors_leaving_out
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -273,13 +274,13 @@ class TestOneTableBuilder:
         import nodeloc.conditions as conditions
 
         calls = []
-        original = conditions.vertex_connectivity
+        original = conditions.monitor_connectivity
 
-        def counted(graph):
-            calls.append(graph)
-            return original(graph)
+        def counted(topology, left_out=None):
+            calls.append(left_out)
+            return original(topology, left_out)
 
-        monkeypatch.setattr(conditions, "vertex_connectivity", counted)
+        monkeypatch.setattr(conditions, "monitor_connectivity", counted)
         return calls
 
     def test_connectivity_calls_per_public_function(self, monkeypatch):
@@ -345,6 +346,8 @@ class TestOneThresholdRule:
             dm = min(
                 vertex_connectivity(merge_monitors_leaving_out(topo, m)) for m in topo.monitors
             )
+            assert monitor_connectivity(topo) == d
+            assert min(monitor_connectivity(topo, m) for m in topo.monitors) == dm
             regimes = (
                 ("CAP", cap_verdicts(topo), cap_bounds(topo), d, sigma - 1, {0, sigma}),
                 ("CSP", csp_verdicts(topo), csp_bounds(topo), min(d - 1, dm), sigma - 2,
@@ -374,3 +377,38 @@ class TestOneThresholdRule:
             topo = doc.to_topology()
             profile = cover_profile(doc.to_ensemble(topo))
             self._check_rule(up_verdicts(profile), profile.min_cover, {0})
+
+
+# Auxiliary-graph shapes at the edges of monitor_connectivity's rungs.
+MONITOR_CONNECTIVITY_CASES = {
+    # sigma = 1: the merged graph is one edge, the leave-one-out graph none
+    "sigma-one": Topology(2, [(0, 1)], [0]),
+    # monitor 3 has only a monitor neighbour, so it adds no boundary node
+    "monitor-without-non-monitor-neighbour": Topology(
+        5, [(0, 1), (1, 2), (2, 0), (0, 3), (0, 4), (1, 4)], [0, 3, 4]
+    ),
+    # the triangle 4-5-6 is a component no monitor reaches
+    "unreached-component": Topology(7, [(0, 1), (1, 2), (2, 3), (0, 2), (4, 5), (5, 6), (4, 6)], [0, 3]),
+    # every non-monitor borders a monitor: the merged graph is complete
+    "all-boundary": Topology(5, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 1), (4, 2)], [0, 4]),
+    # node 2 cuts the triangle 2-4-5 off the virtual monitor
+    "cut-vertex": Topology(6, [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4), (4, 5), (5, 2)], [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONITOR_CONNECTIVITY_CASES))
+def test_monitor_connectivity_against_the_reference_construction(name):
+    topo = MONITOR_CONNECTIVITY_CASES[name]
+    assert monitor_connectivity(topo) == vertex_connectivity(merge_monitors(topo))
+    for m in sorted(topo.monitors):
+        want = vertex_connectivity(merge_monitors_leaving_out(topo, m))
+        assert monitor_connectivity(topo, m) == want, m
+
+
+def test_monitor_connectivity_errors():
+    with pytest.raises(InputError, match="at least one non-monitor"):
+        monitor_connectivity(Topology(2, [(0, 1)], [0, 1]))
+    with pytest.raises(InputError, match="not a monitor"):
+        monitor_connectivity(PATH4, 1)
+    with pytest.raises(InputError, match="unknown node"):
+        monitor_connectivity(PATH4, 9)

@@ -1,4 +1,10 @@
-"""Graph primitives against hand-built cases and brute-force oracles."""
+"""Graph primitives against hand-built cases and brute-force oracles.
+
+``neighborhood_of_set`` and ``is_k_connected`` belong to the reference
+auxiliary-graph construction in ``bruteforce``.  Their tests stay here; the
+``is_k_connected`` ones also check the product's ``vertex_connectivity``,
+which it reads.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +17,15 @@ from nodeloc.graph import (
     Topology,
     connected_components,
     disjoint_paths,
-    is_k_connected,
-    neighborhood_of_set,
     vertex_connectivity,
 )
 
-from bruteforce import brute_max_disjoint_paths, brute_vertex_connectivity
+from bruteforce import (
+    brute_max_disjoint_paths,
+    brute_vertex_connectivity,
+    is_k_connected,
+    neighborhood_of_set,
+)
 
 # m1-v1-v2-m2
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])

@@ -1,8 +1,7 @@
 """Import layering of the package, read from each module's source with ``ast``.
 
 The oracle is the independent check on the conditions, so it must not reach
-them; the auxiliary-graph module leaves connectivity to the conditions; and
-the graph primitives sit below everything but the error taxonomy.
+them, and the graph primitives sit below everything but the error taxonomy.
 """
 
 from __future__ import annotations
@@ -36,15 +35,11 @@ def _imports(module: str) -> dict[str, set[str]]:
 
 
 def test_reader_sees_relative_imports():
-    assert "vertex_connectivity" in _imports("conditions")["graph"]
+    assert "monitor_connectivity" in _imports("conditions")["graph"]
 
 
 def test_oracle_imports_only_ensemble_errors_and_graph():
     assert set(_imports("oracle")) <= {"ensemble", "errors", "graph"}
-
-
-def test_auxgraph_leaves_connectivity_to_conditions():
-    assert not any("vertex_connectivity" in names for names in _imports("auxgraph").values())
 
 
 def test_graph_imports_only_errors():

@@ -3,9 +3,11 @@
 Seeded ER, BA and grid topologies with 30 to 300 nodes, one of them dense
 (connectivity 16 to 18), so that a Dinic phase pushes many units.  Vertex
 connectivity is checked on each as a plain graph, as its all-monitors
-merged graph and as every leave-one-out graph; disjoint paths from a few
-sources under seeded forbidden sets, and the monitor block sweep under
-several seeded removed sets.  Hand-built graphs reach every rung of the
+merged graph and as every leave-one-out graph; each auxiliary graph both
+as the reference construction builds it and as ``monitor_connectivity``
+reads it off the topology.  Disjoint paths are checked from a few sources
+under seeded forbidden sets, and the monitor block sweep under several
+seeded removed sets.  Hand-built graphs reach every rung of the
 connectivity ladder, and a hypothesis property covers small random graphs.
 """
 
@@ -19,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
-from nodeloc.graph import Topology, biconnected_to_monitors, disjoint_paths, vertex_connectivity
+from nodeloc.graph import (
+    Topology,
+    biconnected_to_monitors,
+    disjoint_paths,
+    monitor_connectivity,
+    vertex_connectivity,
+)
+
+from bruteforce import merge_monitors, merge_monitors_leaving_out
 
 INSTANCES = {
     "er30": lambda: erdos_renyi(30, 0.2, seed=11, monitors=3),
@@ -42,14 +51,24 @@ def _networkx_connectivity(topology: Topology) -> int:
     return nx.node_connectivity(g)
 
 
+def _check_connectivities(topology: Topology) -> None:
+    """Product against networkx: the plain graph and every auxiliary graph, both ways."""
+    assert vertex_connectivity(topology) == _networkx_connectivity(topology), "plain"
+    if topology.sigma == 0:
+        return
+    for left_out in [None, *sorted(topology.monitors)]:
+        if left_out is None:
+            graph = merge_monitors(topology)
+        else:
+            graph = merge_monitors_leaving_out(topology, left_out)
+        want = _networkx_connectivity(graph)
+        assert vertex_connectivity(graph) == want, left_out
+        assert monitor_connectivity(topology, left_out) == want, left_out
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_plain_merged_and_leave_one_out_graphs(name):
-    topology = INSTANCES[name]().to_topology()
-    graphs = {"plain": topology, "merged": merge_monitors(topology)}
-    for m in sorted(topology.monitors):
-        graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m)
-    for label, graph in graphs.items():
-        assert vertex_connectivity(graph) == _networkx_connectivity(graph), label
+    _check_connectivities(INSTANCES[name]().to_topology())
 
 
 def _k4(offset: int) -> list[tuple[int, int]]:
@@ -70,9 +89,8 @@ LADDER = {
     "k4s-sharing-a-node": (Topology(7, _k4(0) + _k4(3), [0]), 1),
     # two K4s joined by the disjoint edges 0-4 and 1-5: delta = 3, kappa = 2
     "k4s-joined-by-two-edges": (Topology(8, _k4(0) + _k4(4) + [(0, 4), (1, 5)], [0]), 2),
-    # the lone monitor 0 is not simplicial, so the flows anchor at the
-    # minimum-degree node 2, which sits in every minimum cut: only the
-    # neighbor-pair family finds kappa = 3
+    # the flows anchor at the minimum-degree node 2, which sits in every
+    # minimum cut: only the neighbor-pair family finds kappa = 3
     "non-simplicial-monitor": (
         Topology(
             7,
@@ -108,13 +126,7 @@ def small_topologies(draw):
 @given(small_topologies())
 def test_connectivity_and_block_sweep_on_small_random_graphs(case):
     topology, removed = case
-    graphs = {"plain": topology}
-    if topology.sigma:
-        graphs["merged"] = merge_monitors(topology)
-        for m in sorted(topology.monitors):
-            graphs[f"leave-out-{m}"] = merge_monitors_leaving_out(topology, m)
-    for label, graph in graphs.items():
-        assert vertex_connectivity(graph) == _networkx_connectivity(graph), label
+    _check_connectivities(topology)
     assert biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
 
 

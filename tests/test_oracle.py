@@ -22,13 +22,12 @@ from nodeloc.oracle import (
     localize,
     max_identifiability,
     measurable_path_exists,
-    restrict,
     simulate_measurements,
     ProbingModel,
     up_model,
 )
 
-from bruteforce import brute_observations, simple_monitor_path_through
+from bruteforce import brute_observations, restrict, simple_monitor_path_through
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])

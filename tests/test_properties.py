@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import random
 
-from nodeloc.auxgraph import merge_monitors, merge_monitors_leaving_out
 from nodeloc.conditions import cap_verdicts, csp_verdicts, up_verdicts
 from nodeloc.ensemble import build_ensemble, cover_profile
-from nodeloc.graph import Topology, is_k_connected
+from nodeloc.graph import Topology
 from nodeloc.oracle import (
     ANY_MONITOR,
     CAP,
@@ -18,6 +17,8 @@ from nodeloc.oracle import (
     max_identifiability,
     up_model,
 )
+
+from bruteforce import is_k_connected, merge_monitors, merge_monitors_leaving_out
 
 
 def test_any_monitor_condition_decomposes_into_merge_variants(corpus):

@@ -7,23 +7,22 @@ import inspect
 import nodeloc
 
 PUBLIC_NAMES = [
-    "ANY_MONITOR", "AuxiliaryGraph", "CAP", "CSP",
+    "ANY_MONITOR", "CAP", "CSP",
     "CapacityError", "CoverProfile", "DEFAULT_GUARD",
     "DistinguishingPath", "FailureSet", "FormatError", "INFINITE_COVER",
     "Identifiability", "IdentifiabilityBounds", "IndistinguishablePair", "InputError",
     "InternalError", "NodelocError", "PathEnsemble",
     "ProbingModel", "Topology", "TopologyDocument", "UsageError",
     "Verdict", "Witness", "abstract_necessary", "abstract_sufficient", "analyze",
-    "auxgraph", "barabasi_albert", "build_ensemble", "cap_bounds", "cap_verdict",
+    "barabasi_albert", "build_ensemble", "cap_bounds", "cap_verdict",
     "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
     "csp_verdict", "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
     "emit_report", "emit_topology", "ensemble", "erdos_renyi", "errors",
     "exhaustive_component_condition", "find_measurable_path", "generate",
-    "generate_paths", "graph", "grid", "is_k_connected",
+    "generate_paths", "graph", "grid",
     "k_identifiable", "localize", "max_identifiability",
-    "measurable_path_exists", "merge_monitors", "merge_monitors_leaving_out",
-    "min_cover_size", "min_leave_one_out_connectivity", "neighborhood_of_set", "oracle",
-    "parse_outcomes", "parse_topology", "reformat_report", "report", "restrict",
+    "measurable_path_exists", "min_cover_size", "min_leave_one_out_connectivity",
+    "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
     "simulate_measurements", "up_bounds", "up_model", "up_verdict", "up_verdicts",
     "vertex_connectivity",
 ]
@@ -41,7 +40,7 @@ PARAMETERS = {
         ("topology", None), ("source", None), ("targets", None), ("forbidden", ()), ("limit", None)
     ],
     "abstract_necessary": [("topology", None), ("model", None), ("k", None), ("guard", 7)],
-    "restrict": [("topology", None), ("model", None), ("removed", None)],
+    "monitor_connectivity": [("topology", None), ("left_out", None)],
     "emit_report": [("report", None), ("fmt", "json")],
     "reformat_report": [("data", None), ("fmt", None)],
 }
@@ -56,7 +55,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 76
+    assert len(PUBLIC_NAMES) == 70
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 

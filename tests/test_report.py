@@ -90,13 +90,13 @@ class TestAnalyze:
 
         doc = erdos_renyi(20, 0.3, seed=5, monitors=4)
         calls = []
-        original = conditions.vertex_connectivity
+        original = conditions.monitor_connectivity
 
-        def counted(graph):
-            calls.append(graph)
-            return original(graph)
+        def counted(topology, left_out=None):
+            calls.append(left_out)
+            return original(topology, left_out)
 
-        monkeypatch.setattr(conditions, "vertex_connectivity", counted)
+        monkeypatch.setattr(conditions, "monitor_connectivity", counted)
         report = analyze(doc, models=("CAP", "CSP"))
         assert len(calls) == 1 + len(doc.monitors)
 
