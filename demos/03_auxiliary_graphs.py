@@ -11,12 +11,7 @@ for all deletions up to size s exactly when the auxiliary graph is
 
 from itertools import combinations
 
-from nodeloc import (
-    Topology,
-    exhaustive_component_condition,
-    monitor_connectivity,
-    vertex_connectivity,
-)
+from nodeloc import Topology, connected_components, monitor_connectivity, vertex_connectivity
 
 # two monitors feeding a 4-node mesh
 TOPO = Topology(
@@ -42,6 +37,16 @@ def auxiliary_graph(topology, left_out=None):
     return Topology(virtual + 1, inherited | virtual_edges, [virtual]), virtual_edges
 
 
+def all_components_monitored(topology, s) -> bool:
+    """Raw enumeration: no deletion of at most ``s`` non-monitors leaves a monitorless component."""
+    return all(
+        component & topology.monitors
+        for size in range(s + 1)
+        for deleted in combinations(sorted(topology.non_monitors), size)
+        for component in connected_components(topology, deleted)
+    )
+
+
 def describe(left_out, label) -> None:
     aux, virtual_edges = auxiliary_graph(TOPO, left_out)
     print(f"  {label}")
@@ -60,7 +65,7 @@ def main() -> None:
     print("\nequivalence check against raw component enumeration:")
     d = monitor_connectivity(TOPO)
     for s in range(TOPO.sigma):
-        raw = exhaustive_component_condition(TOPO, s)
+        raw = all_components_monitored(TOPO, s)
         conn = d >= s + 1
         marker = "ok" if raw == conn else "MISMATCH"
         print(

@@ -61,7 +61,6 @@ from .document import (
 )
 from .generate import barabasi_albert, erdos_renyi, generate_paths, grid
 from .oracle import (
-    ANY_MONITOR,
     CAP,
     CSP,
     DEFAULT_GUARD,
@@ -73,7 +72,6 @@ from .oracle import (
     abstract_necessary,
     abstract_sufficient,
     distinguishable,
-    exhaustive_component_condition,
     find_measurable_path,
     k_identifiable,
     localize,

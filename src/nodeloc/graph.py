@@ -39,9 +39,9 @@ def _plain_int(
     return value
 
 
-def _check_k(topology: Topology, k: int, name: str = "k") -> None:
-    """A failure budget is a plain int in 0..sigma; ``name`` is how the error calls it."""
-    _plain_int(k, name, 0, topology.sigma)
+def _check_k(topology: Topology, k: int) -> None:
+    """A failure budget is a plain int in 0..sigma."""
+    _plain_int(k, "k", 0, topology.sigma)
 
 
 def _entries(values: object, what: str) -> tuple:

@@ -1,9 +1,9 @@
 """Brute-force ground truth for identifiability questions.
 
-Everything here sweeps failure sets outright, so results are exact and
-serve as the arbiter for the polynomial-time conditions.  The sweeps are
-bounded by a configurable guard on the number of non-monitors (default 7);
-beyond it the functions refuse with a capacity error instead of stalling.
+The answers here are exact, from sweeps of whole levels of failure sets, and
+serve as the arbiter for the polynomial-time conditions' bounds.  The sweeps
+are bounded by a configurable guard on the number of non-monitors (default
+7); beyond it the functions refuse with a capacity error instead of stalling.
 
 A probing regime is captured by :class:`ProbingModel`: controllable
 arbitrary walks (CAP), controllable simple paths (CSP), or a fixed path
@@ -23,19 +23,39 @@ max-flow per node.  The probe battery maps each probe to the non-monitors
 it traverses, and a probe reads up exactly when they all lie in R(F); so
 two failure sets are indistinguishable exactly when their R(F) are equal.
 
-Identifiability needs two levels of failure sets (the sets of one size),
-not every set.  R(F) misses F, shrinks as F grows, and holds every probe
-that witnesses one of its nodes; so adding v to F changes no observation
-exactly when v is outside R(F).
-Let P(j) say some set of j non-monitors leaves another one unreached: P is
-monotone up to j = sigma - 1, and its least level J is found by testing
-sigma - 1 and bisecting.  No set below J has a twin (a distinct set with
-equal observations), a stranding set at J has one a level up, and twins of
-one size make P hold there.  So k-identifiability fails exactly when
-P(k - 1) holds or level k holds twins, and the maximum is sigma without a
-J, else J - 1 or J as level J does or does not hold twins.  The worst case
-stays exponential: with the maximum near sigma / 2 the bisection sweeps
-whole middle levels, hence the guard.
+Identifiability needs at most two levels of failure sets (the sets of one
+size), not every set.  R(F) misses F, shrinks as F grows, and holds every
+probe that witnesses one of its nodes; so adding v to F changes no
+observation exactly when v is outside R(F).  Let the stranding level J be
+the least size of a set F that strands another non-monitor (leaves it
+outside R(F)); no J exists when no set does.  No set below J has a twin (a
+distinct set with equal observations), a stranding set at J has one a level
+up, and twins of one size strand at that size.  So k-identifiability fails
+exactly when J < k or level k holds twins, and the maximum is sigma without
+a J, else J - 1 or J as level J does or does not hold twins.
+
+J is read off thresholds the package computes without sweeping.  Let H be
+the auxiliary graph that deletes the monitors, adds a virtual monitor x
+joined to their non-monitor neighbours, and joins those into a clique;
+d = kappa(H), and dm is the least kappa(H_m), H_m leaving monitor m out of
+the merge (:func:`~nodeloc.graph.monitor_connectivity`).
+
+* CAP: F strands v exactly when it separates v from the simplicial x in H,
+  so the least such F has size kappa(H) = d unless H is complete (d =
+  sigma), when nothing strands.
+* CSP: by the fan form of Menger's theorem, v outside F is stranded exactly
+  when G - F has a set of at most one node (monitor or not) meeting every
+  path from v to a monitor.  So J + 1 is the least set meeting every such
+  path with at most one monitor in it: d with none, dm + 1 with one; J is
+  min(d - 1, dm), at least 0, and there is no J when d and dm both reach
+  sigma (every non-monitor then borders two monitors).
+* UP: F strands v exactly when F's paths cover v's, which defines the
+  cover size, so J is the least cover size delta; an infinite delta means
+  no J.
+
+An answer then sweeps one level of C(sigma, J) sets, or two for
+:func:`k_identifiable`; with J near sigma / 2 that is still exponential,
+hence the guard.
 """
 
 from __future__ import annotations
@@ -44,17 +64,21 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .ensemble import PathEnsemble
+from .ensemble import INFINITE_COVER, PathEnsemble, cover_profile
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, _biconnected_to_monitors, _check_k, _components, _plain_int, disjoint_paths
+from .graph import (
+    Topology,
+    _biconnected_to_monitors,
+    _check_k,
+    _components,
+    _plain_int,
+    disjoint_paths,
+    monitor_connectivity,
+)
 
 DEFAULT_GUARD = 7
 
 FailureSet = frozenset[int]
-
-#: Sentinel selecting the "any single monitor may be deleted" variant of
-#: :func:`exhaustive_component_condition`.
-ANY_MONITOR = "any"
 
 
 @dataclass(frozen=True)
@@ -226,37 +250,35 @@ def abstract_sufficient(
 ) -> bool:
     """Every node stays measurable under every failure set of size at most k.
 
-    This is the raw enumeration form of the sufficient condition; it implies
-    k-identifiability directly (the surviving probe separates any two
-    candidate sets differing at that node).  A stranded node stays stranded
-    as the set grows, so the one level min(k, sigma - 1) decides it.
+    This is the sufficient condition; it implies k-identifiability directly
+    (the surviving probe separates any two candidate sets differing at that
+    node).  It holds exactly when k is below the stranding level J (see the
+    module docstring), so it sweeps no failure set.
     """
     _check_model(topology, model)
     _check_k(topology, k)
     _check_guard(topology, guard)
-    return not _traps(topology, model, min(k, topology.sigma - 1))
+    low = _stranding_level(topology, model)
+    return low is None or low > k
 
 
-def _traps(
-    topology: Topology, model: ProbingModel, size: int, dropped: FailureSet = frozenset()
-) -> bool:
-    """P(size): some set of ``size`` non-monitors (plus ``dropped``) strands another."""
-    non_monitors = topology.non_monitors
-    return size >= 0 and any(
-        not non_monitors - failure <= _reached(topology, model, failure | dropped)
-        for failure in _failure_sets(sorted(non_monitors), range(size, size + 1))
-    )
+def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
+    """J, the least size of a failure set stranding another non-monitor, or None.
 
-
-def _first_trap_level(topology: Topology, model: ProbingModel, top: int) -> int | None:
-    """Least level J <= ``top`` with P(J), or None: ``top`` first, then bisection."""
-    if not _traps(topology, model, top):
+    Read off d, dm or delta by the rules in the module docstring.
+    """
+    sigma = topology.sigma
+    if sigma == 0:
         return None
-    lo, hi = 0, top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _traps(topology, model, mid) else (mid + 1, hi)
-    return hi
+    if model.kind == "UP":
+        # sigma candidates: more than any node has, so the cover guard never refuses.
+        delta = cover_profile(model.ensemble, max_candidates=sigma).min_cover
+        return None if delta == INFINITE_COVER else delta
+    d = monitor_connectivity(topology)
+    if model.kind == "CAP":
+        return d if d < sigma else None
+    dm = min(monitor_connectivity(topology, m) for m in sorted(topology.monitors))
+    return None if min(d, dm) >= sigma else max(min(d - 1, dm), 0)
 
 
 def simulate_measurements(
@@ -318,15 +340,15 @@ def k_identifiable(
 
     The counterexample is the first indistinguishable pair met when the
     sets are listed by ascending size, lexicographic within size, so it is
-    deterministic.  It sweeps level k alone when no set of size k - 1
-    strands a node, else the least stranding level J and J + 1: no set
-    below J has a twin (see the module docstring).
+    deterministic.  It sweeps level k alone when the stranding level J is
+    at least k, else J and J + 1: no set below J has a twin (see the module
+    docstring).
     """
     _check_model(topology, model)
     _check_k(topology, k)
     _check_guard(topology, guard)
-    low = _first_trap_level(topology, model, k - 1)
-    levels = range(k, k + 1) if low is None else range(low, low + 2)
+    low = _stranding_level(topology, model)
+    levels = range(k, k + 1) if low is None or low >= k else range(low, low + 2)
     pair = _first_collision(topology, model, levels)
     return pair is None, pair
 
@@ -336,13 +358,13 @@ def max_identifiability(
 ) -> int:
     """Largest k for which the network is k-identifiable under ``model``.
 
-    Sigma when no set strands a node, else J - 1 or J as the least
-    stranding level J does or does not hold twins (see the module
-    docstring).  A network identifiable up to sigma costs sigma sweeps.
+    Sigma when no set strands a node, else J - 1 or J as the stranding
+    level J does or does not hold twins (see the module docstring).  A
+    network with no J costs no sweep.
     """
     _check_model(topology, model)
     _check_guard(topology, guard)
-    low = _first_trap_level(topology, model, topology.sigma - 1)
+    low = _stranding_level(topology, model)
     if low is None:
         return topology.sigma
     return low - 1 if _first_collision(topology, model, range(low, low + 1)) else low
@@ -404,37 +426,3 @@ def localize(
         if _reached(topology, model, failure) == target
     ]
 
-
-def exhaustive_component_condition(
-    topology: Topology,
-    s: int,
-    with_monitor: int | None | Literal["any"] = None,
-    guard: int = DEFAULT_GUARD,
-) -> bool:
-    """Raw survivable-monitoring condition, checked by full enumeration.
-
-    With ``with_monitor=None``: after deleting any set of at most ``s``
-    non-monitors, every surviving component contains a monitor.  With a
-    monitor id, that monitor is deleted alongside the non-monitors.  With
-    :data:`ANY_MONITOR`, the deleted set may include at most one monitor of
-    any identity (total size still at most ``s``).  A monitorless component
-    strands its non-monitors, which stay stranded as the set grows, so each
-    variant is decided at its budget capped at sigma - 1.
-    """
-    _check_k(topology, s, "s")
-    _check_guard(topology, guard)
-
-    # (monitors deleted, how many non-monitors may be deleted with them)
-    if with_monitor is None:
-        variants = [(frozenset(), s)]
-    elif with_monitor == ANY_MONITOR:
-        variants = [(frozenset(), s)] + [(frozenset({m}), s - 1) for m in sorted(topology.monitors)]
-    else:
-        topology._check_node(with_monitor)
-        if with_monitor not in topology.monitors:
-            raise InputError(f"node {with_monitor} is not a monitor")
-        variants = [(frozenset({with_monitor}), s)]
-    return not any(
-        _traps(topology, CAP, min(size, topology.sigma - 1), dropped)
-        for dropped, size in variants
-    )

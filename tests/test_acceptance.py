@@ -1,8 +1,10 @@
 """Acceptance suite: every exit criterion, one test and one printed line each.
 
-The corpus is seeded and deterministic (see conftest).  Oracle results are
-computed once per session and shared, so the whole suite stays well inside
-its time budgets.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
+The corpus is seeded and deterministic (see conftest).  The maximum
+identifiability of each instance comes from the reference sweep of every
+failure set in ``bruteforce``, computed once per module and shared, so the
+whole suite stays well inside its time budgets and no criterion reads the
+package's connectivity code on both sides of a comparison.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
 the per-criterion lines.
 """
 
@@ -24,22 +26,17 @@ from nodeloc.conditions import (
 from nodeloc.document import parse_topology
 from nodeloc.ensemble import cover_profile, min_cover_size
 from nodeloc.graph import monitor_connectivity, vertex_connectivity
-from nodeloc.oracle import (
-    CAP,
-    CSP,
-    exhaustive_component_condition,
-    localize,
-    max_identifiability,
-    simulate_measurements,
-    up_model,
-)
+from nodeloc.oracle import CAP, CSP, localize, simulate_measurements, up_model
 from nodeloc.report import analyze, emit_report
 
 from bruteforce import (
+    brute_component_condition,
     brute_min_cover,
+    brute_observations,
     brute_vertex_connectivity,
     merge_monitors,
     merge_monitors_leaving_out,
+    reference_identifiability,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -54,14 +51,22 @@ def _report(name: str, violations: list, elapsed: float | None = None, budget: f
         assert elapsed < budget, f"suite took {elapsed:.1f}s, budget {budget}s"
 
 
+def _reference_maximum(topo, model) -> int:
+    """The size of the first repeated observation, minus 1 (sigma if none repeats)."""
+    pair, _ = reference_identifiability(
+        topo, model, lambda failure: brute_observations(topo, model, failure)
+    )
+    return topo.sigma if pair is None else len(pair[1]) - 1
+
+
 @pytest.fixture(scope="module")
 def cap_oracle(corpus):
-    return [max_identifiability(doc.to_topology(), CAP) for doc in corpus]
+    return [_reference_maximum(doc.to_topology(), CAP) for doc in corpus]
 
 
 @pytest.fixture(scope="module")
 def csp_oracle(corpus):
-    return [max_identifiability(doc.to_topology(), CSP) for doc in corpus]
+    return [_reference_maximum(doc.to_topology(), CSP) for doc in corpus]
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +75,7 @@ def up_instances(up_corpus):
     for doc in up_corpus:
         topo = doc.to_topology()
         model = up_model(doc.to_ensemble(topo))
-        out.append((doc, topo, model, max_identifiability(topo, model)))
+        out.append((doc, topo, model, _reference_maximum(topo, model)))
     return out
 
 
@@ -124,14 +129,14 @@ def test_criterion_4_connectivity_equivalences(corpus):
             continue
         d = monitor_connectivity(topo)
         for s in range(topo.sigma):
-            raw = exhaustive_component_condition(topo, s)
+            raw = brute_component_condition(topo, s)
             via_connectivity = d >= s + 1
             if raw != via_connectivity:
                 violations.append(("merged", doc, s))
         for m in sorted(topo.monitors):
             d_m = monitor_connectivity(topo, m)
             for s in range(topo.sigma):
-                raw = exhaustive_component_condition(topo, s, with_monitor=m)
+                raw = brute_component_condition(topo, s, with_monitor=m)
                 via_connectivity = d_m >= s + 1
                 if raw != via_connectivity:
                     violations.append(("leave-one-out", doc, m, s))

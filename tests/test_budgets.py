@@ -18,7 +18,6 @@ from nodeloc.errors import InputError, UsageError
 from nodeloc.graph import Topology, disjoint_paths
 from nodeloc.oracle import (
     CAP,
-    exhaustive_component_condition,
     k_identifiable,
     localize,
     simulate_measurements,
@@ -44,7 +43,6 @@ def test_failure_budget(k):
         lambda: cap_verdict(STAR, k),
         lambda: csp_verdict(STAR, k),
         lambda: k_identifiable(STAR, CAP, k),
-        lambda: exhaustive_component_condition(STAR, k),
     ):
         with pytest.raises(InputError, match="must be an integer"):
             call()
@@ -79,7 +77,6 @@ def test_brute_force_guard(guard):
     for call in (
         lambda: k_identifiable(STAR, CAP, 1, guard=guard),
         lambda: localize(STAR, CAP, outcomes, 1, guard=guard),
-        lambda: exhaustive_component_condition(STAR, 1, guard=guard),
         lambda: analyze(UP_DOC, oracle=True, guard=guard),
         lambda: analyze(UP_DOC, guard=guard),
     ):

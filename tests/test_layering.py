@@ -1,7 +1,10 @@
 """Import layering of the package, read from each module's source with ``ast``.
 
-The oracle is the independent check on the conditions, so it must not reach
-them, and the graph primitives sit below everything but the error taxonomy.
+The oracle imports no conditions: it reads d and dm from the graph
+primitives and delta from the ensembles, and the conditions are compared with
+its answers.  The independent check on both is ``tests/bruteforce.py``,
+which sweeps every failure set.  The graph primitives sit below everything
+but the error taxonomy.
 """
 
 from __future__ import annotations

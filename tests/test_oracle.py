@@ -6,9 +6,8 @@ import pytest
 
 from nodeloc.ensemble import build_ensemble
 from nodeloc.errors import CapacityError, FormatError, InputError
-from nodeloc.graph import Topology
+from nodeloc.graph import Topology, monitor_connectivity
 from nodeloc.oracle import (
-    ANY_MONITOR,
     CAP,
     CSP,
     DistinguishingPath,
@@ -16,7 +15,6 @@ from nodeloc.oracle import (
     abstract_necessary,
     abstract_sufficient,
     distinguishable,
-    exhaustive_component_condition,
     find_measurable_path,
     k_identifiable,
     localize,
@@ -27,7 +25,12 @@ from nodeloc.oracle import (
     up_model,
 )
 
-from bruteforce import brute_observations, restrict, simple_monitor_path_through
+from bruteforce import (
+    brute_component_condition,
+    brute_observations,
+    restrict,
+    simple_monitor_path_through,
+)
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -292,25 +295,33 @@ class TestLocalize:
 
 
 class TestComponentCondition:
+    """The reference enumeration, and the package's reading of each variant:
+    the merged one is the CAP sufficient condition, and deleting monitor m
+    as well is ``monitor_connectivity(topology, m) > min(s, sigma - 1)``."""
+
     def test_path_all_small_sets(self):
-        assert exhaustive_component_condition(PATH4, 2)
+        assert brute_component_condition(PATH4, 2)
+        assert abstract_sufficient(PATH4, CAP, 2)
 
     def test_ring_trap_found(self):
-        assert exhaustive_component_condition(RING, 1)
-        assert not exhaustive_component_condition(RING, 2)
+        assert brute_component_condition(RING, 1)
+        assert not brute_component_condition(RING, 2)
+        assert abstract_sufficient(RING, CAP, 1)
+        assert not abstract_sufficient(RING, CAP, 2)
 
     def test_with_specific_monitor(self):
         # deleting m2 and one non-monitor may strand the far node
-        assert exhaustive_component_condition(PATH4, 0, with_monitor=3)
-        assert not exhaustive_component_condition(PATH4, 1, with_monitor=3)
+        assert brute_component_condition(PATH4, 0, with_monitor=3)
+        assert not brute_component_condition(PATH4, 1, with_monitor=3)
+        assert monitor_connectivity(PATH4, 3) == 1
 
     def test_any_monitor_variant(self):
-        assert exhaustive_component_condition(PATH3, 1, with_monitor=ANY_MONITOR)
-        assert not exhaustive_component_condition(PATH4, 2, with_monitor=ANY_MONITOR)
+        assert brute_component_condition(PATH3, 1, with_monitor="any")
+        assert not brute_component_condition(PATH4, 2, with_monitor="any")
 
     def test_rejects_nonmonitor_argument(self):
-        with pytest.raises(InputError):
-            exhaustive_component_condition(PATH4, 1, with_monitor=1)
+        with pytest.raises(InputError, match="node 1 is not a monitor"):
+            monitor_connectivity(PATH4, 1)
 
 
 class TestCapWalksAddNothing:

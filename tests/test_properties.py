@@ -8,17 +8,20 @@ from nodeloc.conditions import cap_verdicts, csp_verdicts, up_verdicts
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.graph import Topology
 from nodeloc.oracle import (
-    ANY_MONITOR,
     CAP,
     CSP,
     abstract_necessary,
     abstract_sufficient,
-    exhaustive_component_condition,
     max_identifiability,
     up_model,
 )
 
-from bruteforce import is_k_connected, merge_monitors, merge_monitors_leaving_out
+from bruteforce import (
+    brute_component_condition,
+    is_k_connected,
+    merge_monitors,
+    merge_monitors_leaving_out,
+)
 
 
 def test_any_monitor_condition_decomposes_into_merge_variants(corpus):
@@ -32,7 +35,7 @@ def test_any_monitor_condition_decomposes_into_merge_variants(corpus):
             want = is_k_connected(merged, s + 1) and all(
                 is_k_connected(aux, s) for aux in auxes
             )
-            assert exhaustive_component_condition(topo, s, with_monitor=ANY_MONITOR) == want
+            assert brute_component_condition(topo, s, with_monitor="any") == want
 
 
 def test_abstract_conditions_hold_under_up(up_corpus):
@@ -54,10 +57,10 @@ def test_raw_component_conditions_bound_the_cap_oracle(corpus):
         topo = doc.to_topology()
         omega = max_identifiability(topo, CAP)
         for k in range(topo.sigma + 1):
-            if exhaustive_component_condition(topo, k):
+            if brute_component_condition(topo, k):
                 assert k <= omega or k > topo.sigma
             if k <= omega and k >= 1:
-                assert exhaustive_component_condition(topo, k - 1)
+                assert brute_component_condition(topo, k - 1)
 
 
 def _relabel(topo: Topology, seed: int) -> tuple[Topology, dict[int, int]]:

@@ -7,7 +7,7 @@ import inspect
 import nodeloc
 
 PUBLIC_NAMES = [
-    "ANY_MONITOR", "CAP", "CSP",
+    "CAP", "CSP",
     "CapacityError", "CoverProfile", "DEFAULT_GUARD",
     "DistinguishingPath", "FailureSet", "FormatError", "INFINITE_COVER",
     "Identifiability", "IdentifiabilityBounds", "IndistinguishablePair", "InputError",
@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
     "csp_verdict", "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
     "emit_report", "emit_topology", "ensemble", "erdos_renyi", "errors",
-    "exhaustive_component_condition", "find_measurable_path", "generate",
+    "find_measurable_path", "generate",
     "generate_paths", "graph", "grid",
     "k_identifiable", "localize", "max_identifiability",
     "measurable_path_exists", "min_cover_size", "min_leave_one_out_connectivity",
@@ -55,7 +55,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 70
+    assert len(PUBLIC_NAMES) == 68
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
