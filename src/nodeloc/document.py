@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Mapping, NoReturn
 
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import FormatError
@@ -85,8 +86,19 @@ def _load_json(data: bytes | str):
 
 
 def _dump_json(payload) -> str:
-    """The canonical JSON layout of every file nodeloc writes."""
+    """The canonical JSON layout of every file nodeloc writes; any ``indent``
+    selects the pure-Python encoder, so ``emit_topology`` writes it directly."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _unresolved(entry: str, role: str, names: list, index: dict[str, int]) -> NoReturn:
+    """Raise the error for the first name in ``names`` that is not a node; called
+    only once a lookup has failed, so entries that resolve build no message."""
+    for name in names:
+        if not isinstance(name, str):
+            raise FormatError(f"{entry} {role} {name!r} must be a node name")
+        if name not in index:
+            raise FormatError(f"{entry} references unknown node {name!r}")
 
 
 def parse_topology(data: bytes | str) -> TopologyDocument:
@@ -106,44 +118,49 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
     index: dict[str, int] = {}
     monitors: set[int] = set()
     for i, node in enumerate(nodes):
-        _expect(isinstance(node, dict), f"node {i} must be an object")
+        if type(node) is not dict:
+            raise FormatError(f"node {i} must be an object")
         name = node.get("name")
-        _expect(isinstance(name, str) and name, f"node {i} needs a non-empty string name")
-        _expect(name not in index, f"duplicate node name {name!r}")
-        _expect(isinstance(node.get("monitor"), bool), f"node {name!r} needs a boolean 'monitor'")
+        if type(name) is not str or not name:
+            raise FormatError(f"node {i} needs a non-empty string name")
+        if index.setdefault(name, i) != i:
+            raise FormatError(f"duplicate node name {name!r}")
+        if type(node.get("monitor")) is not bool:
+            raise FormatError(f"node {name!r} needs a boolean 'monitor'")
         if node["monitor"]:
             monitors.add(i)
-        index[name] = i
     _expect(bool(monitors), "at least one node must be a monitor")
 
+    get = index.get
     edges: set[tuple[int, int]] = set()
     raw_edges = raw.get("edges", [])
     _expect(isinstance(raw_edges, list), "'edges' must be a list")
     for i, edge in enumerate(raw_edges):
-        _expect(
-            isinstance(edge, list) and len(edge) == 2,
-            f"edge {i} must be a two-element list",
-        )
-        for name in edge:
-            _expect(isinstance(name, str), f"edge {i} endpoint {name!r} must be a node name")
-            _expect(name in index, f"edge {i} references unknown node {name!r}")
-        u, v = index[edge[0]], index[edge[1]]
-        _expect(u != v, f"edge {i} is a self-loop at {edge[0]!r}")
+        if type(edge) is not list or len(edge) != 2:
+            raise FormatError(f"edge {i} must be a two-element list")
+        a, b = edge
+        u, v = get(a) if type(a) is str else None, get(b) if type(b) is str else None
+        if u is None or v is None:
+            _unresolved(f"edge {i}", "endpoint", edge, index)
+        if u == v:
+            raise FormatError(f"edge {i} is a self-loop at {a!r}")
         key = (u, v) if u < v else (v, u)
-        _expect(key not in edges, f"edge {i} duplicates ({edge[0]!r}, {edge[1]!r})")
+        if key in edges:
+            raise FormatError(f"edge {i} duplicates ({a!r}, {b!r})")
         edges.add(key)
 
     paths: tuple[tuple[int, ...], ...] | None = None
-    if "paths" in raw and raw["paths"] is not None:
-        raw_paths = raw["paths"]
+    raw_paths = raw.get("paths")
+    if raw_paths is not None:
         _expect(isinstance(raw_paths, list), "'paths' must be a list")
         parsed = []
         for i, path in enumerate(raw_paths):
-            _expect(isinstance(path, list) and len(path) >= 2, f"path {i} must list at least two nodes")
-            for name in path:
-                _expect(isinstance(name, str), f"path {i} entry {name!r} must be a node name")
-                _expect(name in index, f"path {i} references unknown node {name!r}")
-            parsed.append(tuple(index[name] for name in path))
+            if type(path) is not list or len(path) < 2:
+                raise FormatError(f"path {i} must list at least two nodes")
+            ids = tuple([get(name) if type(name) is str else None for name in path])
+            if None in ids:
+                _unresolved(f"path {i}", "entry", path, index)
+            parsed.append(ids)
         paths = tuple(parsed)
 
     unknown = set(raw) - {"version", "nodes", "edges", "paths"}
@@ -151,20 +168,27 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
     return TopologyDocument(tuple(index), frozenset(monitors), frozenset(edges), paths)
 
 
+def _array(items: list[str], pad: str) -> str:
+    """``_dump_json``'s layout of a list whose items are already JSON text."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
 def emit_topology(doc: TopologyDocument) -> str:
-    """Canonical JSON form; stable key order, two-space indent."""
-    payload = {
-        "version": FORMAT_VERSION,
-        "nodes": [
-            {"name": name, "monitor": i in doc.monitors} for i, name in enumerate(doc.names)
-        ],
-        "edges": [
-            [doc.names[u], doc.names[v]] for u, v in sorted(doc.edges)
-        ],
-    }
+    """Canonical JSON form: ``_dump_json``'s layout, joined from templates
+    around names quoted once by the C string encoder."""
+    quoted = [_quote(name) for name in doc.names]
+    nodes = [
+        f'{{\n      "monitor": {"true" if i in doc.monitors else "false"},\n      "name": {name}\n    }}'
+        for i, name in enumerate(quoted)
+    ]
+    edges = [f"[\n      {quoted[u]},\n      {quoted[v]}\n    ]" for u, v in sorted(doc.edges)]
+    text = f'{{\n  "edges": {_array(edges, "  ")},\n  "nodes": {_array(nodes, "  ")},\n'
     if doc.paths is not None:
-        payload["paths"] = [[doc.names[v] for v in path] for path in doc.paths]
-    return _dump_json(payload)
+        paths = [_array([quoted[v] for v in path], "    ") for path in doc.paths]
+        text += f'  "paths": {_array(paths, "  ")},\n'
+    return text + f'  "version": {FORMAT_VERSION}\n}}\n'
 
 
 def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[int, ...], ...]:
@@ -174,6 +198,7 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
     resolution happens here; walk validity is checked when the ensemble is
     built.
     """
+    get = doc.index.get
     paths = []
     for lineno, line in enumerate(_text(data).splitlines(), start=1):
         names = line.split()
@@ -181,10 +206,10 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
             continue
         if len(names) < 2:
             raise FormatError(f"path line {lineno} lists fewer than two nodes")
-        for name in names:
-            if name not in doc.index:
-                raise FormatError(f"path line {lineno} references unknown node {name!r}")
-        paths.append(tuple(doc.index[name] for name in names))
+        ids = tuple([get(name) for name in names])
+        if None in ids:
+            raise FormatError(f"path line {lineno} references unknown node {names[ids.index(None)]!r}")
+        paths.append(ids)
     return tuple(paths)
 
 

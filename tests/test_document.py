@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nodeloc.document import (
     TopologyDocument,
@@ -84,6 +86,86 @@ class TestParseTopology:
         with pytest.raises(FormatError, match="expected version 1"):
             parse_topology(MINIMAL.replace('"version": 1', '"version": true'))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # top level
+            ({"version": 2}, "expected version 1"),
+            ({"version": None}, "expected version 1"),
+            ({"nodes": []}, "'nodes' must be a non-empty list"),
+            ({"nodes": {"m1": True}}, "'nodes' must be a non-empty list"),
+            ({"nodes": [{"name": "v", "monitor": False}]}, "at least one node must be a monitor"),
+            ({"edges": None}, "'edges' must be a list"),
+            ({"paths": {}}, "'paths' must be a list"),
+            ({"extra": 1, "more": 2}, "unknown top-level keys: ['extra', 'more']"),
+            # nodes
+            ({"nodes": [["m1"]]}, "node 0 must be an object"),
+            ({"nodes": [{"name": "m1", "monitor": True}, {"monitor": False}]},
+             "node 1 needs a non-empty string name"),
+            ({"nodes": [{"name": "", "monitor": True}]}, "node 0 needs a non-empty string name"),
+            ({"nodes": [{"name": 7, "monitor": True}]}, "node 0 needs a non-empty string name"),
+            ({"nodes": [{"name": "m1", "monitor": True}, {"name": "m1", "monitor": True}]},
+             "duplicate node name 'm1'"),
+            ({"nodes": [{"name": "m1", "monitor": 1}]}, "node 'm1' needs a boolean 'monitor'"),
+            ({"nodes": [{"name": "m1"}]}, "node 'm1' needs a boolean 'monitor'"),
+            # edges
+            ({"edges": ["m1"]}, "edge 0 must be a two-element list"),
+            ({"edges": [["m1", "v", "m1"]]}, "edge 0 must be a two-element list"),
+            ({"edges": [[["m1"], "v"]]}, "edge 0 endpoint ['m1'] must be a node name"),
+            ({"edges": [["m1", {"v": 1}]]}, "edge 0 endpoint {'v': 1} must be a node name"),
+            ({"edges": [["m1", 5]]}, "edge 0 endpoint 5 must be a node name"),
+            ({"edges": [[None, "v"]]}, "edge 0 endpoint None must be a node name"),
+            ({"edges": [["m1", "ghost"]]}, "edge 0 references unknown node 'ghost'"),
+            ({"edges": [["v", "v"]]}, "edge 0 is a self-loop at 'v'"),
+            ({"edges": [["m1", "v"], ["v", "m1"]]}, "edge 1 duplicates ('v', 'm1')"),
+            # paths
+            ({"paths": [["m1"]]}, "path 0 must list at least two nodes"),
+            ({"paths": ["m1v"]}, "path 0 must list at least two nodes"),
+            ({"paths": [["m1", ["v"]]]}, "path 0 entry ['v'] must be a node name"),
+            ({"paths": [["m1", True]]}, "path 0 entry True must be a node name"),
+            ({"paths": [["m1", "v", "ghost"]]}, "path 0 references unknown node 'ghost'"),
+            # two faults in one entry: the first name in the entry decides
+            ({"edges": [["ghost", 5]]}, "edge 0 references unknown node 'ghost'"),
+            ({"edges": [[5, "ghost"]]}, "edge 0 endpoint 5 must be a node name"),
+            ({"edges": [[["x"], ["y"]]]}, "edge 0 endpoint ['x'] must be a node name"),
+            ({"edges": [["ghost", "ghost"]]}, "edge 0 references unknown node 'ghost'"),
+            ({"paths": [["m1", "ghost", 7]]}, "path 0 references unknown node 'ghost'"),
+            ({"paths": [[{}, "ghost"]]}, "path 0 entry {} must be a node name"),
+            # faults in two entries: the earlier entry decides
+            ({"edges": [["m1", "ghost"], ["v", 5]]}, "edge 0 references unknown node 'ghost'"),
+            ({"edges": [["v", "v"], [["m1"], "v"]]}, "edge 0 is a self-loop at 'v'"),
+            ({"edges": [["m1", "v"], ["v", "m1"], ["ghost", "m1"]]}, "edge 1 duplicates ('v', 'm1')"),
+            ({"edges": [["m1", "v"], ["v", "v"], ["v", "m1"]]}, "edge 1 is a self-loop at 'v'"),
+            ({"paths": [["m1", 3], ["ghost", "v"]]}, "path 0 entry 3 must be a node name"),
+            ({"paths": [["m1", "v"], ["v", "ghost"]]}, "path 1 references unknown node 'ghost'"),
+            # faults in two sections: nodes, then edges, then paths, then keys
+            ({"nodes": [{"name": "m1", "monitor": True}], "edges": [["m1", "v"]]},
+             "edge 0 references unknown node 'v'"),
+            ({"edges": [["v", "v"]], "paths": [["ghost"]]}, "edge 0 is a self-loop at 'v'"),
+            ({"paths": [["m1", "ghost"]], "extra": 1}, "path 0 references unknown node 'ghost'"),
+        ],
+    )
+    def test_error_messages(self, change, message):
+        raw = json.loads(MINIMAL)
+        raw.update(change)
+        with pytest.raises(FormatError) as excinfo:
+            parse_topology(json.dumps(raw))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "top level must be a JSON object"),
+            ('{"nodes": [{"name": "m1", "monitor": true}]}', "expected version 1"),
+            ('{"version": true, "nodes": [{"name": "m1", "monitor": true}]}', "expected version 1"),
+            ('{"version": 1}', "'nodes' must be a non-empty list"),
+        ],
+    )
+    def test_top_level_error_messages(self, text, message):
+        with pytest.raises(FormatError) as excinfo:
+            parse_topology(text)
+        assert str(excinfo.value) == message
+
     def test_round_trip_identity(self, corpus, up_corpus):
         for doc in corpus[:30] + up_corpus[:30]:
             assert parse_topology(emit_topology(doc)) == doc
@@ -91,6 +173,57 @@ class TestParseTopology:
     def test_emission_is_deterministic(self, corpus):
         doc = corpus[0]
         assert emit_topology(doc) == emit_topology(doc)
+
+
+#: Characters the writer must escape exactly as ``json.dumps`` does: quote,
+#: backslash, control characters, non-ASCII, astral-plane and lone surrogates.
+awkward_names = st.text(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f/é€\u2028\U0001f600\ud800\udfffa') | st.characters(),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def documents(draw) -> TopologyDocument:
+    names = draw(st.lists(awkward_names, min_size=1, max_size=8, unique=True))
+    n = len(names)
+    ids = st.integers(0, n - 1)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    paths = draw(st.none() | st.just(()) | st.lists(st.lists(ids, max_size=6).map(tuple)).map(tuple))
+    return TopologyDocument(tuple(names), frozenset(draw(st.sets(ids))), frozenset(edges), paths)
+
+
+class TestEmitTopology:
+    @given(documents())
+    def test_matches_the_json_module(self, doc):
+        names = doc.names
+        payload = {
+            "version": 1,
+            "nodes": [{"name": name, "monitor": i in doc.monitors} for i, name in enumerate(names)],
+            "edges": [[names[u], names[v]] for u, v in sorted(doc.edges)],
+        }
+        if doc.paths is not None:
+            payload["paths"] = [[names[v] for v in path] for path in doc.paths]
+        assert emit_topology(doc) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_never_enters_the_pure_python_encoder(self, monkeypatch):
+        def refuse(self, o, _one_shot=False):
+            raise AssertionError("pure-Python JSON encoder entered")
+
+        monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dumps([1], indent=2)
+        n = 2000
+        doc = TopologyDocument(
+            tuple(f"n{i}" for i in range(n)),
+            frozenset(range(0, n, 100)),
+            frozenset((i, i + 1) for i in range(n - 1)),
+            tuple(tuple(range(i, i + 101)) for i in range(0, n - 100, 100)),
+        )
+        text = emit_topology(doc)
+        assert text.count('"name"') == n and text.endswith('  "version": 1\n}\n')
 
 
 class TestPathLines:
@@ -111,6 +244,21 @@ class TestPathLines:
             parse_path_lines("m1 ghost\n", doc)
         with pytest.raises(FormatError, match="fewer than two"):
             parse_path_lines("m1\n", doc)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m1 v\nv\n", "path line 2 lists fewer than two nodes"),
+            ("m1 v\n\nv ghost m1 phantom\n", "path line 3 references unknown node 'ghost'"),
+            ("m1 v\n# m1 ghost\nv phantom\nghost m1\n", "path line 3 references unknown node 'phantom'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        from nodeloc.document import parse_path_lines
+
+        with pytest.raises(FormatError) as excinfo:
+            parse_path_lines(text, parse_topology(MINIMAL))
+        assert str(excinfo.value) == message
 
 
 class TestOutcomes:
