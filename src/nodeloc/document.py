@@ -223,17 +223,24 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
     _expect(isinstance(observations, list), "'observations' must be a list")
     states: dict[int, bool] = {}
     for i, obs in enumerate(observations):
-        _expect(isinstance(obs, dict), f"observation {i} must be an object")
-        _expect(obs.get("state") in ("up", "down"), f"observation {i} state must be up or down")
+        # Each message is built only once its check has failed.
+        if not isinstance(obs, dict):
+            raise FormatError(f"observation {i} must be an object")
+        state = obs.get("state")
+        if state not in ("up", "down"):
+            raise FormatError(f"observation {i} state must be up or down")
         probe = obs.get("probe")
         if model == "UP":
-            _expect(type(probe) is int, f"observation {i} probe must be a path id")
+            if type(probe) is not int:
+                raise FormatError(f"observation {i} probe must be a path id")
             key = probe
-        else:
-            _expect(isinstance(probe, str), f"observation {i} probe must be a node name")
+        elif isinstance(probe, str):
             key = doc.id_of(probe)
-        _expect(key not in states, f"observation {i} repeats probe {probe!r}")
-        states[key] = obs["state"] == "up"
+        else:
+            raise FormatError(f"observation {i} probe must be a node name")
+        if key in states:
+            raise FormatError(f"observation {i} repeats probe {probe!r}")
+        states[key] = state == "up"
     return model, states
 
 

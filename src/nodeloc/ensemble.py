@@ -5,7 +5,10 @@ monitor-to-monitor walk; its Boolean outcome is "down" exactly when it
 traverses a failed node.  The quantity driving identifiability is, per
 non-monitor v, the smallest number of other non-monitors whose path sets
 jointly cover every path through v: once that many nodes fail, v's state can
-become invisible.
+become invisible.  A path's route for v is the set of other non-monitors on
+it, so that number is the least hitting set of v's distinct routes; the
+search branches over routes, and its guard counts the other non-monitors on
+v's paths.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .graph import Topology, _entries, _plain_int
 #: Cover size meaning "no set of other nodes can hide this one".
 INFINITE_COVER = math.inf
 
-_MAX_CANDIDATES = 20  # exact-cover guard: candidate covering sets per node
+_MAX_CANDIDATES = 20  # exact-cover guard: other non-monitors on a node's paths
 
 
 @dataclass(frozen=True)
@@ -54,78 +57,65 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     allowed (walks are accepted as given); incidence is computed on the set
     of visited nodes.
     """
-    adjacency = topology.adjacency
+    adjacency, monitors = topology.adjacency, topology.monitors
     validated: list[tuple[int, ...]] = []
-    for idx, seq in enumerate(_entries(paths, "paths")):
-        nodes = _entries(seq, f"path {idx}")
+    incidence = [set() for _ in range(topology.node_count)]
+    for pid, seq in enumerate(_entries(paths, "paths")):
+        try:
+            nodes = tuple(seq)
+        except TypeError:
+            raise InputError(f"path {pid} must be iterable, not {type(seq).__name__}") from None
         if len(nodes) < 2:
-            raise FormatError(f"path {idx} has fewer than two nodes")
+            raise FormatError(f"path {pid} has fewer than two nodes")
         for v in nodes:
-            topology._check_node(v)
+            topology._check_node(v)  # ids are never coerced
         for end in (nodes[0], nodes[-1]):
-            if end not in topology.monitors:
-                raise FormatError(f"path {idx} endpoint {end} is not a monitor")
+            if end not in monitors:
+                raise FormatError(f"path {pid} endpoint {end} is not a monitor")
         for a, b in zip(nodes, nodes[1:]):
             if b not in adjacency[a]:
-                raise FormatError(f"path {idx} steps over a missing edge ({a}, {b})")
+                raise FormatError(f"path {pid} steps over a missing edge ({a}, {b})")
         validated.append(nodes)
-
-    incidence = [set() for _ in range(topology.node_count)]
-    for pid, nodes in enumerate(validated):
-        for v in frozenset(nodes):
-            if v not in topology.monitors:
-                incidence[v].add(pid)
+        for v in frozenset(nodes) - monitors:
+            incidence[v].add(pid)
     frozen = tuple(frozenset(s) for s in incidence)
     unobserved = frozenset(v for v in topology.non_monitors if not frozen[v])
     return PathEnsemble(topology, tuple(validated), frozen, unobserved)
 
 
-def _exact_min_cover(universe: frozenset[int], candidates: list[frozenset[int]]) -> int | float:
-    """Smallest number of candidate sets covering ``universe`` (inf if none).
-
-    Branches on the uncovered element with the fewest covering sets, listed
-    once per call, largest first; |universe| sets always suffice.
-    """
-    ordered = sorted(candidates, key=len, reverse=True)
-    covers = {e: [s for s in ordered if e in s] for e in universe}
-    if not all(covers.values()):
-        return INFINITE_COVER
-    best = len(universe)
-
-    def descend(uncovered: frozenset[int], used: int) -> None:
-        nonlocal best
-        if not uncovered:
-            best = used  # a descent happens only below the bound
-            return
-        if used + 1 >= best:
-            return
-        for s in covers[min(uncovered, key=lambda e: len(covers[e]))]:
-            descend(uncovered - s, used + 1)
-
-    descend(universe, 0)
-    return best
-
-
 def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CANDIDATES) -> int | float:
     """Minimum number of other non-monitors whose paths cover all of v's paths.
 
-    Returns :data:`INFINITE_COVER` when some path through v traverses no
-    other non-monitor, and 0 when v lies on no path at all (the empty path
-    set is covered by nobody failing, which is why such a node is already
-    unidentifiable).  The computation is exact; if more than
-    ``max_candidates`` other nodes share paths with v the call refuses with a
-    capacity error rather than approximating.
+    That is the least hitting set of v's distinct routes, a route being the
+    other non-monitors on one path through v.  Returns :data:`INFINITE_COVER`
+    when a route is empty, and 0 when v lies on no path at all (the empty
+    path set is covered by nobody failing, which is why such a node is
+    already unidentifiable).  The search is exact and branches over routes;
+    if more than ``max_candidates`` other non-monitors lie on v's paths the
+    call refuses with a capacity error rather than approximating.
     """
-    targets = ensemble.paths_through(v)
+    through = ensemble.paths_through(v)
     _plain_int(max_candidates, "max_candidates")
-    others = sorted(ensemble.topology.non_monitors - {v})
-    candidates = [c for w in others if (c := ensemble.incidence[w] & targets)]
+    skip = ensemble.topology.monitors | {v}
+    routes = {frozenset(ensemble.paths[pid]) - skip for pid in through}
+    candidates = frozenset().union(*routes)
     if len(candidates) > max_candidates:
         raise CapacityError(
             f"{len(candidates)} candidate covering sets exceed the exact-cover "
             f"guard of {max_candidates}; no option raises this guard"
         )
-    return _exact_min_cover(targets, candidates)
+    if frozenset() in routes:
+        return INFINITE_COVER
+
+    def least(unhit: list[frozenset[int]], bound: int) -> int:
+        """Least hitting set of ``unhit`` if smaller than ``bound``, else ``bound``."""
+        if not unhit or bound <= 1:
+            return bound if unhit else 0
+        for w in min(unhit, key=len):  # branch on the route with the fewest nodes
+            bound = min(bound, 1 + least([r for r in unhit if w not in r], bound - 1))
+        return bound
+
+    return least(list(routes), len(routes))  # one node per route always suffices
 
 
 @dataclass(frozen=True)

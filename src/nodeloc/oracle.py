@@ -54,8 +54,8 @@ the merge (:func:`~nodeloc.graph.monitor_connectivity`).
   no J.
 
 An answer then sweeps one level of C(sigma, J) sets, or two for
-:func:`k_identifiable`; with J near sigma / 2 that is still exponential,
-hence the guard.
+:func:`k_identifiable` with k above J, and none when J is missing or above
+k; with J near sigma / 2 that is still exponential, hence the guard.
 """
 
 from __future__ import annotations
@@ -340,16 +340,17 @@ def k_identifiable(
 
     The counterexample is the first indistinguishable pair met when the
     sets are listed by ascending size, lexicographic within size, so it is
-    deterministic.  It sweeps level k alone when the stranding level J is
-    at least k, else J and J + 1: no set below J has a twin (see the module
-    docstring).
+    deterministic.  No set below the stranding level J has a twin (see the
+    module docstring), so without a J or with J above k the answer costs no
+    sweep; it sweeps level J alone when k = J, else J and J + 1.
     """
     _check_model(topology, model)
     _check_k(topology, k)
     _check_guard(topology, guard)
     low = _stranding_level(topology, model)
-    levels = range(k, k + 1) if low is None or low >= k else range(low, low + 2)
-    pair = _first_collision(topology, model, levels)
+    if low is None or low > k:
+        return True, None
+    pair = _first_collision(topology, model, range(low, min(k, low + 1) + 1))
     return pair is None, pair
 
 

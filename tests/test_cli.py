@@ -508,3 +508,8 @@ class TestUsageErrorsExit2:
         code, out, err = run(capsys, command, topo_file, *rest)
         assert (code, out) == (2, "")
         assert err == f"error: probing model {kind!r} is repeated\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    def test_unknown_model(self, command, topo_file, capsys):
+        code, out, err = run(capsys, command, topo_file, "--models", "CAP,XYZ")
+        assert (code, out, err) == (2, "", "error: unknown probing model 'XYZ'\n")

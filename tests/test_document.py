@@ -297,6 +297,49 @@ class TestOutcomes:
                     doc,
                 )
 
+    @pytest.mark.parametrize(
+        "model, observations, message",
+        [
+            ("CAP", '[{"probe": "v", "state": "up"}, 3]', "observation 1 must be an object"),
+            ("CAP", '[{"probe": "v", "state": "UP"}]', "observation 0 state must be up or down"),
+            ("CAP", '[{"probe": "v"}]', "observation 0 state must be up or down"),
+            ("UP", '[{"probe": 1.0, "state": "up"}]', "observation 0 probe must be a path id"),
+            ("UP", '[{"probe": "0", "state": "up"}]', "observation 0 probe must be a path id"),
+            ("CSP", '[{"probe": 1, "state": "down"}]', "observation 0 probe must be a node name"),
+            ("CAP", '[{"state": "down"}]', "observation 0 probe must be a node name"),
+            ("CAP", '[{"probe": "ghost", "state": "up"}]', "unknown node name 'ghost'"),
+            (
+                "CAP",
+                '[{"probe": "v", "state": "up"}, {"probe": "v", "state": "down"}]',
+                "observation 1 repeats probe 'v'",
+            ),
+            (
+                "UP",
+                '[{"probe": 0, "state": "up"}, {"probe": 0, "state": "up"}]',
+                "observation 1 repeats probe 0",
+            ),
+            # Two faults in one observation: the first check in this order names it.
+            ("CAP", '[{"probe": 7, "state": "sideways"}]', "observation 0 state must be up or down"),
+            ("UP", '[{"probe": "ghost", "state": 1}]', "observation 0 state must be up or down"),
+            (
+                "CAP",
+                '[{"probe": "v", "state": "up"}, {"probe": ["v"], "state": "up"}]',
+                "observation 1 probe must be a node name",
+            ),
+            (
+                "CAP",
+                '[{"probe": "v", "state": "up"}, {"probe": "ghost", "state": "up"}]',
+                "unknown node name 'ghost'",
+            ),
+        ],
+    )
+    def test_observation_error_messages(self, model, observations, message):
+        doc = parse_topology(MINIMAL)
+        text = f'{{"model": "{model}", "observations": {observations}}}'
+        with pytest.raises(FormatError) as excinfo:
+            parse_outcomes(text, doc)
+        assert str(excinfo.value) == message
+
 
 class TestGenerators:
     def test_er_determinism(self):

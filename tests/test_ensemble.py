@@ -13,7 +13,9 @@ from nodeloc.ensemble import (
     cover_profile,
     min_cover_size,
 )
+from nodeloc.document import TopologyDocument
 from nodeloc.errors import CapacityError, FormatError, InputError
+from nodeloc.generate import generate_paths
 from nodeloc.graph import Topology
 
 from bruteforce import brute_min_cover
@@ -83,6 +85,33 @@ class TestBuildEnsemble:
         with pytest.raises(InputError):
             diamond_ensemble().paths_through(0)
 
+    @pytest.mark.parametrize(
+        "paths, error, message",
+        [
+            (5, InputError, "paths must be iterable, not int"),
+            ([(0, 1, 3), 5], InputError, "path 1 must be iterable, not int"),
+            ([()], FormatError, "path 0 has fewer than two nodes"),
+            ([(0, 1, 3), (0,)], FormatError, "path 1 has fewer than two nodes"),
+            ([(0, 1.0, 3)], InputError, "unknown node id 1.0"),
+            ([(0, True, 3)], InputError, "unknown node id True"),
+            ([(0, 4, 3)], InputError, "unknown node id 4"),
+            ([(0, -1, 3)], InputError, "unknown node id -1"),
+            ([(1, 2, 3)], FormatError, "path 0 endpoint 1 is not a monitor"),
+            ([(0, 1, 2)], FormatError, "path 0 endpoint 2 is not a monitor"),
+            ([(0, 1, 3), (0, 2, 3)], FormatError, "path 1 steps over a missing edge (0, 2)"),
+            # Two faults in one path: the first check in this order names it.
+            ([(1,)], FormatError, "path 0 has fewer than two nodes"),
+            ([(1, 2, 7)], InputError, "unknown node id 7"),
+            ([(0, 2, 1)], FormatError, "path 0 endpoint 1 is not a monitor"),
+            ([(2, 0)], FormatError, "path 0 endpoint 2 is not a monitor"),
+            ([(0, 2, 0, 3, 0)], FormatError, "path 0 steps over a missing edge (0, 2)"),
+        ],
+    )
+    def test_error_messages(self, paths, error, message):
+        with pytest.raises(error) as excinfo:
+            build_ensemble(DIAMOND, paths)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
 
 class TestMinCoverSize:
     def test_running_example_values(self):
@@ -134,6 +163,42 @@ class TestMinCoverSize:
         ens = build_ensemble(complete, paths)
         for v in range(2, n):
             assert min_cover_size(ens, v) == brute_min_cover(ens, v), (paths, v)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ingest_like_star_matches_bruteforce(self, seed):
+        # Thirty monitor hosts hang off an eight-node core, and hundreds of
+        # host-to-host shortest paths cross it on a few distinct core routes.
+        rng = random.Random(seed)
+        core, hosts = 8, 30
+        edges = {(u, u + 1) for u in range(core - 1)}
+        edges |= {(u, v) for u in range(core) for v in range(u + 2, core) if rng.random() < 0.3}
+        edges |= {(rng.randrange(core), core + h) for h in range(hosts)}
+        names = tuple(f"c{v}" for v in range(core)) + tuple(f"h{h}" for h in range(hosts))
+        pathless = TopologyDocument(names, frozenset(range(core, core + hosts)), frozenset(edges))
+        doc = generate_paths(pathless, 2)
+        # As in ingested documents, every path crosses at least two core nodes.
+        ens = build_ensemble(doc.to_topology(), [p for p in doc.paths if len(p) > 3])
+        assert len(ens.paths) > 300
+        sizes = [min_cover_size(ens, v) for v in range(core)]
+        assert sizes == [brute_min_cover(ens, v) for v in range(core)]
+        assert any(1 < s < INFINITE_COVER for s in sizes), sizes
+
+    def test_repeated_empty_routes_mean_no_cover(self):
+        # Node 1 is the only non-monitor on twelve paths, so each gives it the
+        # same empty route; one more path reaches nodes 2-4.
+        monitors = (0, 5, 6, 7)
+        star = Topology(8, [(1, m) for m in monitors] + [(1, 2), (2, 3), (3, 4), (4, 0)], monitors)
+        paths = [(a, 1, b) for a in monitors for b in monitors if a != b]
+        paths.append((5, 1, 2, 3, 4, 0))
+        ens = build_ensemble(star, paths)
+        assert min_cover_size(ens, 1) == brute_min_cover(ens, 1) == INFINITE_COVER
+        assert min_cover_size(ens, 3) == brute_min_cover(ens, 3) == 1
+        # The guard counts nodes 2-4 before the empty routes are looked at.
+        with pytest.raises(CapacityError) as excinfo:
+            min_cover_size(ens, 1, max_candidates=2)
+        assert str(excinfo.value) == (
+            "3 candidate covering sets exceed the exact-cover guard of 2; no option raises this guard"
+        )
 
     def test_monitor_rejected(self):
         with pytest.raises(InputError):

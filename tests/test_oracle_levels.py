@@ -258,6 +258,20 @@ def _count_sweeps(monkeypatch) -> list:
     return calls
 
 
+#: (kind, J) of the sigma-10 networks ``_sparse`` builds.
+SPARSE_LEVELS = [("CAP", 3), ("CSP", 2), ("UP", 2)]
+
+
+def _sparse(kind: str):
+    """A sigma-10 network and model whose stranding level holds no twins."""
+    if kind == "UP":
+        doc = _seeded_monitor_walks(erdos_renyi(14, 0.4, seed=1, monitors=4), 1, 40)
+        topo = doc.to_topology()
+        return topo, up_model(doc.to_ensemble(topo))
+    topo = erdos_renyi(14, 0.3, seed=4, monitors=4).to_topology()
+    return topo, CAP if kind == "CAP" else CSP
+
+
 class TestSweepCounts:
     def test_dense_csp_maximum_sweeps_nothing(self, monkeypatch):
         # No J: the maximum is sigma without a sweep.
@@ -266,19 +280,34 @@ class TestSweepCounts:
         assert max_identifiability(topo, CSP, guard=30) == 30
         assert calls == []
 
-    @pytest.mark.parametrize("kind, level", [("CAP", 3), ("CSP", 2), ("UP", 2)])
+    @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_sparse_maximum_sweeps_level_j(self, kind, level, monkeypatch):
         # sigma = 10; level J holds no twins here, so the sweep lists all of it.
-        if kind == "UP":
-            doc = _seeded_monitor_walks(erdos_renyi(14, 0.4, seed=1, monitors=4), 1, 40)
-            topo = doc.to_topology()
-            model = up_model(doc.to_ensemble(topo))
-        else:
-            topo = erdos_renyi(14, 0.3, seed=4, monitors=4).to_topology()
-            model = CAP if kind == "CAP" else CSP
+        topo, model = _sparse(kind)
         assert oracle._stranding_level(topo, model) == level
         calls = _count_sweeps(monkeypatch)
         assert max_identifiability(topo, model, guard=10) == level
+        assert len(calls) == comb(topo.sigma, level)
+
+    @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
+    def test_k_identifiable_below_j_sweeps_nothing(self, kind, level, monkeypatch):
+        topo, model = _sparse(kind)
+        calls = _count_sweeps(monkeypatch)
+        for k in range(level):
+            assert k_identifiable(topo, model, k, guard=10) == (True, None)
+        assert calls == []
+
+    def test_k_identifiable_without_j_sweeps_nothing(self, monkeypatch):
+        topo = erdos_renyi(34, 0.8, seed=1, monitors=4).to_topology()
+        calls = _count_sweeps(monkeypatch)
+        assert k_identifiable(topo, CSP, 3, guard=30) == (True, None)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
+    def test_k_identifiable_at_j_sweeps_level_j(self, kind, level, monkeypatch):
+        topo, model = _sparse(kind)
+        calls = _count_sweeps(monkeypatch)
+        assert k_identifiable(topo, model, level, guard=10) == (True, None)
         assert len(calls) == comb(topo.sigma, level)
 
     def test_abstract_sufficient_sweeps_nothing(self, monkeypatch):
