@@ -11,7 +11,7 @@ for all deletions up to size s exactly when the auxiliary graph is
 
 from itertools import combinations
 
-from nodeloc import Topology, connected_components, monitor_connectivity, vertex_connectivity
+from nodeloc import Topology, connected_components, monitor_connectivity
 
 # two monitors feeding a 4-node mesh
 TOPO = Topology(
@@ -53,7 +53,7 @@ def describe(left_out, label) -> None:
     print(f"    nodes: {aux.node_count} (virtual monitor is id {aux.node_count - 1})")
     print(f"    inherited + virtual edges: {sorted(aux.edges)}")
     print(f"    virtual edges only:        {sorted(virtual_edges)}")
-    print(f"    vertex connectivity:       {vertex_connectivity(aux)}")
+    print(f"    vertex connectivity:       {monitor_connectivity(TOPO, left_out)}")
 
 
 def main() -> None:

@@ -10,8 +10,8 @@ measurements, under three probing regimes:
 * UP, uncontrollable probing over a fixed externally given path set.
 
 Polynomial-time sufficient/necessary conditions live in
-:mod:`nodeloc.conditions`; the exhaustive ground-truth engine that every
-condition is verified against lives in :mod:`nodeloc.oracle`.
+:mod:`nodeloc.conditions`; exact answers, witnesses and localization, from
+sweeps of at most two levels of failure sets, in :mod:`nodeloc.oracle`.
 """
 
 from .conditions import (
@@ -50,7 +50,6 @@ from .graph import (
     connected_components,
     disjoint_paths,
     monitor_connectivity,
-    vertex_connectivity,
 )
 from .document import (
     TopologyDocument,

@@ -7,7 +7,7 @@ leave-one-out connectivity, and the minimum cover size delta under
 uncontrollable probing (UP).  A failure-set size k >= 1 is certified
 identifiable when T >= k + 1 (the sufficient condition) and refuted when
 T < k (the necessary one fails); in between the verdict is indeterminate and
-only the brute-force engine can settle it.  Exact if-and-only-if rules
+only the oracle can settle it.  Exact if-and-only-if rules
 override T at the full failure budget (CAP, CSP) and one short of it (CSP).
 The largest identifiable k lies in [T - 1, T] while T is at most sigma - 1
 (CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.
@@ -176,9 +176,10 @@ def controllable_tables(
     tables = {}
     if "CAP" in kinds:
         # Exact at the full budget: 1-hop probing reaches a node iff it has
-        # a monitor neighbor, and nothing else survives to help.  Past the
-        # guard (d >= sigma) the merged graph is complete, so the rule holds.
-        adjacent = all(topology.monitor_neighbor_count(v) >= 1 for v in topology.non_monitors)
+        # a monitor neighbor, and nothing else survives to help.  Every
+        # non-monitor has one exactly when the merged graph is complete,
+        # which is when d = sigma; otherwise d <= sigma - 1.
+        adjacent = d == sigma
         exact = {sigma: (adjacent, "full-budget-monitor-adjacency")}
         verdicts = _table(sigma, d, exact, "merged-graph-connectivity")
         note = (

@@ -31,7 +31,8 @@ class PathEnsemble:
     """Validated path set with a per-node incidence index.
 
     ``paths[i]`` is path i's node tuple, the form
-    ``TopologyDocument.paths`` uses; a path's id is its index.
+    ``TopologyDocument.paths`` uses; a path's id is its index, and
+    ``members[i]`` the set of non-monitors the path visits.
     ``incidence[v]`` is the set of path ids traversing node v; it is empty
     for monitors and for non-monitors no path visits.  ``unobserved`` lists
     the latter; such nodes can never be localized.
@@ -39,6 +40,7 @@ class PathEnsemble:
 
     topology: Topology
     paths: tuple[tuple[int, ...], ...]
+    members: tuple[frozenset[int], ...]
     incidence: tuple[frozenset[int], ...]
     unobserved: frozenset[int]
 
@@ -59,6 +61,7 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     """
     adjacency, monitors = topology.adjacency, topology.monitors
     validated: list[tuple[int, ...]] = []
+    members: list[frozenset[int]] = []
     incidence = [set() for _ in range(topology.node_count)]
     for pid, seq in enumerate(_entries(paths, "paths")):
         try:
@@ -76,11 +79,12 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
             if b not in adjacency[a]:
                 raise FormatError(f"path {pid} steps over a missing edge ({a}, {b})")
         validated.append(nodes)
-        for v in frozenset(nodes) - monitors:
+        members.append(frozenset(nodes) - monitors)
+        for v in members[-1]:
             incidence[v].add(pid)
     frozen = tuple(frozenset(s) for s in incidence)
     unobserved = frozenset(v for v in topology.non_monitors if not frozen[v])
-    return PathEnsemble(topology, tuple(validated), frozen, unobserved)
+    return PathEnsemble(topology, tuple(validated), tuple(members), frozen, unobserved)
 
 
 def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CANDIDATES) -> int | float:
@@ -96,22 +100,22 @@ def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CA
     """
     through = ensemble.paths_through(v)
     _plain_int(max_candidates, "max_candidates")
-    skip = ensemble.topology.monitors | {v}
-    routes = {frozenset(ensemble.paths[pid]) - skip for pid in through}
-    candidates = frozenset().union(*routes)
+    # A path's members all hold v, so they stand for its route one to one.
+    routes = {ensemble.members[pid] for pid in through}
+    candidates = frozenset().union(*routes) - {v}
     if len(candidates) > max_candidates:
         raise CapacityError(
             f"{len(candidates)} candidate covering sets exceed the exact-cover "
             f"guard of {max_candidates}; no option raises this guard"
         )
-    if frozenset() in routes:
+    if frozenset({v}) in routes:
         return INFINITE_COVER
 
     def least(unhit: list[frozenset[int]], bound: int) -> int:
         """Least hitting set of ``unhit`` if smaller than ``bound``, else ``bound``."""
         if not unhit or bound <= 1:
             return bound if unhit else 0
-        for w in min(unhit, key=len):  # branch on the route with the fewest nodes
+        for w in min(unhit, key=len) - {v}:  # branch on the route with the fewest nodes
             bound = min(bound, 1 + least([r for r in unhit if w not in r], bound - 1))
         return bound
 

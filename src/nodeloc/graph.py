@@ -1,9 +1,13 @@
-"""Undirected topology model and vertex-connectivity primitives.
+"""Undirected topology model and the graph primitives the analyses use.
 
 A :class:`Topology` is an immutable simple graph whose nodes carry a
 monitor / non-monitor label.  Node ids are dense integers ``0..node_count-1``
 so that the exhaustive analyses elsewhere in the package can use cheap set
 arithmetic; human-readable names live in the document layer.
+
+The one connectivity computed here is an auxiliary graph's
+(:func:`monitor_connectivity`), from the low-point DFS and unit-capacity
+max-flow that the monitor block sweep and :func:`disjoint_paths` also use.
 
 All functions here are pure and every value is frozen, so shared topologies
 may be analyzed concurrently without locking.
@@ -12,7 +16,6 @@ may be analyzed concurrently without locking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError
@@ -196,7 +199,7 @@ def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> fro
     if len(monitors) < 2:
         return frozenset()
     sink = topology.node_count
-    order, disc, low, parent = _low_points(topology.adjacency, sink, monitors, removed)
+    order, disc, low, parent = _low_points(topology.adjacency, monitors, removed)
     reached: set[int] = set()
     for w in order[1:]:
         u = parent[w]
@@ -206,17 +209,18 @@ def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> fro
 
 
 def _low_points(
-    adjacency: tuple[frozenset[int], ...], root: int, root_neighbors: frozenset[int], removed: frozenset[int]
+    adjacency: tuple[frozenset[int], ...], root_neighbors: frozenset[int], removed: frozenset[int]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Hopcroft-Tarjan low-point DFS from ``root``: ``(order, disc, low, parent)``.
+    """Hopcroft-Tarjan low-point DFS: ``(order, disc, low, parent)``.
 
-    ``root`` may be ``len(adjacency)``, a virtual node joined to
+    The root is the virtual node ``len(adjacency)``, joined to
     ``root_neighbors`` alone.  ``order`` lists the nodes reached, root first.
     Low points count the tree edge to the parent too, so a non-root u cuts
     its child w's subtree off the root iff ``low[w] >= disc[u]``.  An
     explicit iterator stack keeps long paths off the Python stack.
     """
-    size = max(len(adjacency), root + 1)
+    root = len(adjacency)
+    size = root + 1
     disc = [-1] * size
     # A removed node counts as visited with a discovery time above every
     # real one, so it is never entered and never lowers a low point.
@@ -349,22 +353,6 @@ def _split_flow_net(node_count: int, edges: Iterable[Edge]) -> _FlowNet:
     return net
 
 
-def _least_pair_cut(
-    net: _FlowNet, adjacency: tuple[frozenset[int], ...], pairs: Iterable[Edge], best: int
-) -> int:
-    """The least s-t vertex cut over ``pairs`` of non-adjacent nodes, capped at ``best``.
-
-    A pair with as many common neighbors as the best cut so far needs no
-    flow; the rest share ``net``, each running Dinic from restored capacities.
-    """
-    base = net.cap[:]
-    for s, t in pairs:
-        if len(adjacency[s] & adjacency[t]) < best:
-            net.cap[:] = base
-            best = net.max_flow(2 * s + 1, 2 * t, limit=best)
-    return best
-
-
 def disjoint_paths(
     topology: Topology,
     source: int,
@@ -421,45 +409,6 @@ def disjoint_paths(
     return paths
 
 
-def vertex_connectivity(topology: Topology) -> int:
-    """Vertex connectivity of a topology, with the conventions the analyses rely on.
-
-    A complete graph on n nodes has connectivity n-1 and a disconnected one
-    0; anything but a topology is an input error.  One low-point DFS answers
-    up to 2 (Hopcroft & Tarjan): with minimum degree delta, delta <= 1 gives
-    delta, a cut vertex 1, and delta = 2 without one 2.
-
-    Only a biconnected graph with delta >= 3 runs flows (Esfahanian & Hakimi):
-    from a minimum-degree anchor x, the least s-t cut, capped at delta, over
-    every pair (x, w) with w non-adjacent to x and every non-adjacent pair of
-    neighbors of x.  A minimum cut avoids x, and separates it from some w,
-    or holds x, which then has neighbors on two of its sides; so any x will
-    do.  The pairs share one node-split network (:func:`_least_pair_cut`).
-    """
-    if not isinstance(topology, Topology):
-        raise InputError(f"expected a Topology, got {type(topology).__name__}")
-    n = topology.node_count
-    if n < 2:
-        raise InputError("vertex connectivity needs at least 2 nodes")
-    if len(topology.edges) == n * (n - 1) // 2:
-        return n - 1
-    adjacency = topology.adjacency
-    x = min(topology.nodes, key=lambda v: (len(adjacency[v]), v))
-    order, disc, low, parent = _low_points(adjacency, x, adjacency[x], frozenset())
-    if len(order) < n:
-        return 0
-    delta = len(adjacency[x])
-    tree = [(parent[w], w) for w in order[1:]]
-    # Connected, so delta >= 1: a leaf's neighbor or any cut vertex gives 1.
-    if delta == 1 or sum(u == x for u, _ in tree) > 1 or any(u != x and low[w] >= disc[u] for u, w in tree):
-        return 1
-    if delta == 2:
-        return 2
-    pairs = [(x, w) for w in topology.nodes if w != x and w not in adjacency[x]]
-    pairs += [(y, z) for y, z in combinations(sorted(adjacency[x]), 2) if z not in adjacency[y]]
-    return _least_pair_cut(_split_flow_net(n, topology.edges), adjacency, pairs, delta)
-
-
 def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int:
     """Vertex connectivity of an auxiliary graph H, read without building H.
 
@@ -476,7 +425,9 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
     One low-point DFS of G' from x answers 0 (a non-monitor unreached) and
     1 (a cut vertex other than x, which is simplicial in H), and a least
     H-degree of 2 answers 2; otherwise unit flows x -> w, capped at the best
-    cut so far, tried by ascending degree (:func:`_least_pair_cut`).
+    cut so far, tried by ascending degree.  The flows share one node-split
+    network, each running Dinic from restored capacities, and a w with as
+    many boundary neighbors as the best cut so far needs no flow.
     """
     sigma = topology.sigma
     if sigma == 0:
@@ -493,7 +444,7 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
     )
     if len(boundary) == sigma:
         return sigma
-    order, disc, low, parent = _low_points(adjacency, x, boundary, monitors)
+    order, disc, low, parent = _low_points(adjacency, boundary, monitors)
     if len(order) <= sigma:
         return 0
     if any(parent[w] != x and low[w] >= disc[parent[w]] for w in order[1:]):
@@ -508,4 +459,9 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
     edges = [(u, v) for u, v in topology.edges if u not in monitors and v not in monitors]
     edges += [(b, x) for b in boundary]
     net = _split_flow_net(x + 1, edges)
-    return _least_pair_cut(net, adjacency + (boundary,), [(x, w) for w in targets], delta)
+    base, best = net.cap[:], delta
+    for w in targets:
+        if len(boundary & adjacency[w]) < best:
+            net.cap[:] = base
+            best = net.max_flow(2 * x + 1, 2 * w, limit=best)
+    return best

@@ -1,9 +1,9 @@
-"""Brute-force ground truth for identifiability questions.
+"""Exact identifiability: maximum, per-k verdict, witnesses and localization.
 
-The answers here are exact, from sweeps of whole levels of failure sets, and
-serve as the arbiter for the polynomial-time conditions' bounds.  The sweeps
-are bounded by a configurable guard on the number of non-monitors (default
-7); beyond it the functions refuse with a capacity error instead of stalling.
+Each answer reads the stranding level J off the thresholds d, dm and delta
+(below) and sweeps at most two levels of failure sets.  The sweeps are
+bounded by a configurable guard on the number of non-monitors (default 7);
+beyond it the functions refuse with a capacity error instead of stalling.
 
 A probing regime is captured by :class:`ProbingModel`: controllable
 arbitrary walks (CAP), controllable simple paths (CSP), or a fixed path
@@ -234,7 +234,7 @@ def _battery(topology: Topology, model: ProbingModel) -> dict[int, frozenset[int
     non-monitor v, asking whether some probe of the regime traverses v.
     """
     if model.kind == "UP":
-        return {pid: frozenset(nodes) - topology.monitors for pid, nodes in enumerate(model.ensemble.paths)}
+        return dict(enumerate(model.ensemble.members))
     return {v: frozenset({v}) for v in sorted(topology.non_monitors)}
 
 

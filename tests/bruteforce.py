@@ -5,9 +5,9 @@ simple-path listing, no flow networks and no branch-and-bound, so a bug in
 the product cannot hide in a shared code path.  The paper's auxiliary-graph
 construction lives here too, built in full (clique and all), as the
 reference that :func:`nodeloc.graph.monitor_connectivity` is checked
-against; its connectivity, and :func:`is_k_connected`, come from the
-product's :func:`~nodeloc.graph.vertex_connectivity`, which
-:func:`brute_vertex_connectivity` checks in turn.
+against.  The package computes no plain vertex connectivity, so
+:func:`brute_vertex_connectivity` is the one here (networkx stands in on
+graphs too large to enumerate), and :func:`is_k_connected` reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable
 
 from nodeloc.ensemble import INFINITE_COVER, PathEnsemble, build_ensemble
 from nodeloc.errors import InputError
-from nodeloc.graph import Edge, Topology, _plain_int, vertex_connectivity
+from nodeloc.graph import Edge, Topology, _plain_int
 from nodeloc.oracle import ProbingModel, k_identifiable, up_model
 
 
@@ -130,7 +130,7 @@ def is_k_connected(topology: Topology, k: int) -> bool:
     _plain_int(k, "k")
     if not isinstance(topology, Topology):
         raise InputError(f"expected a Topology, got {type(topology).__name__}")
-    return k == 0 or (topology.node_count > k and vertex_connectivity(topology) >= k)
+    return k == 0 or (topology.node_count > k and brute_vertex_connectivity(topology) >= k)
 
 
 def restrict(

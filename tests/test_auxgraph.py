@@ -6,7 +6,7 @@ import pytest
 
 from nodeloc.conditions import min_leave_one_out_connectivity
 from nodeloc.errors import InputError
-from nodeloc.graph import Topology, vertex_connectivity
+from nodeloc.graph import Topology, monitor_connectivity
 
 from bruteforce import (
     brute_vertex_connectivity,
@@ -29,7 +29,7 @@ class TestMergeMonitors:
         assert aux.virtual_monitor == 2
         assert aux.monitors == {2}
         assert aux.edges == {(0, 1), (0, 2), (1, 2)}
-        assert vertex_connectivity(aux) == 2 == brute_vertex_connectivity(aux)
+        assert brute_vertex_connectivity(aux) == 2 == monitor_connectivity(PATH4)
         # the boundary clique edge (0, 1) already existed, so it is inherited
         assert aux.virtual_edges == {(0, 2), (1, 2)}
 
@@ -37,7 +37,7 @@ class TestMergeMonitors:
         aux = merge_monitors(STAR)
         assert aux.node_count == 4
         assert len(aux.edges) == 6
-        assert vertex_connectivity(aux) == 3 == brute_vertex_connectivity(aux)
+        assert brute_vertex_connectivity(aux) == 3 == monitor_connectivity(STAR)
         # leaf-leaf edges are virtual clique links
         assert {(0, 1), (0, 2), (1, 2)} <= aux.virtual_edges
 
@@ -45,7 +45,7 @@ class TestMergeMonitors:
         t = Topology(2, [(0, 1)], [0])
         aux = merge_monitors(t)
         assert aux.edges == {(0, 1)}
-        assert vertex_connectivity(aux) == 1
+        assert brute_vertex_connectivity(aux) == 1 == monitor_connectivity(t)
 
     def test_nonmonitor_out_of_monitor_reach_is_isolated_from_virtual(self):
         # m-v1, v1-v2: only v1 borders the monitor set
@@ -71,13 +71,13 @@ class TestMergeLeavingOneOut:
         aux = merge_monitors_leaving_out(PATH3, 0)
         # v keeps only its link to the virtual monitor (via m2)
         assert aux.edges == {(0, 1)}
-        assert vertex_connectivity(aux) == 1
+        assert brute_vertex_connectivity(aux) == 1 == monitor_connectivity(PATH3, 0)
 
     def test_excluding_far_monitor_detaches_far_node(self):
         aux = merge_monitors_leaving_out(PATH4, 3)
         # boundary is {v1} only; graph is v2-v1-virtual
         assert aux.edges == {(0, 1), (0, 2)}
-        assert vertex_connectivity(aux) == 1
+        assert brute_vertex_connectivity(aux) == 1 == monitor_connectivity(PATH4, 3)
 
     def test_node_covered_only_by_excluded_monitor(self):
         # v2 touches monitors only through m2 (id 3); leaving m2 out
@@ -90,7 +90,7 @@ class TestMergeLeavingOneOut:
         t = Topology(2, [(0, 1)], [0])
         aux = merge_monitors_leaving_out(t, 0)
         assert aux.edges == frozenset()
-        assert vertex_connectivity(aux) == 0
+        assert brute_vertex_connectivity(aux) == 0 == monitor_connectivity(t, 0)
 
     def test_requires_monitor_argument(self):
         with pytest.raises(InputError):
@@ -105,7 +105,7 @@ class TestMergeLeavingOneOut:
         assert isinstance(merged, Topology) and isinstance(left_out, Topology)
         assert not hasattr(merged, "graph")
         assert merged.sigma == 2 and merged.non_monitors == {0, 1}
-        assert vertex_connectivity(merged) == 2
+        assert brute_vertex_connectivity(merged) == 2 == monitor_connectivity(PATH4)
 
 
 class TestInvariants:
@@ -145,7 +145,8 @@ class TestInvariants:
         assert sorted(sorted(map(len, (a.adjacency)))) == sorted(
             sorted(map(len, (b.adjacency)))
         )
-        assert vertex_connectivity(a) == vertex_connectivity(b)
+        assert brute_vertex_connectivity(a) == brute_vertex_connectivity(b)
+        assert monitor_connectivity(PATH4) == monitor_connectivity(relabelled)
 
 
 def test_min_leave_one_out_connectivity_examples():

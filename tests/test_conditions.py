@@ -19,10 +19,10 @@ from nodeloc.conditions import (
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.errors import InputError
 from nodeloc.generate import erdos_renyi
-from nodeloc.graph import Topology, monitor_connectivity, vertex_connectivity
+from nodeloc.graph import Topology, monitor_connectivity
 from nodeloc.oracle import CSP, max_identifiability
 
-from bruteforce import merge_monitors, merge_monitors_leaving_out
+from bruteforce import brute_vertex_connectivity, merge_monitors, merge_monitors_leaving_out
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -342,9 +342,10 @@ class TestOneThresholdRule:
         for doc in corpus:
             topo = doc.to_topology()
             sigma = topo.sigma
-            d = vertex_connectivity(merge_monitors(topo))
+            d = brute_vertex_connectivity(merge_monitors(topo))
             dm = min(
-                vertex_connectivity(merge_monitors_leaving_out(topo, m)) for m in topo.monitors
+                brute_vertex_connectivity(merge_monitors_leaving_out(topo, m))
+                for m in topo.monitors
             )
             assert monitor_connectivity(topo) == d
             assert min(monitor_connectivity(topo, m) for m in topo.monitors) == dm
@@ -399,9 +400,9 @@ MONITOR_CONNECTIVITY_CASES = {
 @pytest.mark.parametrize("name", sorted(MONITOR_CONNECTIVITY_CASES))
 def test_monitor_connectivity_against_the_reference_construction(name):
     topo = MONITOR_CONNECTIVITY_CASES[name]
-    assert monitor_connectivity(topo) == vertex_connectivity(merge_monitors(topo))
+    assert monitor_connectivity(topo) == brute_vertex_connectivity(merge_monitors(topo))
     for m in sorted(topo.monitors):
-        want = vertex_connectivity(merge_monitors_leaving_out(topo, m))
+        want = brute_vertex_connectivity(merge_monitors_leaving_out(topo, m))
         assert monitor_connectivity(topo, m) == want, m
 
 

@@ -2,8 +2,8 @@
 
 ``neighborhood_of_set`` and ``is_k_connected`` belong to the reference
 auxiliary-graph construction in ``bruteforce``.  Their tests stay here; the
-``is_k_connected`` ones also check the product's ``vertex_connectivity``,
-which it reads.
+``is_k_connected`` ones also check ``brute_vertex_connectivity``, which it
+reads, against component survival.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from nodeloc.graph import (
     Topology,
     connected_components,
     disjoint_paths,
-    vertex_connectivity,
 )
 
 from bruteforce import (
     brute_max_disjoint_paths,
-    brute_vertex_connectivity,
     is_k_connected,
     neighborhood_of_set,
 )
@@ -242,51 +240,6 @@ class TestDisjointPaths:
                 want = brute_max_disjoint_paths(topo, v, monitors, forbidden)
                 assert len(got) == want, (v, forbidden)
                 assert not any(set(p) & forbidden for p in got)
-
-
-class TestVertexConnectivity:
-    def test_complete_graph_convention(self):
-        assert vertex_connectivity(K4) == 3
-
-    def test_path_of_three(self):
-        t = Topology(3, [(0, 1), (1, 2)], [0])
-        assert vertex_connectivity(t) == 1
-
-    def test_five_cycle(self):
-        assert vertex_connectivity(CYCLE5) == 2
-        assert brute_vertex_connectivity(CYCLE5) == 2
-
-    def test_disconnected_graph(self):
-        t = Topology(4, [(0, 1), (2, 3)], [0])
-        assert vertex_connectivity(t) == 0
-
-    def test_single_node_rejected(self):
-        with pytest.raises(InputError):
-            vertex_connectivity(Topology(1, [], [0]))
-
-    def test_non_topology_rejected(self):
-        with pytest.raises(InputError):
-            vertex_connectivity(object())
-
-    def test_anchor_inside_every_minimum_cut(self):
-        # Here every minimum cut contains the minimum-degree anchor, so the
-        # anchored source-sink family alone overshoots (it reports 4); the
-        # non-adjacent-neighbor-pair family is what finds the true cut.
-        t = Topology(
-            7,
-            [
-                (0, 1), (0, 3), (0, 4), (0, 5), (0, 6),
-                (1, 3), (1, 4), (1, 5), (1, 6),
-                (2, 3), (2, 4), (2, 5), (2, 6),
-                (3, 6), (4, 5),
-            ],
-            [0],
-        )
-        assert vertex_connectivity(t) == 3 == brute_vertex_connectivity(t)
-
-    @given(topologies())
-    def test_matches_bruteforce(self, topo):
-        assert vertex_connectivity(topo) == brute_vertex_connectivity(topo)
 
 
 class TestIsKConnected:

@@ -1,14 +1,14 @@
 """Graph primitives against networkx, at sizes the brute-force corpus cannot reach.
 
 Seeded ER, BA and grid topologies with 30 to 300 nodes, one of them dense
-(connectivity 16 to 18), so that a Dinic phase pushes many units.  Vertex
-connectivity is checked on each as a plain graph, as its all-monitors
-merged graph and as every leave-one-out graph; each auxiliary graph both
-as the reference construction builds it and as ``monitor_connectivity``
-reads it off the topology.  Disjoint paths are checked from a few sources
-under seeded forbidden sets, and the monitor block sweep under several
-seeded removed sets.  Hand-built graphs reach every rung of the
-connectivity ladder, and a hypothesis property covers small random graphs.
+(connectivity 16 to 18), so that a Dinic phase pushes many units.
+``monitor_connectivity`` is checked on each, for the all-monitors merged
+graph and every leave-one-out graph, against networkx on the auxiliary
+graph as the reference construction builds it.  Disjoint paths are checked
+from a few sources under seeded forbidden sets, and the monitor block sweep
+under several seeded removed sets.  Hand-built topologies reach every rung
+of ``monitor_connectivity``'s ladder, and a hypothesis property covers
+small random graphs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from nodeloc.graph import (
     biconnected_to_monitors,
     disjoint_paths,
     monitor_connectivity,
-    vertex_connectivity,
 )
 
 from bruteforce import merge_monitors, merge_monitors_leaving_out
@@ -52,8 +51,7 @@ def _networkx_connectivity(topology: Topology) -> int:
 
 
 def _check_connectivities(topology: Topology) -> None:
-    """Product against networkx: the plain graph and every auxiliary graph, both ways."""
-    assert vertex_connectivity(topology) == _networkx_connectivity(topology), "plain"
+    """``monitor_connectivity`` against networkx on every reference auxiliary graph."""
     if topology.sigma == 0:
         return
     for left_out in [None, *sorted(topology.monitors)]:
@@ -61,9 +59,7 @@ def _check_connectivities(topology: Topology) -> None:
             graph = merge_monitors(topology)
         else:
             graph = merge_monitors_leaving_out(topology, left_out)
-        want = _networkx_connectivity(graph)
-        assert vertex_connectivity(graph) == want, left_out
-        assert monitor_connectivity(topology, left_out) == want, left_out
+        assert monitor_connectivity(topology, left_out) == _networkx_connectivity(graph), left_out
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -81,16 +77,25 @@ def _prism(n: int) -> list[tuple[int, int]]:
     return ring + [(n + u, n + v) for u, v in ring] + [(i, n + i) for i in range(n)]
 
 
-# Each graph reaches one rung of the connectivity ladder, with its expected value.
+# Each topology reaches one rung of monitor_connectivity's ladder on its
+# merged graph H, with the expected kappa(H).
 LADDER = {
-    # two 4-cycles sharing node 0: delta = 2, but node 0 is a cut vertex
+    # the triangle 4-5-6 is a component no monitor reaches: the DFS answers 0
+    "unreached-component": (Topology(7, [(0, 1), (1, 2), (2, 3), (0, 2), (4, 5), (5, 6), (4, 6)], [0, 3]), 0),
+    # two 4-cycles sharing node 0, monitor 1: node 0 is a cut vertex of H
     "cycles-sharing-a-node": (Topology(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)], [1]), 1),
-    # two K4s sharing node 3: delta = 3 with a cut vertex
+    # two K4s sharing node 3, monitor 0: node 3 cuts the second K4 off
     "k4s-sharing-a-node": (Topology(7, _k4(0) + _k4(3), [0]), 1),
-    # two K4s joined by the disjoint edges 0-4 and 1-5: delta = 3, kappa = 2
+    # an 8-cycle with one monitor: H is a cycle, its least degree 2 answers 2
+    "ring": (Topology(8, [(i, (i + 1) % 8) for i in range(8)], [0]), 2),
+    # every non-monitor borders a monitor: H is complete, kappa(H) = sigma
+    "all-boundary": (Topology(5, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 1), (4, 2)], [0, 4]), 3),
+    # two K4s joined by the disjoint edges 0-4 and 1-5, monitor 0: the
+    # first flow, capped at the least degree 3, finds 2; the next is capped
+    # at 2, and node 5, with two boundary neighbors, needs no flow
     "k4s-joined-by-two-edges": (Topology(8, _k4(0) + _k4(4) + [(0, 4), (1, 5)], [0]), 2),
-    # the flows anchor at the minimum-degree node 2, which sits in every
-    # minimum cut: only the neighbor-pair family finds kappa = 3
+    # monitor 0 borders all but node 2, whose four neighbors are all on the
+    # boundary: kappa(H) = 4 = least degree, with no flow run
     "non-simplicial-monitor": (
         Topology(
             7,
@@ -98,9 +103,9 @@ LADDER = {
              (2, 3), (2, 4), (2, 5), (2, 6), (3, 6), (4, 5)],
             [0],
         ),
-        3,
+        4,
     ),
-    # augmenting paths about 150 nodes long on the flow rung
+    # 596 flows along augmenting paths about 150 nodes long, none recursive
     "prism-300": (Topology(600, _prism(300), [0]), 3),
 }
 
@@ -108,7 +113,7 @@ LADDER = {
 @pytest.mark.parametrize("name", sorted(LADDER))
 def test_connectivity_ladder_rungs(name):
     topology, want = LADDER[name]
-    assert vertex_connectivity(topology) == want == _networkx_connectivity(topology)
+    assert monitor_connectivity(topology) == want == _networkx_connectivity(merge_monitors(topology))
 
 
 @st.composite

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "measurable_path_exists", "min_cover_size", "min_leave_one_out_connectivity",
     "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
     "simulate_measurements", "up_bounds", "up_model", "up_verdict", "up_verdicts",
-    "vertex_connectivity",
 ]
 
 # Parameter names and defaults of the functions whose bodies share one code
@@ -55,7 +54,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 67
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
