@@ -19,14 +19,10 @@ from .conditions import (
     IdentifiabilityBounds,
     Verdict,
     cap_bounds,
-    cap_verdict,
     cap_verdicts,
     csp_bounds,
-    csp_verdict,
     csp_verdicts,
-    min_leave_one_out_connectivity,
     up_bounds,
-    up_verdict,
     up_verdicts,
 )
 from .ensemble import (

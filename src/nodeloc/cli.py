@@ -42,7 +42,7 @@ def _global_options(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--guard",
         type=int,
         default=default(DEFAULT_GUARD),
-        help=f"max non-monitor count for brute-force work (default {DEFAULT_GUARD})",
+        help=f"max non-monitor count for exact oracle work (default {DEFAULT_GUARD})",
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default=default("json"), help="output format"
@@ -80,10 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[document], help="condition tables and identifiability bounds")
     p.add_argument("--models", default=None, help="comma list among CAP,CSP,UP")
     p.add_argument("--k-range", default=None, metavar="LO:HI", help="restrict the verdict table")
-    p.add_argument("--oracle", action="store_true", help="add brute-force results")
+    p.add_argument("--oracle", action="store_true", help="add exact oracle results")
     p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("oracle", parents=[document], help="brute-force identifiability results only")
+    p = sub.add_parser("oracle", parents=[document], help="exact oracle identifiability results only")
     p.add_argument("--models", default=None, help="comma list among CAP,CSP,UP")
     p.add_argument("--k", type=int, default=None, help="check one k instead of the maximum")
     p.set_defaults(handler=_cmd_oracle)
@@ -140,10 +140,7 @@ def _write(text: str, out: Path | None) -> None:
 def _parse_models(arg: str | None) -> tuple[str, ...] | None:
     if arg is None:
         return None
-    models = tuple(part.strip().upper() for part in arg.split(",") if part.strip())
-    if not models:
-        raise UsageError("empty --models list")
-    return models
+    return tuple(part.strip().upper() for part in arg.split(",") if part.strip())
 
 
 def _parse_k_range(arg: str | None) -> tuple[int, int] | None:

@@ -16,6 +16,11 @@ merged into one virtual monitor (d) or all but one of them (dm); every
 public CAP/CSP function is a view of :func:`controllable_tables`, which
 reads them with :func:`~nodeloc.graph.monitor_connectivity` and builds no
 auxiliary graph.
+
+T is also the oracle's stranding level J: CAP J = d when d < sigma, CSP
+J = max(T, 0) unless d = dm = sigma, and UP J = delta; otherwise there is no
+J.  The oracle reads d and dm through the same graph functions, and its
+module docstring holds the proofs.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from enum import Enum
 
 from .ensemble import CoverProfile
 from .errors import InternalError
-from .graph import Topology, _check_k, _plain_int, monitor_connectivity
+from .graph import Topology, _leave_one_out_connectivity, monitor_connectivity
 
 
 class Identifiability(Enum):
@@ -117,12 +122,6 @@ def _bounds(
 # ---------------------------------------------------------------------------
 
 
-def cap_verdict(topology: Topology, k: int) -> Verdict:
-    """Per-k verdict under controllable arbitrary-path probing."""
-    _check_k(topology, k)
-    return cap_verdicts(topology)[k]
-
-
 def cap_verdicts(topology: Topology) -> tuple[Verdict, ...]:
     """Verdicts for every k from 0 to the number of non-monitors."""
     return _verdicts(topology, "CAP")
@@ -136,12 +135,6 @@ def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
     the exact full-budget rule pins the maximum at sigma.
     """
     return controllable_tables(topology, ("CAP",))["CAP"][1]
-
-
-def csp_verdict(topology: Topology, k: int) -> Verdict:
-    """Per-k verdict under controllable simple-path probing."""
-    _check_k(topology, k)
-    return csp_verdicts(topology)[k]
 
 
 def csp_verdicts(topology: Topology) -> tuple[Verdict, ...]:
@@ -198,7 +191,7 @@ def controllable_tables(
             and topology.monitor_neighbor_count(weak[0]) == 1
             and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
         )
-        dm = min_leave_one_out_connectivity(topology)
+        dm = _leave_one_out_connectivity(topology)
         # Exact at the full budget: cycle-free 2-hop probing needs two
         # distinct monitor endpoints per node once every other non-monitor
         # may be down.
@@ -216,11 +209,6 @@ def controllable_tables(
     return tables
 
 
-def min_leave_one_out_connectivity(topology: Topology) -> int:
-    """Smallest vertex connectivity over all leave-one-out auxiliary graphs."""
-    return min(monitor_connectivity(topology, m) for m in sorted(topology.monitors))
-
-
 def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:
     # Without a non-monitor only k = 0 exists, and no auxiliary graph does.
     if topology.sigma == 0:
@@ -231,16 +219,6 @@ def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:
 # ---------------------------------------------------------------------------
 # Uncontrollable probing
 # ---------------------------------------------------------------------------
-
-
-def up_verdict(profile: CoverProfile, k: int) -> Verdict:
-    """Per-k verdict under a fixed path ensemble, for k in 0..sigma.
-
-    Identifiability is certified when every node's minimum cover size
-    exceeds k, and refuted when some node's cover size is below k.
-    """
-    _plain_int(k, "k", 0, len(profile.cover_sizes))
-    return up_verdicts(profile)[k]
 
 
 def up_verdicts(profile: CoverProfile) -> tuple[Verdict, ...]:

@@ -465,3 +465,8 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
             net.cap[:] = base
             best = net.max_flow(2 * x + 1, 2 * w, limit=best)
     return best
+
+
+def _leave_one_out_connectivity(topology: Topology) -> int:
+    """dm, the least :func:`monitor_connectivity` over the monitors left out."""
+    return min(monitor_connectivity(topology, m) for m in sorted(topology.monitors))

@@ -71,6 +71,7 @@ from .graph import (
     _biconnected_to_monitors,
     _check_k,
     _components,
+    _leave_one_out_connectivity,
     _plain_int,
     disjoint_paths,
     monitor_connectivity,
@@ -93,6 +94,8 @@ class ProbingModel:
             raise InputError(f"unknown probing model {self.kind!r}")
         if (self.kind == "UP") != (self.ensemble is not None):
             raise InputError("exactly the UP model carries a path ensemble")
+        if self.ensemble is not None and not isinstance(self.ensemble, PathEnsemble):
+            raise InputError(f"the UP ensemble must be a PathEnsemble, not {type(self.ensemble).__name__}")
 
 
 CAP = ProbingModel("CAP")
@@ -277,7 +280,7 @@ def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
     d = monitor_connectivity(topology)
     if model.kind == "CAP":
         return d if d < sigma else None
-    dm = min(monitor_connectivity(topology, m) for m in sorted(topology.monitors))
+    dm = _leave_one_out_connectivity(topology)
     return None if min(d, dm) >= sigma else max(min(d - 1, dm), 0)
 
 

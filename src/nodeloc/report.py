@@ -2,7 +2,7 @@
 
 ``analyze`` runs the per-k condition tables and the maximum-identifiability
 bounds for the requested probing models, optionally cross-checked against
-the brute-force engine, and packages everything with provenance so repeated
+the exact oracle, and packages everything with provenance so repeated
 runs on the same input are byte-identical.  The report is a JSON-ready dict:
 ``emit_report`` renders it as stable JSON or as a human-readable text
 table, and ``nodeloc report`` re-reads the JSON form.
@@ -43,6 +43,8 @@ def resolve_models(
     """
     if models is None:
         models = ("CAP", "CSP") + (("UP",) if doc.paths is not None else ())
+    if not models:
+        raise UsageError("empty --models list")
     for i, kind in enumerate(models):
         if kind not in _MODEL_ORDER:
             raise UsageError(f"unknown probing model {kind!r}")
@@ -69,8 +71,8 @@ def analyze(
     The report is the JSON-ready dict that :func:`emit_report` renders.
     ``models`` defaults to CAP and CSP, plus UP when the document carries
     paths.  ``k_range`` restricts the verdict table (inclusive bounds);
-    ``oracle`` adds brute-force results, refusing when the non-monitor count
-    exceeds ``guard``.
+    ``oracle`` adds the exact oracle's maxima, refusing when the non-monitor
+    count exceeds ``guard``.
     """
     _plain_int(guard, "guard")
     if type(oracle) is not bool:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from nodeloc.conditions import min_leave_one_out_connectivity
 from nodeloc.errors import InputError
-from nodeloc.graph import Topology, monitor_connectivity
+from nodeloc.graph import Topology, _leave_one_out_connectivity, monitor_connectivity
 
 from bruteforce import (
     brute_vertex_connectivity,
@@ -150,7 +149,7 @@ class TestInvariants:
 
 
 def test_min_leave_one_out_connectivity_examples():
-    assert min_leave_one_out_connectivity(PATH3) == 1
-    assert min_leave_one_out_connectivity(CYCLE4) == 2
+    assert _leave_one_out_connectivity(PATH3) == 1
+    assert _leave_one_out_connectivity(CYCLE4) == 2
     # single monitor: the sole leave-one-out graph has an isolated virtual
-    assert min_leave_one_out_connectivity(STAR) == 0
+    assert _leave_one_out_connectivity(STAR) == 0

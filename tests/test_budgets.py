@@ -11,16 +11,18 @@ from __future__ import annotations
 import pytest
 
 from nodeloc.cli import main
-from nodeloc.conditions import cap_verdict, csp_verdict, up_verdict
 from nodeloc.document import TopologyDocument, emit_topology
 from nodeloc.ensemble import cover_profile, min_cover_size
 from nodeloc.errors import InputError, UsageError
 from nodeloc.graph import Topology, disjoint_paths
 from nodeloc.oracle import (
     CAP,
+    CSP,
+    abstract_sufficient,
     k_identifiable,
     localize,
     simulate_measurements,
+    up_model,
 )
 from nodeloc.report import analyze
 
@@ -40,9 +42,9 @@ NOT_INTS = [1.5, True, None, "2"]
 @pytest.mark.parametrize("k", NOT_INTS + [-1, 4])
 def test_failure_budget(k):
     for call in (
-        lambda: cap_verdict(STAR, k),
-        lambda: csp_verdict(STAR, k),
         lambda: k_identifiable(STAR, CAP, k),
+        lambda: k_identifiable(STAR, CSP, k),
+        lambda: abstract_sufficient(STAR, CAP, k),
     ):
         with pytest.raises(InputError, match="must be an integer"):
             call()
@@ -59,9 +61,10 @@ def test_localize_k_max(k_max):
 
 @pytest.mark.parametrize("k", NOT_INTS + [-1, 3])
 def test_up_verdict(k):
-    profile = cover_profile(UP_DOC.to_ensemble())
+    topology = UP_DOC.to_topology()
+    model = up_model(UP_DOC.to_ensemble(topology))
     with pytest.raises(InputError, match="k must be an integer in 0..2"):
-        up_verdict(profile, k)
+        k_identifiable(topology, model, k)
 
 
 @pytest.mark.parametrize("k", NOT_INTS + [-1])

@@ -7,13 +7,10 @@ import pytest
 from nodeloc.conditions import (
     Identifiability,
     cap_bounds,
-    cap_verdict,
     cap_verdicts,
     csp_bounds,
-    csp_verdict,
     csp_verdicts,
     up_bounds,
-    up_verdict,
     up_verdicts,
 )
 from nodeloc.ensemble import build_ensemble, cover_profile
@@ -37,63 +34,51 @@ def diamond_profile():
 
 class TestCapVerdict:
     def test_k_zero_trivial(self):
-        v = cap_verdict(RING, 0)
+        v = cap_verdicts(RING)[0]
         assert v.value is Identifiability.IDENTIFIABLE
         assert v.rationale == "empty-failure-set"
 
     def test_full_budget_monitor_adjacency(self):
-        assert cap_verdict(PATH4, 2).value is Identifiability.IDENTIFIABLE
+        assert cap_verdicts(PATH4)[2].value is Identifiability.IDENTIFIABLE
 
     def test_full_budget_fails_without_adjacency(self):
-        assert cap_verdict(RING, 3).value is Identifiability.NOT_IDENTIFIABLE
+        assert cap_verdicts(RING)[3].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_connectivity_steps_on_ring(self):
         # merged graph of the single-monitor ring has connectivity 2
-        assert cap_verdict(RING, 1).value is Identifiability.IDENTIFIABLE
-        assert cap_verdict(RING, 2).value is Identifiability.INDETERMINATE
-
-    def test_k_out_of_range(self):
-        with pytest.raises(InputError):
-            cap_verdict(PATH4, 3)
-        with pytest.raises(InputError):
-            cap_verdict(PATH4, -1)
-
-    def test_table_matches_pointwise(self):
-        table = cap_verdicts(RING)
-        assert len(table) == RING.sigma + 1
-        for k, verdict in enumerate(table):
-            assert verdict == cap_verdict(RING, k)
+        assert cap_verdicts(RING)[1].value is Identifiability.IDENTIFIABLE
+        assert cap_verdicts(RING)[2].value is Identifiability.INDETERMINATE
 
 
 class TestCspVerdict:
     def test_two_monitor_neighbors_at_full_budget(self):
-        assert csp_verdict(PATH3, 1).value is Identifiability.IDENTIFIABLE
+        assert csp_verdicts(PATH3)[1].value is Identifiability.IDENTIFIABLE
 
     def test_single_monitor_star_fails(self):
-        assert csp_verdict(STAR, 3).value is Identifiability.NOT_IDENTIFIABLE
+        assert csp_verdicts(STAR)[3].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_near_full_characterization_clause_two(self):
         # v1 touches both monitors; v2 touches one monitor and v1
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (1, 2)], [0, 3])
         assert t.monitor_neighbor_count(1) == 2
         assert t.monitor_neighbor_count(2) == 1
-        assert csp_verdict(t, 1).value is Identifiability.IDENTIFIABLE
+        assert csp_verdicts(t)[1].value is Identifiability.IDENTIFIABLE
 
     def test_near_full_fails_with_two_weak_nodes(self):
-        assert csp_verdict(PATH4, 1).value is Identifiability.NOT_IDENTIFIABLE
+        assert csp_verdicts(PATH4)[1].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_formula_band(self):
         # two monitors, sigma 3: k=1 goes through the connectivity formulas;
         # merged connectivity 3 and both leave-one-out graphs 2-connected
         t = Topology(5, [(0, 1), (0, 2), (4, 1), (4, 3), (1, 2), (1, 3), (2, 3)], [0, 4])
-        verdict = csp_verdict(t, 1)
+        verdict = csp_verdicts(t)[1]
         assert verdict.rationale == "merged-and-leave-one-out-connectivity"
         assert verdict.value is Identifiability.IDENTIFIABLE
 
 
 class TestUpVerdict:
     def test_running_example_indeterminate_at_one(self):
-        v = up_verdict(diamond_profile(), 1)
+        v = up_verdicts(diamond_profile())[1]
         assert v.value is Identifiability.INDETERMINATE
         assert not v.sufficient_holds and v.necessary_holds
 
@@ -101,25 +86,15 @@ class TestUpVerdict:
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [0, 3])
         profile = cover_profile(build_ensemble(t, [(0, 1, 3), (0, 2, 3)]))
         for k in range(t.sigma + 1):
-            assert up_verdict(profile, k).value is Identifiability.IDENTIFIABLE
+            assert up_verdicts(profile)[k].value is Identifiability.IDENTIFIABLE
 
     def test_unobserved_node_kills_k1(self):
         profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
-        assert up_verdict(profile, 1).value is Identifiability.NOT_IDENTIFIABLE
+        assert up_verdicts(profile)[1].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_k_zero_trivial(self):
         profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
-        assert up_verdict(profile, 0).value is Identifiability.IDENTIFIABLE
-
-    def test_budget_past_sigma_rejected(self):
-        with pytest.raises(InputError):
-            up_verdict(diamond_profile(), DIAMOND.sigma + 1)
-
-    def test_view_of_the_table(self, up_corpus):
-        for doc in up_corpus[:60]:
-            profile = cover_profile(doc.to_ensemble())
-            table = up_verdicts(profile)
-            assert [up_verdict(profile, k) for k in range(len(table))] == list(table)
+        assert up_verdicts(profile)[0].value is Identifiability.IDENTIFIABLE
 
 
 class TestCapBounds:
@@ -224,10 +199,10 @@ class TestStructuralInvariants:
 class TestAllMonitorEdgeCases:
     def test_k_zero_needs_no_auxiliary_graph(self):
         every = Topology(2, [(0, 1)], [0, 1])
-        assert cap_verdict(every, 0).value is Identifiability.IDENTIFIABLE
-        assert csp_verdict(every, 0).value is Identifiability.IDENTIFIABLE
-        assert cap_verdicts(every) == (cap_verdict(every, 0),)
-        assert csp_verdicts(every) == (csp_verdict(every, 0),)
+        for table in (cap_verdicts(every), csp_verdicts(every)):
+            assert len(table) == 1
+            assert table[0].value is Identifiability.IDENTIFIABLE
+            assert table[0].rationale == "empty-failure-set"
 
     def test_bounds_still_require_a_nonmonitor(self):
         every = Topology(2, [(0, 1)], [0, 1])
@@ -272,15 +247,18 @@ class TestOneTableBuilder:
 
     def _count(self, monkeypatch):
         import nodeloc.conditions as conditions
+        import nodeloc.graph as graph
 
         calls = []
-        original = conditions.monitor_connectivity
+        original = graph.monitor_connectivity
 
         def counted(topology, left_out=None):
             calls.append(left_out)
             return original(topology, left_out)
 
+        # dm's helper looks the name up in graph, d in conditions.
         monkeypatch.setattr(conditions, "monitor_connectivity", counted)
+        monkeypatch.setattr(graph, "monitor_connectivity", counted)
         return calls
 
     def test_connectivity_calls_per_public_function(self, monkeypatch):
@@ -289,8 +267,8 @@ class TestOneTableBuilder:
         topo = erdos_renyi(14, 0.35, seed=4, monitors=3).to_topology()
         calls = self._count(monkeypatch)
         for fn, want in (
-            (cap_verdicts, 1), (cap_bounds, 1), (lambda t: cap_verdict(t, 2), 1),
-            (csp_verdicts, 4), (csp_bounds, 4), (lambda t: csp_verdict(t, 2), 4),
+            (cap_verdicts, 1), (cap_bounds, 1),
+            (csp_verdicts, 4), (csp_bounds, 4),
             (lambda t: controllable_tables(t, ("CAP", "CSP")), 4),
             (lambda t: controllable_tables(t, ("UP",)), 0),
         ):
@@ -306,18 +284,15 @@ class TestOneTableBuilder:
             tables = controllable_tables(topo, ("CSP", "CAP"))
             assert tables["CAP"] == (cap_verdicts(topo), cap_bounds(topo))
             assert tables["CSP"] == (csp_verdicts(topo), csp_bounds(topo))
-            for k in range(topo.sigma + 1):
-                assert cap_verdict(topo, k) == tables["CAP"][0][k]
-                assert csp_verdict(topo, k) == tables["CSP"][0][k]
+            assert len(tables["CAP"][0]) == len(tables["CSP"][0]) == topo.sigma + 1
             assert controllable_tables(topo, ("UP",)) == {}
 
     def test_all_monitor_verdicts_build_no_auxiliary_graph(self, monkeypatch):
         every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
         calls = self._count(monkeypatch)
-        assert cap_verdicts(every) == csp_verdicts(every) == (cap_verdict(every, 0),)
-        assert csp_verdict(every, 0).value is Identifiability.IDENTIFIABLE
-        with pytest.raises(InputError):
-            cap_verdict(every, 1)
+        table = cap_verdicts(every)
+        assert csp_verdicts(every) == table and len(table) == 1
+        assert table[0].value is Identifiability.IDENTIFIABLE
         assert calls == []
 
 

@@ -45,5 +45,9 @@ def test_oracle_imports_only_ensemble_errors_and_graph():
     assert set(_imports("oracle")) <= {"ensemble", "errors", "graph"}
 
 
+def test_conditions_imports_only_ensemble_errors_and_graph():
+    assert set(_imports("conditions")) <= {"ensemble", "errors", "graph"}
+
+
 def test_graph_imports_only_errors():
     assert set(_imports("graph")) <= {"errors"}

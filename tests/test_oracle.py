@@ -101,6 +101,8 @@ class TestProbingModel:
             ProbingModel("UP")
         with pytest.raises(InputError, match="exactly the UP model"):
             ProbingModel("CAP", ensemble)
+        with pytest.raises(InputError, match="UP ensemble must be a PathEnsemble, not list"):
+            ProbingModel("UP", [1, 2])
         assert ProbingModel("UP", ensemble) == up_model(ensemble)
 
 

@@ -320,6 +320,42 @@ class TestSweepCounts:
         assert outcomes == {True, False} and calls == []
 
 
+class TestThresholdReads:
+    """Each answer reads its thresholds once: d for CAP, d and every dm for
+    CSP, and for UP one cover profile and no connectivity."""
+
+    @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
+    def test_one_read_per_answer(self, kind, level, monkeypatch):
+        import nodeloc.graph as graph
+
+        topo, model = _sparse(kind)
+        reads, profiles = [], []
+        connectivity, profile = graph.monitor_connectivity, oracle.cover_profile
+
+        def counted_connectivity(topology, left_out=None):
+            reads.append(left_out)
+            return connectivity(topology, left_out)
+
+        def counted_profile(ensemble, **kwargs):
+            profiles.append(ensemble)
+            return profile(ensemble, **kwargs)
+
+        # dm's helper looks the name up in graph, d in oracle.
+        monkeypatch.setattr(oracle, "monitor_connectivity", counted_connectivity)
+        monkeypatch.setattr(graph, "monitor_connectivity", counted_connectivity)
+        monkeypatch.setattr(oracle, "cover_profile", counted_profile)
+        want = {"CAP": [None], "CSP": [None, *sorted(topo.monitors)], "UP": []}[kind]
+        for call in (
+            lambda: max_identifiability(topo, model, guard=10),
+            lambda: k_identifiable(topo, model, level, guard=10),
+            lambda: abstract_sufficient(topo, model, level, guard=10),
+        ):
+            del reads[:], profiles[:]
+            call()
+            assert reads == want
+            assert len(profiles) == (kind == "UP")
+
+
 def test_public_callers_still_validate_removed_sets():
     # The sweeps skip validation only for sets the enumeration builds itself.
     path4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])

@@ -14,23 +14,21 @@ PUBLIC_NAMES = [
     "InternalError", "NodelocError", "PathEnsemble",
     "ProbingModel", "Topology", "TopologyDocument", "UsageError",
     "Verdict", "Witness", "abstract_necessary", "abstract_sufficient", "analyze",
-    "barabasi_albert", "build_ensemble", "cap_bounds", "cap_verdict",
+    "barabasi_albert", "build_ensemble", "cap_bounds",
     "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
-    "csp_verdict", "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
+    "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
     "emit_report", "emit_topology", "ensemble", "erdos_renyi", "errors",
     "find_measurable_path", "generate",
     "generate_paths", "graph", "grid",
     "k_identifiable", "localize", "max_identifiability",
-    "measurable_path_exists", "min_cover_size", "min_leave_one_out_connectivity",
+    "measurable_path_exists", "min_cover_size",
     "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
-    "simulate_measurements", "up_bounds", "up_model", "up_verdict", "up_verdicts",
+    "simulate_measurements", "up_bounds", "up_model", "up_verdicts",
 ]
 
 # Parameter names and defaults of the functions whose bodies share one code
 # path with another public function.
 PARAMETERS = {
-    "cap_verdict": [("topology", None), ("k", None)],
-    "csp_verdict": [("topology", None), ("k", None)],
     "cap_verdicts": [("topology", None)],
     "csp_verdicts": [("topology", None)],
     "cap_bounds": [("topology", None)],
@@ -54,7 +52,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 63
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 

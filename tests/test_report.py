@@ -77,6 +77,12 @@ class TestAnalyze:
         with pytest.raises(UsageError, match=f"probing model '{models[0]}' is repeated"):
             analyze(UP_DOC, models=models)
 
+    @pytest.mark.parametrize("models", [(), []])
+    def test_empty_model_list_is_a_usage_error(self, models):
+        # The same refusal as the CLI's empty --models.
+        with pytest.raises(UsageError, match="^empty --models list$"):
+            analyze(UP_DOC, models=models)
+
     def test_k_range_restricts_table(self):
         report = analyze(PATH4, k_range=(1, 2))
         payload = json.loads(emit_report(report, "json"))
@@ -86,17 +92,20 @@ class TestAnalyze:
 
     def test_one_connectivity_per_auxiliary_graph(self, monkeypatch):
         import nodeloc.conditions as conditions
+        import nodeloc.graph as graph
         from nodeloc.generate import erdos_renyi
 
         doc = erdos_renyi(20, 0.3, seed=5, monitors=4)
         calls = []
-        original = conditions.monitor_connectivity
+        original = graph.monitor_connectivity
 
         def counted(topology, left_out=None):
             calls.append(left_out)
             return original(topology, left_out)
 
+        # dm's helper looks the name up in graph, d in conditions.
         monkeypatch.setattr(conditions, "monitor_connectivity", counted)
+        monkeypatch.setattr(graph, "monitor_connectivity", counted)
         report = analyze(doc, models=("CAP", "CSP"))
         assert len(calls) == 1 + len(doc.monitors)
 
