@@ -157,10 +157,10 @@ def controllable_tables(
     """Verdict table and bounds for each of CAP and CSP named in ``kinds``.
 
     The one builder behind every CAP and CSP function.  Both regimes read
-    the merged graph's connectivity, computed once; CSP adds the
-    connectivity of each leave-one-out graph, so a call costs 1 + m
-    connectivity computations for m monitors when CSP is asked for and 1
-    otherwise.  Without CAP or CSP in ``kinds`` it returns ``{}``.
+    the merged graph's connectivity d, computed once; CSP adds dm, the least
+    of the m leave-one-out connectivities, capped at d - 1 unless d = sigma
+    (below it only min(d - 1, dm) is read).  Without CAP or CSP in
+    ``kinds`` it returns ``{}``.
     """
     if not {"CAP", "CSP"} & set(kinds):
         return {}
@@ -191,7 +191,7 @@ def controllable_tables(
             and topology.monitor_neighbor_count(weak[0]) == 1
             and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
         )
-        dm = _leave_one_out_connectivity(topology)
+        dm = _leave_one_out_connectivity(topology, sigma if d == sigma else max(d - 1, 0))
         # Exact at the full budget: cycle-free 2-hop probing needs two
         # distinct monitor endpoints per node once every other non-monitor
         # may be down.

@@ -9,11 +9,11 @@ One JSON schema carries everything the analyses consume::
       "paths": [["m1", "v1", "m1"]]          # optional, enables UP analysis
     }
 
-Node order in the file defines the dense ids used in memory, so
-``parse_topology(emit_topology(doc)) == doc`` holds byte for byte on the
-canonical form.  Outcome maps use the schema
-``{"model": "CAP", "observations": [{"probe": "v1", "state": "up"}]}`` with
-node names as probes for CAP/CSP and integer path ids for UP.
+Node order in the file defines the dense ids used in memory, and
+``parse_topology(emit_topology(doc)) == doc``.  Outcome maps look like
+``{"model": "CAP", "observations": [{"probe": "v1", "state": "up"}]}``, with
+path ids as UP probes.  Every file is ``json.dumps(indent=2, sort_keys=True)``'s
+text, written without its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import FormatError
 from .graph import Topology
 
 FORMAT_VERSION = 1
+_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,28 @@ def _load_json(data: bytes | str):
 
 
 def _dump_json(payload) -> str:
-    """The canonical JSON layout of every file nodeloc writes; any ``indent``
-    selects the pure-Python encoder, so ``emit_topology`` writes it directly."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for any ``json.loads`` value."""
+    return _layout(payload, "") + "\n"
+
+
+def _layout(value, pad: str) -> str:
+    """``value``'s JSON text at indent ``pad``: ``json.encoder``'s type tests, one frame per level."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _WORDS.get(text := float.__repr__(value), text)
+    inner, items = pad + "  ", []
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            items.append(_layout(item, inner))
+        return _array(items, pad)
+    for key, item in sorted(value.items()):
+        items.append(f"{_quote(key)}: {_layout(item, inner)}")
+    return _array(items, pad, "{}")
 
 
 def _unresolved(entry: str, role: str, names: list, index: dict[str, int]) -> NoReturn:
@@ -168,11 +188,11 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
     return TopologyDocument(tuple(index), frozenset(monitors), frozenset(edges), paths)
 
 
-def _array(items: list[str], pad: str) -> str:
-    """``_dump_json``'s layout of a list whose items are already JSON text."""
+def _array(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """``_dump_json``'s layout of a list (or object) whose items are JSON text."""
     if not items:
-        return "[]"
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+        return brackets
+    return f"{brackets[0]}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def emit_topology(doc: TopologyDocument) -> str:
@@ -245,12 +265,10 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
 
 
 def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument) -> str:
-    """Canonical JSON form of an outcome map."""
+    """Canonical JSON form of an outcome map, from templates like :func:`emit_topology`."""
+    probe = int.__repr__ if model == "UP" else lambda key: _quote(doc.names[key])
     observations = [
-        {
-            "probe": key if model == "UP" else doc.names[key],
-            "state": "up" if states[key] else "down",
-        }
+        f'{{\n      "probe": {probe(key)},\n      "state": "{"up" if states[key] else "down"}"\n    }}'
         for key in sorted(states)
     ]
-    return _dump_json({"model": model, "observations": observations})
+    return f'{{\n  "model": {_quote(model)},\n  "observations": {_array(observations, "  ")}\n}}\n'

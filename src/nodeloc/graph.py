@@ -424,11 +424,16 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
 
     One low-point DFS of G' from x answers 0 (a non-monitor unreached) and
     1 (a cut vertex other than x, which is simplicial in H), and a least
-    H-degree of 2 answers 2; otherwise unit flows x -> w, capped at the best
-    cut so far, tried by ascending degree.  The flows share one node-split
-    network, each running Dinic from restored capacities, and a w with as
-    many boundary neighbors as the best cut so far needs no flow.
+    H-degree of 2 answers 2; otherwise unit flows w -> x (whose BFS stops at
+    B), capped at the best cut so far, tried by ascending degree.  The flows
+    share one node-split network, each running Dinic from restored
+    capacities, and a w with as many B neighbors as the best cut needs none.
     """
+    return _capped_connectivity(topology, left_out, topology.sigma)
+
+
+def _capped_connectivity(topology: Topology, left_out: int | None, cap: int) -> int:
+    """:func:`monitor_connectivity` capped: min(kappa(H), cap) for 1 <= cap <= sigma."""
     sigma = topology.sigma
     if sigma == 0:
         raise InputError("auxiliary graphs need at least one non-monitor")
@@ -443,7 +448,7 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
         b for m in monitors if m != left_out for b in adjacency[m] if b not in monitors
     )
     if len(boundary) == sigma:
-        return sigma
+        return cap
     order, disc, low, parent = _low_points(adjacency, boundary, monitors)
     if len(order) <= sigma:
         return 0
@@ -453,20 +458,23 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
     # has: a boundary node's H-neighbors include the rest of B and x.
     degree = {w: len(adjacency[w] - monitors) for w in topology.non_monitors - boundary}
     targets = sorted(degree, key=lambda w: (degree[w], w))
-    delta = min(len(boundary), degree[targets[0]])
-    if delta == 2:
-        return 2
+    best = min(len(boundary), degree[targets[0]], cap)
+    if best <= 2:
+        return best
     edges = [(u, v) for u, v in topology.edges if u not in monitors and v not in monitors]
     edges += [(b, x) for b in boundary]
     net = _split_flow_net(x + 1, edges)
-    base, best = net.cap[:], delta
+    base = net.cap[:]
     for w in targets:
         if len(boundary & adjacency[w]) < best:
             net.cap[:] = base
-            best = net.max_flow(2 * x + 1, 2 * w, limit=best)
+            best = net.max_flow(2 * w + 1, 2 * x, limit=best)
     return best
 
 
-def _leave_one_out_connectivity(topology: Topology) -> int:
-    """dm, the least :func:`monitor_connectivity` over the monitors left out."""
-    return min(monitor_connectivity(topology, m) for m in sorted(topology.monitors))
+def _leave_one_out_connectivity(topology: Topology, cap: int | None = None) -> int:
+    """min(dm, cap) for 0 <= cap <= sigma (None is sigma), each monitor capped at the least so far."""
+    cap = topology.sigma if cap is None else cap
+    for m in sorted(topology.monitors):
+        cap = cap and _capped_connectivity(topology, m, cap)
+    return cap

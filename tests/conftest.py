@@ -61,6 +61,25 @@ def _seeded_monitor_walks(doc: TopologyDocument, seed: int, count: int) -> Topol
     return doc.with_paths(paths)
 
 
+def count_threshold_reads(monkeypatch, module) -> list:
+    """Record ``module``'s connectivity reads in order: ``"d"`` for each
+    merged-graph read, ``("dm", cap)`` for each capped leave-one-out read."""
+    reads: list = []
+    d_read, dm_read = module.monitor_connectivity, module._leave_one_out_connectivity
+
+    def counted_d(topology, left_out=None):
+        reads.append("d" if left_out is None else left_out)
+        return d_read(topology, left_out)
+
+    def counted_dm(topology, cap=None):
+        reads.append(("dm", cap))
+        return dm_read(topology, cap)
+
+    monkeypatch.setattr(module, "monitor_connectivity", counted_d)
+    monkeypatch.setattr(module, "_leave_one_out_connectivity", counted_dm)
+    return reads
+
+
 def build_up_corpus(count: int = 300) -> list[TopologyDocument]:
     """Seeded (topology, generated path ensemble) instances with >= 2 monitors.
 

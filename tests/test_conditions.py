@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import nodeloc.oracle as oracle
 from nodeloc.conditions import (
     Identifiability,
+    IdentifiabilityBounds,
     cap_bounds,
     cap_verdicts,
     csp_bounds,
@@ -15,11 +17,18 @@ from nodeloc.conditions import (
 )
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.errors import InputError
-from nodeloc.generate import erdos_renyi
-from nodeloc.graph import Topology, monitor_connectivity
-from nodeloc.oracle import CSP, max_identifiability
+from nodeloc.generate import barabasi_albert, erdos_renyi, grid
+from nodeloc.graph import Topology, _leave_one_out_connectivity, monitor_connectivity
+from nodeloc.oracle import CAP, CSP, max_identifiability
 
-from bruteforce import brute_vertex_connectivity, merge_monitors, merge_monitors_leaving_out
+from bruteforce import (
+    brute_observations,
+    brute_vertex_connectivity,
+    merge_monitors,
+    merge_monitors_leaving_out,
+    reference_identifiability,
+)
+from conftest import count_threshold_reads
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -247,34 +256,25 @@ class TestOneTableBuilder:
 
     def _count(self, monkeypatch):
         import nodeloc.conditions as conditions
-        import nodeloc.graph as graph
 
-        calls = []
-        original = graph.monitor_connectivity
-
-        def counted(topology, left_out=None):
-            calls.append(left_out)
-            return original(topology, left_out)
-
-        # dm's helper looks the name up in graph, d in conditions.
-        monkeypatch.setattr(conditions, "monitor_connectivity", counted)
-        monkeypatch.setattr(graph, "monitor_connectivity", counted)
-        return calls
+        return count_threshold_reads(monkeypatch, conditions)
 
     def test_connectivity_calls_per_public_function(self, monkeypatch):
         from nodeloc.conditions import controllable_tables
 
         topo = erdos_renyi(14, 0.35, seed=4, monitors=3).to_topology()
+        # d = 4 < sigma = 11, so dm is read once, capped at d - 1.
+        assert monitor_connectivity(topo) == 4 and topo.sigma == 11
         calls = self._count(monkeypatch)
         for fn, want in (
-            (cap_verdicts, 1), (cap_bounds, 1),
-            (csp_verdicts, 4), (csp_bounds, 4),
-            (lambda t: controllable_tables(t, ("CAP", "CSP")), 4),
-            (lambda t: controllable_tables(t, ("UP",)), 0),
+            (cap_verdicts, ["d"]), (cap_bounds, ["d"]),
+            (csp_verdicts, ["d", ("dm", 3)]), (csp_bounds, ["d", ("dm", 3)]),
+            (lambda t: controllable_tables(t, ("CAP", "CSP")), ["d", ("dm", 3)]),
+            (lambda t: controllable_tables(t, ("UP",)), []),
         ):
             del calls[:]
             fn(topo)
-            assert len(calls) == want
+            assert calls == want
 
     def test_views_agree_with_the_table(self):
         from nodeloc.conditions import controllable_tables
@@ -388,3 +388,99 @@ def test_monitor_connectivity_errors():
         monitor_connectivity(PATH4, 1)
     with pytest.raises(InputError, match="unknown node"):
         monitor_connectivity(PATH4, 9)
+
+
+# ---------------------------------------------------------------------------
+# dm capped at d - 1 below d = sigma
+# ---------------------------------------------------------------------------
+
+#: Twin monitors on a five-cycle of non-monitors: leaving either out changes
+#: nothing, so dm = d = 2 < sigma = 5 and the cap d - 1 binds.
+TWIN_MONITORS = Topology(
+    7, [(i, (i + 1) % 5) for i in range(5)] + [(5, 0), (5, 2), (6, 0), (6, 2)], [5, 6]
+)
+#: Both monitors border every non-monitor: d = dm = sigma = 3.
+DOUBLY_COVERED = Topology(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)], [0, 1])
+
+
+def _reference_thresholds(topo):
+    """d and dm from the reference construction and brute-force connectivity."""
+    d = brute_vertex_connectivity(merge_monitors(topo))
+    dm = min(brute_vertex_connectivity(merge_monitors_leaving_out(topo, m)) for m in topo.monitors)
+    return d, dm
+
+
+def _reference_csp(topo):
+    """CSP's largest identifiable k and stranding level J from every failure set."""
+    pair, trap = reference_identifiability(topo, CSP, lambda f: brute_observations(topo, CSP, f))
+    return (topo.sigma if pair is None else len(pair[1]) - 1), trap
+
+
+def _uncapped(topology, cap=None):
+    """dm as the plain minimum of the public connectivity, ignoring ``cap``."""
+    return min(monitor_connectivity(topology, m) for m in topology.monitors)
+
+
+def _cap_family():
+    """210 seeded ER (sparse and dense), BA and grid networks; 44 have d = sigma."""
+    for seed in range(80):
+        yield erdos_renyi(10 + seed % 25, 0.15 + 0.1 * (seed % 4), seed=seed, monitors=1 + seed % 5)
+    for seed in range(40):
+        yield erdos_renyi(8 + seed % 8, 0.7, seed=100 + seed, monitors=2 + seed % 4)
+    for seed in range(50):
+        yield barabasi_albert(12 + seed % 30, 1 + seed % 3, seed=200 + seed, monitors=1 + seed % 4)
+    for seed in range(40):
+        yield grid(3 + seed % 4, 3 + seed % 5, seed=300 + seed, monitors=1 + seed % 4)
+
+
+class TestLeaveOneOutCap:
+    """CSP reads dm only through min(d - 1, dm) unless d = sigma, so dm is
+    computed capped at d - 1 there and exactly at d = sigma."""
+
+    def test_cap_binds_when_dm_exceeds_d_minus_one(self):
+        topo = TWIN_MONITORS
+        d, dm = _reference_thresholds(topo)
+        assert (topo.sigma, d, dm) == (5, 2, 2)
+        assert _leave_one_out_connectivity(topo, d - 1) == d - 1 < dm
+        assert _leave_one_out_connectivity(topo) == dm
+        assert csp_bounds(topo) == IdentifiabilityBounds(0, 1, None, True, "")
+        best, trap = _reference_csp(topo)
+        assert oracle._stranding_level(topo, CSP) == trap == min(d - 1, dm)
+        assert max_identifiability(topo, CSP) == best
+        assert csp_bounds(topo).lower <= best <= csp_bounds(topo).upper
+
+    def test_guard_note_prints_the_exact_dm_at_d_sigma(self):
+        topo = DOUBLY_COVERED
+        d, dm = _reference_thresholds(topo)
+        assert d == dm == topo.sigma == 3
+        bounds = csp_bounds(topo)
+        assert not bounds.applicable
+        assert bounds.guard_note.startswith(f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds")
+        best, trap = _reference_csp(topo)
+        assert oracle._stranding_level(topo, CSP) is trap is None
+        assert bounds.exact == best == topo.sigma
+
+    def test_capped_equals_uncapped_on_seeded_networks(self, monkeypatch):
+        import nodeloc.conditions as conditions
+
+        def answers(topo):
+            return (
+                conditions.controllable_tables(topo, ("CAP", "CSP")),
+                oracle._stranding_level(topo, CAP),
+                oracle._stranding_level(topo, CSP),
+            )
+
+        topologies = [doc.to_topology() for doc in _cap_family()]
+        topologies = [topo for topo in topologies if topo.sigma > 0]
+        assert len(topologies) >= 200
+        capped = [answers(topo) for topo in topologies]
+        monkeypatch.setattr(conditions, "_leave_one_out_connectivity", _uncapped)
+        monkeypatch.setattr(oracle, "_leave_one_out_connectivity", _uncapped)
+        sigma_exact = binding = 0
+        for topo, got in zip(topologies, capped):
+            assert got == answers(topo)
+            d, dm = monitor_connectivity(topo), _uncapped(topo)
+            sigma_exact += d == topo.sigma
+            binding += d < topo.sigma and dm > d - 1
+        # Both sides of the rule are exercised: exact reads and binding caps.
+        assert sigma_exact >= 40 and binding >= 40

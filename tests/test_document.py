@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from nodeloc.document import (
     TopologyDocument,
+    _dump_json,
+    _load_json,
     emit_outcomes,
     emit_topology,
     parse_outcomes,
@@ -224,6 +226,140 @@ class TestEmitTopology:
         )
         text = emit_topology(doc)
         assert text.count('"name"') == n and text.endswith('  "version": 1\n}\n')
+
+
+class _Dict(dict):
+    """A dict subclass, which ``json.encoder`` lays out as a plain dict."""
+
+
+#: Every kind of value ``json.loads`` returns, and the tuples and dict
+#: subclasses nodeloc's own payloads may hold: ints next to the bools they
+#: equal, ints of 20 digits and more, and every float including NaN, the
+#: infinities and -0.0.
+json_scalars = (
+    awkward_names
+    | st.none()
+    | st.booleans()
+    | st.integers(-2, 2)
+    | st.integers(10**19, 10**40)
+    | st.integers(-(10**40), -(10**19))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0])
+)
+json_keys = awkward_names | st.just("")
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_keys, inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=4).map(_Dict),
+    max_leaves=24,
+)
+
+
+def _refuse_pure_python_encoder(monkeypatch):
+    def refuse(self, o, _one_shot=False):
+        raise AssertionError("pure-Python JSON encoder entered")
+
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        json.dumps([1], indent=2)
+
+
+class TestDumpJson:
+    @given(json_values)
+    def test_matches_the_json_module(self, value):
+        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], (), _Dict(), [[], {}], {"a": {"b": ()}}, True, 1, 0, False, 10**25, -0.0],
+    )
+    def test_edge_values(self, value):
+        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_every_depth_json_loads_reads(self):
+        # The deepest nesting json.loads reads from this frame, by bisection:
+        # the writer must lay it out too, or ``nodeloc report`` would fail on
+        # a file it has read.
+        low, high = 1, 5000
+        while low < high:
+            mid = (low + high + 1) // 2
+            try:
+                _load_json("[" * mid + "{}" + "]" * mid)
+                low = mid
+            except FormatError:
+                high = mid - 1
+        assert low > 500
+        value = _load_json("[" * low + "{}" + "]" * low)
+        assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def outcome_maps(draw):
+    doc = draw(documents())
+    model = draw(st.sampled_from(["CAP", "CSP", "UP"]))
+    keys = st.integers(0, 10**6) if model == "UP" else st.integers(0, len(doc.names) - 1)
+    return model, draw(st.dictionaries(keys, st.booleans(), max_size=12)), doc
+
+
+class TestEmitOutcomes:
+    @given(outcome_maps())
+    def test_matches_the_json_module(self, case):
+        model, states, doc = case
+        observations = [
+            {
+                "probe": key if model == "UP" else doc.names[key],
+                "state": "up" if states[key] else "down",
+            }
+            for key in sorted(states)
+        ]
+        payload = {"model": model, "observations": observations}
+        assert emit_outcomes(model, states, doc) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestNoPurePythonEncoder:
+    """Outcome maps, reports and CLI answers never enter ``json.encoder``'s
+    pure-Python path, which any ``indent`` selects."""
+
+    def test_library_writers(self, monkeypatch):
+        from nodeloc.generate import erdos_renyi
+        from nodeloc.report import analyze, emit_report
+
+        doc = erdos_renyi(12, 0.4, seed=3, monitors=3)
+        _refuse_pure_python_encoder(monkeypatch)
+        states = {v: v % 2 == 0 for v in range(len(doc.names)) if v not in doc.monitors}
+        for model in ("CAP", "CSP"):
+            assert parse_outcomes(emit_outcomes(model, states, doc), doc) == (model, states)
+        assert parse_outcomes(emit_outcomes("UP", {0: True, 7: False}, doc), doc)[1] == {0: True, 7: False}
+        text = emit_report(analyze(doc, oracle=True, guard=9), "json")
+        assert json.loads(text)["report_version"] == 1
+
+    def test_cli_json_output(self, monkeypatch, tmp_path, capsys):
+        from nodeloc.cli import main
+        from nodeloc.oracle import CAP, simulate_measurements
+
+        doc = erdos_renyi(10, 0.4, seed=2, monitors=3)
+        topo = tmp_path / "topo.json"
+        topo.write_text(emit_topology(doc), encoding="utf-8")
+        outcomes = tmp_path / "obs.json"
+        topology = doc.to_topology()
+        states = simulate_measurements(topology, CAP, {min(topology.non_monitors)})
+        outcomes.write_text(emit_outcomes("CAP", states, doc), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(topo), "--out", str(report)]) == 0
+        _refuse_pure_python_encoder(monkeypatch)
+        for argv in (
+            ["oracle", str(topo)],
+            ["oracle", str(topo), "--k", "1"],
+            ["localize", str(topo), str(outcomes), "--k-max", "1"],
+            ["report", str(report)],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+            assert out.endswith("\n") and json.loads(out), argv
+        assert out == report.read_text(encoding="utf-8")
 
 
 class TestPathLines:

@@ -41,7 +41,7 @@ from bruteforce import (
     reference_abstract_necessary,
     reference_identifiability,
 )
-from conftest import _seeded_monitor_walks
+from conftest import _seeded_monitor_walks, count_threshold_reads
 from test_conditions import CSP_BEYOND_GUARD
 
 
@@ -321,30 +321,23 @@ class TestSweepCounts:
 
 
 class TestThresholdReads:
-    """Each answer reads its thresholds once: d for CAP, d and every dm for
-    CSP, and for UP one cover profile and no connectivity."""
+    """Each answer reads its thresholds once: d for CAP, d and then dm capped
+    at d - 1 for CSP, and for UP one cover profile and no connectivity."""
 
     @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_one_read_per_answer(self, kind, level, monkeypatch):
-        import nodeloc.graph as graph
-
         topo, model = _sparse(kind)
-        reads, profiles = [], []
-        connectivity, profile = graph.monitor_connectivity, oracle.cover_profile
-
-        def counted_connectivity(topology, left_out=None):
-            reads.append(left_out)
-            return connectivity(topology, left_out)
+        profiles = []
+        profile = oracle.cover_profile
 
         def counted_profile(ensemble, **kwargs):
             profiles.append(ensemble)
             return profile(ensemble, **kwargs)
 
-        # dm's helper looks the name up in graph, d in oracle.
-        monkeypatch.setattr(oracle, "monitor_connectivity", counted_connectivity)
-        monkeypatch.setattr(graph, "monitor_connectivity", counted_connectivity)
+        reads = count_threshold_reads(monkeypatch, oracle)
         monkeypatch.setattr(oracle, "cover_profile", counted_profile)
-        want = {"CAP": [None], "CSP": [None, *sorted(topo.monitors)], "UP": []}[kind]
+        # The CAP/CSP network has d = 3 < sigma = 10.
+        want = {"CAP": ["d"], "CSP": ["d", ("dm", 2)], "UP": []}[kind]
         for call in (
             lambda: max_identifiability(topo, model, guard=10),
             lambda: k_identifiable(topo, model, level, guard=10),

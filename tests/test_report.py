@@ -12,6 +12,8 @@ from nodeloc.document import TopologyDocument, parse_topology
 from nodeloc.errors import CapacityError, FormatError, UsageError
 from nodeloc.report import analyze, emit_report, reformat_report
 
+from conftest import count_threshold_reads
+
 PATH4 = TopologyDocument(
     ("m1", "v1", "v2", "m2"), frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)})
 )
@@ -96,18 +98,20 @@ class TestAnalyze:
         from nodeloc.generate import erdos_renyi
 
         doc = erdos_renyi(20, 0.3, seed=5, monitors=4)
-        calls = []
-        original = graph.monitor_connectivity
+        graphs = []
+        capped = graph._capped_connectivity
 
-        def counted(topology, left_out=None):
-            calls.append(left_out)
-            return original(topology, left_out)
+        def counted(topology, left_out, cap):
+            graphs.append(left_out)
+            return capped(topology, left_out, cap)
 
-        # dm's helper looks the name up in graph, d in conditions.
-        monkeypatch.setattr(conditions, "monitor_connectivity", counted)
-        monkeypatch.setattr(graph, "monitor_connectivity", counted)
+        reads = count_threshold_reads(monkeypatch, conditions)
+        monkeypatch.setattr(graph, "_capped_connectivity", counted)
         report = analyze(doc, models=("CAP", "CSP"))
-        assert len(calls) == 1 + len(doc.monitors)
+        # d = 2 < sigma = 16: one read of d, one of dm capped at d - 1 = 1,
+        # and each auxiliary graph's connectivity computed at most once.
+        assert reads == ["d", ("dm", 1)]
+        assert graphs == [None, *sorted(doc.monitors)]
 
         # The shared summaries give what the public functions give one by one.
         topology = doc.to_topology()
