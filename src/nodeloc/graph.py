@@ -367,7 +367,9 @@ def disjoint_paths(
     is the maximum number of such paths.  Pass ``limit`` to stop once that
     many exist.  Computed as a unit-capacity flow on the node-split digraph,
     with each forbidden node's split arc closed and each target feeding a
-    super-sink.
+    super-sink, built from the sorted edges and targets so that the paths
+    depend only on the topology value.  With ``limit=1`` the path is a shortest
+    one, since Dinic's first phase follows BFS levels.
     """
     topology._check_node(source)
     target_set = topology._check_nodes(targets)
@@ -379,11 +381,11 @@ def disjoint_paths(
     if source in target_set:
         raise InputError("source must not be a target")
     cap = len(target_set) if limit is None else min(_plain_int(limit, "limit"), len(target_set))
-    net = _split_flow_net(topology.node_count, topology.edges)
+    net = _split_flow_net(topology.node_count, sorted(topology.edges))
     for v in forbidden_set:
         net.cap[2 * v] = 0
     sink = 2 * topology.node_count
-    for t in target_set:
+    for t in sorted(target_set):
         net.add_arc(2 * t + 1, sink)
     flow = net.max_flow(2 * source + 1, sink, limit=cap)
     # Decompose the unit flow into node sequences.  A forward (even) arc carries
@@ -396,12 +398,10 @@ def disjoint_paths(
             for a in net.adj[u]:
                 if a % 2 == 0 and net.cap[a ^ 1] > 0:
                     net.cap[a ^ 1] -= 1
-                    v = net.to[a]
-                    if v == sink:
-                        u = sink
-                    else:
-                        path.append(v // 2)
-                        u = v + 1  # hop from v_in through the split arc to v_out
+                    u = net.to[a]
+                    if u != sink:
+                        path.append(u // 2)
+                        u += 1  # hop from the in-copy through the split arc to the out-copy
                     break
             else:
                 raise AssertionError("flow decomposition failed")

@@ -55,7 +55,10 @@ the merge (:func:`~nodeloc.graph.monitor_connectivity`).
 
 An answer then sweeps one level of C(sigma, J) sets, or two for
 :func:`k_identifiable` with k above J, and none when J is missing or above
-k; with J near sigma / 2 that is still exponential, hence the guard.
+k; with J near sigma / 2 that is still exponential, hence the guard.  A sweep
+keeps only stranding sets, since the earlier set F1 of twins (in size-then-
+lexicographic order) strands: else R(F2) = R(F1) is every non-monitor
+outside F1 and misses F2, putting F2 inside F1, which no later set is.
 """
 
 from __future__ import annotations
@@ -170,43 +173,21 @@ def find_measurable_path(
 ) -> tuple[int, ...] | int | None:
     """A concrete probe through ``v`` avoiding ``avoid``, or None.
 
-    Returns a node walk for CAP/CSP and a path id for UP.
+    A path id for UP; for CAP/CSP a walk from one flow query for ``need``
+    disjoint paths from ``v`` to monitors, fixed by the topology value: one
+    for CAP, walked out and back (a shortest walk), two for CSP, joined at v.
     """
     avoid_set = _check_probe(topology, model, v, avoid)
-    if model.kind == "CAP":
-        return _monitor_walk(topology, v, avoid_set)
-    if model.kind == "CSP":
-        paths = disjoint_paths(topology, v, topology.monitors, avoid_set, limit=2)
-        if len(paths) < 2:
-            return None
-        first, second = paths[0], paths[1]
-        return tuple(reversed(first)) + second[1:]
-    for pid in sorted(model.ensemble.paths_through(v)):
-        if avoid_set.isdisjoint(model.ensemble.paths[pid]):
-            return pid
-    return None
-
-
-def _monitor_walk(topology: Topology, v: int, avoid: FailureSet) -> tuple[int, ...] | None:
-    """Shortest monitor-to-v-and-back walk avoiding ``avoid`` (BFS tree path)."""
-    parent: dict[int, int | None] = {v: None}
-    queue = [v]
-    hit = None
-    for u in queue:
-        if u in topology.monitors:
-            hit = u
-            break
-        for w in sorted(topology.adjacency[u]):
-            if w not in parent and w not in avoid:
-                parent[w] = u
-                queue.append(w)
-    if hit is None:
+    if model.kind == "UP":
+        for pid in sorted(model.ensemble.paths_through(v)):
+            if avoid_set.isdisjoint(model.ensemble.paths[pid]):
+                return pid
         return None
-    path = [hit]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    # path runs monitor -> v; the measurable walk returns to the monitor.
-    return tuple(path) + tuple(reversed(path[:-1]))
+    need = 1 if model.kind == "CAP" else 2
+    paths = disjoint_paths(topology, v, topology.monitors, avoid_set, limit=need)
+    if len(paths) < need:
+        return None
+    return tuple(reversed(paths[0])) + paths[-1][1:]
 
 
 def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> frozenset[int]:
@@ -332,7 +313,8 @@ def _first_collision(
         reached = _reached(topology, model, failure)
         if reached in seen:
             return IndistinguishablePair(seen[reached], failure)
-        seen[reached] = failure
+        if len(reached) + len(failure) < topology.sigma:
+            seen[reached] = failure
     return None
 
 

@@ -51,3 +51,14 @@ def test_conditions_imports_only_ensemble_errors_and_graph():
 
 def test_graph_imports_only_errors():
     assert set(_imports("graph")) <= {"errors"}
+
+
+def test_oracle_reads_no_adjacency():
+    # Every graph search the oracle makes is a nodeloc.graph primitive.
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "adjacency"
+    ]
+    assert reads == []

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from nodeloc.ensemble import build_ensemble
 from nodeloc.errors import CapacityError, FormatError, InputError
+from nodeloc.generate import erdos_renyi
 from nodeloc.graph import Topology, monitor_connectivity
 from nodeloc.oracle import (
     CAP,
@@ -346,6 +348,65 @@ class TestCapWalksAddNothing:
                             assert walk[0] in topo.monitors and walk[-1] in topo.monitors
                             assert v in walk
                             assert not set(walk) & set(avoid)
+                            assert all(b in topo.adjacency[a] for a, b in zip(walk, walk[1:]))
+                            assert not set(walk[1:-1]) & topo.monitors
+                            assert len(walk) == 2 * _monitor_distance(topo, v, avoid) + 1
+
+
+def _monitor_distance(topo, v, avoid) -> int:
+    """networkx's hop distance from ``v`` to its nearest monitor in G - ``avoid``."""
+    graph = nx.Graph(list(topo.edges))
+    graph.add_nodes_from(topo.nodes)
+    graph.remove_nodes_from(avoid)
+    return min(
+        dist
+        for node, dist in nx.single_source_shortest_path_length(graph, v).items()
+        if node in topo.monitors
+    )
+
+
+def _rebuilt(topo, flip: bool) -> Topology:
+    """``topo`` built again from its sorted edges and monitors, or from both
+    lists reversed with every edge re-oriented."""
+    edges, monitors = sorted(topo.edges), sorted(topo.monitors)
+    if flip:
+        edges, monitors = [(v, u) for u, v in reversed(edges)], monitors[::-1]
+    return Topology(topo.node_count, edges, monitors)
+
+
+class TestWitnessesFollowTheTopologyValue:
+    """Equal topologies give equal witnesses, whatever edge list built them."""
+
+    def test_reversed_edges_give_the_same_walks(self):
+        # These equal values iterate their edge frozensets in different
+        # orders; a network built in that order gives different CSP walks.
+        topo = erdos_renyi(11, 0.5, seed=25, monitors=2).to_topology()
+        ordered, flipped = _rebuilt(topo, False), _rebuilt(topo, True)
+        assert ordered == flipped and list(ordered.edges) != list(flipped.edges)
+        for model in (CAP, CSP):
+            assert find_measurable_path(ordered, model, 1) == find_measurable_path(flipped, model, 1)
+
+    def test_seeded_probes_and_witnesses(self):
+        from itertools import combinations
+
+        compared = 0
+        for seed in range(20, 32):
+            topo = erdos_renyi(11, 0.5, seed=seed, monitors=2).to_topology()
+            ordered, flipped = _rebuilt(topo, False), _rebuilt(topo, True)
+            assert ordered == flipped
+            pool = sorted(topo.non_monitors)
+            for v in pool:
+                for avoid in [()] + [(w,) for w in pool if w != v]:
+                    for model in (CAP, CSP):
+                        got = find_measurable_path(ordered, model, v, avoid)
+                        assert got == find_measurable_path(flipped, model, v, avoid), (seed, v, avoid)
+                        compared += got is not None
+            sets = [frozenset(c) for size in range(3) for c in combinations(pool, size)]
+            for first, second in combinations(sets[:20], 2):
+                for model in (CAP, CSP):
+                    want = distinguishable(ordered, model, first, second)
+                    assert distinguishable(flipped, model, first, second) == want
+        assert compared > 1000
 
 
 def test_localize_clamps_kmax_to_nonmonitor_count():

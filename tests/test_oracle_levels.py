@@ -8,6 +8,7 @@ every set up to the budget, and share no code with the connectivities.
 
 from __future__ import annotations
 
+import tracemalloc
 from math import comb
 
 import pytest
@@ -90,7 +91,9 @@ class TestAgainstEveryFailureSet:
     @pytest.mark.parametrize("sigma, monitors, p, seed", CSP_BEYOND_GUARD)
     def test_csp_beyond_default_guard(self, sigma, monitors, p, seed):
         topo = erdos_renyi(sigma + monitors, p, seed=seed, monitors=monitors).to_topology()
+        # CAP too: its k above J sweeps two levels, so pairs cross them.
         assert _mismatches(topo, CSP, 12) == []
+        assert _mismatches(topo, CAP, 12) == []
 
     def test_component_condition_every_variant(self, corpus):
         # The merged variant is the CAP sufficient condition, each monitor's
@@ -318,6 +321,23 @@ class TestSweepCounts:
             for k in range(topo.sigma + 1):
                 outcomes.add(abstract_sufficient(topo, model, k, guard=10))
         assert outcomes == {True, False} and calls == []
+
+
+class TestTwinTable:
+    def test_memory_follows_stranding_sets_not_the_level(self):
+        # sigma = 21, J = d = 5: level J holds C(21, 5) = 20,349 sets and no
+        # twins, so the sweep lists all of it but stores only the few sets
+        # that strand.  A table of every set traces a peak of about 40 MB.
+        topo = erdos_renyi(25, 0.3, seed=7, monitors=4).to_topology()
+        assert oracle._stranding_level(topo, CAP) == 5
+        assert comb(topo.sigma, 5) >= 20_000
+        tracemalloc.start()
+        try:
+            assert max_identifiability(topo, CAP, guard=topo.sigma) == 5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestThresholdReads:
