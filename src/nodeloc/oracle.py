@@ -1,7 +1,7 @@
 """Exact identifiability: maximum, per-k verdict, witnesses and localization.
 
-Each answer reads the stranding level J off the thresholds d, dm and delta
-(below) and sweeps at most two levels of failure sets.  The sweeps are
+The identifiability answers read the stranding level J off d, dm and delta
+(below) and sweep at most two levels of failure sets.  The sweeps are
 bounded by a configurable guard on the number of non-monitors (default 7);
 beyond it the functions refuse with a capacity error instead of stalling.
 
@@ -59,6 +59,18 @@ k; with J near sigma / 2 that is still exponential, hence the guard.  A sweep
 keeps only stranding sets, since the earlier set F1 of twins (in size-then-
 lexicographic order) strands: else R(F2) = R(F1) is every non-monitor
 outside F1 and misses F2, putting F2 inside F1, which no later set is.
+
+Localization lists the sets F of at most k_max nodes whose R(F) is the
+target T that the up probes read.  A match lies in the down set D (the
+non-monitors outside T) and stays one as nodes of D join it, since R(F) = T
+misses them; so one sweep of R(D) decides whether any exists.  A node v of D
+is in every match exactly when v is in R(D - {v}), which reads off T and the
+monitors M once D matches: under CAP v borders a node of T or M (each reaches
+a monitor in G - D); under CSP it borders two, each sharing a block with the
+virtual sink in G - D, so they give v two paths to the sink meeting only
+there; under UP some path through v has its other non-monitors in T.  A
+candidate, this forced set joined to a subset of the rest of D, matches if
+it is D or a match plus one node; else one sweep decides.
 """
 
 from __future__ import annotations
@@ -386,7 +398,9 @@ def localize(
     identifiability the result is a single set.  ``outcomes`` maps each
     probe key, a plain int, to a bool reading; neither is coerced.  The
     probes that read up give the target R(F); a map that no R(F) yields has
-    no candidates, and only non-monitors outside the target are enumerated.
+    no candidates.  The cost is one sweep of the down set, plus one per
+    candidate (see the module docstring) that is neither the down set nor a
+    match plus one node.
     """
     _check_model(topology, model)
     k_max = min(_plain_int(k_max, "k_max"), topology.sigma)  # larger sets cannot exist
@@ -405,10 +419,19 @@ def localize(
     target = frozenset().union(*(nodes for key, nodes in battery.items() if outcomes[key]))
     if any(outcomes[key] != (nodes <= target) for key, nodes in battery.items()):
         return []
-    pool = sorted(topology.non_monitors - target)
-    return [
-        failure
-        for failure in _failure_sets(pool, range(k_max + 1))
-        if _reached(topology, model, failure) == target
-    ]
-
+    down = topology.non_monitors - target
+    if _reached(topology, model, down) != target:
+        return []
+    if model.kind == "UP":
+        members, through = model.ensemble.members, model.ensemble.paths_through
+        forced = {v for v in down if any(members[p] - {v} <= target for p in through(v))}
+    else:
+        kept, need = target | topology.monitors, 1 if model.kind == "CAP" else 2
+        forced = {v for v in down if len(topology.neighbors(v) & kept) >= need}
+    matches: dict[FailureSet, None] = {}
+    for extra in _failure_sets(sorted(down - forced), range(k_max - len(forced) + 1)):
+        failure = extra.union(forced)
+        closed = failure == down or any(failure - {v} in matches for v in extra)
+        if closed or _reached(topology, model, failure) == target:
+            matches[failure] = None
+    return list(matches)

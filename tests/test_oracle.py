@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
 from nodeloc.ensemble import build_ensemble
 from nodeloc.errors import CapacityError, FormatError, InputError
-from nodeloc.generate import erdos_renyi
+from nodeloc.generate import barabasi_albert, erdos_renyi, generate_paths, grid
 from nodeloc.graph import Topology, monitor_connectivity
 from nodeloc.oracle import (
     CAP,
@@ -28,11 +30,13 @@ from nodeloc.oracle import (
 )
 
 from bruteforce import (
+    all_failure_sets,
     brute_component_condition,
     brute_observations,
     restrict,
     simple_monitor_path_through,
 )
+from test_oracle_levels import _count_sweeps
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -429,6 +433,23 @@ def _small_instances(corpus, up_corpus):
             yield topo, up_model(doc.to_ensemble(topo))
 
 
+def _beyond_the_corpus():
+    """Seeded ER, BA and grid networks with 8-12 non-monitors, under CAP, CSP and UP."""
+    for seed in range(15):
+        monitors = 2 + seed % 3
+        sigma = 8 + seed % 5
+        if seed % 3 == 0:
+            doc = erdos_renyi(sigma + monitors, 0.35, seed=seed, monitors=monitors)
+        elif seed % 3 == 1:
+            doc = barabasi_albert(sigma + monitors, 1 + seed % 2, seed=seed, monitors=monitors)
+        else:
+            doc = grid(3, 4 + seed % 2, seed=seed, monitors=monitors)
+        doc = generate_paths(doc, 2)
+        topo = doc.to_topology()
+        assert 8 <= topo.sigma <= 12
+        yield from ((topo, model) for model in (CAP, CSP, up_model(doc.to_ensemble(topo))))
+
+
 class TestAgainstBruteObservations:
     def test_simulation_matches_reference(self, corpus, up_corpus):
         from itertools import combinations
@@ -471,6 +492,30 @@ class TestAgainstBruteObservations:
                 unproduced += not want
         assert shared > 0 and unproduced > 0
 
+    def test_localize_matches_enumeration_beyond_the_corpus(self):
+        # sigma 8-12 and k_max 0-4: seeded truths and their maps with one
+        # probe flipped, against the sets up to k_max whose simulated
+        # observations equal the map (the size-4 list filtered by size).
+        rng = random.Random(24)
+        shared = unproduced = 0
+        for topo, model in _beyond_the_corpus():
+            pool = sorted(topo.non_monitors)
+            observed = [(f, simulate_measurements(topo, model, f)) for f in all_failure_sets(pool, 4)]
+            for _ in range(4):
+                outcomes = simulate_measurements(topo, model, rng.sample(pool, rng.randint(1, 4)))
+                flipped = dict(outcomes)
+                probe = rng.choice(sorted(flipped))
+                flipped[probe] = not flipped[probe]
+                for target in (outcomes, flipped):
+                    for k_max in range(5):
+                        want = [f for f, seen in observed if len(f) <= k_max and seen == target]
+                        assert localize(topo, model, target, k_max, guard=12) == want, (
+                            topo, model.kind, target, k_max,
+                        )
+                    shared += len(want) > 1
+                    unproduced += not want
+        assert shared > 0 and unproduced > 0
+
     def test_unproduced_map_has_no_candidates(self):
         # v2 reads up only while v1 or v3 survives, yet both read down
         assert localize(RING, CAP, {1: False, 2: True, 3: False}, 3) == []
@@ -485,6 +530,33 @@ class TestAgainstBruteObservations:
         model = up_model(build_ensemble(line, [(0, 2, 0), (0, *range(2, 10), 1)]))
         with pytest.raises(CapacityError):
             localize(line, model, {0: False, 1: True}, 2)
+
+
+class TestLocalizeAtScale:
+    def test_er_200_with_the_guard_at_sigma(self, monkeypatch):
+        # sigma = 192, k_max = 3: truths of three nodes (UP's from nodes some
+        # path passes) come back among few candidates, each reproducing the
+        # map, and CAP sweeps R(D) and R(forced) alone.
+        doc = generate_paths(erdos_renyi(200, 0.02, seed=4, monitors=8), 2)
+        topo = doc.to_topology()
+        ensemble = doc.to_ensemble(topo)
+        passed = sorted(v for v in topo.non_monitors if ensemble.paths_through(v))
+        rng = random.Random(24)
+        sweeps = _count_sweeps(monkeypatch)
+        for model, pool in (
+            (CAP, sorted(topo.non_monitors)),
+            (CSP, sorted(topo.non_monitors)),
+            (up_model(ensemble), passed),
+        ):
+            for _ in range(4):
+                truth = frozenset(rng.sample(pool, 3))
+                outcomes = simulate_measurements(topo, model, truth)
+                del sweeps[:]
+                candidates = localize(topo, model, outcomes, 3, guard=topo.sigma)
+                assert truth in candidates and len(candidates) <= 30
+                assert model.kind != "CAP" or len(sweeps) <= 2
+                for failure in candidates:
+                    assert simulate_measurements(topo, model, failure) == outcomes
 
 
 class TestCspWalks:

@@ -31,6 +31,7 @@ from nodeloc.oracle import (
     abstract_sufficient,
     distinguishable,
     k_identifiable,
+    localize,
     max_identifiability,
     measurable_path_exists,
     simulate_measurements,
@@ -38,6 +39,7 @@ from nodeloc.oracle import (
 )
 
 from bruteforce import (
+    all_failure_sets,
     brute_component_condition,
     reference_abstract_necessary,
     reference_identifiability,
@@ -321,6 +323,45 @@ class TestSweepCounts:
             for k in range(topo.sigma + 1):
                 outcomes.add(abstract_sufficient(topo, model, k, guard=10))
         assert outcomes == {True, False} and calls == []
+
+    @pytest.mark.parametrize("kind, found", [("CAP", (2, 4)), ("CSP", (176, 56)), ("UP", (176, 56))])
+    def test_localize_sweeps_the_down_set_and_the_forced_set(self, kind, found, monkeypatch):
+        # sigma = 11, k_max = 3.  One sweep of R(D) decides; the forced set is
+        # read off neighbours or paths, matches here, and every larger
+        # candidate closes upward from it.  A forced rule that misses a node
+        # still answers right, but sweeps the candidates without it.
+        doc = generate_paths(barabasi_albert(14, 1, seed=1, monitors=3), 2)
+        topo = doc.to_topology()
+        model = {"CAP": CAP, "CSP": CSP, "UP": up_model(doc.to_ensemble(topo))}[kind]
+        pool = sorted(topo.non_monitors)
+        calls = _count_sweeps(monkeypatch)
+        for truth, count in zip(([pool[0]], pool[3:5]), found):
+            outcomes = simulate_measurements(topo, model, truth)
+            del calls[:]
+            candidates = localize(topo, model, outcomes, 3, guard=topo.sigma)
+            assert len(candidates) == count and frozenset(truth) in candidates
+            assert len(calls) == 2
+
+    def test_cap_localize_sweeps_at_most_two_sets(self, corpus, monkeypatch):
+        # Under CAP the forced set (the down nodes bordering an up node or a
+        # monitor) reproduces every produced map, so R(D) and R(forced) are
+        # the only sweeps.
+        calls = _count_sweeps(monkeypatch)
+        bad, sweeps = [], set()
+        for doc in corpus:
+            topo = doc.to_topology()
+            pool = sorted(topo.non_monitors)
+            maps = {
+                tuple(simulate_measurements(topo, CAP, failure).items())
+                for failure in all_failure_sets(pool, len(pool))
+            }
+            for key in maps:
+                del calls[:]
+                localize(topo, CAP, dict(key), topo.sigma)
+                sweeps.add(len(calls))
+                if len(calls) > 2:
+                    bad.append((doc, key, len(calls)))
+        assert bad == [] and sweeps == {1, 2}
 
 
 class TestTwinTable:
