@@ -13,8 +13,8 @@ The largest identifiable k lies in [T - 1, T] while T is at most sigma - 1
 (CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.
 d and dm are vertex connectivities of auxiliary graphs, with the monitors
 merged into one virtual monitor (d) or all but one of them (dm); every
-public CAP/CSP function is a view of :func:`controllable_tables`, which
-reads them with :func:`~nodeloc.graph.monitor_connectivity` and builds no
+public CAP/CSP function is a view of :func:`controllable_tables`, which reads
+them with :mod:`~nodeloc.graph` (dm given d, under its cap rule) and builds no
 auxiliary graph.
 
 T is also the oracle's stranding level J: CAP J = d when d < sigma, CSP
@@ -158,9 +158,9 @@ def controllable_tables(
 
     The one builder behind every CAP and CSP function.  Both regimes read
     the merged graph's connectivity d, computed once; CSP adds dm, the least
-    of the m leave-one-out connectivities, capped at d - 1 unless d = sigma
-    (below it only min(d - 1, dm) is read).  Without CAP or CSP in
-    ``kinds`` it returns ``{}``.
+    of the m leave-one-out connectivities, read given d under the cap rule of
+    ``graph._leave_one_out_connectivity``.  Without CAP or CSP in ``kinds``
+    it returns ``{}``.
     """
     if not {"CAP", "CSP"} & set(kinds):
         return {}
@@ -191,7 +191,7 @@ def controllable_tables(
             and topology.monitor_neighbor_count(weak[0]) == 1
             and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
         )
-        dm = _leave_one_out_connectivity(topology, sigma if d == sigma else max(d - 1, 0))
+        dm = _leave_one_out_connectivity(topology, d)
         # Exact at the full budget: cycle-free 2-hop probing needs two
         # distinct monitor endpoints per node once every other non-monitor
         # may be down.

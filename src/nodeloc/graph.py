@@ -5,9 +5,10 @@ monitor / non-monitor label.  Node ids are dense integers ``0..node_count-1``
 so that the exhaustive analyses elsewhere in the package can use cheap set
 arithmetic; human-readable names live in the document layer.
 
-The one connectivity computed here is an auxiliary graph's
-(:func:`monitor_connectivity`), from the low-point DFS and unit-capacity
-max-flow that the monitor block sweep and :func:`disjoint_paths` also use.
+Auxiliary-graph connectivity d (:func:`monitor_connectivity`) comes from the
+low-point DFS and unit-capacity max-flow that the monitor block sweep and
+:func:`disjoint_paths` also use; its leave-one-out minimum dm is exact at d =
+sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).
 
 All functions here are pure and every value is frozen, so shared topologies
 may be analyzed concurrently without locking.
@@ -115,22 +116,10 @@ class Topology:
         """Number of non-monitors, the largest conceivable failure-set size."""
         return self.node_count - len(self.monitors)
 
-    def is_monitor(self, v: int) -> bool:
-        self._check_node(v)
-        return v in self.monitors
-
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood of ``v``."""
         self._check_node(v)
         return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self.adjacency[u]
 
     def monitor_neighbor_count(self, v: int) -> int:
         """How many monitors are adjacent to ``v``."""
@@ -472,9 +461,11 @@ def _capped_connectivity(topology: Topology, left_out: int | None, cap: int) -> 
     return best
 
 
-def _leave_one_out_connectivity(topology: Topology, cap: int | None = None) -> int:
-    """min(dm, cap) for 0 <= cap <= sigma (None is sigma), each monitor capped at the least so far."""
-    cap = topology.sigma if cap is None else cap
+def _leave_one_out_connectivity(topology: Topology, d: int) -> int:
+    """dm given d: below d = sigma CSP reads only min(d - 1, dm), so dm is capped at
+    max(d - 1, 0); at d = sigma it is exact, as the guard note prints it and dm =
+    sigma leaves no stranding level.  Each monitor's flows are capped at the least so far."""
+    cap = topology.sigma if d == topology.sigma else max(d - 1, 0)
     for m in sorted(topology.monitors):
         cap = cap and _capped_connectivity(topology, m, cap)
     return cap

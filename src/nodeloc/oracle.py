@@ -47,8 +47,8 @@ the merge (:func:`~nodeloc.graph.monitor_connectivity`).
   when G - F has a set of at most one node (monitor or not) meeting every
   path from v to a monitor.  So J + 1 is the least set meeting every such
   path with at most one monitor in it: d with none, dm + 1 with one; J is
-  min(d - 1, dm), at least 0 (dm is read capped at d - 1 below d = sigma),
-  and none when d = dm = sigma (every non-monitor borders two monitors).
+  min(d - 1, dm), at least 0 (dm is read given d, graph's cap rule), and
+  none when d = dm = sigma (every non-monitor borders two monitors).
 * UP: F strands v exactly when F's paths cover v's, which defines the
   cover size, so J is the least cover size delta; an infinite delta means
   no J.
@@ -273,7 +273,7 @@ def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
     d = monitor_connectivity(topology)
     if model.kind == "CAP":
         return d if d < sigma else None
-    dm = _leave_one_out_connectivity(topology, sigma if d == sigma else max(d - 1, 0))
+    dm = _leave_one_out_connectivity(topology, d)
     return None if min(d, dm) >= sigma else max(min(d - 1, dm), 0)
 
 

@@ -63,7 +63,7 @@ def _seeded_monitor_walks(doc: TopologyDocument, seed: int, count: int) -> Topol
 
 def count_threshold_reads(monkeypatch, module) -> list:
     """Record ``module``'s connectivity reads in order: ``"d"`` for each
-    merged-graph read, ``("dm", cap)`` for each capped leave-one-out read."""
+    merged-graph read, ``("dm", d)`` for each leave-one-out read given d."""
     reads: list = []
     d_read, dm_read = module.monitor_connectivity, module._leave_one_out_connectivity
 
@@ -71,9 +71,9 @@ def count_threshold_reads(monkeypatch, module) -> list:
         reads.append("d" if left_out is None else left_out)
         return d_read(topology, left_out)
 
-    def counted_dm(topology, cap=None):
-        reads.append(("dm", cap))
-        return dm_read(topology, cap)
+    def counted_dm(topology, d):
+        reads.append(("dm", d))
+        return dm_read(topology, d)
 
     monkeypatch.setattr(module, "monitor_connectivity", counted_d)
     monkeypatch.setattr(module, "_leave_one_out_connectivity", counted_dm)

@@ -122,7 +122,7 @@ class TestInvariants:
             topo = doc.to_topology()
             aux = merge_monitors(topo)
             boundary = neighborhood_of_set(topo, topo.monitors) - topo.monitors
-            assert aux.degree(aux.virtual_monitor) == len(boundary)
+            assert len(aux.neighbors(aux.virtual_monitor)) == len(boundary)
             for m in sorted(topo.monitors):
                 aux_m = merge_monitors_leaving_out(topo, m)
                 boundary_m = (
@@ -130,7 +130,7 @@ class TestInvariants:
                     if len(topo.monitors) > 1
                     else frozenset()
                 )
-                assert aux_m.degree(aux_m.virtual_monitor) == len(boundary_m)
+                assert len(aux_m.neighbors(aux_m.virtual_monitor)) == len(boundary_m)
 
     def test_relabelled_topology_yields_isomorphic_merge(self):
         perm = {0: 2, 1: 0, 2: 3, 3: 1}  # relabel PATH4
@@ -149,7 +149,10 @@ class TestInvariants:
 
 
 def test_min_leave_one_out_connectivity_examples():
-    assert _leave_one_out_connectivity(PATH3) == 1
-    assert _leave_one_out_connectivity(CYCLE4) == 2
-    # single monitor: the sole leave-one-out graph has an isolated virtual
-    assert _leave_one_out_connectivity(STAR) == 0
+    # Each has d = sigma, so dm is read exactly.  STAR has a single monitor:
+    # the sole leave-one-out graph has an isolated virtual.
+    for topo, dm in ((PATH3, 1), (CYCLE4, 2), (STAR, 0)):
+        d = monitor_connectivity(topo)
+        assert d == topo.sigma
+        assert _leave_one_out_connectivity(topo, d) == dm
+        assert min(monitor_connectivity(topo, m) for m in topo.monitors) == dm

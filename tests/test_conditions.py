@@ -263,13 +263,13 @@ class TestOneTableBuilder:
         from nodeloc.conditions import controllable_tables
 
         topo = erdos_renyi(14, 0.35, seed=4, monitors=3).to_topology()
-        # d = 4 < sigma = 11, so dm is read once, capped at d - 1.
+        # d = 4 < sigma = 11, so dm is read once, given d.
         assert monitor_connectivity(topo) == 4 and topo.sigma == 11
         calls = self._count(monkeypatch)
         for fn, want in (
             (cap_verdicts, ["d"]), (cap_bounds, ["d"]),
-            (csp_verdicts, ["d", ("dm", 3)]), (csp_bounds, ["d", ("dm", 3)]),
-            (lambda t: controllable_tables(t, ("CAP", "CSP")), ["d", ("dm", 3)]),
+            (csp_verdicts, ["d", ("dm", 4)]), (csp_bounds, ["d", ("dm", 4)]),
+            (lambda t: controllable_tables(t, ("CAP", "CSP")), ["d", ("dm", 4)]),
             (lambda t: controllable_tables(t, ("UP",)), []),
         ):
             del calls[:]
@@ -416,8 +416,8 @@ def _reference_csp(topo):
     return (topo.sigma if pair is None else len(pair[1]) - 1), trap
 
 
-def _uncapped(topology, cap=None):
-    """dm as the plain minimum of the public connectivity, ignoring ``cap``."""
+def _uncapped(topology, d=None):
+    """dm as the plain minimum of the public connectivity, ignoring ``d``."""
     return min(monitor_connectivity(topology, m) for m in topology.monitors)
 
 
@@ -441,8 +441,7 @@ class TestLeaveOneOutCap:
         topo = TWIN_MONITORS
         d, dm = _reference_thresholds(topo)
         assert (topo.sigma, d, dm) == (5, 2, 2)
-        assert _leave_one_out_connectivity(topo, d - 1) == d - 1 < dm
-        assert _leave_one_out_connectivity(topo) == dm
+        assert _leave_one_out_connectivity(topo, d) == d - 1 < dm == _uncapped(topo)
         assert csp_bounds(topo) == IdentifiabilityBounds(0, 1, None, True, "")
         best, trap = _reference_csp(topo)
         assert oracle._stranding_level(topo, CSP) == trap == min(d - 1, dm)
@@ -453,6 +452,7 @@ class TestLeaveOneOutCap:
         topo = DOUBLY_COVERED
         d, dm = _reference_thresholds(topo)
         assert d == dm == topo.sigma == 3
+        assert _leave_one_out_connectivity(topo, d) == dm
         bounds = csp_bounds(topo)
         assert not bounds.applicable
         assert bounds.guard_note.startswith(f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds")

@@ -52,8 +52,9 @@ class TestTopology:
         assert PATH4.sigma == 2
         assert PATH4.non_monitors == {1, 2}
         assert PATH4.neighbors(1) == {0, 2}
-        assert PATH4.degree(0) == 1
-        assert PATH4.has_edge(1, 0) and not PATH4.has_edge(0, 2)
+        assert len(PATH4.neighbors(0)) == 1
+        assert 0 in PATH4.neighbors(1) and 2 not in PATH4.neighbors(0)
+        assert [v in PATH4.monitors for v in PATH4.nodes] == [True, False, False, True]
         assert PATH4.monitor_neighbor_count(1) == 1
 
     def test_edges_normalized_and_deduplicated(self):
@@ -122,12 +123,9 @@ class TestTopology:
         with pytest.raises(InputError):
             PATH4.neighbors(9)
         with pytest.raises(InputError):
-            PATH4.is_monitor(-1)
-
-    def test_is_monitor_reads_the_labelling(self):
-        assert [PATH4.is_monitor(v) for v in PATH4.nodes] == [True, False, False, True]
+            PATH4.neighbors(-1)
         with pytest.raises(InputError, match="unknown node id 4"):
-            PATH4.is_monitor(4)
+            PATH4.neighbors(4)
 
 
 class TestComponents:

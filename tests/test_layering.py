@@ -62,3 +62,27 @@ def test_oracle_reads_no_adjacency():
         if isinstance(node, ast.Attribute) and node.attr == "adjacency"
     ]
     assert reads == []
+
+
+def _calls(module: str, name: str) -> list[ast.Call]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def test_leave_one_out_cap_is_decided_in_graph():
+    # Both readers of dm pass d; the cap rule lives in the graph primitive.
+    for module in ("conditions", "oracle"):
+        calls = _calls(module, "_leave_one_out_connectivity")
+        assert len(calls) == 1, module
+        assert [ast.unparse(arg) for arg in calls[0].args] == ["topology", "d"], module
+        assert calls[0].keywords == [], module
+    holders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "max(d - 1, 0)" in path.read_text(encoding="utf-8")
+    ]
+    assert holders == ["graph.py"]

@@ -41,6 +41,7 @@ from nodeloc.oracle import (
 from bruteforce import (
     all_failure_sets,
     brute_component_condition,
+    brute_observations,
     reference_abstract_necessary,
     reference_identifiability,
 )
@@ -220,6 +221,61 @@ class TestStrandingLevel:
         assert abstract_sufficient(NO_NON_MONITOR, model, 0)
 
 
+class TestCapMaximum:
+    """CAP's largest identifiable k is min(d, sigma), and k-identifiability
+    holds exactly for k <= d.  This extends the paper, whose CAP window is
+    [d - 1, d].  Let J be the stranding level (the oracle's docstring):
+
+    * J <= d when d < sigma: a minimum separator of H avoids the simplicial
+      x, and it strands the side without x.
+    * J >= d: a stranding set separates the stranded node from x in H.
+    * No level k <= J holds twins.  Take F1 != F2 with S = F1 & F2; then
+      G - S strands nobody.  On a shortest path in G - S from F1 ^ F2 to a
+      monitor, the node of F1 ^ F2 nearest the monitor is reached under the
+      set that does not hold it.
+
+    So levels up to J = d are free of twins, and above d a stranding set F
+    and F | {v} are twins; with no J (d = sigma) every level is free.
+    """
+
+    def test_corpus_against_every_failure_set(self, corpus):
+        bad = []
+        below = 0
+        for doc in corpus:
+            topo = doc.to_topology()
+            d = monitor_connectivity(topo)
+            below += d < topo.sigma
+            pair, _ = reference_identifiability(
+                topo, CAP, lambda failure: brute_observations(topo, CAP, failure)
+            )
+            best = topo.sigma if pair is None else len(pair[1]) - 1
+            got = max_identifiability(topo, CAP)
+            verdicts = [k_identifiable(topo, CAP, k)[0] for k in range(topo.sigma + 1)]
+            want = [k <= d for k in range(topo.sigma + 1)]
+            if (best, got, verdicts) != (min(d, topo.sigma), min(d, topo.sigma), want):
+                bad.append((doc, d, best, got, verdicts))
+        # Both sides of the window: 189 networks have d < sigma.
+        assert bad == [] and len(corpus) == 300 and below >= 150
+
+    def test_seeded_er_beyond_default_guard(self):
+        bad = []
+        below = 0
+        for seed in range(60):
+            sigma = 8 + seed % 7
+            p = (0.2, 0.3, 0.45)[seed % 3]
+            doc = erdos_renyi(sigma + 1 + seed % 3, p, seed=8000 + seed, monitors=1 + seed % 3)
+            topo = doc.to_topology()
+            assert topo.sigma == sigma
+            d = monitor_connectivity(topo)
+            below += d < sigma
+            got = max_identifiability(topo, CAP, guard=sigma)
+            verdicts = [k_identifiable(topo, CAP, k, guard=sigma)[0] for k in range(sigma + 1)]
+            if (got, verdicts) != (min(d, sigma), [k <= d for k in range(sigma + 1)]):
+                bad.append((seed, d, got, verdicts))
+        # 57 of the 60 networks have d < sigma.
+        assert bad == [] and below >= 40
+
+
 class TestNecessaryIsIdentifiability:
     """``abstract_necessary`` answers from the whole network alone; the
     reference conditions on every smaller deleted set."""
@@ -382,8 +438,8 @@ class TestTwinTable:
 
 
 class TestThresholdReads:
-    """Each answer reads its thresholds once: d for CAP, d and then dm capped
-    at d - 1 for CSP, and for UP one cover profile and no connectivity."""
+    """Each answer reads its thresholds once: d for CAP, d and then dm given
+    d for CSP, and for UP one cover profile and no connectivity."""
 
     @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_one_read_per_answer(self, kind, level, monkeypatch):
@@ -398,7 +454,7 @@ class TestThresholdReads:
         reads = count_threshold_reads(monkeypatch, oracle)
         monkeypatch.setattr(oracle, "cover_profile", counted_profile)
         # The CAP/CSP network has d = 3 < sigma = 10.
-        want = {"CAP": ["d"], "CSP": ["d", ("dm", 2)], "UP": []}[kind]
+        want = {"CAP": ["d"], "CSP": ["d", ("dm", 3)], "UP": []}[kind]
         for call in (
             lambda: max_identifiability(topo, model, guard=10),
             lambda: k_identifiable(topo, model, level, guard=10),

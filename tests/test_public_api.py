@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import nodeloc
@@ -24,6 +25,12 @@ PUBLIC_NAMES = [
     "measurable_path_exists", "min_cover_size",
     "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
     "simulate_measurements", "up_bounds", "up_model", "up_verdicts",
+]
+
+# Topology's public fields, properties and methods.
+TOPOLOGY_MEMBERS = [
+    "adjacency", "edges", "monitor_neighbor_count", "monitors", "neighbors",
+    "node_count", "nodes", "non_monitors", "sigma",
 ]
 
 # Parameter names and defaults of the functions whose bodies share one code
@@ -59,3 +66,9 @@ def test_exported_names():
 def test_shared_path_signatures():
     for name, want in PARAMETERS.items():
         assert _parameters(getattr(nodeloc, name)) == want, name
+
+
+def test_topology_members():
+    fields = {field.name for field in dataclasses.fields(nodeloc.Topology)}
+    members = {name for name in dir(nodeloc.Topology) if not name.startswith("_")}
+    assert sorted(fields | members) == TOPOLOGY_MEMBERS

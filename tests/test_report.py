@@ -102,16 +102,17 @@ class TestAnalyze:
         capped = graph._capped_connectivity
 
         def counted(topology, left_out, cap):
-            graphs.append(left_out)
+            graphs.append((left_out, cap))
             return capped(topology, left_out, cap)
 
         reads = count_threshold_reads(monkeypatch, conditions)
         monkeypatch.setattr(graph, "_capped_connectivity", counted)
         report = analyze(doc, models=("CAP", "CSP"))
-        # d = 2 < sigma = 16: one read of d, one of dm capped at d - 1 = 1,
-        # and each auxiliary graph's connectivity computed at most once.
-        assert reads == ["d", ("dm", 1)]
-        assert graphs == [None, *sorted(doc.monitors)]
+        # d = 2 < sigma = 16: one read of d, one of dm given d, whose flows
+        # are capped at d - 1 = 1, and each auxiliary graph's connectivity
+        # computed at most once.
+        assert reads == ["d", ("dm", 2)]
+        assert graphs == [(None, 16), *((m, 1) for m in sorted(doc.monitors))]
 
         # The shared summaries give what the public functions give one by one.
         topology = doc.to_topology()
