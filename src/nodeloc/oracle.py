@@ -1,9 +1,11 @@
 """Exact identifiability: maximum, per-k verdict, witnesses and localization.
 
 The identifiability answers read the stranding level J off d, dm and delta
-(below) and sweep at most two levels of failure sets.  The sweeps are
-bounded by a configurable guard on the number of non-monitors (default 7);
-beyond it the functions refuse with a capacity error instead of stalling.
+(below) and sweep at most two levels of failure sets; a CAP maximum or
+verdict sweeps none.  The sweeps are bounded by a configurable guard on the
+number of non-monitors (default 7); beyond it the functions refuse with a
+capacity error instead of stalling.  The guard still refuses CAP answers
+that sweep nothing, until it counts the sets a call sweeps instead.
 
 A probing regime is captured by :class:`ProbingModel`: controllable
 arbitrary walks (CAP), controllable simple paths (CSP), or a fixed path
@@ -42,7 +44,9 @@ the merge (:func:`~nodeloc.graph.monitor_connectivity`).
 
 * CAP: F strands v exactly when it separates v from the simplicial x in H,
   so the least such F has size kappa(H) = d unless H is complete (d =
-  sigma), when nothing strands.
+  sigma), when nothing strands: a minimum separator of H avoids x and
+  strands the side without it, and a stranding set separates the stranded
+  node from x.
 * CSP: by the fan form of Menger's theorem, v outside F is stranded exactly
   when G - F has a set of at most one node (monitor or not) meeting every
   path from v to a monitor.  So J + 1 is the least set meeting every such
@@ -53,12 +57,23 @@ the merge (:func:`~nodeloc.graph.monitor_connectivity`).
   cover size, so J is the least cover size delta; an infinite delta means
   no J.
 
+Under CAP no level up to J holds twins, so the maximum is J = d, or sigma
+without a J, and k-identifiability holds exactly for k <= d; the paper
+bounds this maximum only to [d - 1, d].  Take F1 != F2 of at most J nodes
+and S = F1 & F2.  S has fewer than J nodes, so G - S strands no node outside
+it.  On a shortest path in G - S from F1 ^ F2 to a monitor, the rest of the
+path after its last node w of F1 ^ F2 avoids F1 | F2, so w is reached under
+the set that does not hold it and not under the one that does.  Above d a
+stranding set F and F | {v}, v stranded by F, are twins; only the canonical
+(first) pair of :func:`k_identifiable` needs a sweep.
+
 An answer then sweeps one level of C(sigma, J) sets, or two for
 :func:`k_identifiable` with k above J, and none when J is missing or above
-k; with J near sigma / 2 that is still exponential, hence the guard.  A sweep
-keeps only stranding sets, since the earlier set F1 of twins (in size-then-
-lexicographic order) strands: else R(F2) = R(F1) is every non-monitor
-outside F1 and misses F2, putting F2 inside F1, which no later set is.
+k, or for a CAP maximum or a CAP k up to J; with J near sigma / 2 that is
+still exponential, hence the guard.  A sweep keeps only stranding sets,
+since the earlier set F1 of twins (in size-then-lexicographic order)
+strands: else R(F2) = R(F1) is every non-monitor outside F1 and misses F2,
+putting F2 inside F1, which no later set is.
 
 Localization lists the sets F of at most k_max nodes whose R(F) is the
 target T that the up probes read.  A match lies in the down set D (the
@@ -70,7 +85,10 @@ a monitor in G - D); under CSP it borders two, each sharing a block with the
 virtual sink in G - D, so they give v two paths to the sink meeting only
 there; under UP some path through v has its other non-monitors in T.  A
 candidate, this forced set joined to a subset of the rest of D, matches if
-it is D or a match plus one node; else one sweep decides.
+it is D or a match plus one node; else one sweep decides.  Under CAP the
+forced set itself always matches: a node of D outside it borders only D, so
+it stays cut off from every monitor, while T still reaches one in G - D.  So
+every CAP candidate closes upward, and a CAP call sweeps R(D) alone.
 """
 
 from __future__ import annotations
@@ -339,13 +357,14 @@ def k_identifiable(
     sets are listed by ascending size, lexicographic within size, so it is
     deterministic.  No set below the stranding level J has a twin (see the
     module docstring), so without a J or with J above k the answer costs no
-    sweep; it sweeps level J alone when k = J, else J and J + 1.
+    sweep; it sweeps level J alone when k = J, else J and J + 1.  CAP holds
+    no twins at J = d either, so it sweeps only for that pair when k > d.
     """
     _check_model(topology, model)
     _check_k(topology, k)
     _check_guard(topology, guard)
     low = _stranding_level(topology, model)
-    if low is None or low > k:
+    if low is None or low > k or (low == k and model.kind == "CAP"):
         return True, None
     pair = _first_collision(topology, model, range(low, min(k, low + 1) + 1))
     return pair is None, pair
@@ -358,13 +377,16 @@ def max_identifiability(
 
     Sigma when no set strands a node, else J - 1 or J as the stranding
     level J does or does not hold twins (see the module docstring).  A
-    network with no J costs no sweep.
+    network with no J costs no sweep, and neither does CAP, whose level J =
+    d never holds twins; CSP and UP sweep level J.
     """
     _check_model(topology, model)
     _check_guard(topology, guard)
     low = _stranding_level(topology, model)
     if low is None:
         return topology.sigma
+    if model.kind == "CAP":
+        return low
     return low - 1 if _first_collision(topology, model, range(low, low + 1)) else low
 
 
@@ -398,9 +420,9 @@ def localize(
     identifiability the result is a single set.  ``outcomes`` maps each
     probe key, a plain int, to a bool reading; neither is coerced.  The
     probes that read up give the target R(F); a map that no R(F) yields has
-    no candidates.  The cost is one sweep of the down set, plus one per
-    candidate (see the module docstring) that is neither the down set nor a
-    match plus one node.
+    no candidates.  The cost is one sweep of the down set, plus, under CSP
+    and UP, one per candidate (see the module docstring) that is neither the
+    down set nor a match plus one node; under CAP every candidate matches.
     """
     _check_model(topology, model)
     k_max = min(_plain_int(k_max, "k_max"), topology.sigma)  # larger sets cannot exist
@@ -431,7 +453,7 @@ def localize(
     matches: dict[FailureSet, None] = {}
     for extra in _failure_sets(sorted(down - forced), range(k_max - len(forced) + 1)):
         failure = extra.union(forced)
-        closed = failure == down or any(failure - {v} in matches for v in extra)
+        closed = model.kind == "CAP" or failure == down or any(failure - {v} in matches for v in extra)
         if closed or _reached(topology, model, failure) == target:
             matches[failure] = None
     return list(matches)

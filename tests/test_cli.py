@@ -143,6 +143,16 @@ class TestOracleCommand:
         assert code == 3 and "brute-force guard of 7" in err
         assert "--guard" in err and "--oracle" not in err
 
+    def test_guard_still_refuses_a_cap_answer_that_sweeps_nothing(self, tmp_path, capsys):
+        # sigma = 35, d = 4: the CAP maximum reads d alone, yet the guard
+        # counts non-monitors, so only --guard 35 lets it answer.
+        big = tmp_path / "sigma35.json"
+        big.write_text(emit_topology(erdos_renyi(40, 0.2, seed=3, monitors=5)), encoding="utf-8")
+        code, _, err = run(capsys, "oracle", big, "--models", "CAP")
+        assert code == 3 and "brute-force guard of 7" in err and "--guard" in err
+        code, out, _ = run(capsys, "--guard", "35", "oracle", big, "--models", "CAP")
+        assert code == 0 and json.loads(out)["CAP"]["max_identifiability"] == 4
+
 
 class TestLocalize:
     def test_round_trip(self, topo_file, tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 ``max_identifiability``, ``k_identifiable`` and ``abstract_sufficient`` read
 the stranding level J off d, dm or delta and sweep at most two levels of
-failure sets (sets of one size); the references in ``bruteforce`` sweep
-every set up to the budget, and share no code with the connectivities.
+failure sets (sets of one size); a CAP maximum or verdict sweeps none, and a
+CAP ``k_identifiable`` above d sweeps levels d and d + 1 for its twin pair
+alone.  The references in ``bruteforce`` sweep every set up to the budget,
+and share no code with the connectivities.
 """
 
 from __future__ import annotations
@@ -224,18 +226,9 @@ class TestStrandingLevel:
 class TestCapMaximum:
     """CAP's largest identifiable k is min(d, sigma), and k-identifiability
     holds exactly for k <= d.  This extends the paper, whose CAP window is
-    [d - 1, d].  Let J be the stranding level (the oracle's docstring):
-
-    * J <= d when d < sigma: a minimum separator of H avoids the simplicial
-      x, and it strands the side without x.
-    * J >= d: a stranding set separates the stranded node from x in H.
-    * No level k <= J holds twins.  Take F1 != F2 with S = F1 & F2; then
-      G - S strands nobody.  On a shortest path in G - S from F1 ^ F2 to a
-      monitor, the node of F1 ^ F2 nearest the monitor is reached under the
-      set that does not hold it.
-
-    So levels up to J = d are free of twins, and above d a stranding set F
-    and F | {v} are twins; with no J (d = sigma) every level is free.
+    [d - 1, d]; the proof is in the ``oracle`` module docstring.  The oracle
+    answers by that rule without a sweep, so these tests check it against
+    searches: the all-sets references, and the oracle's own level sweep.
     """
 
     def test_corpus_against_every_failure_set(self, corpus):
@@ -258,8 +251,12 @@ class TestCapMaximum:
         assert bad == [] and len(corpus) == 300 and below >= 150
 
     def test_seeded_er_beyond_default_guard(self):
+        # The rule against the all-sets reference on the 36 networks with
+        # sigma <= 11, and on all 60 against the oracle's level sweep: level
+        # d holds no twins, and levels d and d + 1 hold the pair that
+        # k_identifiable returns above d.
         bad = []
-        below = 0
+        below = referenced = 0
         for seed in range(60):
             sigma = 8 + seed % 7
             p = (0.2, 0.3, 0.45)[seed % 3]
@@ -272,8 +269,17 @@ class TestCapMaximum:
             verdicts = [k_identifiable(topo, CAP, k, guard=sigma)[0] for k in range(sigma + 1)]
             if (got, verdicts) != (min(d, sigma), [k <= d for k in range(sigma + 1)]):
                 bad.append((seed, d, got, verdicts))
+            if sigma <= 11:
+                referenced += 1
+                bad += [(seed, m) for m in _mismatches(topo, CAP, sigma)]
+            if oracle._first_collision(topo, CAP, range(d, d + 1)) is not None:
+                bad.append((seed, "twins at level d"))
+            if d < sigma:
+                pair = oracle._first_collision(topo, CAP, range(d, d + 2))
+                if pair is None or k_identifiable(topo, CAP, d + 1, guard=sigma) != (False, pair):
+                    bad.append((seed, "pair above d", pair))
         # 57 of the 60 networks have d < sigma.
-        assert bad == [] and below >= 40
+        assert bad == [] and below >= 40 and referenced == 36
 
 
 class TestNecessaryIsIdentifiability:
@@ -308,11 +314,13 @@ class TestNecessaryIsIdentifiability:
 
 
 def _count_sweeps(monkeypatch) -> list:
+    """One entry per ``oracle._reached`` call: the swept set's size, which,
+    unlike the set, keeps nothing alive for a memory trace to see."""
     calls = []
     original = oracle._reached
 
     def counted(topology, model, failure):
-        calls.append(failure)
+        calls.append(len(failure))
         return original(topology, model, failure)
 
     monkeypatch.setattr(oracle, "_reached", counted)
@@ -343,12 +351,13 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_sparse_maximum_sweeps_level_j(self, kind, level, monkeypatch):
-        # sigma = 10; level J holds no twins here, so the sweep lists all of it.
+        # sigma = 10; level J holds no twins here, so the CSP and UP sweeps
+        # list all of it.  CAP's level J = d never holds twins: no sweep.
         topo, model = _sparse(kind)
         assert oracle._stranding_level(topo, model) == level
         calls = _count_sweeps(monkeypatch)
         assert max_identifiability(topo, model, guard=10) == level
-        assert len(calls) == comb(topo.sigma, level)
+        assert len(calls) == (0 if kind == "CAP" else comb(topo.sigma, level))
 
     @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_k_identifiable_below_j_sweeps_nothing(self, kind, level, monkeypatch):
@@ -369,7 +378,17 @@ class TestSweepCounts:
         topo, model = _sparse(kind)
         calls = _count_sweeps(monkeypatch)
         assert k_identifiable(topo, model, level, guard=10) == (True, None)
-        assert len(calls) == comb(topo.sigma, level)
+        assert len(calls) == (0 if kind == "CAP" else comb(topo.sigma, level))
+
+    def test_cap_at_scale_sweeps_nothing(self, monkeypatch):
+        # sigma = 35, d = 4: read off d, these answers skip a level-d sweep
+        # of C(35, 4) = 52,360 sets (about a second).
+        topo = erdos_renyi(40, 0.2, seed=3, monitors=5).to_topology()
+        assert (topo.sigma, monitor_connectivity(topo)) == (35, 4)
+        calls = _count_sweeps(monkeypatch)
+        assert max_identifiability(topo, CAP, guard=35) == 4
+        assert k_identifiable(topo, CAP, 4, guard=35) == (True, None)
+        assert calls == []
 
     def test_abstract_sufficient_sweeps_nothing(self, monkeypatch):
         topo = erdos_renyi(14, 0.5, seed=1, monitors=4).to_topology()
@@ -383,9 +402,10 @@ class TestSweepCounts:
     @pytest.mark.parametrize("kind, found", [("CAP", (2, 4)), ("CSP", (176, 56)), ("UP", (176, 56))])
     def test_localize_sweeps_the_down_set_and_the_forced_set(self, kind, found, monkeypatch):
         # sigma = 11, k_max = 3.  One sweep of R(D) decides; the forced set is
-        # read off neighbours or paths, matches here, and every larger
-        # candidate closes upward from it.  A forced rule that misses a node
-        # still answers right, but sweeps the candidates without it.
+        # read off neighbours or paths, matches here (under CAP always, so it
+        # takes no sweep), and every larger candidate closes upward from it.
+        # A forced rule that misses a node still answers right, but sweeps
+        # the candidates without it.
         doc = generate_paths(barabasi_albert(14, 1, seed=1, monitors=3), 2)
         topo = doc.to_topology()
         model = {"CAP": CAP, "CSP": CSP, "UP": up_model(doc.to_ensemble(topo))}[kind]
@@ -396,12 +416,12 @@ class TestSweepCounts:
             del calls[:]
             candidates = localize(topo, model, outcomes, 3, guard=topo.sigma)
             assert len(candidates) == count and frozenset(truth) in candidates
-            assert len(calls) == 2
+            assert len(calls) == (1 if kind == "CAP" else 2)
 
-    def test_cap_localize_sweeps_at_most_two_sets(self, corpus, monkeypatch):
+    def test_cap_localize_sweeps_one_set(self, corpus, monkeypatch):
         # Under CAP the forced set (the down nodes bordering an up node or a
-        # monitor) reproduces every produced map, so R(D) and R(forced) are
-        # the only sweeps.
+        # monitor) reproduces every produced map once R(D) does, so R(D) is
+        # the only sweep.
         calls = _count_sweeps(monkeypatch)
         bad, sweeps = [], set()
         for doc in corpus:
@@ -415,25 +435,27 @@ class TestSweepCounts:
                 del calls[:]
                 localize(topo, CAP, dict(key), topo.sigma)
                 sweeps.add(len(calls))
-                if len(calls) > 2:
+                if len(calls) > 1:
                     bad.append((doc, key, len(calls)))
-        assert bad == [] and sweeps == {1, 2}
+        assert bad == [] and sweeps == {1}
 
 
 class TestTwinTable:
-    def test_memory_follows_stranding_sets_not_the_level(self):
+    def test_memory_follows_stranding_sets_not_the_level(self, monkeypatch):
         # sigma = 21, J = d = 5: level J holds C(21, 5) = 20,349 sets and no
         # twins, so the sweep lists all of it but stores only the few sets
         # that strand.  A table of every set traces a peak of about 40 MB.
+        # CAP answers sweep no level, so this drives the sweep primitive.
         topo = erdos_renyi(25, 0.3, seed=7, monitors=4).to_topology()
         assert oracle._stranding_level(topo, CAP) == 5
-        assert comb(topo.sigma, 5) >= 20_000
+        calls = _count_sweeps(monkeypatch)
         tracemalloc.start()
         try:
-            assert max_identifiability(topo, CAP, guard=topo.sigma) == 5
+            assert oracle._first_collision(topo, CAP, range(5, 6)) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(calls) == comb(topo.sigma, 5) == 20_349
         assert peak < 4_000_000
 
 
