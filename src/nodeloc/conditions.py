@@ -91,16 +91,13 @@ def _table(
 
     k = 0 is trivially identifiable; ``exact`` maps a k to the outcome and
     name of its if-and-only-if rule; every other k is certified when
-    ``threshold >= k + 1`` and refuted when ``threshold < k``.
+    ``threshold >= k + 1`` and refuted when ``threshold < k``.  Each distinct
+    verdict is built once and repeated: at most ``len(exact) + 4`` objects.
     """
-    verdicts = [_TRIVIAL]
-    for k in range(1, sigma + 1):
-        if k in exact:
-            hit, name = exact[k]
-            verdicts.append(_make_verdict(hit, hit, name))
-        else:
-            verdicts.append(_make_verdict(threshold >= k + 1, threshold >= k, rationale))
-    return tuple(verdicts)
+    rows = {(s, n): _make_verdict(s, n, rationale) for s, n in ((True, True), (False, True), (False, False))}
+    rules = {k: _make_verdict(hit, hit, name) for k, (hit, name) in exact.items()}
+    rest = (rules[k] if k in rules else rows[threshold >= k + 1, threshold >= k] for k in range(1, sigma + 1))
+    return (_TRIVIAL, *rest)
 
 
 def _bounds(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Mapping, NoReturn
+from typing import Callable, Iterable, Mapping, NoReturn
 
 from .ensemble import PathEnsemble, build_ensemble
 from .errors import FormatError
@@ -86,13 +86,14 @@ def _load_json(data: bytes | str):
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 
-def _dump_json(payload) -> str:
+def _dump_json(payload, writers: Mapping[str, Callable] = {}) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for any ``json.loads`` value."""
-    return _layout(payload, "") + "\n"
+    return _layout(payload, "", writers) + "\n"
 
 
-def _layout(value, pad: str) -> str:
-    """``value``'s JSON text at indent ``pad``: ``json.encoder``'s type tests, one frame per level."""
+def _layout(value, pad: str, writers: Mapping[str, Callable] = {}) -> str:
+    """``value``'s JSON text at indent ``pad``: ``json.encoder``'s type tests, one frame per level.
+    An object's item under a key of ``writers`` goes to that writer, called as ``_layout`` is."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or value is True or value is False:
@@ -104,10 +105,10 @@ def _layout(value, pad: str) -> str:
     inner, items = pad + "  ", []
     if isinstance(value, (list, tuple)):
         for item in value:
-            items.append(_layout(item, inner))
+            items.append(_layout(item, inner, writers))
         return _array(items, pad)
     for key, item in sorted(value.items()):
-        items.append(f"{_quote(key)}: {_layout(item, inner)}")
+        items.append(f"{_quote(key)}: {writers.get(key, _layout)(item, inner, writers)}")
     return _array(items, pad, "{}")
 
 

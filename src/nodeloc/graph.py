@@ -416,7 +416,8 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
     H-degree of 2 answers 2; otherwise unit flows w -> x (whose BFS stops at
     B), capped at the best cut so far, tried by ascending degree.  The flows
     share one node-split network, each running Dinic from restored
-    capacities, and a w with as many B neighbors as the best cut needs none.
+    capacities.  A w with best certified neighbours (B and each decided target,
+    all with kappa(x, u) >= best) needs none: a smaller cut strands one of them.
     """
     return _capped_connectivity(topology, left_out, topology.sigma)
 
@@ -454,18 +455,26 @@ def _capped_connectivity(topology: Topology, left_out: int | None, cap: int) -> 
     edges += [(b, x) for b in boundary]
     net = _split_flow_net(x + 1, edges)
     base = net.cap[:]
+    certified = set(boundary)
     for w in targets:
-        if len(boundary & adjacency[w]) < best:
+        if len(certified & adjacency[w]) < best:
             net.cap[:] = base
             best = net.max_flow(2 * w + 1, 2 * x, limit=best)
+        certified.add(w)
     return best
 
 
 def _leave_one_out_connectivity(topology: Topology, d: int) -> int:
     """dm given d: below d = sigma CSP reads only min(d - 1, dm), so dm is capped at
     max(d - 1, 0); at d = sigma it is exact, as the guard note prints it and dm =
-    sigma leaves no stranding level.  Each monitor's flows are capped at the least so far."""
+    sigma leaves no stranding level.  Each monitor's flows are capped at the least so far.
+    At cap 1, dm is 0 iff a component of G - M borders exactly one monitor: H_m is
+    connected iff each component borders a monitor besides m, and d >= 1 leaves none bordering none."""
     cap = topology.sigma if d == topology.sigma else max(d - 1, 0)
+    if cap == 1:
+        adjacency, monitors = topology.adjacency, topology.monitors
+        return int(all(len(monitors.intersection(u for v in c for u in adjacency[v])) > 1
+                       for c in _components(topology, monitors)))
     for m in sorted(topology.monitors):
         cap = cap and _capped_connectivity(topology, m, cap)
     return cap

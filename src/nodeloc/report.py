@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ._version import __version__
 from .conditions import (
@@ -24,7 +24,7 @@ from .conditions import (
     up_bounds,
     up_verdicts,
 )
-from .document import TopologyDocument, _dump_json, _load_json, emit_topology
+from .document import _WORDS, TopologyDocument, _array, _dump_json, _layout, _load_json, _quote, emit_topology
 from .ensemble import cover_profile
 from .errors import FormatError, InternalError, UsageError
 from .graph import Topology, _plain_int
@@ -160,12 +160,34 @@ def _size_json(size: int | float) -> int | str:
 
 
 def emit_report(report: Mapping[str, Any], fmt: str = "json") -> str:
-    """Serialize a report dict from :func:`analyze`; ``fmt`` is ``json`` or ``text``."""
+    """Serialize a report dict from :func:`analyze`; ``fmt`` is ``json`` or ``text``.
+    The JSON is ``_dump_json``'s text, with one template per distinct verdict row."""
     if fmt == "json":
-        return _dump_json(report)
+        return _dump_json(report, {"verdicts": _verdicts_json})
     if fmt == "text":
         return render_text(report)
     raise UsageError(f"unknown report format {fmt!r}")
+
+
+def _verdicts_json(rows: Any, pad: str, writers: Mapping[str, Callable]) -> str:
+    """``_layout(rows, pad, writers)``; a row with exactly analyze's five keys and types (``type(x)
+    is``: ``True`` never stands in for ``1``) is one template per distinct row, k spliced in."""
+    if type(rows) is not list:
+        return _layout(rows, pad, writers)
+    key_pad, tails, items = pad + "    ", {}, []
+    for row in rows:
+        if type(row) is dict and len(row) == 5:
+            k, n, r, s, v = map(row.get, ("k", "necessary", "rationale", "sufficient", "value"))
+            if type(k) is int and type(n) is bool and type(r) is str and type(s) is bool and type(v) is str:
+                if (n, r, s, v) not in tails:
+                    tails[n, r, s, v] = (
+                        f',\n{key_pad}"necessary": {_WORDS[n]},\n{key_pad}"rationale": {_quote(r)},'
+                        f'\n{key_pad}"sufficient": {_WORDS[s]},\n{key_pad}"value": {_quote(v)}\n{pad}  }}'
+                    )
+                items.append(f'{{\n{key_pad}"k": {k}{tails[n, r, s, v]}')
+                continue
+        items.append(_layout(row, pad + "  ", writers))
+    return _array(items, pad)
 
 
 def reformat_report(data: bytes | str, fmt: str) -> str:

@@ -287,6 +287,25 @@ class TestOneTableBuilder:
             assert len(tables["CAP"][0]) == len(tables["CSP"][0]) == topo.sigma + 1
             assert controllable_tables(topo, ("UP",)) == {}
 
+    def test_each_distinct_verdict_is_built_once(self):
+        from nodeloc.conditions import _table
+
+        # The certified, open and refuted verdicts are shared across k; only
+        # k = 0 and the exact edge rules (CAP one, CSP two, UP none) add objects.
+        table = _table(60, 10, {60: (False, "edge"), 59: (True, "edge")}, "threshold")
+        assert len(table) == 61 and len({id(v) for v in table}) == 2 + 4
+        assert [table[k].value for k in (9, 10, 11, 59, 60)] == [
+            Identifiability.IDENTIFIABLE, Identifiability.INDETERMINATE,
+            Identifiability.NOT_IDENTIFIABLE, Identifiability.IDENTIFIABLE,
+            Identifiability.NOT_IDENTIFIABLE,
+        ]
+        for seed in range(6):
+            doc = erdos_renyi(40, 0.15, seed=seed, monitors=2 + seed % 3)
+            topo = doc.to_topology()
+            assert len({id(v) for v in cap_verdicts(topo)}) <= 1 + 4
+            assert len({id(v) for v in csp_verdicts(topo)}) <= 2 + 4
+        assert len({id(v) for v in up_verdicts(diamond_profile())}) <= 0 + 4
+
     def test_all_monitor_verdicts_build_no_auxiliary_graph(self, monkeypatch):
         every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
         calls = self._count(monkeypatch)

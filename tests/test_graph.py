@@ -276,3 +276,28 @@ class TestIsKConnected:
         if k == 0:
             survives = topo.node_count > 0
         assert claim == survives
+
+
+class TestCertifiedNeighbourSkip:
+    """A target with at least ``best`` certified neighbours (the boundary and
+    every target decided so far) runs no flow."""
+
+    def test_flow_count_pin(self, monkeypatch):
+        from nodeloc import graph
+        from nodeloc.generate import erdos_renyi
+
+        flows = []
+        max_flow = graph._FlowNet.max_flow
+
+        def counted(net, s, t, limit):
+            flows.append(limit)
+            return max_flow(net, s, t, limit)
+
+        monkeypatch.setattr(graph._FlowNet, "max_flow", counted)
+        topology = erdos_renyi(500, 0.03, seed=5, monitors=8).to_topology()
+        d = graph.monitor_connectivity(topology)
+        d_flows = len(flows)
+        assert (d, graph._leave_one_out_connectivity(topology, d)) == (4, 3)
+        # Skipping only targets with enough boundary neighbours ran 212 and
+        # 1,367 flows here.
+        assert (d_flows, len(flows) - d_flows) == (74, 454)

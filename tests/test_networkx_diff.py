@@ -8,7 +8,10 @@ graph as the reference construction builds it.  Disjoint paths are checked
 from a few sources under seeded forbidden sets, and the monitor block sweep
 under several seeded removed sets.  Hand-built topologies reach every rung
 of ``monitor_connectivity``'s ladder, and a hypothesis property covers
-small random graphs.
+small random graphs.  ``_leave_one_out_connectivity`` (dm given d) is
+checked against the least networkx connectivity of the reference
+leave-one-out graphs, under its cap, on the same instances, on dense ones,
+and on hand-built networks where a component of G - M borders one monitor.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 from nodeloc.graph import (
     Topology,
+    _leave_one_out_connectivity,
     biconnected_to_monitors,
     disjoint_paths,
     monitor_connectivity,
@@ -65,6 +69,74 @@ def _check_connectivities(topology: Topology) -> None:
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_plain_merged_and_leave_one_out_graphs(name):
     _check_connectivities(INSTANCES[name]().to_topology())
+
+
+def _reference_dm(topology: Topology, d: int) -> int:
+    """min(cap, networkx kappa of every reference H_m), with the cap of
+    ``_leave_one_out_connectivity``: sigma at d = sigma, else max(d - 1, 0)."""
+    cap = topology.sigma if d == topology.sigma else max(d - 1, 0)
+    leave_one_out = (merge_monitors_leaving_out(topology, m) for m in topology.monitors)
+    return min([cap, *map(_networkx_connectivity, leave_one_out)])
+
+
+def _check_dm(topology: Topology) -> None:
+    if topology.sigma == 0:
+        return
+    d = monitor_connectivity(topology)
+    assert _leave_one_out_connectivity(topology, d) == _reference_dm(topology, d), d
+
+
+DENSE = {
+    "er30p50": lambda: erdos_renyi(30, 0.5, seed=41, monitors=3),
+    "er40p30": lambda: erdos_renyi(40, 0.3, seed=42, monitors=5),
+    "er60p20": lambda: erdos_renyi(60, 0.2, seed=43, monitors=4),
+    "ba40m8": lambda: barabasi_albert(40, 8, seed=44, monitors=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE))
+def test_dense_merged_and_leave_one_out_graphs(name):
+    _check_connectivities(DENSE[name]().to_topology())
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES) + sorted(DENSE))
+def test_leave_one_out_minimum_against_networkx(name):
+    _check_dm({**INSTANCES, **DENSE}[name]().to_topology())
+
+
+# Monitors 0 and 1; the triangle 2-3-4 borders monitor 0 alone and the
+# triangle 5-6-7 borders both.  Node 4's two neighbours make d = 2, so dm is
+# capped at 1 and decided by which monitors each component of G - M borders.
+TWO_TRIANGLES = [(0, 2), (0, 3), (2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (5, 7), (0, 5), (1, 6)]
+
+#: (topology, d, dm): each component of G - M borders one monitor or more.
+SINGLE_MONITOR_COMPONENTS = {
+    # leaving monitor 0 out strands the first triangle
+    "component-on-one-monitor": (Topology(8, TWO_TRIANGLES, [0, 1]), 2, 0),
+    # the edge 1-4 puts the first triangle on both monitors
+    "components-on-two-monitors": (Topology(8, TWO_TRIANGLES + [(1, 4)], [0, 1]), 2, 1),
+    # a third monitor next to the first triangle only: it borders 0 and 8
+    "third-monitor": (Topology(9, TWO_TRIANGLES + [(8, 4)], [0, 1, 8]), 2, 1),
+    # one monitor: every component borders just it
+    "one-monitor-ring": (Topology(6, [(i, (i + 1) % 6) for i in range(6)], [0]), 2, 0),
+    # d = sigma = 1 caps dm at 1 too: the lone non-monitor borders one monitor, or two
+    "lone-non-monitor-one-monitor": (Topology(3, [(0, 2)], [0, 1]), 1, 0),
+    "lone-non-monitor-two-monitors": (Topology(3, [(0, 2), (1, 2)], [0, 1]), 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_MONITOR_COMPONENTS))
+def test_leave_one_out_minimum_at_cap_one(name):
+    topology, d, dm = SINGLE_MONITOR_COMPONENTS[name]
+    assert monitor_connectivity(topology) == d
+    assert _leave_one_out_connectivity(topology, d) == dm == _reference_dm(topology, d)
+
+
+def test_a_target_one_certified_neighbour_short_runs_its_flow():
+    # Monitor 2 borders 3, 4 and 5, and node 0 borders 1, 4 and 5: the first
+    # cap is 3, node 0 has two certified neighbours, and its flow finds 2.
+    topology = Topology(6, [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)], [2])
+    assert monitor_connectivity(topology) == 2 == _networkx_connectivity(merge_monitors(topology))
 
 
 def _k4(offset: int) -> list[tuple[int, int]]:
@@ -133,6 +205,12 @@ def test_connectivity_and_block_sweep_on_small_random_graphs(case):
     topology, removed = case
     _check_connectivities(topology)
     assert biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
+
+
+@settings(max_examples=300)
+@given(small_topologies())
+def test_leave_one_out_minimum_on_small_random_graphs(case):
+    _check_dm(case[0])
 
 
 def _networkx_paths_to_targets(topology: Topology, source, targets, forbidden) -> int:

@@ -7,12 +7,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodeloc.document import TopologyDocument, parse_topology
-from nodeloc.errors import CapacityError, FormatError, UsageError
+from nodeloc.errors import CapacityError, FormatError, NodelocError, UsageError
+from nodeloc.generate import erdos_renyi, generate_paths
 from nodeloc.report import analyze, emit_report, reformat_report
 
 from conftest import count_threshold_reads
+from test_document import documents
 
 PATH4 = TopologyDocument(
     ("m1", "v1", "v2", "m2"), frozenset({0, 3}), frozenset({(0, 1), (1, 2), (2, 3)})
@@ -108,11 +112,11 @@ class TestAnalyze:
         reads = count_threshold_reads(monkeypatch, conditions)
         monkeypatch.setattr(graph, "_capped_connectivity", counted)
         report = analyze(doc, models=("CAP", "CSP"))
-        # d = 2 < sigma = 16: one read of d, one of dm given d, whose flows
-        # are capped at d - 1 = 1, and each auxiliary graph's connectivity
-        # computed at most once.
+        # d = 2 < sigma = 16: one read of d and one of dm given d, whose cap
+        # d - 1 = 1 is decided by one components pass of G - M, so the merged
+        # graph is the only auxiliary graph whose connectivity is computed.
         assert reads == ["d", ("dm", 2)]
-        assert graphs == [(None, 16), *((m, 1) for m in sorted(doc.monitors))]
+        assert graphs == [(None, 16)]
 
         # The shared summaries give what the public functions give one by one.
         topology = doc.to_topology()
@@ -194,6 +198,75 @@ class TestEmission:
                     if dead:
                         assert row["value"] == "not-identifiable"
                     dead = dead or row["value"] == "not-identifiable"
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportWriter:
+    """``emit_report`` writes each distinct verdict row from one template, and
+    its JSON stays ``json.dumps(indent=2, sort_keys=True)``'s text."""
+
+    @pytest.mark.filterwarnings("ignore:no monitor-to-monitor path")
+    @settings(max_examples=150, deadline=None)
+    @given(documents(), st.data())
+    def test_matches_the_json_module(self, doc, data):
+        models = data.draw(
+            st.sampled_from([None, ("CAP",), ("CSP",), ("UP",), ("CSP", "CAP"), ("CAP", "CSP", "UP")])
+        )
+        walks = data.draw(st.booleans())  # paths that are walks, so UP usually runs
+        ends = st.integers(0, max(len(doc.names) - len(doc.monitors), 0))
+        k_range = data.draw(st.none() | st.tuples(ends, ends).map(lambda pair: tuple(sorted(pair))))
+        try:
+            report = analyze(generate_paths(doc, 1) if walks else doc, models=models, k_range=k_range)
+        except NodelocError:
+            assume(False)
+        assert emit_report(report, "json") == _dumps(report)
+
+    def test_matches_the_json_module_on_long_tables(self):
+        doc = generate_paths(erdos_renyi(24, 0.25, seed=7, monitors=4), 1)
+        for k_range in (None, (3, 12), (20, 20)):
+            report = analyze(doc, models=("CAP", "CSP", "UP"), k_range=k_range)
+            assert emit_report(report, "json") == _dumps(report)
+
+    # Row 4 of the CAP table of erdos_renyi(20, 0.3, seed=5, monitors=4)
+    # (d = 2) repeats row 3 but for k, so a break the schema check let
+    # through would be written from row 3's template: 0 equals False.
+    SCHEMA_BREAKS = {
+        "float-k": lambda rows: rows[4].update(k=4.0),
+        "bool-k": lambda rows: rows[4].update(k=True),
+        "int-sufficient": lambda rows: rows[4].update(sufficient=0),
+        "int-necessary": lambda rows: rows[4].update(necessary=0),
+        "int-value": lambda rows: rows[4].update(value=5),
+        "extra-key": lambda rows: rows[4].update(extra=None),
+        "missing-key": lambda rows: rows[4].pop("rationale"),
+        "row-not-a-dict": lambda rows: rows.__setitem__(4, [4, "not-identifiable"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_BREAKS))
+    def test_rows_off_the_schema_are_laid_out_in_full(self, name):
+        payload = json.loads(emit_report(analyze(erdos_renyi(20, 0.3, seed=5, monitors=4)), "json"))
+        rows = payload["models"]["CAP"]["verdicts"]
+        assert {key: value for key, value in rows[3].items() if key != "k"} == {
+            key: value for key, value in rows[4].items() if key != "k"
+        }
+        self.SCHEMA_BREAKS[name](rows)
+        text = _dumps(payload)
+        assert emit_report(payload, "json") == text
+        if name in ("missing-key", "row-not-a-dict"):
+            # The text rendering reads every row field, so such a file is refused.
+            with pytest.raises(FormatError, match="malformed"):
+                reformat_report(text, "json")
+        else:
+            assert reformat_report(text, "json") == text
+
+    def test_verdicts_that_are_not_a_list(self):
+        payload = json.loads(emit_report(analyze(PATH4), "json"))
+        payload["models"]["CAP"]["verdicts"] = {}
+        payload["models"]["CSP"]["verdicts"] = []
+        text = _dumps(payload)
+        assert emit_report(payload, "json") == reformat_report(text, "json") == text
 
 
 def test_all_monitor_document_is_a_usage_error():
