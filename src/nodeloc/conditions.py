@@ -179,14 +179,14 @@ def controllable_tables(
         tables["CAP"] = (verdicts, _bounds(verdicts, d, sigma - 1, note))
     if "CSP" in kinds:
         # Weakly covered: non-monitors with fewer than two monitor neighbors.
-        weak = [v for v in topology.non_monitors if topology.monitor_neighbor_count(v) < 2]
+        weak = [v for v in topology.non_monitors if len(topology.adjacency[v] & topology.monitors) < 2]
         # Exact one short of the full budget: at most one weakly covered
         # node, and that node must be reachable around any failure pattern
         # through its own neighborhood.
         near_full = not weak or (
             len(weak) == 1
-            and topology.monitor_neighbor_count(weak[0]) == 1
-            and topology.non_monitors - {weak[0]} <= topology.neighbors(weak[0])
+            and len(topology.adjacency[weak[0]] & topology.monitors) == 1
+            and topology.non_monitors - {weak[0]} <= topology.adjacency[weak[0]]
         )
         dm = _leave_one_out_connectivity(topology, d)
         # Exact at the full budget: cycle-free 2-hop probing needs two

@@ -178,7 +178,10 @@ def parse_topology(data: bytes | str) -> TopologyDocument:
         for i, path in enumerate(raw_paths):
             if type(path) is not list or len(path) < 2:
                 raise FormatError(f"path {i} must list at least two nodes")
-            ids = tuple([get(name) if type(name) is str else None for name in path])
+            try:
+                ids = tuple(map(get, path))
+            except TypeError:  # an unhashable entry, which _unresolved names
+                ids = (None,)
             if None in ids:
                 _unresolved(f"path {i}", "entry", path, index)
             parsed.append(ids)
@@ -207,7 +210,8 @@ def emit_topology(doc: TopologyDocument) -> str:
     edges = [f"[\n      {quoted[u]},\n      {quoted[v]}\n    ]" for u, v in sorted(doc.edges)]
     text = f'{{\n  "edges": {_array(edges, "  ")},\n  "nodes": {_array(nodes, "  ")},\n'
     if doc.paths is not None:
-        paths = [_array([quoted[v] for v in path], "    ") for path in doc.paths]
+        join, quoted_of = ",\n      ".join, quoted.__getitem__
+        paths = [f"[\n      {join(map(quoted_of, path))}\n    ]" if path else "[]" for path in doc.paths]
         text += f'  "paths": {_array(paths, "  ")},\n'
     return text + f'  "version": {FORMAT_VERSION}\n}}\n'
 
@@ -227,7 +231,7 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
             continue
         if len(names) < 2:
             raise FormatError(f"path line {lineno} lists fewer than two nodes")
-        ids = tuple([get(name) for name in names])
+        ids = tuple(map(get, names))
         if None in ids:
             raise FormatError(f"path line {lineno} references unknown node {names[ids.index(None)]!r}")
         paths.append(ids)

@@ -14,6 +14,7 @@ v's paths.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,10 +33,11 @@ class PathEnsemble:
 
     ``paths[i]`` is path i's node tuple, the form
     ``TopologyDocument.paths`` uses; a path's id is its index, and
-    ``members[i]`` the set of non-monitors the path visits.
-    ``incidence[v]`` is the set of path ids traversing node v; it is empty
-    for monitors and for non-monitors no path visits.  ``unobserved`` lists
-    the latter; such nodes can never be localized.
+    ``members[i]`` the set of non-monitors the path visits; paths with equal
+    members share one frozenset.  ``incidence[v]`` is the set of path ids
+    traversing node v; it is empty for monitors and for non-monitors no path
+    visits.  ``unobserved`` lists the latter; such nodes can never be
+    localized.
     """
 
     topology: Topology
@@ -59,10 +61,12 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     allowed (walks are accepted as given); incidence is computed on the set
     of visited nodes.
     """
-    adjacency, monitors = topology.adjacency, topology.monitors
+    adjacency, monitors, node_count = topology.adjacency, topology.monitors, topology.node_count
+    keep = topology.non_monitors.__contains__
     validated: list[tuple[int, ...]] = []
     members: list[frozenset[int]] = []
-    incidence = [set() for _ in range(topology.node_count)]
+    routes: dict[frozenset[int], frozenset[int]] = {}  # equal routes share one object
+    incidence: defaultdict[int, list[int]] = defaultdict(list)
     for pid, seq in enumerate(_entries(paths, "paths")):
         try:
             nodes = tuple(seq)
@@ -70,21 +74,27 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
             raise InputError(f"path {pid} must be iterable, not {type(seq).__name__}") from None
         if len(nodes) < 2:
             raise FormatError(f"path {pid} has fewer than two nodes")
-        for v in nodes:
-            topology._check_node(v)  # ids are never coerced
+        for v in nodes:  # _check_node's rule, inline: ids are never coerced
+            if type(v) is not int or not 0 <= v < node_count:
+                topology._check_node(v)
         for end in (nodes[0], nodes[-1]):
             if end not in monitors:
                 raise FormatError(f"path {pid} endpoint {end} is not a monitor")
-        for a, b in zip(nodes, nodes[1:]):
+        a = nodes[0]
+        for b in nodes[1:]:
             if b not in adjacency[a]:
                 raise FormatError(f"path {pid} steps over a missing edge ({a}, {b})")
+            a = b
         validated.append(nodes)
-        members.append(frozenset(nodes) - monitors)
-        for v in members[-1]:
-            incidence[v].add(pid)
-    frozen = tuple(frozenset(s) for s in incidence)
-    unobserved = frozenset(v for v in topology.non_monitors if not frozen[v])
-    return PathEnsemble(topology, tuple(validated), tuple(members), frozen, unobserved)
+        route = frozenset(filter(keep, nodes))
+        members.append(routes.setdefault(route, route))
+        for v in route:
+            incidence[v].append(pid)
+    frozen = [frozenset()] * node_count  # one empty set for monitors and unvisited nodes
+    for v, ids in incidence.items():
+        frozen[v] = frozenset(ids)
+    unobserved = topology.non_monitors.difference(incidence)
+    return PathEnsemble(topology, tuple(validated), tuple(members), tuple(frozen), unobserved)
 
 
 def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CANDIDATES) -> int | float:

@@ -24,11 +24,6 @@ from .errors import InputError
 Edge = tuple[int, int]
 
 
-def _is_node(v: object, node_count: int) -> bool:
-    """The one node-id rule: an int (not a bool) in ``0..node_count-1``, never coerced."""
-    return type(v) is int and 0 <= v < node_count
-
-
 def _plain_int(
     value: object, what: str, lo: int = 0, hi: int | None = None, error: type = InputError
 ) -> int:
@@ -63,11 +58,11 @@ def _normalized_edges(node_count: int, edges: Iterable[Iterable[int]]) -> frozen
             u, v = edge
         except (TypeError, ValueError):
             raise InputError(f"edge {edge!r} is not a pair of node ids") from None
-        if not (_is_node(u, node_count) and _is_node(v, node_count)):
+        if type(u) is not int or type(v) is not int or not (0 <= u < node_count and 0 <= v < node_count):
             raise InputError(f"edge ({u!r}, {v!r}) references a node outside 0..{node_count - 1}")
         if u == v:
             raise InputError(f"self-loop at node {u} is not allowed")
-        out.add((u, v) if u < v else (v, u))
+        out.add((edge if type(edge) is tuple else (u, v)) if u < v else (v, u))  # (u, v) tuples kept
     return frozenset(out)
 
 
@@ -93,7 +88,7 @@ class Topology:
         object.__setattr__(self, "edges", _normalized_edges(self.node_count, self.edges))
         monitors = _entries(self.monitors, "monitors")
         for m in monitors:
-            if not _is_node(m, self.node_count):
+            if type(m) is not int or not 0 <= m < self.node_count:
                 raise InputError(f"monitor id {m!r} outside 0..{self.node_count - 1}")
         if not monitors:
             raise InputError("a topology needs at least one monitor")
@@ -126,7 +121,8 @@ class Topology:
         return len(self.neighbors(v) & self.monitors)
 
     def _check_node(self, v: int) -> None:
-        if not _is_node(v, self.node_count):
+        """The one node-id rule, inlined in loops over every id: an int (not a bool) in range."""
+        if type(v) is not int or not 0 <= v < self.node_count:
             raise InputError(f"unknown node id {v!r}")
 
     def _check_nodes(self, nodes: Iterable[int]) -> frozenset[int]:

@@ -29,6 +29,19 @@ def diamond_ensemble():
     return build_ensemble(DIAMOND, TWO_PATHS)
 
 
+def ingest_like_star(seed, core, hosts=30):
+    """Monitor hosts hung off a small core of non-monitors, with every
+    shortest host-to-host path: hundreds of paths on a few distinct core
+    routes."""
+    rng = random.Random(seed)
+    edges = {(u, u + 1) for u in range(core - 1)}
+    edges |= {(u, v) for u in range(core) for v in range(u + 2, core) if rng.random() < 0.3}
+    edges |= {(rng.randrange(core), core + h) for h in range(hosts)}
+    names = tuple(f"c{v}" for v in range(core)) + tuple(f"h{h}" for h in range(hosts))
+    pathless = TopologyDocument(names, frozenset(range(core, core + hosts)), frozenset(edges))
+    return generate_paths(pathless, 2)
+
+
 class TestBuildEnsemble:
     def test_incidence_of_running_example(self):
         ens = diamond_ensemble()
@@ -112,6 +125,25 @@ class TestBuildEnsemble:
             build_ensemble(DIAMOND, paths)
         assert type(excinfo.value) is error and str(excinfo.value) == message
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ingest_like_star_shares_routes(self, seed):
+        doc = ingest_like_star(seed, 8)
+        # Leaving out core node 0's paths leaves it unobserved.
+        paths = [p for p in doc.paths if 0 not in p]
+        topology = doc.to_topology()
+        ens = build_ensemble(topology, paths)
+        members = ens.members
+        assert members == tuple(frozenset(p) - topology.monitors for p in paths)
+        # Equal routes are one object: hundreds of paths, a few dozen routes.
+        assert len({id(m) for m in members}) == len(set(members)) < len(members) // 5
+        assert ens.incidence == tuple(
+            frozenset(pid for pid, p in enumerate(paths) if v in p and v not in topology.monitors)
+            for v in topology.nodes
+        )
+        assert all(ens.incidence[m] == frozenset() for m in topology.monitors)
+        assert ens.unobserved == {v for v in topology.non_monitors if not any(v in p for p in paths)}
+        assert 0 in ens.unobserved
+
 
 class TestMinCoverSize:
     def test_running_example_values(self):
@@ -166,16 +198,8 @@ class TestMinCoverSize:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ingest_like_star_matches_bruteforce(self, seed):
-        # Thirty monitor hosts hang off an eight-node core, and hundreds of
-        # host-to-host shortest paths cross it on a few distinct core routes.
-        rng = random.Random(seed)
-        core, hosts = 8, 30
-        edges = {(u, u + 1) for u in range(core - 1)}
-        edges |= {(u, v) for u in range(core) for v in range(u + 2, core) if rng.random() < 0.3}
-        edges |= {(rng.randrange(core), core + h) for h in range(hosts)}
-        names = tuple(f"c{v}" for v in range(core)) + tuple(f"h{h}" for h in range(hosts))
-        pathless = TopologyDocument(names, frozenset(range(core, core + hosts)), frozenset(edges))
-        doc = generate_paths(pathless, 2)
+        core = 8
+        doc = ingest_like_star(seed, core)
         # As in ingested documents, every path crosses at least two core nodes.
         ens = build_ensemble(doc.to_topology(), [p for p in doc.paths if len(p) > 3])
         assert len(ens.paths) > 300

@@ -58,8 +58,10 @@ class TestTopology:
         assert PATH4.monitor_neighbor_count(1) == 1
 
     def test_edges_normalized_and_deduplicated(self):
-        t = Topology(3, [(1, 0), (0, 1), (2, 1)], [0])
-        assert t.edges == {(0, 1), (1, 2)}
+        t = Topology(3, [(1, 0), (0, 1), (2, 1), [1, 2], [0, 2]], [0])
+        assert t.edges == {(0, 1), (1, 2), (0, 2)}
+        # List pairs and reversed pairs come out as (u, v) tuples.
+        assert all(type(e) is tuple and e[0] < e[1] for e in t.edges)
 
     def test_rejects_self_loop(self):
         with pytest.raises(InputError):
@@ -113,6 +115,34 @@ class TestTopology:
             connected_components(PATH4, [[1]])
         with pytest.raises(InputError):
             disjoint_paths(PATH4, 1, 0)
+
+    @pytest.mark.parametrize(
+        "edges, monitors, message",
+        [
+            ([(0, 1, 2)], [0], "edge (0, 1, 2) is not a pair of node ids"),
+            ([(0,)], [0], "edge (0,) is not a pair of node ids"),
+            ([7], [0], "edge 7 is not a pair of node ids"),
+            (5, [0], "edges must be iterable, not int"),
+            ([(True, 2)], [0], "edge (True, 2) references a node outside 0..2"),
+            ([(0, 1.0)], [0], "edge (0, 1.0) references a node outside 0..2"),
+            ([(0, 3)], [0], "edge (0, 3) references a node outside 0..2"),
+            ([(-1, 0)], [0], "edge (-1, 0) references a node outside 0..2"),
+            ([[1, 1]], [0], "self-loop at node 1 is not allowed"),
+            ([(0, 1)], [5], "monitor id 5 outside 0..2"),
+            ([(0, 1)], [True], "monitor id True outside 0..2"),
+            ([(0, 1)], [[0]], "monitor id [0] outside 0..2"),
+            ([(0, 1)], [], "a topology needs at least one monitor"),
+            ([(0, 1)], 5, "monitors must be iterable, not int"),
+            # Two faults in one edge, or in an edge and a monitor: the first
+            # check in this order names it.
+            ([(5, 5)], [0], "edge (5, 5) references a node outside 0..2"),
+            ([(0, 1), (1, 1)], [9], "self-loop at node 1 is not allowed"),
+        ],
+    )
+    def test_error_messages(self, edges, monitors, message):
+        with pytest.raises(InputError) as excinfo:
+            Topology(3, edges, monitors)
+        assert type(excinfo.value) is InputError and str(excinfo.value) == message
 
     def test_node_count_is_a_plain_int_of_at_least_one(self):
         for count in ("3", 3.0, True, 0):
