@@ -20,10 +20,11 @@ def survey(model_name, bounds_fn, model, count=200):
         omega = max_identifiability(topo, model)
         b = bounds_fn(topo)
         assert b.lower <= omega <= b.upper, "bound violation"
-        if b.exact is not None:
-            tallies["exact rule pinned the value"] += 1
-        elif not b.applicable:
-            tallies["guard failed, scan fallback"] += 1
+        if not b.applicable:
+            if b.lower == b.upper:
+                tallies["exact rule pinned the value"] += 1
+            else:
+                tallies["guard failed, scan fallback"] += 1
         elif b.lower == b.upper:
             tallies["window already tight"] += 1
         elif omega == b.upper:

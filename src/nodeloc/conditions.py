@@ -9,8 +9,11 @@ identifiable when T >= k + 1 (the sufficient condition) and refuted when
 T < k (the necessary one fails); in between the verdict is indeterminate and
 only the oracle can settle it.  Exact if-and-only-if rules
 override T at the full failure budget (CAP, CSP) and one short of it (CSP).
-The largest identifiable k lies in [T - 1, T] while T is at most sigma - 1
-(CAP) or sigma - 2 (CSP); past that the bounds span the verdict table.
+In every regime the bounds on the largest identifiable k are the span of the
+verdict table, :func:`_bounds`.  Below the paper's precondition, T at most
+sigma - 1 (CAP) or sigma - 2 (CSP), every exact rule refutes, so the span is
+[T - 1, T] floored at 0, the window the paper states; past it the bounds
+carry a guard note.
 d and dm are vertex connectivities of auxiliary graphs, with the monitors
 merged into one virtual monitor (d) or all but one of them (dm); every
 public CAP/CSP function is a view of :func:`controllable_tables`, which reads
@@ -25,7 +28,6 @@ module docstring holds the proofs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,10 +56,10 @@ class Verdict:
 class IdentifiabilityBounds:
     """Lower/upper bounds on the largest identifiable failure-set size.
 
-    ``exact`` is set when an if-and-only-if rule pins the value.  When the
-    formula guard fails, ``applicable`` is False and ``guard_note`` names the
-    violated precondition; the bounds then span the per-k verdict table,
-    exact edge rules included, never extrapolating the guarded formula.
+    The bounds span the per-k verdict table, exact edge rules included, and
+    ``exact`` is ``lower`` exactly when ``lower == upper``, else None.
+    ``applicable`` is False when the paper's precondition for its [T - 1, T]
+    window fails, and ``guard_note`` then names it.
     """
 
     lower: int
@@ -100,18 +102,15 @@ def _table(
     return (_TRIVIAL, *rest)
 
 
-def _bounds(
-    verdicts: tuple[Verdict, ...], threshold: int, top: int, note: str
-) -> IdentifiabilityBounds:
-    """[T - 1, T] while T <= ``top``; past it, the span of the verdict table."""
-    if threshold <= top:
-        return IdentifiabilityBounds(max(threshold - 1, 0), max(threshold, 0), None, True, "")
-    # From the largest certified k to one below the smallest refuted k.
+def _bounds(verdicts: tuple[Verdict, ...], note: str) -> IdentifiabilityBounds:
+    """The one bounds rule: from the largest certified k to one below the
+    smallest refuted k (sigma if none is), exact when the two meet, and
+    applicable unless ``note`` names a failed precondition."""
     lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
     upper = next(
         (k - 1 for k, v in enumerate(verdicts) if not v.necessary_holds), len(verdicts) - 1
     )
-    return IdentifiabilityBounds(lower, upper, lower if lower == upper else None, False, note)
+    return IdentifiabilityBounds(lower, upper, lower if lower == upper else None, not note, note)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +126,10 @@ def cap_verdicts(topology: Topology) -> tuple[Verdict, ...]:
 def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
     """Maximum-identifiability bounds under arbitrary-path probing.
 
-    When the merged-graph connectivity d stays below the non-monitor count,
-    the maximum lies in [d-1, d]; otherwise the merged graph is complete and
-    the exact full-budget rule pins the maximum at sigma.
+    The span of :func:`cap_verdicts`.  While the merged-graph connectivity d
+    stays below the non-monitor count that is [d-1, d], the paper's window;
+    otherwise the merged graph is complete and the exact full-budget rule
+    pins the maximum at sigma.
     """
     return controllable_tables(topology, ("CAP",))["CAP"][1]
 
@@ -141,9 +141,9 @@ def csp_verdicts(topology: Topology) -> tuple[Verdict, ...]:
 def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
     """Maximum-identifiability bounds under simple-path probing.
 
-    Combines the merged-graph connectivity with the weakest leave-one-out
-    connectivity; outside the guard the two exact edge rules settle the
-    bounds through the verdict table.
+    The span of :func:`csp_verdicts`.  While T = min(d - 1, dm) is at most
+    sigma - 2 that is [T - 1, T], the paper's window; past it the two exact
+    edge rules settle the bounds.
     """
     return controllable_tables(topology, ("CSP",))["CSP"][1]
 
@@ -175,8 +175,8 @@ def controllable_tables(
         note = (
             f"merged-graph connectivity {d} exceeds sigma-1={sigma - 1}; "
             "the connectivity bound is stated only below that threshold"
-        )
-        tables["CAP"] = (verdicts, _bounds(verdicts, d, sigma - 1, note))
+        ) if d > sigma - 1 else ""
+        tables["CAP"] = (verdicts, _bounds(verdicts, note))
     if "CSP" in kinds:
         # Weakly covered: non-monitors with fewer than two monitor neighbors.
         weak = [v for v in topology.non_monitors if len(topology.adjacency[v] & topology.monitors) < 2]
@@ -201,8 +201,8 @@ def controllable_tables(
         note = (
             f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds "
             f"sigma-2={sigma - 2}; the connectivity bound is stated only below that threshold"
-        )
-        tables["CSP"] = (verdicts, _bounds(verdicts, threshold, sigma - 2, note))
+        ) if threshold > sigma - 2 else ""
+        tables["CSP"] = (verdicts, _bounds(verdicts, note))
     return tables
 
 
@@ -223,13 +223,7 @@ def up_verdicts(profile: CoverProfile) -> tuple[Verdict, ...]:
 
 
 def up_bounds(profile: CoverProfile) -> IdentifiabilityBounds:
-    """Maximum-identifiability bounds under a fixed path ensemble."""
-    sigma = len(profile.cover_sizes)
-    delta = profile.min_cover
-    if math.isinf(delta):
-        return IdentifiabilityBounds(sigma, sigma, sigma, True, "")
-    delta = int(delta)
-    lower = max(delta - 1, 0)
-    upper = min(delta, sigma)
-    exact = lower if lower == upper else None
-    return IdentifiabilityBounds(lower, upper, exact, True, "")
+    """Maximum-identifiability bounds under a fixed path ensemble: the span
+    of :func:`up_verdicts`, which is the paper's window [delta - 1, delta]
+    for a finite minimum cover size delta and [sigma, sigma] otherwise."""
+    return _bounds(up_verdicts(profile), "")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 import nodeloc.oracle as oracle
@@ -315,13 +318,26 @@ class TestOneTableBuilder:
         assert calls == []
 
 
+def _span_family():
+    """200 seeded ER (p 0.1 to 0.95), BA and grid networks of 4 to 30 nodes."""
+    for seed in range(100):
+        p = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95)[seed % 7]
+        yield erdos_renyi(4 + seed % 27, p, seed=2900 + seed, monitors=1 + seed % 3)
+    for seed in range(50):
+        yield barabasi_albert(4 + seed % 27, 1 + seed % 3, seed=3000 + seed, monitors=1 + seed % 3)
+    for seed in range(50):
+        yield grid(2 + seed % 5, 2 + seed % 4, seed=3100 + seed, monitors=1 + seed % 3)
+
+
 class TestOneThresholdRule:
     """Each regime's verdicts and bounds follow one threshold T.
 
     T is computed here independently of ``nodeloc.conditions``: the merged
     connectivity d for CAP, min(d - 1, dm) for CSP and the minimum cover
     size for UP.  Only the exact edges (k = 0, the full budget, and for CSP
-    one short of it) may depart from the threshold rule.
+    one short of it) may depart from the threshold rule.  In every regime
+    the bounds are the span of the verdict table, and where the paper's
+    precondition holds that span is its window [T - 1, T].
     """
 
     @staticmethod
@@ -331,11 +347,40 @@ class TestOneThresholdRule:
                 assert verdict.sufficient_holds == (threshold >= k + 1), (k, threshold)
                 assert verdict.necessary_holds == (threshold >= k), (k, threshold)
 
+    @staticmethod
+    def _check_span(verdicts, bounds, window):
+        """``window`` is the paper's bounds where its precondition holds, else None."""
+        lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
+        refuted = [k for k, v in enumerate(verdicts) if not v.necessary_holds]
+        upper = refuted[0] - 1 if refuted else len(verdicts) - 1
+        assert (bounds.lower, bounds.upper) == (lower, upper)
+        assert bounds.exact == (lower if lower == upper else None)
+        assert bounds.applicable == (window is not None) == (bounds.guard_note == "")
+        if window is not None:
+            assert (lower, upper) == window
+
+    def _check_controllable(self, topo, d, dm, seen):
+        sigma = topo.sigma
+        regimes = (
+            ("CAP", cap_verdicts(topo), cap_bounds(topo), d, sigma - 1, {0, sigma}),
+            ("CSP", csp_verdicts(topo), csp_bounds(topo), min(d - 1, dm), sigma - 2,
+             {0, sigma - 1, sigma}),
+        )
+        for kind, verdicts, bounds, threshold, top, edges in regimes:
+            self._check_rule(verdicts, threshold, edges)
+            below = threshold <= top
+            window = (max(threshold - 1, 0), max(threshold, 0)) if below else None
+            self._check_span(verdicts, bounds, window)
+            seen[kind, below, bounds.exact is not None] += 1
+            if kind == "CAP" and not below:
+                # d >= sigma: the merged graph is complete, so every
+                # non-monitor borders a monitor.
+                assert all(topo.monitor_neighbor_count(v) >= 1 for v in topo.non_monitors)
+
     def test_controllable_regimes(self, corpus):
-        past_guard = {"CAP": 0, "CSP": 0}
+        seen = Counter()
         for doc in corpus:
             topo = doc.to_topology()
-            sigma = topo.sigma
             d = brute_vertex_connectivity(merge_monitors(topo))
             dm = min(
                 brute_vertex_connectivity(merge_monitors_leaving_out(topo, m))
@@ -343,35 +388,30 @@ class TestOneThresholdRule:
             )
             assert monitor_connectivity(topo) == d
             assert min(monitor_connectivity(topo, m) for m in topo.monitors) == dm
-            regimes = (
-                ("CAP", cap_verdicts(topo), cap_bounds(topo), d, sigma - 1, {0, sigma}),
-                ("CSP", csp_verdicts(topo), csp_bounds(topo), min(d - 1, dm), sigma - 2,
-                 {0, sigma - 1, sigma}),
-            )
-            for kind, verdicts, bounds, threshold, top, edges in regimes:
-                self._check_rule(verdicts, threshold, edges)
-                assert bounds.applicable == (threshold <= top)
-                if bounds.applicable:
-                    window = (max(threshold - 1, 0), max(threshold, 0))
-                    assert (bounds.lower, bounds.upper) == window
-                    continue
-                past_guard[kind] += 1
-                lower = max(k for k, v in enumerate(verdicts) if v.sufficient_holds)
-                refuted = [k for k, v in enumerate(verdicts) if not v.necessary_holds]
-                upper = refuted[0] - 1 if refuted else sigma
-                assert (bounds.lower, bounds.upper) == (lower, upper)
-                assert bounds.exact == (lower if lower == upper else None)
-                if kind == "CAP":
-                    # d >= sigma: the merged graph is complete, so every
-                    # non-monitor borders a monitor.
-                    assert all(topo.monitor_neighbor_count(v) >= 1 for v in topo.non_monitors)
-        assert past_guard["CAP"] > 0 and past_guard["CSP"] > 0
+            self._check_controllable(topo, d, dm, seen)
+        # Larger and denser networks, with T read as controllable_tables
+        # reads it: d, then dm given d.
+        wider = Counter()
+        for doc in _span_family():
+            topo = doc.to_topology()
+            d = monitor_connectivity(topo)
+            self._check_controllable(topo, d, _leave_one_out_connectivity(topo, d), wider)
+        # Both regimes, both sides of the precondition, tight spans included.
+        for counts in (seen, wider):
+            assert all(counts[kind, below, True] for kind in ("CAP", "CSP") for below in (True, False))
 
     def test_uncontrollable_regime(self, up_corpus):
+        tight = 0
         for doc in up_corpus:
             topo = doc.to_topology()
             profile = cover_profile(doc.to_ensemble(topo))
-            self._check_rule(up_verdicts(profile), profile.min_cover, {0})
+            verdicts, bounds, delta = up_verdicts(profile), up_bounds(profile), profile.min_cover
+            self._check_rule(verdicts, delta, {0})
+            # No exact rules and no precondition: delta is below sigma or infinite.
+            window = (topo.sigma, topo.sigma) if math.isinf(delta) else (max(delta - 1, 0), delta)
+            self._check_span(verdicts, bounds, window)
+            tight += bounds.exact is not None
+        assert tight > 0
 
 
 # Auxiliary-graph shapes at the edges of monitor_connectivity's rungs.

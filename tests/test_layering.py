@@ -86,3 +86,22 @@ def test_leave_one_out_cap_is_decided_in_graph():
         if "max(d - 1, 0)" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["graph.py"]
+
+
+def test_bounds_are_built_by_one_rule():
+    # Every regime's bounds are the verdict table's span, built in one place
+    # with no formula branch; UP's bounds are a call to it.
+    def builds(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "IdentifiabilityBounds"
+        ]
+
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [stem for stem, tree in modules.items() for _ in builds(tree)] == ["conditions"]
+    functions = {f.name: f for f in ast.walk(modules["conditions"]) if isinstance(f, ast.FunctionDef)}
+    assert len(builds(functions["_bounds"])) == 1
+    assert not any(isinstance(node, ast.If) for node in ast.walk(functions["_bounds"]))
+    assert ast.unparse(functions["up_bounds"].body[-1]) == "return _bounds(up_verdicts(profile), '')"
