@@ -246,6 +246,7 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
     _expect(model in ("CAP", "CSP", "UP"), "'model' must be CAP, CSP or UP")
     observations = raw.get("observations")
     _expect(isinstance(observations, list), "'observations' must be a list")
+    index = doc.index
     states: dict[int, bool] = {}
     for i, obs in enumerate(observations):
         # Each message is built only once its check has failed.
@@ -260,7 +261,9 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
                 raise FormatError(f"observation {i} probe must be a path id")
             key = probe
         elif isinstance(probe, str):
-            key = doc.id_of(probe)
+            key = index.get(probe)
+            if key is None:
+                doc.id_of(probe)  # raises: unknown node name
         else:
             raise FormatError(f"observation {i} probe must be a node name")
         if key in states:

@@ -21,9 +21,9 @@ the failed nodes' path incidence for UP, and for CSP one block
 (biconnected-component) sweep.  By the fan lemma a non-monitor has two
 vertex-disjoint paths to distinct monitors iff it shares a block with a
 virtual sink joined to every monitor, so one low-point DFS replaces a
-max-flow per node.  The probe battery maps each probe to the non-monitors
-it traverses, and a probe reads up exactly when they all lie in R(F); so
-two failure sets are indistinguishable exactly when their R(F) are equal.
+max-flow per node.  CAP/CSP probes read R(F) directly, one per non-monitor,
+and a UP path reads up exactly when its non-monitors all lie in R(F); so two
+failure sets are indistinguishable exactly when their R(F) are equal.
 
 Identifiability needs at most two levels of failure sets (the sets of one
 size), not every set.  R(F) misses F, shrinks as F grows, and holds every
@@ -76,19 +76,21 @@ strands: else R(F2) = R(F1) is every non-monitor outside F1 and misses F2,
 putting F2 inside F1, which no later set is.
 
 Localization lists the sets F of at most k_max nodes whose R(F) is the
-target T that the up probes read.  A match lies in the down set D (the
-non-monitors outside T) and stays one as nodes of D join it, since R(F) = T
-misses them; so one sweep of R(D) decides whether any exists.  A node v of D
-is in every match exactly when v is in R(D - {v}), which reads off T and the
-monitors M once D matches: under CAP v borders a node of T or M (each reaches
-a monitor in G - D); under CSP it borders two, each sharing a block with the
-virtual sink in G - D, so they give v two paths to the sink meeting only
-there; under UP some path through v has its other non-monitors in T.  A
-candidate, this forced set joined to a subset of the rest of D, matches if
-it is D or a match plus one node; else one sweep decides.  Under CAP the
-forced set itself always matches: a node of D outside it borders only D, so
-it stays cut off from every monitor, while T still reaches one in G - D.  So
-every CAP candidate closes upward, and a CAP call sweeps R(D) alone.
+target T that the up probes read (under UP, the up paths' non-monitors).  A
+match lies in the down set D (the non-monitors outside T) and stays one as
+nodes of D join it, since R(F) = T misses them; so R(D) = T decides whether
+any exists.  CAP/CSP sweep it once.  Under UP a down path inside T rules out
+every match; else down paths meet D and up paths avoid it, so R(D) = T.  A
+node v of D is in every match exactly when v is in R(D - {v}), which reads
+off T and the monitors M once D matches: under CAP v borders a node of T or
+M (each reaches a monitor in G - D); under CSP it borders two, each sharing
+a block with the virtual sink in G - D, so they give v two paths to the sink
+meeting only there; under UP some path through v has its other non-monitors
+in T.  A candidate, this forced set joined to a subset of the rest of D,
+matches if it is D or a match plus one node; else one sweep decides.  Under
+CAP the forced set itself always matches: a node of D outside it borders
+only D, so it stays cut off from every monitor, while T still reaches one in
+G - D.  So every CAP candidate closes upward; a CAP call sweeps R(D) alone.
 """
 
 from __future__ import annotations
@@ -239,19 +241,6 @@ def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> fr
     return frozenset(v for v in topology.non_monitors if not incidence[v] <= down)
 
 
-def _battery(topology: Topology, model: ProbingModel) -> dict[int, frozenset[int]]:
-    """Each probe key, ascending, mapped to the non-monitors that probe traverses.
-
-    A probe reads up exactly when its non-monitors all lie in R(F).  UP keys
-    path ids: an up path's nodes are all reached, and a down path passes a
-    failed node, which is never reached.  CAP/CSP key one virtual probe per
-    non-monitor v, asking whether some probe of the regime traverses v.
-    """
-    if model.kind == "UP":
-        return dict(enumerate(model.ensemble.members))
-    return {v: frozenset({v}) for v in sorted(topology.non_monitors)}
-
-
 def measurable_path_exists(
     topology: Topology, model: ProbingModel, v: int, avoid: Iterable[int] = ()
 ) -> bool:
@@ -300,14 +289,16 @@ def simulate_measurements(
 ) -> dict[int, bool]:
     """Deterministic observations produced when ``truth`` is down.
 
-    UP maps every path id to up/down.  CAP/CSP use the canonical probe
-    battery: one virtual probe per non-monitor asking "does a measurable
-    path through this node survive", which carries exactly the information
-    any set of probes of the regime can reveal.
+    UP maps every path id to whether its non-monitors all lie in R(F).
+    CAP/CSP read R(F) directly: one virtual probe per non-monitor asking
+    "does a measurable path through this node survive", which carries
+    exactly the information any set of probes of the regime can reveal.
     """
     _check_model(topology, model)
     reached = _reached(topology, model, _check_failure_set(topology, truth))
-    return {key: nodes <= reached for key, nodes in _battery(topology, model).items()}
+    if model.kind == "UP":
+        return {p: nodes <= reached for p, nodes in enumerate(model.ensemble.members)}
+    return {v: v in reached for v in sorted(topology.non_monitors)}
 
 
 def distinguishable(
@@ -420,9 +411,9 @@ def localize(
     identifiability the result is a single set.  ``outcomes`` maps each
     probe key, a plain int, to a bool reading; neither is coerced.  The
     probes that read up give the target R(F); a map that no R(F) yields has
-    no candidates.  The cost is one sweep of the down set, plus, under CSP
-    and UP, one per candidate (see the module docstring) that is neither the
-    down set nor a match plus one node; under CAP every candidate matches.
+    no candidates.  CAP/CSP sweep the down set once, UP none; CSP and UP
+    add one sweep per candidate (see the module docstring) that is neither
+    the down set nor a match plus one node (every CAP candidate matches).
     """
     _check_model(topology, model)
     k_max = min(_plain_int(k_max, "k_max"), topology.sigma)  # larger sets cannot exist
@@ -432,22 +423,27 @@ def localize(
     for key, up in outcomes.items():
         if type(key) is not int or type(up) is not bool:
             raise InputError(f"outcome {key!r}: {up!r} is not an int probe key with a bool reading")
-    battery = _battery(topology, model)
-    if set(outcomes) != set(battery):
+    battery = set(range(len(model.ensemble.members))) if model.kind == "UP" else topology.non_monitors
+    if outcomes.keys() != battery:
         raise FormatError(
-            "outcome map does not cover the probe battery: expected "
-            f"{list(battery)}, got {sorted(outcomes)}"
+            f"outcome map does not cover the probe battery: expected {sorted(battery)}, got {sorted(outcomes)}"
         )
-    target = frozenset().union(*(nodes for key, nodes in battery.items() if outcomes[key]))
-    if any(outcomes[key] != (nodes <= target) for key, nodes in battery.items()):
-        return []
-    down = topology.non_monitors - target
-    if _reached(topology, model, down) != target:
-        return []
     if model.kind == "UP":
-        members, through = model.ensemble.members, model.ensemble.paths_through
+        members, target, down_paths = model.ensemble.members, set(), []
+        for p, up in outcomes.items():
+            if up:
+                target |= members[p]
+            else:
+                down_paths.append(members[p])
+        if any(map(target.issuperset, down_paths)):  # else R(D) = T (module docstring)
+            return []
+        down, through = topology.non_monitors - target, model.ensemble.paths_through
         forced = {v for v in down if any(members[p] - {v} <= target for p in through(v))}
     else:
+        target = frozenset(v for v, up in outcomes.items() if up)
+        down = topology.non_monitors - target
+        if _reached(topology, model, down) != target:
+            return []
         kept, need = target | topology.monitors, 1 if model.kind == "CAP" else 2
         forced = {v for v in down if len(topology.neighbors(v) & kept) >= need}
     matches: dict[FailureSet, None] = {}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import networkx as nx
 import pytest
@@ -282,6 +284,28 @@ class TestLocalize:
             localize(DIAMOND, diamond_up(), {0: True, 7: False}, 1)
 
     @pytest.mark.parametrize(
+        "model, outcomes, got",
+        [
+            (CAP, {1: True, 2: True}, "[1, 2]"),  # a missing key
+            (CSP, {1: True, 2: True, 3: True, 4: False}, "[1, 2, 3, 4]"),  # an extra key
+            (CAP, {0: True, 1: True, 2: True, 3: True}, "[0, 1, 2, 3]"),  # a monitor id
+            (CSP, {0: True, 1: True, 2: True}, "[0, 1, 2]"),  # a monitor for a non-monitor
+            (CAP, {}, "[]"),
+            ("UP", {0: True}, "[0]"),
+            ("UP", {0: True, 1: False, 2: True}, "[0, 1, 2]"),
+            ("UP", {0: True, 7: False}, "[0, 7]"),  # a path id out of range
+            ("UP", {-1: True, 0: True}, "[-1, 0]"),
+        ],
+    )
+    def test_schema_mismatch_message(self, model, outcomes, got):
+        topology, expected = (STAR, "[1, 2, 3]") if model != "UP" else (DIAMOND, "[0, 1]")
+        with pytest.raises(FormatError) as caught:
+            localize(topology, diamond_up() if model == "UP" else model, outcomes, 1)
+        assert str(caught.value) == (
+            f"outcome map does not cover the probe battery: expected {expected}, got {got}"
+        )
+
+    @pytest.mark.parametrize(
         "outcomes",
         [
             {True: True, 2: True},  # hash-equal to node 1
@@ -291,11 +315,38 @@ class TestLocalize:
             {1: 0, 2: True},
             {1: None, 2: True},
             [1, 2],  # a list, indexed by probe key
+            MappingProxyType({True: True, 2: True}),  # a mapping that is not a dict
+            MappingProxyType({1: 1, 2: True}),
         ],
     )
     def test_outcome_map_is_never_coerced(self, outcomes):
         with pytest.raises(InputError):
             localize(PATH4, CAP, outcomes, 2)
+
+    def test_any_mapping_answers_as_the_equal_dict(self):
+        class Plain(Mapping):
+            def __init__(self, data):
+                self.data = data
+
+            def __getitem__(self, key):
+                return self.data[key]
+
+            def __iter__(self):
+                return iter(self.data)
+
+            def __len__(self):
+                return len(self.data)
+
+        doc = generate_paths(barabasi_albert(10, 1, seed=3, monitors=3), 2)
+        topo = doc.to_topology()
+        pool = sorted(topo.non_monitors)
+        for model in (CAP, CSP, up_model(doc.to_ensemble(topo))):
+            for truth in ([], pool[:1], pool[2:4], pool[1:6:2]):
+                outcomes = simulate_measurements(topo, model, truth)
+                expected = localize(topo, model, outcomes, 3)
+                assert frozenset(truth) in expected
+                for wrapped in (MappingProxyType(outcomes), Plain(outcomes)):
+                    assert localize(topo, model, wrapped, 3) == expected
 
     def test_up_path_ids_are_never_coerced(self):
         with pytest.raises(InputError):

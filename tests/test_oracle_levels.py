@@ -401,11 +401,12 @@ class TestSweepCounts:
 
     @pytest.mark.parametrize("kind, found", [("CAP", (2, 4)), ("CSP", (176, 56)), ("UP", (176, 56))])
     def test_localize_sweeps_the_down_set_and_the_forced_set(self, kind, found, monkeypatch):
-        # sigma = 11, k_max = 3.  One sweep of R(D) decides; the forced set is
-        # read off neighbours or paths, matches here (under CAP always, so it
-        # takes no sweep), and every larger candidate closes upward from it.
-        # A forced rule that misses a node still answers right, but sweeps
-        # the candidates without it.
+        # sigma = 11, k_max = 3.  R(D) = T decides: CAP and CSP sweep R(D),
+        # UP reads it off the map.  The forced set is read off neighbours or
+        # paths, matches here (under CAP always, so it takes no sweep), and
+        # every larger candidate closes upward from it.  A forced rule that
+        # misses a node still answers right, but sweeps the candidates
+        # without it.
         doc = generate_paths(barabasi_albert(14, 1, seed=1, monitors=3), 2)
         topo = doc.to_topology()
         model = {"CAP": CAP, "CSP": CSP, "UP": up_model(doc.to_ensemble(topo))}[kind]
@@ -416,7 +417,7 @@ class TestSweepCounts:
             del calls[:]
             candidates = localize(topo, model, outcomes, 3, guard=topo.sigma)
             assert len(candidates) == count and frozenset(truth) in candidates
-            assert len(calls) == (1 if kind == "CAP" else 2)
+            assert len(calls) == (2 if kind == "CSP" else 1)
 
     def test_cap_localize_sweeps_one_set(self, corpus, monkeypatch):
         # Under CAP the forced set (the down nodes bordering an up node or a
@@ -438,6 +439,39 @@ class TestSweepCounts:
                 if len(calls) > 1:
                     bad.append((doc, key, len(calls)))
         assert bad == [] and sweeps == {1}
+
+    def test_up_localize_never_sweeps_the_down_set(self, up_corpus, monkeypatch):
+        # Under UP the map itself decides R(D) = T: once no down path lies
+        # inside T, the paths avoiding D are the up paths.  Sweeps remain
+        # only for candidates that are not D.  Each produced map is tried
+        # as is and with each reading flipped, which most maps no set yields.
+        swept = []
+        original = oracle._reached
+
+        def recorded(topology, model, failure):
+            swept.append(failure)
+            return original(topology, model, failure)
+
+        monkeypatch.setattr(oracle, "_reached", recorded)
+        bad, maps_seen = [], 0
+        for doc in up_corpus:
+            topo = doc.to_topology()
+            model = up_model(doc.to_ensemble(topo))
+            pool = sorted(topo.non_monitors)
+            maps = {
+                tuple(simulate_measurements(topo, model, failure).items())
+                for failure in all_failure_sets(pool, len(pool))
+            }
+            flips = {(*key[:i], (p, not up), *key[i + 1 :]) for key in maps for i, (p, up) in enumerate(key)}
+            for key in maps | flips:
+                target = frozenset().union(*(model.ensemble.members[p] for p, up in key if up))
+                del swept[:]
+                found = localize(topo, model, dict(key), topo.sigma)
+                assert found or key not in maps
+                maps_seen += 1
+                if topo.non_monitors - target in swept:
+                    bad.append((doc, key))
+        assert bad == [] and maps_seen > 3000
 
 
 class TestTwinTable:
