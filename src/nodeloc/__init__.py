@@ -71,7 +71,6 @@ from .oracle import (
     k_identifiable,
     localize,
     max_identifiability,
-    measurable_path_exists,
     simulate_measurements,
     up_model,
 )

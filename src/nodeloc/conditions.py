@@ -16,14 +16,14 @@ sigma - 1 (CAP) or sigma - 2 (CSP), every exact rule refutes, so the span is
 carry a guard note.
 d and dm are vertex connectivities of auxiliary graphs, with the monitors
 merged into one virtual monitor (d) or all but one of them (dm); every
-public CAP/CSP function is a view of :func:`controllable_tables`, which reads
-them with :mod:`~nodeloc.graph` (dm given d, under its cap rule) and builds no
-auxiliary graph.
+public CAP/CSP function is a view of :func:`controllable_table`, which reads
+them off the topology value (dm given d, under graph's cap rule), computed
+once per value in :mod:`~nodeloc.graph`, and builds no auxiliary graph.
 
 T is also the oracle's stranding level J: CAP J = d when d < sigma, CSP
 J = max(T, 0) unless d = dm = sigma, and UP J = delta; otherwise there is no
-J.  The oracle reads d and dm through the same graph functions, and its
-module docstring holds the proofs.
+J.  The oracle reads the same d and dm off the same value, and its module
+docstring holds the proofs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from enum import Enum
 
 from .ensemble import CoverProfile
 from .errors import InternalError
-from .graph import Topology, _leave_one_out_connectivity, monitor_connectivity
+from .graph import Topology
 
 
 class Identifiability(Enum):
@@ -120,7 +120,8 @@ def _bounds(verdicts: tuple[Verdict, ...], note: str) -> IdentifiabilityBounds:
 
 def cap_verdicts(topology: Topology) -> tuple[Verdict, ...]:
     """Verdicts for every k from 0 to the number of non-monitors."""
-    return _verdicts(topology, "CAP")
+    # Without a non-monitor only k = 0 exists, and no auxiliary graph does.
+    return controllable_table(topology, "CAP")[0] if topology.sigma else (_TRIVIAL,)
 
 
 def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
@@ -131,11 +132,11 @@ def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
     otherwise the merged graph is complete and the exact full-budget rule
     pins the maximum at sigma.
     """
-    return controllable_tables(topology, ("CAP",))["CAP"][1]
+    return controllable_table(topology, "CAP")[1]
 
 
 def csp_verdicts(topology: Topology) -> tuple[Verdict, ...]:
-    return _verdicts(topology, "CSP")
+    return controllable_table(topology, "CSP")[0] if topology.sigma else (_TRIVIAL,)
 
 
 def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
@@ -145,26 +146,21 @@ def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
     sigma - 2 that is [T - 1, T], the paper's window; past it the two exact
     edge rules settle the bounds.
     """
-    return controllable_tables(topology, ("CSP",))["CSP"][1]
+    return controllable_table(topology, "CSP")[1]
 
 
-def controllable_tables(
-    topology: Topology, kinds: tuple[str, ...]
-) -> dict[str, tuple[tuple[Verdict, ...], IdentifiabilityBounds]]:
-    """Verdict table and bounds for each of CAP and CSP named in ``kinds``.
+def controllable_table(
+    topology: Topology, kind: str
+) -> tuple[tuple[Verdict, ...], IdentifiabilityBounds]:
+    """Verdict table and bounds of the regime ``kind``, CAP or CSP.
 
     The one builder behind every CAP and CSP function.  Both regimes read
-    the merged graph's connectivity d, computed once; CSP adds dm, the least
-    of the m leave-one-out connectivities, read given d under the cap rule of
-    ``graph._leave_one_out_connectivity``.  Without CAP or CSP in ``kinds``
-    it returns ``{}``.
+    the merged graph's connectivity d, computed once per topology value; CSP
+    adds dm, the least of the m leave-one-out connectivities, read given d
+    under the cap rule of ``graph._leave_one_out_connectivity``.
     """
-    if not {"CAP", "CSP"} & set(kinds):
-        return {}
-    sigma = topology.sigma
-    d = monitor_connectivity(topology)
-    tables = {}
-    if "CAP" in kinds:
+    sigma, d = topology.sigma, topology._d
+    if kind == "CAP":
         # Exact at the full budget: 1-hop probing reaches a node iff it has
         # a monitor neighbor, and nothing else survives to help.  Every
         # non-monitor has one exactly when the merged graph is complete,
@@ -176,41 +172,32 @@ def controllable_tables(
             f"merged-graph connectivity {d} exceeds sigma-1={sigma - 1}; "
             "the connectivity bound is stated only below that threshold"
         ) if d > sigma - 1 else ""
-        tables["CAP"] = (verdicts, _bounds(verdicts, note))
-    if "CSP" in kinds:
-        # Weakly covered: non-monitors with fewer than two monitor neighbors.
-        weak = [v for v in topology.non_monitors if len(topology.adjacency[v] & topology.monitors) < 2]
-        # Exact one short of the full budget: at most one weakly covered
-        # node, and that node must be reachable around any failure pattern
-        # through its own neighborhood.
-        near_full = not weak or (
-            len(weak) == 1
-            and len(topology.adjacency[weak[0]] & topology.monitors) == 1
-            and topology.non_monitors - {weak[0]} <= topology.adjacency[weak[0]]
-        )
-        dm = _leave_one_out_connectivity(topology, d)
-        # Exact at the full budget: cycle-free 2-hop probing needs two
-        # distinct monitor endpoints per node once every other non-monitor
-        # may be down.
-        exact = {
-            sigma: (not weak, "full-budget-two-monitor-adjacency"),
-            sigma - 1: (near_full, "near-full-budget-characterization"),
-        }
-        threshold = min(d - 1, dm)
-        verdicts = _table(sigma, threshold, exact, "merged-and-leave-one-out-connectivity")
-        note = (
-            f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds "
-            f"sigma-2={sigma - 2}; the connectivity bound is stated only below that threshold"
-        ) if threshold > sigma - 2 else ""
-        tables["CSP"] = (verdicts, _bounds(verdicts, note))
-    return tables
-
-
-def _verdicts(topology: Topology, kind: str) -> tuple[Verdict, ...]:
-    # Without a non-monitor only k = 0 exists, and no auxiliary graph does.
-    if topology.sigma == 0:
-        return (_TRIVIAL,)
-    return controllable_tables(topology, (kind,))[kind][0]
+        return verdicts, _bounds(verdicts, note)
+    # Weakly covered: non-monitors with fewer than two monitor neighbors.
+    weak = [v for v in topology.non_monitors if len(topology.adjacency[v] & topology.monitors) < 2]
+    # Exact one short of the full budget: at most one weakly covered
+    # node, and that node must be reachable around any failure pattern
+    # through its own neighborhood.
+    near_full = not weak or (
+        len(weak) == 1
+        and len(topology.adjacency[weak[0]] & topology.monitors) == 1
+        and topology.non_monitors - {weak[0]} <= topology.adjacency[weak[0]]
+    )
+    dm = topology._dm
+    # Exact at the full budget: cycle-free 2-hop probing needs two
+    # distinct monitor endpoints per node once every other non-monitor
+    # may be down.
+    exact = {
+        sigma: (not weak, "full-budget-two-monitor-adjacency"),
+        sigma - 1: (near_full, "near-full-budget-characterization"),
+    }
+    threshold = min(d - 1, dm)
+    verdicts = _table(sigma, threshold, exact, "merged-and-leave-one-out-connectivity")
+    note = (
+        f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds "
+        f"sigma-2={sigma - 2}; the connectivity bound is stated only below that threshold"
+    ) if threshold > sigma - 2 else ""
+    return verdicts, _bounds(verdicts, note)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,17 @@ arithmetic; human-readable names live in the document layer.
 Auxiliary-graph connectivity d (:func:`monitor_connectivity`) comes from the
 low-point DFS and unit-capacity max-flow that the monitor block sweep and
 :func:`disjoint_paths` also use; its leave-one-out minimum dm is exact at d =
-sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).
+sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).  Each
+value computes both once, on first read, as ``Topology._d`` and ``_dm``.
 
 All functions here are pure and every value is frozen, so shared topologies
-may be analyzed concurrently without locking.
+may be analyzed concurrently without locking; the d and dm memo is idempotent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError
@@ -116,9 +118,8 @@ class Topology:
         self._check_node(v)
         return self.adjacency[v]
 
-    def monitor_neighbor_count(self, v: int) -> int:
-        """How many monitors are adjacent to ``v``."""
-        return len(self.neighbors(v) & self.monitors)
+    _d = cached_property(lambda self: monitor_connectivity(self))
+    _dm = cached_property(lambda self: _leave_one_out_connectivity(self, self._d))
 
     def _check_node(self, v: int) -> None:
         """The one node-id rule, inlined in loops over every id: an int (not a bool) in range."""
@@ -163,7 +164,7 @@ def _components(topology: Topology, removed: frozenset[int]) -> tuple[frozenset[
     return tuple(components)
 
 
-def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> frozenset[int]:
+def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
     """Non-monitors sharing a block with a virtual sink joined to every monitor.
 
     The block (biconnected component) is taken in ``topology`` minus
@@ -173,13 +174,8 @@ def biconnected_to_monitors(topology: Topology, removed: Iterable[int] = ()) -> 
 
     One low-point DFS rooted at t (:func:`_low_points`): a node w whose tree
     parent u is not t shares t's block iff u does and ``low[w] < disc[u]``;
-    every child of t (a monitor) does.
+    every child of t (a monitor) does.  ``removed`` must be checked already.
     """
-    return _biconnected_to_monitors(topology, topology._check_nodes(removed))
-
-
-def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
-    """:func:`biconnected_to_monitors` for a removed set the caller has checked."""
     monitors = topology.monitors
     if len(monitors) < 2:
         return frozenset()

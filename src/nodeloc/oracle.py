@@ -40,7 +40,8 @@ J is read off thresholds the package computes without sweeping.  Let H be
 the auxiliary graph that deletes the monitors, adds a virtual monitor x
 joined to their non-monitor neighbours, and joins those into a clique;
 d = kappa(H), and dm is the least kappa(H_m), H_m leaving monitor m out of
-the merge (:func:`~nodeloc.graph.monitor_connectivity`).
+the merge (:func:`~nodeloc.graph.monitor_connectivity`), both read off the
+topology value, which computes each once in :mod:`~nodeloc.graph`.
 
 * CAP: F strands v exactly when it separates v from the simplicial x in H,
   so the least such F has size kappa(H) = d unless H is complete (d =
@@ -106,10 +107,8 @@ from .graph import (
     _biconnected_to_monitors,
     _check_k,
     _components,
-    _leave_one_out_connectivity,
     _plain_int,
     disjoint_paths,
-    monitor_connectivity,
 )
 
 DEFAULT_GUARD = 7
@@ -181,19 +180,6 @@ def _check_guard(topology: Topology, guard: int) -> None:
         )
 
 
-def _check_probe(
-    topology: Topology, model: ProbingModel, v: int, avoid: Iterable[int]
-) -> FailureSet:
-    _check_model(topology, model)
-    avoid_set = _check_failure_set(topology, avoid)
-    topology._check_node(v)
-    if v in topology.monitors:
-        raise InputError(f"node {v} is a monitor; only non-monitors are probed")
-    if v in avoid_set:
-        raise InputError("the probed node cannot itself be avoided")
-    return avoid_set
-
-
 def _failure_sets(pool: Sequence[int], sizes: range) -> Iterator[FailureSet]:
     """Subsets of ``pool`` with a size in ``sizes``: ascending size, then ``pool`` order."""
     for size in sizes:
@@ -209,7 +195,13 @@ def find_measurable_path(
     disjoint paths from ``v`` to monitors, fixed by the topology value: one
     for CAP, walked out and back (a shortest walk), two for CSP, joined at v.
     """
-    avoid_set = _check_probe(topology, model, v, avoid)
+    _check_model(topology, model)
+    avoid_set = _check_failure_set(topology, avoid)
+    topology._check_node(v)
+    if v in topology.monitors:
+        raise InputError(f"node {v} is a monitor; only non-monitors are probed")
+    if v in avoid_set:
+        raise InputError("the probed node cannot itself be avoided")
     if model.kind == "UP":
         for pid in sorted(model.ensemble.paths_through(v)):
             if avoid_set.isdisjoint(model.ensemble.paths[pid]):
@@ -241,13 +233,6 @@ def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> fr
     return frozenset(v for v in topology.non_monitors if not incidence[v] <= down)
 
 
-def measurable_path_exists(
-    topology: Topology, model: ProbingModel, v: int, avoid: Iterable[int] = ()
-) -> bool:
-    """Whether some probe of ``model`` traverses ``v`` while ``avoid`` is down."""
-    return v in _reached(topology, model, _check_probe(topology, model, v, avoid))
-
-
 def abstract_sufficient(
     topology: Topology, model: ProbingModel, k: int, guard: int = DEFAULT_GUARD
 ) -> bool:
@@ -277,10 +262,10 @@ def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
         # sigma candidates: more than any node has, so the cover guard never refuses.
         delta = cover_profile(model.ensemble, max_candidates=sigma).min_cover
         return None if delta == INFINITE_COVER else delta
-    d = monitor_connectivity(topology)
+    d = topology._d
     if model.kind == "CAP":
         return d if d < sigma else None
-    dm = _leave_one_out_connectivity(topology, d)
+    dm = topology._dm
     return None if min(d, dm) >= sigma else max(min(d - 1, dm), 0)
 
 

@@ -20,7 +20,7 @@ from .conditions import (
     Identifiability,
     IdentifiabilityBounds,
     Verdict,
-    controllable_tables,
+    controllable_table,
     up_bounds,
     up_verdicts,
 )
@@ -88,18 +88,16 @@ def analyze(
     _plain_int(lo, "k range low end", 0, sigma, UsageError)
     _plain_int(hi, "k range high end", lo, sigma, UsageError)
 
-    tables = controllable_tables(topology, tuple(chosen))
     names = doc.names
     sections: dict[str, Any] = {}
     for kind in _MODEL_ORDER:
         if kind not in chosen:
             continue
         model = chosen[kind]
-        profile = None
-        if kind in tables:
-            verdicts, bounds = tables[kind]
+        profile = cover_profile(model.ensemble) if kind == "UP" else None
+        if profile is None:
+            verdicts, bounds = controllable_table(topology, kind)
         else:
-            profile = cover_profile(model.ensemble)
             verdicts, bounds = up_verdicts(profile), up_bounds(profile)
         verdicts = verdicts[lo : hi + 1]
         oracle_max = max_identifiability(topology, model, guard=guard) if oracle else None
@@ -193,7 +191,8 @@ def _verdicts_json(rows: Any, pad: str, writers: Mapping[str, Callable]) -> str:
 def reformat_report(data: bytes | str, fmt: str) -> str:
     """Re-emit an existing report JSON file in the requested format."""
     payload = _load_json(data)
-    if not isinstance(payload, dict) or payload.get("report_version") != 1:
+    version = payload.get("report_version") if isinstance(payload, dict) else None
+    if type(version) is not int or version != 1:
         raise FormatError("not a nodeloc report (missing report_version 1)")
     try:
         text = render_text(payload)  # reads every field, so it checks both formats

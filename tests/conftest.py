@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import nodeloc.graph as graph
 from nodeloc.document import TopologyDocument
 from nodeloc.generate import erdos_renyi, generate_paths, grid
 
@@ -61,11 +62,16 @@ def _seeded_monitor_walks(doc: TopologyDocument, seed: int, count: int) -> Topol
     return doc.with_paths(paths)
 
 
-def count_threshold_reads(monkeypatch, module) -> list:
-    """Record ``module``'s connectivity reads in order: ``"d"`` for each
-    merged-graph read, ``("dm", d)`` for each leave-one-out read given d."""
+def count_threshold_reads(monkeypatch) -> list:
+    """Record the connectivity reads in order, counted at ``nodeloc.graph``
+    where every topology value's memo makes them: ``"d"`` for each
+    merged-graph read, ``("dm", d)`` for each leave-one-out read given d.
+
+    A value built before the call may have read its thresholds already, so
+    callers count on topologies they build afterwards.
+    """
     reads: list = []
-    d_read, dm_read = module.monitor_connectivity, module._leave_one_out_connectivity
+    d_read, dm_read = graph.monitor_connectivity, graph._leave_one_out_connectivity
 
     def counted_d(topology, left_out=None):
         reads.append("d" if left_out is None else left_out)
@@ -75,8 +81,8 @@ def count_threshold_reads(monkeypatch, module) -> list:
         reads.append(("dm", d))
         return dm_read(topology, d)
 
-    monkeypatch.setattr(module, "monitor_connectivity", counted_d)
-    monkeypatch.setattr(module, "_leave_one_out_connectivity", counted_dm)
+    monkeypatch.setattr(graph, "monitor_connectivity", counted_d)
+    monkeypatch.setattr(graph, "_leave_one_out_connectivity", counted_dm)
     return reads
 
 

@@ -148,17 +148,17 @@ def test_criterion_5_exact_edge_corollaries(corpus, cap_oracle, csp_oracle):
     for doc, omega_cap, omega_csp in zip(corpus, cap_oracle, csp_oracle):
         topo = doc.to_topology()
         sigma = topo.sigma
-        cap_exact = all(topo.monitor_neighbor_count(v) >= 1 for v in topo.non_monitors)
+        cap_exact = all(len(topo.adjacency[v] & topo.monitors) >= 1 for v in topo.non_monitors)
         if (omega_cap == sigma) != cap_exact:
             violations.append(("cap-full-budget", doc))
-        csp_exact = all(topo.monitor_neighbor_count(v) >= 2 for v in topo.non_monitors)
+        csp_exact = all(len(topo.adjacency[v] & topo.monitors) >= 2 for v in topo.non_monitors)
         if (omega_csp == sigma) != csp_exact:
             violations.append(("csp-full-budget", doc))
         if sigma >= 2:
-            weak = [v for v in sorted(topo.non_monitors) if topo.monitor_neighbor_count(v) < 2]
+            weak = [v for v in sorted(topo.non_monitors) if len(topo.adjacency[v] & topo.monitors) < 2]
             characterization = not weak or (
                 len(weak) == 1
-                and topo.monitor_neighbor_count(weak[0]) == 1
+                and len(topo.adjacency[weak[0]] & topo.monitors) == 1
                 and topo.non_monitors - {weak[0]} <= topo.neighbors(weak[0])
             )
             if (omega_csp >= sigma - 1) != characterization:

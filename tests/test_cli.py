@@ -10,6 +10,8 @@ from nodeloc.cli import _build_parser, main
 from nodeloc.document import emit_outcomes, emit_topology, parse_topology
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 
+from conftest import count_threshold_reads
+
 PATH4_JSON = """
 {"version": 1,
  "nodes": [{"name": "m1", "monitor": true}, {"name": "v1", "monitor": false},
@@ -125,6 +127,15 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["CAP"]["max_identifiability"] == 2
         assert payload["CSP"]["max_identifiability"] == 0
+
+    def test_default_models_read_d_once(self, tmp_path, capsys, monkeypatch):
+        # sigma = 10, d = 3: CAP and CSP both read d, and CSP reads dm given d.
+        net = tmp_path / "sigma10.json"
+        net.write_text(emit_topology(erdos_renyi(14, 0.3, seed=4, monitors=4)), encoding="utf-8")
+        reads = count_threshold_reads(monkeypatch)
+        code, out, _ = run(capsys, "--guard", "10", "oracle", net)
+        assert code == 0 and json.loads(out).keys() == {"CAP", "CSP"}
+        assert reads == ["d", ("dm", 3)]
 
     def test_specific_k_with_counterexample(self, topo_file, capsys):
         code, out, _ = run(capsys, "oracle", topo_file, "--models", "CSP", "--k", "1")
@@ -278,6 +289,15 @@ class TestReportCommand:
     def test_rejects_non_report(self, topo_file, capsys):
         code, _, err = run(capsys, "report", topo_file)
         assert code == 2 and "report_version" in err
+
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_rejects_a_version_nodeloc_never_writes(self, version, topo_file, tmp_path, capsys):
+        code, out, _ = run(capsys, "analyze", topo_file)
+        report = tmp_path / "r.json"
+        report.write_text(out.replace('"report_version": 1,', f'"report_version": {version},'), encoding="utf-8")
+        assert f'"report_version": {version},' in report.read_text(encoding="utf-8")
+        code, out, err = run(capsys, "report", report)
+        assert code == 2 and out == "" and "report_version" in err
 
 
 def test_unexpected_failure_exits_4(topo_file, capsys, monkeypatch):

@@ -72,8 +72,8 @@ class TestCspVerdict:
     def test_near_full_characterization_clause_two(self):
         # v1 touches both monitors; v2 touches one monitor and v1
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (1, 2)], [0, 3])
-        assert t.monitor_neighbor_count(1) == 2
-        assert t.monitor_neighbor_count(2) == 1
+        assert len(t.adjacency[1] & t.monitors) == 2
+        assert len(t.adjacency[2] & t.monitors) == 1
         assert csp_verdicts(t)[1].value is Identifiability.IDENTIFIABLE
 
     def test_near_full_fails_with_two_weak_nodes(self):
@@ -255,40 +255,41 @@ def test_csp_conditions_against_oracle_beyond_default_guard(sigma, monitors, p, 
 
 
 class TestOneTableBuilder:
-    """Every CAP/CSP function is a view of ``controllable_tables``."""
-
-    def _count(self, monkeypatch):
-        import nodeloc.conditions as conditions
-
-        return count_threshold_reads(monkeypatch, conditions)
+    """Every CAP/CSP function is a view of ``controllable_table``, and the
+    topology value reads d and dm once for all of them."""
 
     def test_connectivity_calls_per_public_function(self, monkeypatch):
-        from nodeloc.conditions import controllable_tables
+        from nodeloc.conditions import controllable_table
 
-        topo = erdos_renyi(14, 0.35, seed=4, monitors=3).to_topology()
+        reads = count_threshold_reads(monkeypatch)
+        doc = erdos_renyi(14, 0.35, seed=4, monitors=3)
         # d = 4 < sigma = 11, so dm is read once, given d.
-        assert monitor_connectivity(topo) == 4 and topo.sigma == 11
-        calls = self._count(monkeypatch)
         for fn, want in (
             (cap_verdicts, ["d"]), (cap_bounds, ["d"]),
             (csp_verdicts, ["d", ("dm", 4)]), (csp_bounds, ["d", ("dm", 4)]),
-            (lambda t: controllable_tables(t, ("CAP", "CSP")), ["d", ("dm", 4)]),
-            (lambda t: controllable_tables(t, ("UP",)), []),
+            (lambda t: controllable_table(t, "CAP"), ["d"]),
+            (lambda t: controllable_table(t, "CSP"), ["d", ("dm", 4)]),
         ):
-            del calls[:]
+            topo = doc.to_topology()
+            del reads[:]
             fn(topo)
-            assert calls == want
+            fn(topo)
+            assert reads == want
+        topo = doc.to_topology()
+        del reads[:]
+        for fn in (cap_verdicts, cap_bounds, csp_verdicts, csp_bounds):
+            fn(topo)
+        assert reads == ["d", ("dm", 4)] and topo.sigma == 11
 
     def test_views_agree_with_the_table(self):
-        from nodeloc.conditions import controllable_tables
+        from nodeloc.conditions import controllable_table
 
         for seed in range(20):
             topo = erdos_renyi(9, 0.45, seed=seed, monitors=1 + seed % 3).to_topology()
-            tables = controllable_tables(topo, ("CSP", "CAP"))
-            assert tables["CAP"] == (cap_verdicts(topo), cap_bounds(topo))
-            assert tables["CSP"] == (csp_verdicts(topo), csp_bounds(topo))
-            assert len(tables["CAP"][0]) == len(tables["CSP"][0]) == topo.sigma + 1
-            assert controllable_tables(topo, ("UP",)) == {}
+            for kind, verdicts, bounds in (("CSP", csp_verdicts, csp_bounds), ("CAP", cap_verdicts, cap_bounds)):
+                table = controllable_table(topo, kind)
+                assert table == (verdicts(topo), bounds(topo))
+                assert len(table[0]) == topo.sigma + 1
 
     def test_each_distinct_verdict_is_built_once(self):
         from nodeloc.conditions import _table
@@ -311,11 +312,20 @@ class TestOneTableBuilder:
 
     def test_all_monitor_verdicts_build_no_auxiliary_graph(self, monkeypatch):
         every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
-        calls = self._count(monkeypatch)
+        calls = count_threshold_reads(monkeypatch)
         table = cap_verdicts(every)
         assert csp_verdicts(every) == table and len(table) == 1
         assert table[0].value is Identifiability.IDENTIFIABLE
         assert calls == []
+
+    def test_all_monitor_bounds_raise_on_every_call(self, monkeypatch):
+        # A failed read is not memoised: each call reads d again and raises.
+        every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
+        calls = count_threshold_reads(monkeypatch)
+        for fn in (cap_bounds, csp_bounds, cap_bounds, csp_bounds):
+            with pytest.raises(InputError, match="at least one non-monitor"):
+                fn(every)
+        assert calls == ["d"] * 4
 
 
 def _span_family():
@@ -375,7 +385,7 @@ class TestOneThresholdRule:
             if kind == "CAP" and not below:
                 # d >= sigma: the merged graph is complete, so every
                 # non-monitor borders a monitor.
-                assert all(topo.monitor_neighbor_count(v) >= 1 for v in topo.non_monitors)
+                assert all(len(topo.adjacency[v] & topo.monitors) >= 1 for v in topo.non_monitors)
 
     def test_controllable_regimes(self, corpus):
         seen = Counter()
@@ -389,7 +399,7 @@ class TestOneThresholdRule:
             assert monitor_connectivity(topo) == d
             assert min(monitor_connectivity(topo, m) for m in topo.monitors) == dm
             self._check_controllable(topo, d, dm, seen)
-        # Larger and denser networks, with T read as controllable_tables
+        # Larger and denser networks, with T read as controllable_table
         # reads it: d, then dm given d.
         wider = Counter()
         for doc in _span_family():
@@ -521,24 +531,27 @@ class TestLeaveOneOutCap:
 
     def test_capped_equals_uncapped_on_seeded_networks(self, monkeypatch):
         import nodeloc.conditions as conditions
+        import nodeloc.graph as graph
 
         def answers(topo):
             return (
-                conditions.controllable_tables(topo, ("CAP", "CSP")),
+                conditions.controllable_table(topo, "CAP"),
+                conditions.controllable_table(topo, "CSP"),
                 oracle._stranding_level(topo, CAP),
                 oracle._stranding_level(topo, CSP),
             )
 
-        topologies = [doc.to_topology() for doc in _cap_family()]
-        topologies = [topo for topo in topologies if topo.sigma > 0]
-        assert len(topologies) >= 200
-        capped = [answers(topo) for topo in topologies]
-        monkeypatch.setattr(conditions, "_leave_one_out_connectivity", _uncapped)
-        monkeypatch.setattr(oracle, "_leave_one_out_connectivity", _uncapped)
+        docs = [doc for doc in _cap_family() if doc.to_topology().sigma > 0]
+        assert len(docs) >= 200
+        capped = [answers(doc.to_topology()) for doc in docs]
+        monkeypatch.setattr(graph, "_leave_one_out_connectivity", _uncapped)
         sigma_exact = binding = 0
-        for topo, got in zip(topologies, capped):
+        for doc, got in zip(docs, capped):
+            # A fresh value, so its memo holds nothing from the capped pass.
+            topo = doc.to_topology()
             assert got == answers(topo)
             d, dm = monitor_connectivity(topo), _uncapped(topo)
+            assert (topo._d, topo._dm) == (d, dm)
             sigma_exact += d == topo.sigma
             binding += d < topo.sigma and dm > d - 1
         # Both sides of the rule are exercised: exact reads and binding caps.

@@ -55,7 +55,7 @@ class TestTopology:
         assert len(PATH4.neighbors(0)) == 1
         assert 0 in PATH4.neighbors(1) and 2 not in PATH4.neighbors(0)
         assert [v in PATH4.monitors for v in PATH4.nodes] == [True, False, False, True]
-        assert PATH4.monitor_neighbor_count(1) == 1
+        assert len(PATH4.adjacency[1] & PATH4.monitors) == 1
 
     def test_edges_normalized_and_deduplicated(self):
         t = Topology(3, [(1, 0), (0, 1), (2, 1), [1, 2], [0, 2]], [0])

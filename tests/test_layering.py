@@ -1,10 +1,12 @@
 """Import layering of the package, read from each module's source with ``ast``.
 
-The oracle imports no conditions: it reads d and dm from the graph
-primitives and delta from the ensembles, and the conditions are compared with
-its answers.  The independent check on both is ``tests/bruteforce.py``,
-which sweeps every failure set.  The graph primitives sit below everything
-but the error taxonomy.
+The oracle imports no conditions: it reads d and dm off the topology value,
+which computes each once in the graph primitives, and delta from the
+ensembles, and the conditions are compared with its answers.  Neither the
+conditions nor the oracle imports the connectivity functions.  The
+independent check on both is ``tests/bruteforce.py``, which sweeps every
+failure set.  The graph primitives sit below everything but the error
+taxonomy.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _imports(module: str) -> dict[str, set[str]]:
 
 
 def test_reader_sees_relative_imports():
-    assert "monitor_connectivity" in _imports("conditions")["graph"]
+    assert "Topology" in _imports("conditions")["graph"]
 
 
 def test_oracle_imports_only_ensemble_errors_and_graph():
@@ -73,13 +75,13 @@ def _calls(module: str, name: str) -> list[ast.Call]:
     ]
 
 
-def test_leave_one_out_cap_is_decided_in_graph():
-    # Both readers of dm pass d; the cap rule lives in the graph primitive.
+def test_thresholds_are_read_only_in_graph():
+    # The conditions and the oracle read d and dm off the topology value;
+    # only graph calls the connectivity functions, and holds the cap rule.
+    readers = ("monitor_connectivity", "_leave_one_out_connectivity")
     for module in ("conditions", "oracle"):
-        calls = _calls(module, "_leave_one_out_connectivity")
-        assert len(calls) == 1, module
-        assert [ast.unparse(arg) for arg in calls[0].args] == ["topology", "d"], module
-        assert calls[0].keywords == [], module
+        assert not set(readers) & set().union(*_imports(module).values()), module
+        assert [call for name in readers for call in _calls(module, name)] == [], module
     holders = [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))

@@ -27,8 +27,8 @@ from hypothesis import strategies as st
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 from nodeloc.graph import (
     Topology,
+    _biconnected_to_monitors,
     _leave_one_out_connectivity,
-    biconnected_to_monitors,
     disjoint_paths,
     monitor_connectivity,
 )
@@ -204,7 +204,7 @@ def small_topologies(draw):
 def test_connectivity_and_block_sweep_on_small_random_graphs(case):
     topology, removed = case
     _check_connectivities(topology)
-    assert biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
+    assert _biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
 
 
 @settings(max_examples=300)
@@ -275,7 +275,7 @@ def test_monitor_block_sweep_under_seeded_removals(name):
     pool = sorted(topology.non_monitors)
     for size in (0, 1, 2, 3, len(pool) // 10, len(pool) // 3):
         removed = frozenset(rng.sample(pool, size))
-        got = biconnected_to_monitors(topology, removed)
+        got = _biconnected_to_monitors(topology, removed)
         assert got == _networkx_sink_block(topology, removed), (name, sorted(removed))
 
 
@@ -300,20 +300,20 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_monitor_block_sweep_edge_cases(name):
     topology, removed = EDGE_CASES[name]
-    assert biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
+    assert _biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
 
 
 def test_monitor_block_sweep_edge_case_values():
-    assert biconnected_to_monitors(*EDGE_CASES["one-monitor"]) == frozenset()
-    assert biconnected_to_monitors(*EDGE_CASES["adjacent-monitors"]) == {1, 2, 3}
-    assert biconnected_to_monitors(*EDGE_CASES["cut-vertex-removed"]) == frozenset()
-    assert biconnected_to_monitors(*EDGE_CASES["disconnected-remainder"]) == {2}
+    assert _biconnected_to_monitors(*EDGE_CASES["one-monitor"]) == frozenset()
+    assert _biconnected_to_monitors(*EDGE_CASES["adjacent-monitors"]) == {1, 2, 3}
+    assert _biconnected_to_monitors(*EDGE_CASES["cut-vertex-removed"]) == frozenset()
+    assert _biconnected_to_monitors(*EDGE_CASES["disconnected-remainder"]) == {2}
 
 
 def test_monitor_block_sweep_on_a_long_path_does_not_recurse():
     # Deeper than Python's default recursion limit: a recursive DFS fails here.
     n = 3000
     topology = Topology(n, [(i, i + 1) for i in range(n - 1)], [0, n - 1])
-    assert biconnected_to_monitors(topology) == frozenset(range(1, n - 1))
+    assert _biconnected_to_monitors(topology, frozenset()) == frozenset(range(1, n - 1))
     assert _networkx_sink_block(topology, frozenset()) == frozenset(range(1, n - 1))
-    assert biconnected_to_monitors(topology, {n // 2}) == frozenset()
+    assert _biconnected_to_monitors(topology, frozenset({n // 2})) == frozenset()

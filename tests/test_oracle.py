@@ -25,9 +25,9 @@ from nodeloc.oracle import (
     k_identifiable,
     localize,
     max_identifiability,
-    measurable_path_exists,
     simulate_measurements,
     ProbingModel,
+    _reached,
     up_model,
 )
 
@@ -54,18 +54,18 @@ def diamond_up():
 
 class TestMeasurablePath:
     def test_cap_component_reachability(self):
-        assert measurable_path_exists(PATH4, CAP, 2, {1})
-        assert not measurable_path_exists(RING, CAP, 2, {1, 3})
+        assert 2 in _reached(PATH4, CAP, frozenset({1}))
+        assert 2 not in _reached(RING, CAP, frozenset({1, 3}))
 
     def test_cap_walk_witness_returns_to_monitor(self):
         walk = find_measurable_path(PATH4, CAP, 2, {1})
         assert walk == (3, 2, 3)
 
     def test_csp_needs_two_monitors(self):
-        assert not measurable_path_exists(STAR, CSP, 1)
+        assert 1 not in _reached(STAR, CSP, frozenset())
 
     def test_csp_two_disjoint_routes(self):
-        assert measurable_path_exists(PATH3, CSP, 1)
+        assert 1 in _reached(PATH3, CSP, frozenset())
         path = find_measurable_path(PATH3, CSP, 1)
         assert path[0] != path[-1]
         assert path[0] in PATH3.monitors and path[-1] in PATH3.monitors
@@ -73,7 +73,7 @@ class TestMeasurablePath:
 
     def test_up_scans_given_paths(self):
         model = diamond_up()
-        assert not measurable_path_exists(DIAMOND, model, 2, {1})
+        assert 2 not in _reached(DIAMOND, model, frozenset({1}))
         assert find_measurable_path(DIAMOND, model, 2) == 1
 
     def test_up_without_an_avoiding_path_finds_none(self):
@@ -85,17 +85,17 @@ class TestMeasurablePath:
         for doc in corpus[:60]:
             topo = doc.to_topology()
             for v in sorted(topo.non_monitors):
-                got = measurable_path_exists(topo, CSP, v)
+                got = v in _reached(topo, CSP, frozenset())
                 want = simple_monitor_path_through(topo, v, frozenset())
                 assert got == want, (doc, v)
 
     def test_preconditions(self):
         with pytest.raises(InputError):
-            measurable_path_exists(PATH4, CAP, 0)  # monitor
+            find_measurable_path(PATH4, CAP, 0)  # monitor
         with pytest.raises(InputError):
-            measurable_path_exists(PATH4, CAP, 1, {1})  # probing an avoided node
+            find_measurable_path(PATH4, CAP, 1, {1})  # probing an avoided node
         with pytest.raises(InputError):
-            measurable_path_exists(PATH4, CAP, 1, {0})  # monitors never fail
+            find_measurable_path(PATH4, CAP, 1, {0})  # monitors never fail
 
 
 class TestProbingModel:
@@ -397,7 +397,7 @@ class TestCapWalksAddNothing:
                 for size in range(min(2, len(others)) + 1):
                     for avoid in combinations(others, size):
                         walk = find_measurable_path(topo, CAP, v, frozenset(avoid))
-                        reachable = measurable_path_exists(topo, CAP, v, frozenset(avoid))
+                        reachable = v in _reached(topo, CAP, frozenset(avoid))
                         assert (walk is not None) == reachable
                         if walk is not None:
                             assert walk[0] in topo.monitors and walk[-1] in topo.monitors
@@ -626,7 +626,7 @@ class TestCspWalks:
                 for size in range(len(others) + 1):
                     for avoid in map(frozenset, combinations(others, size)):
                         walk = find_measurable_path(topo, CSP, v, avoid)
-                        exists = measurable_path_exists(topo, CSP, v, avoid)
+                        exists = v in _reached(topo, CSP, avoid)
                         assert exists == (walk is not None), (topo, v, avoid)
                         if walk is None:
                             continue

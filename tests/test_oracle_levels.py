@@ -21,7 +21,6 @@ from nodeloc.errors import InputError
 from nodeloc.generate import barabasi_albert, erdos_renyi, generate_paths, grid
 from nodeloc.graph import (
     Topology,
-    biconnected_to_monitors,
     connected_components,
     monitor_connectivity,
 )
@@ -32,10 +31,10 @@ from nodeloc.oracle import (
     abstract_necessary,
     abstract_sufficient,
     distinguishable,
+    find_measurable_path,
     k_identifiable,
     localize,
     max_identifiability,
-    measurable_path_exists,
     simulate_measurements,
     up_model,
 )
@@ -494,11 +493,13 @@ class TestTwinTable:
 
 
 class TestThresholdReads:
-    """Each answer reads its thresholds once: d for CAP, d and then dm given
-    d for CSP, and for UP one cover profile and no connectivity."""
+    """The topology value reads its thresholds once, however many answers ask:
+    d for CAP, d and then dm given d for CSP; UP reads no connectivity and
+    one cover profile per answer."""
 
     @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_one_read_per_answer(self, kind, level, monkeypatch):
+        reads = count_threshold_reads(monkeypatch)
         topo, model = _sparse(kind)
         profiles = []
         profile = oracle.cover_profile
@@ -507,19 +508,26 @@ class TestThresholdReads:
             profiles.append(ensemble)
             return profile(ensemble, **kwargs)
 
-        reads = count_threshold_reads(monkeypatch, oracle)
         monkeypatch.setattr(oracle, "cover_profile", counted_profile)
-        # The CAP/CSP network has d = 3 < sigma = 10.
-        want = {"CAP": ["d"], "CSP": ["d", ("dm", 3)], "UP": []}[kind]
         for call in (
             lambda: max_identifiability(topo, model, guard=10),
             lambda: k_identifiable(topo, model, level, guard=10),
             lambda: abstract_sufficient(topo, model, level, guard=10),
         ):
-            del reads[:], profiles[:]
+            del profiles[:]
             call()
-            assert reads == want
             assert len(profiles) == (kind == "UP")
+        # The CAP/CSP network has d = 3 < sigma = 10.
+        assert reads == {"CAP": ["d"], "CSP": ["d", ("dm", 3)], "UP": []}[kind]
+
+    def test_each_value_reads_its_own(self, monkeypatch):
+        # The memo belongs to a value: equal topologies built apart read again.
+        reads = count_threshold_reads(monkeypatch)
+        doc = erdos_renyi(14, 0.3, seed=4, monitors=4)
+        first, second = doc.to_topology(), doc.to_topology()
+        assert first == second and first is not second
+        assert max_identifiability(first, CSP, guard=10) == max_identifiability(second, CSP, guard=10)
+        assert reads == ["d", ("dm", 3), "d", ("dm", 3)]
 
 
 def test_public_callers_still_validate_removed_sets():
@@ -528,11 +536,9 @@ def test_public_callers_still_validate_removed_sets():
     for bad in (7, -1, "a"):
         with pytest.raises(InputError):
             connected_components(path4, {bad})
-        with pytest.raises(InputError):
-            biconnected_to_monitors(path4, {bad})
         for model in (CAP, CSP):
             with pytest.raises(InputError):
-                measurable_path_exists(path4, model, 1, {bad})
+                find_measurable_path(path4, model, 1, {bad})
             with pytest.raises(InputError):
                 simulate_measurements(path4, model, {bad})
             with pytest.raises(InputError):

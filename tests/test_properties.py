@@ -80,7 +80,7 @@ def _relabel(topo: Topology, seed: int) -> tuple[Topology, dict[int, int]]:
 def test_csp_probe_witnesses_are_valid_simple_paths(corpus):
     from itertools import combinations
 
-    from nodeloc.oracle import find_measurable_path, measurable_path_exists
+    from nodeloc.oracle import _reached, find_measurable_path
 
     for doc in corpus[:40]:
         topo = doc.to_topology()
@@ -91,7 +91,7 @@ def test_csp_probe_witnesses_are_valid_simple_paths(corpus):
                 for avoid in combinations(others, size):
                     avoid_set = frozenset(avoid)
                     path = find_measurable_path(topo, CSP, v, avoid_set)
-                    assert (path is not None) == measurable_path_exists(topo, CSP, v, avoid_set)
+                    assert (path is not None) == (v in _reached(topo, CSP, avoid_set))
                     if path is None:
                         continue
                     assert len(set(path)) == len(path)  # simple

@@ -22,14 +22,14 @@ PUBLIC_NAMES = [
     "find_measurable_path", "generate",
     "generate_paths", "graph", "grid",
     "k_identifiable", "localize", "max_identifiability",
-    "measurable_path_exists", "min_cover_size",
+    "min_cover_size",
     "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
     "simulate_measurements", "up_bounds", "up_model", "up_verdicts",
 ]
 
 # Topology's public fields, properties and methods.
 TOPOLOGY_MEMBERS = [
-    "adjacency", "edges", "monitor_neighbor_count", "monitors", "neighbors",
+    "adjacency", "edges", "monitors", "neighbors",
     "node_count", "nodes", "non_monitors", "sigma",
 ]
 
@@ -59,7 +59,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 62
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 

@@ -109,12 +109,17 @@ class TestAnalyze:
             graphs.append((left_out, cap))
             return capped(topology, left_out, cap)
 
-        reads = count_threshold_reads(monkeypatch, conditions)
+        reads = count_threshold_reads(monkeypatch)
         monkeypatch.setattr(graph, "_capped_connectivity", counted)
         report = analyze(doc, models=("CAP", "CSP"))
         # d = 2 < sigma = 16: one read of d and one of dm given d, whose cap
         # d - 1 = 1 is decided by one components pass of G - M, so the merged
         # graph is the only auxiliary graph whose connectivity is computed.
+        assert reads == ["d", ("dm", 2)]
+        assert graphs == [(None, 16)]
+        # The oracle's answers read the same value's d and dm.
+        del reads[:], graphs[:]
+        assert analyze(doc, models=("CAP", "CSP"), oracle=True, guard=16)["models"].keys() == {"CAP", "CSP"}
         assert reads == ["d", ("dm", 2)]
         assert graphs == [(None, 16)]
 
