@@ -8,7 +8,8 @@ jointly cover every path through v: once that many nodes fail, v's state can
 become invisible.  A path's route for v is the set of other non-monitors on
 it, so that number is the least hitting set of v's distinct routes; the
 search branches over routes, and its guard counts the other non-monitors on
-v's paths.
+v's paths.  Each node is searched once per ensemble value, so the oracle
+reads delta off the value, as it reads d and dm off the topology value.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError, InputError
-from .graph import Topology, _entries, _plain_int
+from .graph import Topology, _entries
 
 #: Cover size meaning "no set of other nodes can hide this one".
 INFINITE_COVER = math.inf
@@ -45,6 +47,7 @@ class PathEnsemble:
     members: tuple[frozenset[int], ...]
     incidence: tuple[frozenset[int], ...]
     unobserved: frozenset[int]
+    _covers = cached_property(lambda self: {})  # v: (candidate count, cover size), by _cover
 
     def paths_through(self, v: int) -> frozenset[int]:
         self.topology._check_node(v)
@@ -97,7 +100,7 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     return PathEnsemble(topology, tuple(validated), tuple(members), tuple(frozen), unobserved)
 
 
-def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CANDIDATES) -> int | float:
+def min_cover_size(ensemble: PathEnsemble, v: int) -> int | float:
     """Minimum number of other non-monitors whose paths cover all of v's paths.
 
     That is the least hitting set of v's distinct routes, a route being the
@@ -105,31 +108,40 @@ def min_cover_size(ensemble: PathEnsemble, v: int, max_candidates: int = _MAX_CA
     when a route is empty, and 0 when v lies on no path at all (the empty
     path set is covered by nobody failing, which is why such a node is
     already unidentifiable).  The search is exact and branches over routes;
-    if more than ``max_candidates`` other non-monitors lie on v's paths the
-    call refuses with a capacity error rather than approximating.
+    if more than 20 other non-monitors lie on v's paths the call refuses
+    with a capacity error rather than approximating.
     """
-    through = ensemble.paths_through(v)
-    _plain_int(max_candidates, "max_candidates")
-    # A path's members all hold v, so they stand for its route one to one.
-    routes = {ensemble.members[pid] for pid in through}
-    candidates = frozenset().union(*routes) - {v}
-    if len(candidates) > max_candidates:
+    ensemble.paths_through(v)
+    return _cover(ensemble, v, guarded=True)
+
+
+def _cover(ensemble: PathEnsemble, v: int, guarded: bool) -> int | float:
+    """v's cover size, searched once per ensemble value; the memo keeps v's
+    candidate count too, so a guarded read refuses before any search, which
+    branches on the unhit route with the fewest nodes, on an explicit stack."""
+    candidates, best = ensemble._covers.get(v, (None, None))
+    if best is None:
+        # A path's members all hold v, so they stand for its route one to one.
+        routes = {ensemble.members[pid] for pid in ensemble.incidence[v]}
+        candidates = len(frozenset().union(*routes) - {v})
+    if guarded and candidates > _MAX_CANDIDATES:
         raise CapacityError(
-            f"{len(candidates)} candidate covering sets exceed the exact-cover "
-            f"guard of {max_candidates}; no option raises this guard"
+            f"{candidates} candidate covering sets exceed the exact-cover "
+            f"guard of {_MAX_CANDIDATES}; no option raises this guard"
         )
-    if frozenset({v}) in routes:
-        return INFINITE_COVER
-
-    def least(unhit: list[frozenset[int]], bound: int) -> int:
-        """Least hitting set of ``unhit`` if smaller than ``bound``, else ``bound``."""
-        if not unhit or bound <= 1:
-            return bound if unhit else 0
-        for w in min(unhit, key=len) - {v}:  # branch on the route with the fewest nodes
-            bound = min(bound, 1 + least([r for r in unhit if w not in r], bound - 1))
-        return bound
-
-    return least(list(routes), len(routes))  # one node per route always suffices
+    if best is None:  # a route of v alone is never hit, so no cover beats INFINITE_COVER
+        best, stack = INFINITE_COVER if routes else 0, [(list(routes), 0)]
+        while stack:
+            unhit, used = stack.pop()
+            if used + 1 < best:  # else the branch cannot beat the best cover
+                for w in min(unhit, key=len) - {v}:
+                    rest = [r for r in unhit if w not in r]
+                    if not rest:  # w completes a cover, and no sibling beats it
+                        best = used + 1
+                        break
+                    stack.append((rest, used + 1))
+        ensemble._covers[v] = candidates, best
+    return best
 
 
 @dataclass(frozen=True)
@@ -140,12 +152,9 @@ class CoverProfile:
     min_cover: int | float
 
 
-def cover_profile(ensemble: PathEnsemble, max_candidates: int = _MAX_CANDIDATES) -> CoverProfile:
+def cover_profile(ensemble: PathEnsemble) -> CoverProfile:
     """Minimum cover size for every non-monitor, and the network-wide minimum."""
     if ensemble.topology.sigma == 0:
         raise InputError("the topology has no non-monitors to profile")
-    sizes = {
-        v: min_cover_size(ensemble, v, max_candidates=max_candidates)
-        for v in sorted(ensemble.topology.non_monitors)
-    }
+    sizes = {v: _cover(ensemble, v, guarded=True) for v in sorted(ensemble.topology.non_monitors)}
     return CoverProfile(sizes, min(sizes.values()))

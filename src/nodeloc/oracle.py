@@ -56,7 +56,7 @@ topology value, which computes each once in :mod:`~nodeloc.graph`.
   none when d = dm = sigma (every non-monitor borders two monitors).
 * UP: F strands v exactly when F's paths cover v's, which defines the
   cover size, so J is the least cover size delta; an infinite delta means
-  no J.
+  no J.  delta is read off the ensemble value, as d and dm off the topology.
 
 Under CAP no level up to J holds twins, so the maximum is J = d, or sigma
 without a J, and k-identifiability holds exactly for k <= d; the paper
@@ -100,7 +100,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
-from .ensemble import INFINITE_COVER, PathEnsemble, cover_profile
+from .ensemble import INFINITE_COVER, PathEnsemble, _cover
 from .errors import CapacityError, FormatError, InputError
 from .graph import (
     Topology,
@@ -259,8 +259,7 @@ def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
     if sigma == 0:
         return None
     if model.kind == "UP":
-        # sigma candidates: more than any node has, so the cover guard never refuses.
-        delta = cover_profile(model.ensemble, max_candidates=sigma).min_cover
+        delta = min(_cover(model.ensemble, v, guarded=False) for v in topology.non_monitors)
         return None if delta == INFINITE_COVER else delta
     d = topology._d
     if model.kind == "CAP":

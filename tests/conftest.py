@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import warnings
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import nodeloc.graph as graph
 from nodeloc.document import TopologyDocument
+from nodeloc.ensemble import PathEnsemble
 from nodeloc.generate import erdos_renyi, generate_paths, grid
 
 settings.register_profile(
@@ -84,6 +86,31 @@ def count_threshold_reads(monkeypatch) -> list:
     monkeypatch.setattr(graph, "monitor_connectivity", counted_d)
     monkeypatch.setattr(graph, "_leave_one_out_connectivity", counted_dm)
     return reads
+
+
+def count_cover_searches(monkeypatch) -> list:
+    """Record each exact-cover search as ``(ensemble, node)``, in order.
+
+    A search ends by storing its node in the ensemble value's memo, so the
+    memo is replaced by one that records each store.  A value built before
+    the call may have searched already, so callers count on ensembles they
+    build afterwards.
+    """
+    searches: list = []
+
+    class Recorded(dict):
+        def __init__(self, ensemble: PathEnsemble) -> None:
+            super().__init__()
+            self.ensemble = ensemble
+
+        def __setitem__(self, v, entry) -> None:
+            searches.append((self.ensemble, v))
+            super().__setitem__(v, entry)
+
+    memo = cached_property(Recorded)
+    memo.__set_name__(PathEnsemble, "_covers")
+    monkeypatch.setattr(PathEnsemble, "_covers", memo)
+    return searches
 
 
 def build_up_corpus(count: int = 300) -> list[TopologyDocument]:

@@ -12,7 +12,6 @@ import pytest
 
 from nodeloc.cli import main
 from nodeloc.document import TopologyDocument, emit_topology
-from nodeloc.ensemble import cover_profile, min_cover_size
 from nodeloc.errors import InputError, UsageError
 from nodeloc.graph import Topology, disjoint_paths
 from nodeloc.oracle import (
@@ -92,16 +91,6 @@ def test_disjoint_path_limit(limit):
     with pytest.raises(InputError, match="limit must be an integer"):
         disjoint_paths(STAR, 0, {1, 2, 3}, limit=limit)
     assert len(disjoint_paths(STAR, 0, {1, 2, 3}, limit=None)) == 3
-
-
-@pytest.mark.parametrize("max_candidates", NOT_INTS + [-1])
-def test_cover_candidate_guard(max_candidates):
-    ens = UP_DOC.to_ensemble()
-    for v in (1, 2):
-        with pytest.raises(InputError, match="max_candidates must be an integer"):
-            min_cover_size(ens, v, max_candidates=max_candidates)
-    with pytest.raises(InputError, match="max_candidates must be an integer"):
-        cover_profile(ens, max_candidates=max_candidates)
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,22 @@ class TestAnalyze:
 
 
 class TestOracleCommand:
+    def test_hub_on_many_routes_answers(self, tmp_path, capsys):
+        # m1-ui-v-m2 for 1,200 spokes ui: the hub v's least cover takes all
+        # 1,200 spokes, deeper than the interpreter's recursion limit.
+        spokes = [f"u{i}" for i in range(1200)]
+        doc = {
+            "version": 1,
+            "nodes": [{"name": name, "monitor": name in ("m1", "m2")} for name in ["m1", "m2", "v", *spokes]],
+            "edges": [["v", "m2"]] + [edge for u in spokes for edge in (["m1", u], [u, "v"])],
+            "paths": [["m1", u, "v", "m2"] for u in spokes],
+        }
+        topo = tmp_path / "hub.json"
+        topo.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "oracle", topo, "--models", "UP", "--guard", 5000)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"UP": {"max_identifiability": 1}}
+
     def test_max_identifiability(self, topo_file, capsys):
         code, out, _ = run(capsys, "oracle", topo_file)
         assert code == 0

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import nodeloc.oracle as oracle
 from nodeloc.ensemble import (
     INFINITE_COVER,
     build_ensemble,
@@ -17,8 +18,10 @@ from nodeloc.document import TopologyDocument
 from nodeloc.errors import CapacityError, FormatError, InputError
 from nodeloc.generate import generate_paths
 from nodeloc.graph import Topology
+from nodeloc.oracle import max_identifiability, up_model
 
 from bruteforce import brute_min_cover
+from conftest import count_cover_searches
 
 # m1-v1-m2 plus v1-v2-m2: the running two-path example
 DIAMOND = Topology(4, [(0, 1), (1, 3), (1, 2), (2, 3)], [0, 3])
@@ -207,7 +210,7 @@ class TestMinCoverSize:
         assert sizes == [brute_min_cover(ens, v) for v in range(core)]
         assert any(1 < s < INFINITE_COVER for s in sizes), sizes
 
-    def test_repeated_empty_routes_mean_no_cover(self):
+    def test_repeated_empty_routes_mean_no_cover(self, monkeypatch):
         # Node 1 is the only non-monitor on twelve paths, so each gives it the
         # same empty route; one more path reaches nodes 2-4.
         monitors = (0, 5, 6, 7)
@@ -217,27 +220,48 @@ class TestMinCoverSize:
         ens = build_ensemble(star, paths)
         assert min_cover_size(ens, 1) == brute_min_cover(ens, 1) == INFINITE_COVER
         assert min_cover_size(ens, 3) == brute_min_cover(ens, 3) == 1
-        # The guard counts nodes 2-4 before the empty routes are looked at.
+        # With 21 spokes 2-22 in place of nodes 2-4, each on a path (23, 1,
+        # spoke, 0), the guard counts them before the empty routes are
+        # looked at, and refuses before any search.
+        monitors, spokes = (0, 23, 24, 25), range(2, 23)
+        edges = [(1, m) for m in monitors] + [e for u in spokes for e in ((1, u), (u, 0))]
+        paths = [(a, 1, b) for a in monitors for b in monitors if a != b]
+        searches = count_cover_searches(monkeypatch)
+        ens = build_ensemble(Topology(26, edges, monitors), paths + [(23, 1, u, 0) for u in spokes])
         with pytest.raises(CapacityError) as excinfo:
-            min_cover_size(ens, 1, max_candidates=2)
+            min_cover_size(ens, 1)
         assert str(excinfo.value) == (
-            "3 candidate covering sets exceed the exact-cover guard of 2; no option raises this guard"
+            "21 candidate covering sets exceed the exact-cover guard of 20; no option raises this guard"
         )
+        assert searches == []
+        assert oracle._cover(ens, 1, guarded=False) == INFINITE_COVER
 
     def test_monitor_rejected(self):
         with pytest.raises(InputError):
             min_cover_size(diamond_ensemble(), 0)
 
-    def test_candidate_guard(self):
+    def test_candidate_guard(self, monkeypatch):
         n = 24
         edges = [(0, i) for i in range(1, n)] + [(i, n - 1) for i in range(1, n - 1)]
         t = Topology(n, set(edges), [0, n - 1])
         # every path runs through node 1, so node 1 has one candidate per path
         paths = [(0, 1, n - 1, i, 0) for i in range(2, n - 1)]
+        searches = count_cover_searches(monkeypatch)
         ens = build_ensemble(t, paths)
-        with pytest.raises(CapacityError):
-            min_cover_size(ens, 1)
-        assert min_cover_size(ens, 1, max_candidates=25) == 21
+        # The oracle's unguarded read searches node 1's 21-node cover; the
+        # guarded reads refuse with the same text before and after it.
+        refusals = []
+        for _ in range(2):
+            for call in (lambda: min_cover_size(ens, 1), lambda: cover_profile(ens)):
+                with pytest.raises(CapacityError) as excinfo:
+                    call()
+                refusals.append(str(excinfo.value))
+            assert max_identifiability(t, up_model(ens), guard=t.sigma) == 1
+            assert oracle._cover(ens, 1, guarded=False) == 21
+        assert refusals == [
+            "21 candidate covering sets exceed the exact-cover guard of 20; no option raises this guard"
+        ] * 4
+        assert [v for _, v in searches].count(1) == 1
 
     def test_matches_bruteforce_on_random_ensembles(self):
         rng = random.Random(7)
@@ -287,6 +311,18 @@ class TestCoverProfile:
         profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
         assert profile.cover_sizes[2] == 0
         assert profile.min_cover == 0
+
+    def test_returned_sizes_are_the_callers_own(self):
+        # The profile is a new dict, never the memo that later answers read.
+        ens = diamond_ensemble()
+        before = max_identifiability(DIAMOND, up_model(ens))
+        profile = cover_profile(ens)
+        assert sorted(ens._covers) == [1, 2]  # the memo outlives the call
+        profile.cover_sizes[2] = 0
+        profile.cover_sizes.clear()
+        assert cover_profile(ens).cover_sizes == {1: INFINITE_COVER, 2: 1}
+        assert min_cover_size(ens, 2) == 1
+        assert max_identifiability(DIAMOND, up_model(ens)) == before
 
     def test_all_monitor_topology_has_nothing_to_profile(self):
         ensemble = build_ensemble(Topology(2, [(0, 1)], [0, 1]), [(0, 1)])

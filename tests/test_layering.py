@@ -1,12 +1,12 @@
 """Import layering of the package, read from each module's source with ``ast``.
 
 The oracle imports no conditions: it reads d and dm off the topology value,
-which computes each once in the graph primitives, and delta from the
-ensembles, and the conditions are compared with its answers.  Neither the
-conditions nor the oracle imports the connectivity functions.  The
-independent check on both is ``tests/bruteforce.py``, which sweeps every
-failure set.  The graph primitives sit below everything but the error
-taxonomy.
+which computes each once in the graph primitives, and delta off the ensemble
+value, which searches each node's cover once in the ensembles; the
+conditions are compared with its answers.  Neither the conditions nor the
+oracle imports the connectivity functions.  The independent check on both
+is ``tests/bruteforce.py``, which sweeps every failure set.  The graph
+primitives sit below everything but the error taxonomy.
 """
 
 from __future__ import annotations
@@ -88,6 +88,26 @@ def test_thresholds_are_read_only_in_graph():
         if "max(d - 1, 0)" in path.read_text(encoding="utf-8")
     ]
     assert holders == ["graph.py"]
+
+
+def test_cover_search_runs_only_in_ensemble():
+    # One search fills each ensemble value's memo: only ensemble holds the
+    # branching rule or touches the memo, and the oracle reads delta through
+    # it, never through the guarded public functions.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, text in sources.items() if "min(unhit, key=len)" in text] == ["ensemble.py"]
+    assert [name for name, text in sources.items() if "._covers" in text] == ["ensemble.py"]
+    assert not {"cover_profile", "min_cover_size"} & _imports("oracle")["ensemble"]
+    assert _calls("oracle", "cover_profile") == _calls("oracle", "min_cover_size") == []
+
+
+def test_no_call_passes_max_candidates():
+    # The exact-cover guard is a constant: no parameter or call raises it.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords]
+        names += [node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)]
+        assert "max_candidates" not in names, path.name
 
 
 def test_bounds_are_built_by_one_rule():

@@ -38,6 +38,7 @@ from nodeloc.oracle import (
     simulate_measurements,
     up_model,
 )
+from nodeloc.report import analyze
 
 from bruteforce import (
     all_failure_sets,
@@ -46,7 +47,7 @@ from bruteforce import (
     reference_abstract_necessary,
     reference_identifiability,
 )
-from conftest import _seeded_monitor_walks, count_threshold_reads
+from conftest import _seeded_monitor_walks, count_cover_searches, count_threshold_reads
 from test_conditions import CSP_BEYOND_GUARD
 
 
@@ -493,32 +494,43 @@ class TestTwinTable:
 
 
 class TestThresholdReads:
-    """The topology value reads its thresholds once, however many answers ask:
-    d for CAP, d and then dm given d for CSP; UP reads no connectivity and
-    one cover profile per answer."""
+    """Each value reads its thresholds once, however many answers ask: the
+    topology value d for CAP, d and then dm given d for CSP; under UP the
+    ensemble value searches each non-monitor's cover once for delta, and
+    reads no connectivity."""
 
     @pytest.mark.parametrize("kind, level", SPARSE_LEVELS)
     def test_one_read_per_answer(self, kind, level, monkeypatch):
         reads = count_threshold_reads(monkeypatch)
+        searches = count_cover_searches(monkeypatch)
         topo, model = _sparse(kind)
-        profiles = []
-        profile = oracle.cover_profile
-
-        def counted_profile(ensemble, **kwargs):
-            profiles.append(ensemble)
-            return profile(ensemble, **kwargs)
-
-        monkeypatch.setattr(oracle, "cover_profile", counted_profile)
         for call in (
             lambda: max_identifiability(topo, model, guard=10),
             lambda: k_identifiable(topo, model, level, guard=10),
             lambda: abstract_sufficient(topo, model, level, guard=10),
         ):
-            del profiles[:]
             call()
-            assert len(profiles) == (kind == "UP")
+        # Three UP answers search each of the 10 non-monitors once in all.
+        assert sorted(v for _, v in searches) == (sorted(topo.non_monitors) if kind == "UP" else [])
         # The CAP/CSP network has d = 3 < sigma = 10.
         assert reads == {"CAP": ["d"], "CSP": ["d", ("dm", 3)], "UP": []}[kind]
+
+    def test_analyze_with_oracle_searches_each_cover_once(self, monkeypatch):
+        # The report's guarded profile and the oracle's delta share the memo.
+        searches = count_cover_searches(monkeypatch)
+        doc = generate_paths(erdos_renyi(14, 0.3, seed=4, monitors=4), 2)
+        analyze(doc, models=("UP",), oracle=True, guard=10)
+        assert sorted(v for _, v in searches) == sorted(doc.to_topology().non_monitors)
+
+    def test_each_ensemble_searches_its_own(self, monkeypatch):
+        searches = count_cover_searches(monkeypatch)
+        doc = generate_paths(erdos_renyi(14, 0.3, seed=4, monitors=4), 2)
+        topo = doc.to_topology()
+        first, second = doc.to_ensemble(topo), doc.to_ensemble(topo)
+        assert first == second and first is not second
+        for ensemble in (first, second, first, second):
+            max_identifiability(topo, up_model(ensemble), guard=10)
+        assert [ensemble is first for ensemble, _ in searches] == [True] * 10 + [False] * 10
 
     def test_each_value_reads_its_own(self, monkeypatch):
         # The memo belongs to a value: equal topologies built apart read again.

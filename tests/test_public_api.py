@@ -34,7 +34,7 @@ TOPOLOGY_MEMBERS = [
 ]
 
 # Parameter names and defaults of the functions whose bodies share one code
-# path with another public function.
+# path with another public function, or that must take no guard knob.
 PARAMETERS = {
     "cap_verdicts": [("topology", None)],
     "csp_verdicts": [("topology", None)],
@@ -45,6 +45,8 @@ PARAMETERS = {
     ],
     "abstract_necessary": [("topology", None), ("model", None), ("k", None), ("guard", 7)],
     "monitor_connectivity": [("topology", None), ("left_out", None)],
+    "min_cover_size": [("ensemble", None), ("v", None)],
+    "cover_profile": [("ensemble", None)],
     "emit_report": [("report", None), ("fmt", "json")],
     "reformat_report": [("data", None), ("fmt", None)],
 }
