@@ -174,14 +174,14 @@ def controllable_table(
         ) if d > sigma - 1 else ""
         return verdicts, _bounds(verdicts, note)
     # Weakly covered: non-monitors with fewer than two monitor neighbors.
-    weak = [v for v in topology.non_monitors if len(topology.adjacency[v] & topology.monitors) < 2]
+    weak = topology.non_monitors - topology._bordering_two
     # Exact one short of the full budget: at most one weakly covered
-    # node, and that node must be reachable around any failure pattern
-    # through its own neighborhood.
+    # node, and that node must border one monitor and be reachable around
+    # any failure pattern through its own neighborhood.
     near_full = not weak or (
         len(weak) == 1
-        and len(topology.adjacency[weak[0]] & topology.monitors) == 1
-        and topology.non_monitors - {weak[0]} <= topology.adjacency[weak[0]]
+        and weak <= topology._bordering_one
+        and topology.non_monitors - weak <= topology.adjacency[min(weak)]
     )
     dm = topology._dm
     # Exact at the full budget: cycle-free 2-hop probing needs two

@@ -241,16 +241,16 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
 def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[int, bool]]:
     """Parse an outcome map; returns the model kind and probe states."""
     raw = _load_json(data)
-    _expect(isinstance(raw, dict), "top level must be a JSON object")
+    _expect(type(raw) is dict, "top level must be a JSON object")
     model = raw.get("model")
     _expect(model in ("CAP", "CSP", "UP"), "'model' must be CAP, CSP or UP")
     observations = raw.get("observations")
-    _expect(isinstance(observations, list), "'observations' must be a list")
+    _expect(type(observations) is list, "'observations' must be a list")
     index = doc.index
     states: dict[int, bool] = {}
     for i, obs in enumerate(observations):
         # Each message is built only once its check has failed.
-        if not isinstance(obs, dict):
+        if type(obs) is not dict:
             raise FormatError(f"observation {i} must be an object")
         state = obs.get("state")
         if state not in ("up", "down"):
@@ -260,7 +260,7 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
             if type(probe) is not int:
                 raise FormatError(f"observation {i} probe must be a path id")
             key = probe
-        elif isinstance(probe, str):
+        elif type(probe) is str:
             key = index.get(probe)
             if key is None:
                 doc.id_of(probe)  # raises: unknown node name

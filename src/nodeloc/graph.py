@@ -9,10 +9,12 @@ Auxiliary-graph connectivity d (:func:`monitor_connectivity`) comes from the
 low-point DFS and unit-capacity max-flow that the monitor block sweep and
 :func:`disjoint_paths` also use; its leave-one-out minimum dm is exact at d =
 sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).  Each
-value computes both once, on first read, as ``Topology._d`` and ``_dm``.
+value computes both once, on first read, as ``Topology._d`` and ``_dm``, and
+so the non-monitors bordering at least one and two monitors, ``_bordering_one``
+and ``_bordering_two``, which certify most R(F) without a walk.
 
 All functions here are pure and every value is frozen, so shared topologies
-may be analyzed concurrently without locking; the d and dm memo is idempotent.
+may be analyzed concurrently without locking; every memo is idempotent.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class Topology:
 
     _d = cached_property(lambda self: monitor_connectivity(self))
     _dm = cached_property(lambda self: _leave_one_out_connectivity(self, self._d))
+    _bordering_one = cached_property(lambda self: _bordering(self, 1))
+    _bordering_two = cached_property(lambda self: _bordering(self, 2))
 
     def _check_node(self, v: int) -> None:
         """The one node-id rule, inlined in loops over every id: an int (not a bool) in range."""
@@ -148,20 +152,48 @@ def _components(topology: Topology, removed: frozenset[int]) -> tuple[frozenset[
     seen: set[int] = set(removed)
     components: list[frozenset[int]] = []
     for start in topology.nodes:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        members = {start}
-        while stack:
-            u = stack.pop()
-            for w in topology.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    members.add(w)
-                    stack.append(w)
-        components.append(frozenset(members))
+        if start not in seen:
+            seen.add(start)
+            components.append(frozenset(_reach(topology.adjacency, [start], seen)))
     return tuple(components)
+
+
+def _reach(adjacency: tuple[frozenset[int], ...], order: list[int], seen: set[int]) -> list[int]:
+    """Extend ``order`` by the nodes one search reaches outside ``seen``, which holds ``order``."""
+    for u in order:
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _bordering(topology: Topology, need: int) -> frozenset[int]:
+    """The non-monitors with at least ``need`` monitor neighbours."""
+    monitors, adjacency = topology.monitors, topology.adjacency
+    return frozenset(v for v in topology.non_monitors if len(adjacency[v] & monitors) >= need)
+
+
+def _certified(topology: Topology, removed: frozenset[int], need: int) -> bool:
+    """Whether every survivor has ``need`` neighbours that are monitors or anchors,
+    survivors bordering ``need`` monitors; then R(F) is every survivor (``oracle``
+    docstring).  Stops at the first survivor that fails, building no set before it."""
+    anchors = topology._bordering_two if need == 2 else topology._bordering_one
+    monitors, adjacency = topology.monitors, topology.adjacency
+    for v in topology.non_monitors:
+        if v not in anchors and v not in removed:
+            if len(adjacency[v] & monitors) + len((adjacency[v] & anchors) - removed) < need:
+                return False
+    return True
+
+
+def _connected_to_monitors(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
+    """Non-monitors whose component of ``topology`` minus ``removed`` holds a monitor:
+    every survivor if :func:`_certified`, else one search from the monitors."""
+    if _certified(topology, removed, 1):
+        return topology.non_monitors - removed
+    monitors = topology.monitors
+    return frozenset(_reach(topology.adjacency, list(monitors), set(monitors).union(removed))[len(monitors):])
 
 
 def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
@@ -172,13 +204,16 @@ def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> fro
     surviving non-monitors with two vertex-disjoint paths to distinct
     monitors.  Empty when there are fewer than two monitors.
 
-    One low-point DFS rooted at t (:func:`_low_points`): a node w whose tree
-    parent u is not t shares t's block iff u does and ``low[w] < disc[u]``;
-    every child of t (a monitor) does.  ``removed`` must be checked already.
+    Every survivor if :func:`_certified`, else one low-point DFS rooted at t
+    (:func:`_low_points`): a node w whose tree parent u is not t shares t's
+    block iff u does and ``low[w] < disc[u]``; every child of t (a monitor)
+    does.  ``removed`` must be checked already.
     """
     monitors = topology.monitors
     if len(monitors) < 2:
         return frozenset()
+    if _certified(topology, removed, 2):
+        return topology.non_monitors - removed
     sink = topology.node_count
     order, disc, low, parent = _low_points(topology.adjacency, monitors, removed)
     reached: set[int] = set()

@@ -16,14 +16,22 @@ non-monitors some probe still traverses while F is down:
 * CSP: those with two vertex-disjoint paths to distinct monitors,
 * UP: those on some given path that avoids F.
 
-One sweep of the surviving graph finds R(F): a component sweep for CAP,
-the failed nodes' path incidence for UP, and for CSP one block
-(biconnected-component) sweep.  By the fan lemma a non-monitor has two
-vertex-disjoint paths to distinct monitors iff it shares a block with a
-virtual sink joined to every monitor, so one low-point DFS replaces a
-max-flow per node.  CAP/CSP probes read R(F) directly, one per non-monitor,
-and a UP path reads up exactly when its non-monitors all lie in R(F); so two
-failure sets are indistinguishable exactly when their R(F) are equal.
+One sweep of the surviving graph finds R(F), and under CAP and CSP most
+often none runs.  UP reads R(F) off the failed nodes' path incidence.  With
+need 1 under CAP and 2 under CSP, a survivor v with need neighbours in R(F)
+or the monitors M is in R(F): under CAP one leads on to a monitor; under
+CSP, for any node z other than v, one of them is not z and is a monitor or
+has two disjoint paths to distinct monitors, one avoiding z, so by the fan
+lemma v has two vertex-disjoint paths to distinct monitors, no single node
+meeting every path from v to a monitor.  Survivors bordering need monitors
+are in R(F), so when every survivor borders need monitors or such anchors,
+R(F) is every survivor (``graph._certified``).  Else CAP searches once from
+the monitors, and CSP makes one block (biconnected-component) sweep: v is
+in R(F) iff it shares a block with a virtual sink joined to every monitor,
+so one low-point DFS replaces a max-flow per node.  CAP/CSP probes read R(F)
+directly, one per non-monitor, and a UP path reads up exactly when its
+non-monitors all lie in R(F); so two failure sets are indistinguishable
+exactly when their R(F) are equal.
 
 Identifiability needs at most two levels of failure sets (the sets of one
 size), not every set.  R(F) misses F, shrinks as F grows, and holds every
@@ -83,22 +91,23 @@ nodes of D join it, since R(F) = T misses them; so R(D) = T decides whether
 any exists.  CAP/CSP sweep it once.  Under UP a down path inside T rules out
 every match; else down paths meet D and up paths avoid it, so R(D) = T.  A
 node v of D is in every match exactly when v is in R(D - {v}), which reads
-off T and the monitors M once D matches: under CAP v borders a node of T or
-M (each reaches a monitor in G - D); under CSP it borders two, each sharing
-a block with the virtual sink in G - D, so they give v two paths to the sink
-meeting only there; under UP some path through v has its other non-monitors
-in T.  A candidate, this forced set joined to a subset of the rest of D,
-matches if it is D or a match plus one node; else one sweep decides.  Under
-CAP the forced set itself always matches: a node of D outside it borders
-only D, so it stays cut off from every monitor, while T still reaches one in
-G - D.  So every CAP candidate closes upward; a CAP call sweeps R(D) alone.
+off T and the monitors M once D matches: under CAP and CSP v borders need
+nodes of T or M, by the step certifying R(F) above (a probe leaves v by need
+neighbours outside D); under UP some path through v has its other
+non-monitors in T.  A candidate, this forced set joined to a subset of the
+rest of D, matches if it is D or a match plus one node; else one sweep
+decides.  Under CAP the forced set itself always matches: a node of D
+outside it borders only D, so it stays cut off from every monitor, while T
+still reaches one in G - D.  So every CAP candidate closes upward; a CAP
+call sweeps R(D) alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .ensemble import INFINITE_COVER, PathEnsemble, _cover
 from .errors import CapacityError, FormatError, InputError
@@ -106,7 +115,7 @@ from .graph import (
     Topology,
     _biconnected_to_monitors,
     _check_k,
-    _components,
+    _connected_to_monitors,
     _plain_int,
     disjoint_paths,
 )
@@ -221,11 +230,7 @@ def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> fr
     already (the enumerations build theirs).
     """
     if model.kind == "CAP":
-        reached: set[int] = set()
-        for component in _components(topology, failure):
-            if component & topology.monitors:
-                reached |= component
-        return frozenset(reached - topology.monitors)
+        return _connected_to_monitors(topology, failure)
     if model.kind == "CSP":
         return _biconnected_to_monitors(topology, failure)
     incidence = model.ensemble.incidence

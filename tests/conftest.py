@@ -88,6 +88,20 @@ def count_threshold_reads(monkeypatch) -> list:
     return reads
 
 
+def count_walks(monkeypatch) -> list[str]:
+    """Record each walk an R(F) primitive makes, counted at ``nodeloc.graph``:
+    ``"CAP"`` for the search from the monitors, ``"CSP"`` for the low-point DFS.
+
+    Components and thresholds walk with the same helpers, so callers read
+    d and dm first and list no components while counting.
+    """
+    walks: list[str] = []
+    reach, low_points = graph._reach, graph._low_points
+    monkeypatch.setattr(graph, "_reach", lambda *args: walks.append("CAP") or reach(*args))
+    monkeypatch.setattr(graph, "_low_points", lambda *args: walks.append("CSP") or low_points(*args))
+    return walks
+
+
 def count_cover_searches(monkeypatch) -> list:
     """Record each exact-cover search as ``(ensemble, node)``, in order.
 

@@ -331,3 +331,40 @@ class TestCertifiedNeighbourSkip:
         # Skipping only targets with enough boundary neighbours ran 212 and
         # 1,367 flows here.
         assert (d_flows, len(flows) - d_flows) == (74, 454)
+
+
+class TestBorderingMemos:
+    """The non-monitors bordering at least one and at least two monitors are
+    memos of the topology value under the rules of ``_d``: each is computed
+    once, on first read, and belongs to one value."""
+
+    def test_values(self):
+        # Monitors 0 and 1; node 2 borders both, node 3 one, node 4 none.
+        topology = Topology(5, [(0, 2), (1, 2), (0, 3), (3, 4)], [0, 1])
+        assert topology._bordering_one == {2, 3}
+        assert topology._bordering_two == {2}
+
+    def test_each_value_computes_its_own_once(self, monkeypatch):
+        from nodeloc import CAP, CSP, graph
+        from nodeloc.conditions import controllable_table
+        from nodeloc.generate import erdos_renyi
+        from nodeloc.oracle import _reached
+
+        computed = []
+        bordering = graph._bordering
+
+        def counted(topology, need):
+            computed.append((topology, need))
+            return bordering(topology, need)
+
+        monkeypatch.setattr(graph, "_bordering", counted)
+        doc = erdos_renyi(19, 0.5, seed=2, monitors=6)
+        first, second = doc.to_topology(), doc.to_topology()
+        assert first == second and first is not second
+        for topology in (first, second, first, second):
+            for failure in (frozenset(), frozenset(sorted(topology.non_monitors)[:3])):
+                assert _reached(topology, CAP, failure) >= _reached(topology, CSP, failure)
+            controllable_table(topology, "CSP")
+        assert [(topology is first, need) for topology, need in computed] == [
+            (True, 1), (True, 2), (False, 1), (False, 2)
+        ]

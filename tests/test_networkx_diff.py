@@ -6,7 +6,10 @@ Seeded ER, BA and grid topologies with 30 to 300 nodes, one of them dense
 graph and every leave-one-out graph, against networkx on the auxiliary
 graph as the reference construction builds it.  Disjoint paths are checked
 from a few sources under seeded forbidden sets, and the monitor block sweep
-under several seeded removed sets.  Hand-built topologies reach every rung
+under several seeded removed sets, and so is its CAP counterpart, the
+search for the components holding a monitor; dense networks check the
+neighbour certificate that answers both without a walk, sparse ones and an
+800-node ring the walks.  Hand-built topologies reach every rung
 of ``monitor_connectivity``'s ladder, and a hypothesis property covers
 small random graphs.  ``_leave_one_out_connectivity`` (dm given d) is
 checked against the least networkx connectivity of the reference
@@ -28,12 +31,14 @@ from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 from nodeloc.graph import (
     Topology,
     _biconnected_to_monitors,
+    _connected_to_monitors,
     _leave_one_out_connectivity,
     disjoint_paths,
     monitor_connectivity,
 )
 
 from bruteforce import merge_monitors, merge_monitors_leaving_out
+from conftest import count_walks
 
 INSTANCES = {
     "er30": lambda: erdos_renyi(30, 0.2, seed=11, monitors=3),
@@ -204,7 +209,7 @@ def small_topologies(draw):
 def test_connectivity_and_block_sweep_on_small_random_graphs(case):
     topology, removed = case
     _check_connectivities(topology)
-    assert _biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
+    _check_reached(topology, removed)
 
 
 @settings(max_examples=300)
@@ -255,17 +260,37 @@ def test_disjoint_paths_under_seeded_forbidden_sets(name):
             _assert_disjoint_paths(topology, source, targets, forbidden, capped)
 
 
-def _networkx_sink_block(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
-    """Non-monitors in a biconnected component of G - removed + t holding t."""
+def _surviving(topology: Topology, removed: frozenset[int]) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(v for v in topology.nodes if v not in removed)
     g.add_edges_from((u, v) for u, v in topology.edges if u not in removed and v not in removed)
+    return g
+
+
+def _networkx_sink_block(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
+    """Non-monitors in a biconnected component of G - removed + t holding t."""
+    g = _surviving(topology, removed)
     g.add_edges_from(("t", m) for m in topology.monitors)
     members: set = set()
     for component in nx.biconnected_components(g):
         if "t" in component:
             members |= component
     return frozenset(members - {"t"} - topology.monitors)
+
+
+def _networkx_monitor_components(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
+    """Non-monitors in a connected component of G - removed holding a monitor."""
+    members: set = set()
+    for component in nx.connected_components(_surviving(topology, removed)):
+        if component & topology.monitors:
+            members |= component
+    return frozenset(members - topology.monitors)
+
+
+def _check_reached(topology: Topology, removed: frozenset[int]) -> None:
+    """Both R(F) primitives against networkx."""
+    assert _connected_to_monitors(topology, removed) == _networkx_monitor_components(topology, removed)
+    assert _biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -275,8 +300,7 @@ def test_monitor_block_sweep_under_seeded_removals(name):
     pool = sorted(topology.non_monitors)
     for size in (0, 1, 2, 3, len(pool) // 10, len(pool) // 3):
         removed = frozenset(rng.sample(pool, size))
-        got = _biconnected_to_monitors(topology, removed)
-        assert got == _networkx_sink_block(topology, removed), (name, sorted(removed))
+        _check_reached(topology, removed)
 
 
 # A 5-node path 0-1-2-3-4 with a chord 1-3, so node 2 sits on a cycle.
@@ -299,8 +323,7 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_monitor_block_sweep_edge_cases(name):
-    topology, removed = EDGE_CASES[name]
-    assert _biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
+    _check_reached(*EDGE_CASES[name])
 
 
 def test_monitor_block_sweep_edge_case_values():
@@ -317,3 +340,48 @@ def test_monitor_block_sweep_on_a_long_path_does_not_recurse():
     assert _biconnected_to_monitors(topology, frozenset()) == frozenset(range(1, n - 1))
     assert _networkx_sink_block(topology, frozenset()) == frozenset(range(1, n - 1))
     assert _biconnected_to_monitors(topology, frozenset({n // 2})) == frozenset()
+
+
+def _ring(n: int, monitors) -> Topology:
+    return Topology(n, [(i, (i + 1) % n) for i in range(n)], monitors)
+
+
+# Dense networks shaped like the localize-stream sessions, where every
+# survivor borders enough monitors or anchors (non-monitors bordering enough
+# monitors) and R(F) needs no walk, and sparse ones, where it falls back.
+CERTIFIED = {
+    f"er19-{seed}": lambda seed=seed: erdos_renyi(19, 0.5, seed=seed, monitors=6).to_topology()
+    for seed in (1, 2, 3)
+}
+FALLBACK = {
+    "ring60": lambda: _ring(60, [0, 20, 40]),
+    "grid8x8": lambda: grid(8, 8, seed=33, monitors=4).to_topology(),
+    "er60sparse": lambda: erdos_renyi(60, 0.05, seed=15, monitors=4).to_topology(),
+}
+
+
+@pytest.mark.parametrize("family", [CERTIFIED, FALLBACK], ids=["certified", "fallback"])
+def test_reached_sets_on_both_paths(family, monkeypatch):
+    walks = count_walks(monkeypatch)
+    checks = 0
+    for name, build in sorted(family.items()):
+        topology = build()
+        rng = random.Random(name)
+        pool = sorted(topology.non_monitors)
+        for size in (0, 1, 2, 3, 3, 3, 4, 5):
+            _check_reached(topology, frozenset(rng.sample(pool, size)))
+            checks += 1
+    # Each path runs at least once, so neither can go dead untested.
+    for model in ("CAP", "CSP"):
+        if family is CERTIFIED:
+            assert walks.count(model) < checks, model
+        else:
+            assert walks.count(model) >= 1, model
+
+
+def test_long_ring_falls_back_under_both_models(monkeypatch):
+    walks = count_walks(monkeypatch)
+    topology = _ring(800, [0, 267, 533])
+    for removed in (frozenset(), frozenset({100}), frozenset({100, 400})):
+        _check_reached(topology, removed)
+    assert walks == ["CAP", "CSP"] * 3

@@ -10,6 +10,7 @@ and share no code with the connectivities.
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 from math import comb
 
@@ -47,7 +48,7 @@ from bruteforce import (
     reference_abstract_necessary,
     reference_identifiability,
 )
-from conftest import _seeded_monitor_walks, count_cover_searches, count_threshold_reads
+from conftest import _seeded_monitor_walks, count_cover_searches, count_threshold_reads, count_walks
 from test_conditions import CSP_BEYOND_GUARD
 
 
@@ -491,6 +492,31 @@ class TestTwinTable:
             tracemalloc.stop()
         assert len(calls) == comb(topo.sigma, 5) == 20_349
         assert peak < 4_000_000
+
+
+class TestCertifiedReach:
+    """On a dense network shaped like the localize-stream sessions, every
+    failure set that strands no node has its R(F) certified by neighbours
+    alone; only a stranding set's R(F) needs a walk."""
+
+    def test_localize_walks_nowhere(self, monkeypatch):
+        topo = erdos_renyi(19, 0.5, seed=1, monitors=6).to_topology()
+        walks = count_walks(monkeypatch)
+        rng = random.Random(1)
+        for _ in range(40):
+            truth = frozenset(rng.sample(sorted(topo.non_monitors), rng.randint(0, 3)))
+            for model in (CAP, CSP):
+                assert truth in localize(topo, model, simulate_measurements(topo, model, truth), 3, guard=13)
+        assert walks == []
+
+    def test_csp_sweep_walks_for_its_stranding_set_alone(self, monkeypatch):
+        topo = erdos_renyi(19, 0.5, seed=5, monitors=6).to_topology()
+        topo._dm  # read d and dm first: their low-point DFS runs are not R(F) walks
+        walks, sweeps = count_walks(monkeypatch), _count_sweeps(monkeypatch)
+        # Level J = 7 holds one stranding set and no twins.
+        assert max_identifiability(topo, CSP, guard=13) == 7
+        assert len(sweeps) == comb(13, 7) == 1_716
+        assert walks == ["CSP"]
 
 
 class TestThresholdReads:
