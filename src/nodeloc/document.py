@@ -19,7 +19,8 @@ text, written without its pure-Python encoder.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Mapping, NoReturn
 
@@ -39,10 +40,7 @@ class TopologyDocument:
     monitors: frozenset[int]
     edges: frozenset[tuple[int, int]]
     paths: tuple[tuple[int, ...], ...] | None = None
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {name: i for i, name in enumerate(self.names)})
+    index = cached_property(lambda self: {name: i for i, name in enumerate(self.names)})  # name: id
 
     def id_of(self, name: str) -> int:
         try:
@@ -104,6 +102,8 @@ def _layout(value, pad: str, writers: Mapping[str, Callable] = {}) -> str:
         return _WORDS.get(text := float.__repr__(value), text)
     inner, items = pad + "  ", []
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {str}:  # a list of names: one quote each, no frame
+            return _array(list(map(_quote, value)), pad)
         for item in value:
             items.append(_layout(item, inner, writers))
         return _array(items, pad)
@@ -202,12 +202,13 @@ def _array(items: list[str], pad: str, brackets: str = "[]") -> str:
 def emit_topology(doc: TopologyDocument) -> str:
     """Canonical JSON form: ``_dump_json``'s layout, joined from templates
     around names quoted once by the C string encoder."""
-    quoted = [_quote(name) for name in doc.names]
-    nodes = [
-        f'{{\n      "monitor": {"true" if i in doc.monitors else "false"},\n      "name": {name}\n    }}'
-        for i, name in enumerate(quoted)
-    ]
-    edges = [f"[\n      {quoted[u]},\n      {quoted[v]}\n    ]" for u, v in sorted(doc.edges)]
+    quoted, n = list(map(_quote, doc.names)), len(doc.names)
+    heads = ('{\n      "monitor": false,\n      "name": ', '{\n      "monitor": true,\n      "name": ')
+    nodes = [f"{heads[i in doc.monitors]}{name}\n    }}" for i, name in enumerate(quoted)]
+    keys = sorted([u * n + v for u, v in doc.edges if 0 <= u < n and 0 <= v < n])
+    if len(keys) < len(doc.edges):
+        doc.to_topology()  # raises: an edge has an id outside 0..n-1, where no key is exact
+    edges = [f"[\n      {quoted[key // n]},\n      {quoted[key % n]}\n    ]" for key in keys]
     text = f'{{\n  "edges": {_array(edges, "  ")},\n  "nodes": {_array(nodes, "  ")},\n'
     if doc.paths is not None:
         join, quoted_of = ",\n      ".join, quoted.__getitem__

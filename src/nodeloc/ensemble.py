@@ -48,6 +48,7 @@ class PathEnsemble:
     incidence: tuple[frozenset[int], ...]
     unobserved: frozenset[int]
     _covers = cached_property(lambda self: {})  # v: (candidate count, cover size), by _cover
+    _routes = cached_property(lambda self: _by_node((r, [r]) for r in set(self.members)))  # v: its routes
 
     def paths_through(self, v: int) -> frozenset[int]:
         self.topology._check_node(v)
@@ -64,12 +65,9 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
     allowed (walks are accepted as given); incidence is computed on the set
     of visited nodes.
     """
-    adjacency, monitors, node_count = topology.adjacency, topology.monitors, topology.node_count
-    keep = topology.non_monitors.__contains__
+    edges, monitors, node_count = topology.edges, topology.monitors, topology.node_count
     validated: list[tuple[int, ...]] = []
-    members: list[frozenset[int]] = []
-    routes: dict[frozenset[int], frozenset[int]] = {}  # equal routes share one object
-    incidence: defaultdict[int, list[int]] = defaultdict(list)
+    members, shared, visited = [], {}, topology.non_monitors.intersection  # equal routes share one object
     for pid, seq in enumerate(_entries(paths, "paths")):
         try:
             nodes = tuple(seq)
@@ -80,24 +78,35 @@ def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEn
         for v in nodes:  # _check_node's rule, inline: ids are never coerced
             if type(v) is not int or not 0 <= v < node_count:
                 topology._check_node(v)
-        for end in (nodes[0], nodes[-1]):
-            if end not in monitors:
-                raise FormatError(f"path {pid} endpoint {end} is not a monitor")
+        if nodes[0] not in monitors or nodes[-1] not in monitors:
+            end = nodes[-1] if nodes[0] in monitors else nodes[0]
+            raise FormatError(f"path {pid} endpoint {end} is not a monitor")
         a = nodes[0]
         for b in nodes[1:]:
-            if b not in adjacency[a]:
+            if ((a, b) if a < b else (b, a)) not in edges:
                 raise FormatError(f"path {pid} steps over a missing edge ({a}, {b})")
             a = b
         validated.append(nodes)
-        route = frozenset(filter(keep, nodes))
-        members.append(routes.setdefault(route, route))
+        route = visited(nodes)
+        members.append(shared.setdefault(route, route))
+    groups: dict[frozenset[int], list[int]] = {route: [] for route in shared}  # route: its path ids
+    for pid, route in enumerate(members):
+        groups[route].append(pid)
+    incidence = [frozenset()] * node_count  # one empty set for monitors and unvisited nodes
+    for v, ids in _by_node(groups.items()).items():
+        incidence[v] = frozenset(ids)
+    unobserved = topology.non_monitors.difference(*groups)  # on no route
+    return PathEnsemble(topology, tuple(validated), tuple(members), tuple(incidence), unobserved)
+
+
+def _by_node(groups: Iterable[tuple[frozenset[int], list]]) -> dict[int, list]:
+    """Each visited node's items, from (route, items) pairs: a node gets every
+    item of each route that holds it, so each distinct route is walked once."""
+    out: defaultdict[int, list] = defaultdict(list)
+    for route, items in groups:
         for v in route:
-            incidence[v].append(pid)
-    frozen = [frozenset()] * node_count  # one empty set for monitors and unvisited nodes
-    for v, ids in incidence.items():
-        frozen[v] = frozenset(ids)
-    unobserved = topology.non_monitors.difference(incidence)
-    return PathEnsemble(topology, tuple(validated), tuple(members), tuple(frozen), unobserved)
+            out[v] += items
+    return out
 
 
 def min_cover_size(ensemble: PathEnsemble, v: int) -> int | float:
@@ -121,8 +130,7 @@ def _cover(ensemble: PathEnsemble, v: int, guarded: bool) -> int | float:
     branches on the unhit route with the fewest nodes, on an explicit stack."""
     candidates, best = ensemble._covers.get(v, (None, None))
     if best is None:
-        # A path's members all hold v, so they stand for its route one to one.
-        routes = {ensemble.members[pid] for pid in ensemble.incidence[v]}
+        routes = ensemble._routes.get(v, ())
         candidates = len(frozenset().union(*routes) - {v})
     if guarded and candidates > _MAX_CANDIDATES:
         raise CapacityError(

@@ -9,9 +9,9 @@ Auxiliary-graph connectivity d (:func:`monitor_connectivity`) comes from the
 low-point DFS and unit-capacity max-flow that the monitor block sweep and
 :func:`disjoint_paths` also use; its leave-one-out minimum dm is exact at d =
 sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).  Each
-value computes both once, on first read, as ``Topology._d`` and ``_dm``, and
-so the non-monitors bordering at least one and two monitors, ``_bordering_one``
-and ``_bordering_two``, which certify most R(F) without a walk.
+value builds its memos on first read: ``Topology._d``, ``_dm``, ``adjacency``
+(UP reads none), and the non-monitors with at least one and two monitor
+neighbours, ``_bordering_one`` and ``_bordering_two``, which certify most R(F).
 
 All functions here are pure and every value is frozen, so shared topologies
 may be analyzed concurrently without locking; every memo is idempotent.
@@ -83,7 +83,6 @@ class Topology:
     node_count: int
     edges: frozenset[Edge]
     monitors: frozenset[int]
-    adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     non_monitors: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -97,11 +96,6 @@ class Topology:
         if not monitors:
             raise InputError("a topology needs at least one monitor")
         object.__setattr__(self, "monitors", frozenset(monitors))
-        adj: list[set[int]] = [set() for _ in range(self.node_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "adjacency", tuple(frozenset(a) for a in adj))
         object.__setattr__(
             self, "non_monitors", frozenset(range(self.node_count)) - self.monitors
         )
@@ -119,6 +113,15 @@ class Topology:
         """Open neighborhood of ``v``."""
         self._check_node(v)
         return self.adjacency[v]
+
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Each node's open neighbourhood, built on first read: UP analysis reads none."""
+        adj: list[set[int]] = [set() for _ in self.nodes]
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return tuple(map(frozenset, adj))
 
     _d = cached_property(lambda self: monitor_connectivity(self))
     _dm = cached_property(lambda self: _leave_one_out_connectivity(self, self._d))

@@ -17,7 +17,7 @@ from nodeloc.document import (
     parse_outcomes,
     parse_topology,
 )
-from nodeloc.errors import FormatError, UsageError
+from nodeloc.errors import FormatError, InputError, UsageError
 from nodeloc.generate import barabasi_albert, erdos_renyi, generate_paths, grid
 
 MINIMAL = """
@@ -210,6 +210,14 @@ class TestEmitTopology:
             payload["paths"] = [[names[v] for v in path] for path in doc.paths]
         assert emit_topology(doc) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    # Edges sort by the key u * n + v, exact only for ids in 0..n-1: with
+    # n = 3, (0, 4) shares (1, 1)'s key and (1, -1) shares (0, 2)'s.
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (0, 4), (1, -1), (-1, 2), (2, -3)])
+    def test_an_edge_id_out_of_range_emits_nothing(self, edge):
+        doc = TopologyDocument(("a", "b", "c"), frozenset({0}), frozenset({(0, 1), edge}))
+        with pytest.raises(InputError, match=r"outside 0\.\.2"):
+            emit_topology(doc)
+
     def test_never_enters_the_pure_python_encoder(self, monkeypatch):
         def refuse(self, o, _one_shot=False):
             raise AssertionError("pure-Python JSON encoder entered")
@@ -230,6 +238,10 @@ class TestEmitTopology:
 
 class _Dict(dict):
     """A dict subclass, which ``json.encoder`` lays out as a plain dict."""
+
+
+class _Str(str):
+    """A str subclass, which ``json.encoder`` writes as a plain string."""
 
 
 #: Every kind of value ``json.loads`` returns, and the tuples and dict
@@ -273,7 +285,9 @@ class TestDumpJson:
 
     @pytest.mark.parametrize(
         "value",
-        [{}, [], (), _Dict(), [[], {}], {"a": {"b": ()}}, True, 1, 0, False, 10**25, -0.0],
+        [{}, [], (), _Dict(), [[], {}], {"a": {"b": ()}}, True, 1, 0, False, 10**25, -0.0]
+        # Lists of names, written with one quote each, and lists that only look like them.
+        + [["a", "b\u00e9"], ("a",), {"nodes": [], "monitors": ["m"]}, [_Str("x"), "y"], ["a", 1], ["a", ["b"]]],
     )
     def test_edge_values(self, value):
         assert _dump_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

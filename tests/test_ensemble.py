@@ -8,6 +8,7 @@ import random
 import pytest
 
 import nodeloc.oracle as oracle
+from nodeloc.conditions import cap_verdicts, up_bounds, up_verdicts
 from nodeloc.ensemble import (
     INFINITE_COVER,
     build_ensemble,
@@ -19,6 +20,7 @@ from nodeloc.errors import CapacityError, FormatError, InputError
 from nodeloc.generate import generate_paths
 from nodeloc.graph import Topology
 from nodeloc.oracle import max_identifiability, up_model
+from nodeloc.report import analyze
 
 from bruteforce import brute_min_cover
 from conftest import count_cover_searches
@@ -43,6 +45,14 @@ def ingest_like_star(seed, core, hosts=30):
     names = tuple(f"c{v}" for v in range(core)) + tuple(f"h{h}" for h in range(hosts))
     pathless = TopologyDocument(names, frozenset(range(core, core + hosts)), frozenset(edges))
     return generate_paths(pathless, 2)
+
+
+def _check_cover_routes(ens):
+    """Each node's routes, as the cover search reads them: its distinct path members, once each."""
+    for v in ens.topology.non_monitors:
+        routes = ens._routes.get(v, [])
+        assert len(routes) == len(set(routes))
+        assert set(routes) == {ens.members[pid] for pid in ens.incidence[v]}
 
 
 class TestBuildEnsemble:
@@ -146,6 +156,35 @@ class TestBuildEnsemble:
         assert all(ens.incidence[m] == frozenset() for m in topology.monitors)
         assert ens.unobserved == {v for v in topology.non_monitors if not any(v in p for p in paths)}
         assert 0 in ens.unobserved
+        _check_cover_routes(ens)
+
+    def test_matches_a_per_path_recomputation_on_the_up_corpus(self, up_corpus):
+        # Paths are grouped by distinct route; nothing may differ from
+        # deriving members, incidence and covers one path at a time.
+        for doc in up_corpus:
+            ens = doc.to_ensemble()
+            members = tuple(frozenset(p) & ens.topology.non_monitors for p in ens.paths)
+            assert ens.members == members
+            assert ens.incidence == tuple(
+                frozenset(pid for pid, m in enumerate(members) if v in m) for v in ens.topology.nodes
+            )
+            assert ens.unobserved == ens.topology.non_monitors - frozenset().union(*members)
+            _check_cover_routes(ens)
+            for v in ens.topology.non_monitors:
+                assert oracle._cover(ens, v, guarded=False) == brute_min_cover(ens, v)
+
+
+def test_up_analysis_builds_no_adjacency(monkeypatch):
+    doc = ingest_like_star(0, 8)
+    topology = doc.to_topology()
+    profile = cover_profile(doc.to_ensemble(topology))
+    up_verdicts(profile), up_bounds(profile)
+    assert "adjacency" not in topology.__dict__
+    cap_verdicts(topology)  # a CAP table reads it, and builds it then
+    assert "adjacency" in topology.__dict__
+    # Nor does a whole UP report read it, on the topology that analyze builds.
+    monkeypatch.setattr(Topology, "adjacency", property(lambda self: pytest.fail("adjacency read")))
+    assert analyze(doc, models=("UP",))["models"]["UP"]["cover_profile"]["min_cover"] == profile.min_cover
 
 
 class TestMinCoverSize:
