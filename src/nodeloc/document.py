@@ -203,11 +203,15 @@ def emit_topology(doc: TopologyDocument) -> str:
     """Canonical JSON form: ``_dump_json``'s layout, joined from templates
     around names quoted once by the C string encoder."""
     quoted, n = list(map(_quote, doc.names)), len(doc.names)
+    marks = list(map(doc.monitors.__contains__, range(n)))
+    keys = sorted([u * n + v for u, v in doc.edges if type(u) is type(v) is int and 0 <= u < n and 0 <= v < n])
+    int_monitors = {int}.issuperset(map(type, doc.monitors))
+    if len(keys) < len(doc.edges) or sum(marks) < len(doc.monitors) or not int_monitors:
+        # An edge or monitor id is not an int in 0..n-1: a bool or float
+        # would pass for the int it equals, and no other id has a node.
+        doc.to_topology()  # raises, naming the entry
     heads = ('{\n      "monitor": false,\n      "name": ', '{\n      "monitor": true,\n      "name": ')
-    nodes = [f"{heads[i in doc.monitors]}{name}\n    }}" for i, name in enumerate(quoted)]
-    keys = sorted([u * n + v for u, v in doc.edges if 0 <= u < n and 0 <= v < n])
-    if len(keys) < len(doc.edges):
-        doc.to_topology()  # raises: an edge has an id outside 0..n-1, where no key is exact
+    nodes = [f"{heads[mark]}{name}\n    }}" for mark, name in zip(marks, quoted)]
     edges = [f"[\n      {quoted[key // n]},\n      {quoted[key % n]}\n    ]" for key in keys]
     text = f'{{\n  "edges": {_array(edges, "  ")},\n  "nodes": {_array(nodes, "  ")},\n'
     if doc.paths is not None:

@@ -5,12 +5,13 @@ bounds for the requested probing models, optionally cross-checked against
 the exact oracle, and packages everything with provenance so repeated
 runs on the same input are byte-identical.  The report is a JSON-ready dict:
 ``emit_report`` renders it as stable JSON or as a human-readable text
-table, and ``nodeloc report`` re-reads the JSON form.
+table, and ``nodeloc report`` re-reads the JSON form.  The provenance's
+``input_sha256`` is the SHA-256 of ``emit_topology(doc)``, the document's
+canonical text.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict
 from typing import Any, Callable, Mapping
@@ -124,6 +125,9 @@ def analyze(
             }
         sections[kind] = entry
 
+    # Imported here: hashlib loads OpenSSL, which only a report's digest
+    # needs, so importing the package never pays for it.
+    import hashlib
     return {
         "report_version": 1,
         "provenance": {

@@ -210,12 +210,23 @@ class TestEmitTopology:
             payload["paths"] = [[names[v] for v in path] for path in doc.paths]
         assert emit_topology(doc) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    # Edges sort by the key u * n + v, exact only for ids in 0..n-1: with
-    # n = 3, (0, 4) shares (1, 1)'s key and (1, -1) shares (0, 2)'s.
-    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (0, 4), (1, -1), (-1, 2), (2, -3)])
+    # Edges sort by the key u * n + v, exact only for int ids in 0..n-1: with
+    # n = 3, (0, 4) shares (1, 1)'s key, (1, -1) shares (0, 2)'s and
+    # (True, 2) shares (1, 2)'s, while (0, 2.0) has a float key.
+    @pytest.mark.parametrize(
+        "edge", [(0, 3), (3, 0), (0, 4), (1, -1), (-1, 2), (2, -3), (0, 2.0), (2.0, 1), (True, 2), (0, False)]
+    )
     def test_an_edge_id_out_of_range_emits_nothing(self, edge):
         doc = TopologyDocument(("a", "b", "c"), frozenset({0}), frozenset({(0, 1), edge}))
         with pytest.raises(InputError, match=r"outside 0\.\.2"):
+            emit_topology(doc)
+
+    # A monitor id marks the node it equals: 7 and -1 mark none, and True
+    # would mark b.
+    @pytest.mark.parametrize("monitors", [{0, 7}, {True}, {-1}, {1.0}])
+    def test_a_monitor_id_out_of_range_emits_nothing(self, monitors):
+        doc = TopologyDocument(("a", "b", "c"), frozenset(monitors), frozenset({(0, 1)}))
+        with pytest.raises(InputError, match=r"monitor id .* outside 0\.\.2"):
             emit_topology(doc)
 
     def test_never_enters_the_pure_python_encoder(self, monkeypatch):

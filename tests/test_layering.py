@@ -39,6 +39,16 @@ def _imports(module: str) -> dict[str, set[str]]:
     return found
 
 
+def test_no_module_imports_hashlib_at_module_level():
+    # hashlib loads OpenSSL, which only a report's digest needs: analyze
+    # imports it where it hashes, so importing the package never loads it.
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        names = {alias.name for node in body if isinstance(node, ast.Import) for alias in node.names}
+        names |= {node.module for node in body if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert not {"hashlib", "_hashlib"} & names, path.name
+
+
 def test_reader_sees_relative_imports():
     assert "Topology" in _imports("conditions")["graph"]
 
