@@ -64,8 +64,6 @@ from .oracle import (
     IndistinguishablePair,
     ProbingModel,
     Witness,
-    abstract_necessary,
-    abstract_sufficient,
     distinguishable,
     find_measurable_path,
     k_identifiable,

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .document import TopologyDocument
 from .errors import UsageError
-from .graph import Topology, _plain_int
+from .graph import _plain_int, _shortest_paths
 
 
 def _check_real(value, what: str) -> None:
@@ -120,31 +120,6 @@ def grid(
     return _document(n, edges, monitor_ids)
 
 
-def _shortest_paths_lexicographic(topology: Topology, source: int, target: int, limit: int):
-    """Up to ``limit`` shortest source-target paths in lexicographic order."""
-    dist = {target: 0}
-    queue = [target]
-    for u in queue:
-        for w in topology.adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    if source not in dist:
-        return
-    found = 0
-    stack = [(source, (source,))]
-    while stack and found < limit:
-        u, path = stack.pop()
-        if u == target:
-            yield path
-            found += 1
-            continue
-        # Push in reverse order so the smallest next node is explored first.
-        for w in sorted(topology.adjacency[u], reverse=True):
-            if dist.get(w, -1) == dist[u] - 1:
-                stack.append((w, path + (w,)))
-
-
 def generate_paths(doc: TopologyDocument, per_pair: int) -> TopologyDocument:
     """Attach a shortest-path ensemble to the document.
 
@@ -163,7 +138,7 @@ def generate_paths(doc: TopologyDocument, per_pair: int) -> TopologyDocument:
         for dst in ordered:
             if src == dst:
                 continue
-            for path in _shortest_paths_lexicographic(topology, src, dst, per_pair):
+            for path in _shortest_paths(topology, src, {dst}, frozenset(), per_pair):
                 key = min(path, path[::-1])
                 if key not in seen:
                     seen.add(key)

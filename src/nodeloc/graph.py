@@ -6,10 +6,11 @@ so that the exhaustive analyses elsewhere in the package can use cheap set
 arithmetic; human-readable names live in the document layer.
 
 Auxiliary-graph connectivity d (:func:`monitor_connectivity`) comes from the
-low-point DFS and unit-capacity max-flow that the monitor block sweep and
-:func:`disjoint_paths` also use; its leave-one-out minimum dm is exact at d =
-sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).  Each
-value builds its memos on first read: ``Topology._d``, ``_dm``, ``adjacency``
+low-point DFS and unit-capacity max-flow that the monitor block sweep and CSP
+witnesses (:func:`disjoint_paths`) also use; CAP witnesses and generated paths
+take one BFS (:func:`_shortest_paths`).  The leave-one-out minimum dm of d is
+exact at d = sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).
+Each value builds its memos on first read: ``Topology._d``, ``_dm``, ``adjacency``
 (UP reads none), and the non-monitors with at least one and two monitor
 neighbours, ``_bordering_one`` and ``_bordering_two``, which certify most R(F).
 
@@ -273,6 +274,31 @@ def _low_points(
     return order, disc, low, parent
 
 
+def _shortest_paths(topology: Topology, source: int, targets: Iterable[int], avoid, limit: int) -> list[tuple]:
+    """Up to ``limit`` shortest paths from ``source`` to its nearest targets, avoiding
+    ``avoid``, in lexicographic order: BFS distances from the targets, then a walk down
+    them, smallest node id first (Dinic's first phase finds the same first path)."""
+    dist = dict.fromkeys(targets, 0)
+    queue = list(dist)
+    for u in queue:
+        for w in topology.adjacency[u]:
+            if w not in dist and w not in avoid:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    paths: list[tuple[int, ...]] = []
+    stack = [(source, (source,))] if source in dist else []
+    while stack and len(paths) < limit:
+        u, path = stack.pop()
+        if dist[u] == 0:
+            paths.append(path)
+            continue
+        # Push in reverse order so the smallest next node is explored first.
+        for w in sorted(topology.adjacency[u], reverse=True):
+            if dist.get(w, -1) == dist[u] - 1:
+                stack.append((w, path + (w,)))
+    return paths
+
+
 class _FlowNet:
     """Unit-capacity max-flow network (Dinic); each augmenting path pushes one unit."""
 
@@ -387,8 +413,8 @@ def disjoint_paths(
     many exist.  Computed as a unit-capacity flow on the node-split digraph,
     with each forbidden node's split arc closed and each target feeding a
     super-sink, built from the sorted edges and targets so that the paths
-    depend only on the topology value.  With ``limit=1`` the path is a shortest
-    one, since Dinic's first phase follows BFS levels.
+    depend only on the topology value.  CSP witnesses take two; a CAP witness
+    needs one shortest path, which :func:`_shortest_paths` finds without a network.
     """
     topology._check_node(source)
     target_set = topology._check_nodes(targets)

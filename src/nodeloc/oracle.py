@@ -44,6 +44,14 @@ up, and twins of one size strand at that size.  So k-identifiability fails
 exactly when J < k or level k holds twins, and the maximum is sigma without
 a J, else J - 1 or J as level J does or does not hold twins.
 
+The paper's abstract conditions reduce to these answers.  Its sufficient
+condition, every non-monitor measurable under every set of at most k
+failures, is "no J, or J > k".  Its necessary condition, every residual
+network (V' of fewer than k non-monitors deleted with the probes through
+it) staying (k - |V'|)-identifiable, is k-identifiability: V' = {} asks it,
+and residual twins F1, F2 lift to the twins F1 | V', F2 | V', as the probes
+through V' read down under both and the rest read as in the residual network.
+
 J is read off thresholds the package computes without sweeping.  Let H be
 the auxiliary graph that deletes the monitors, adds a virtual monitor x
 joined to their non-monitor neighbours, and joins those into a clique;
@@ -117,6 +125,7 @@ from .graph import (
     _check_k,
     _connected_to_monitors,
     _plain_int,
+    _shortest_paths,
     disjoint_paths,
 )
 
@@ -200,9 +209,10 @@ def find_measurable_path(
 ) -> tuple[int, ...] | int | None:
     """A concrete probe through ``v`` avoiding ``avoid``, or None.
 
-    A path id for UP; for CAP/CSP a walk from one flow query for ``need``
-    disjoint paths from ``v`` to monitors, fixed by the topology value: one
-    for CAP, walked out and back (a shortest walk), two for CSP, joined at v.
+    A path id for UP; for CAP/CSP a walk fixed by the topology value: for CAP
+    the first shortest path to a monitor (``graph._shortest_paths``, no flow)
+    walked out and back, for CSP two disjoint paths to monitors from one flow
+    query (:func:`disjoint_paths`), joined at v.
     """
     _check_model(topology, model)
     avoid_set = _check_failure_set(topology, avoid)
@@ -216,11 +226,9 @@ def find_measurable_path(
             if avoid_set.isdisjoint(model.ensemble.paths[pid]):
                 return pid
         return None
-    need = 1 if model.kind == "CAP" else 2
-    paths = disjoint_paths(topology, v, topology.monitors, avoid_set, limit=need)
-    if len(paths) < need:
-        return None
-    return tuple(reversed(paths[0])) + paths[-1][1:]
+    need, search = (1, _shortest_paths) if model.kind == "CAP" else (2, disjoint_paths)
+    paths = search(topology, v, topology.monitors, avoid_set, need)
+    return tuple(reversed(paths[0])) + paths[-1][1:] if len(paths) == need else None
 
 
 def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> frozenset[int]:
@@ -236,23 +244,6 @@ def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> fr
     incidence = model.ensemble.incidence
     down = set().union(*(incidence[v] for v in failure))
     return frozenset(v for v in topology.non_monitors if not incidence[v] <= down)
-
-
-def abstract_sufficient(
-    topology: Topology, model: ProbingModel, k: int, guard: int = DEFAULT_GUARD
-) -> bool:
-    """Every node stays measurable under every failure set of size at most k.
-
-    This is the sufficient condition; it implies k-identifiability directly
-    (the surviving probe separates any two candidate sets differing at that
-    node).  It holds exactly when k is below the stranding level J (see the
-    module docstring), so it sweeps no failure set.
-    """
-    _check_model(topology, model)
-    _check_k(topology, k)
-    _check_guard(topology, guard)
-    low = _stranding_level(topology, model)
-    return low is None or low > k
 
 
 def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
@@ -368,22 +359,6 @@ def max_identifiability(
     if model.kind == "CAP":
         return low
     return low - 1 if _first_collision(topology, model, range(low, low + 1)) else low
-
-
-def abstract_necessary(
-    topology: Topology, model: ProbingModel, k: int, guard: int = DEFAULT_GUARD
-) -> bool:
-    """Identifiability must survive conditioning on any smaller failure set.
-
-    For every non-monitor set V' with fewer than k members, the residual
-    network (V' deleted, probes intersecting V' dropped) must still be
-    (k - |V'|)-identifiable.  That is k-identifiability itself: V' = {} asks
-    exactly it, and twins F1, F2 of a residual network (equal observations
-    with V' deleted) lift to the twins F1 | V', F2 | V' of the whole network,
-    since probes through V' read down on both sides and every other probe
-    reads as it did in the residual network.
-    """
-    return k_identifiable(topology, model, k, guard=guard)[0]
 
 
 def localize(

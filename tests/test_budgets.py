@@ -17,7 +17,6 @@ from nodeloc.graph import Topology, disjoint_paths
 from nodeloc.oracle import (
     CAP,
     CSP,
-    abstract_sufficient,
     k_identifiable,
     localize,
     simulate_measurements,
@@ -43,7 +42,6 @@ def test_failure_budget(k):
     for call in (
         lambda: k_identifiable(STAR, CAP, k),
         lambda: k_identifiable(STAR, CSP, k),
-        lambda: abstract_sufficient(STAR, CAP, k),
     ):
         with pytest.raises(InputError, match="must be an integer"):
             call()

@@ -12,14 +12,12 @@ import pytest
 from nodeloc.ensemble import build_ensemble
 from nodeloc.errors import CapacityError, FormatError, InputError
 from nodeloc.generate import barabasi_albert, erdos_renyi, generate_paths, grid
-from nodeloc.graph import Topology, monitor_connectivity
+from nodeloc.graph import Topology, disjoint_paths, monitor_connectivity
 from nodeloc.oracle import (
     CAP,
     CSP,
     DistinguishingPath,
     IndistinguishablePair,
-    abstract_necessary,
-    abstract_sufficient,
     distinguishable,
     find_measurable_path,
     k_identifiable,
@@ -35,10 +33,11 @@ from bruteforce import (
     all_failure_sets,
     brute_component_condition,
     brute_observations,
+    reference_abstract_necessary,
     restrict,
     simple_monitor_path_through,
 )
-from test_oracle_levels import _count_sweeps
+from test_oracle_levels import _count_sweeps, _sufficient
 
 PATH4 = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
 PATH3 = Topology(3, [(0, 1), (1, 2)], [0, 2])
@@ -216,23 +215,28 @@ class TestMaxIdentifiability:
 
 
 class TestAbstractConditions:
+    """The sufficient condition read as "no J, or J > k", and the necessary
+    one, as ``bruteforce`` defines it, against ``k_identifiable``."""
+
     def test_star_fully_sufficient(self):
-        assert abstract_sufficient(STAR, CAP, STAR.sigma)
+        assert _sufficient(STAR, CAP, STAR.sigma)
 
     def test_ring_trap(self):
-        assert abstract_sufficient(RING, CAP, 1)
-        assert not abstract_sufficient(RING, CAP, 2)
+        assert _sufficient(RING, CAP, 1)
+        assert not _sufficient(RING, CAP, 2)
 
     def test_necessary_reduces_to_oracle_at_k1(self):
         ok, _ = k_identifiable(RING, CAP, 1)
-        assert abstract_necessary(RING, CAP, 1) == ok
+        assert reference_abstract_necessary(RING, CAP, 1, 7) == ok
 
     def test_ring_necessary_fails_at_3(self):
-        assert not abstract_necessary(RING, CAP, 3)
+        assert not reference_abstract_necessary(RING, CAP, 3, 7)
+        assert not k_identifiable(RING, CAP, 3)[0]
 
     def test_star_necessary_everywhere(self):
         for k in range(STAR.sigma + 1):
-            assert abstract_necessary(STAR, CAP, k)
+            assert reference_abstract_necessary(STAR, CAP, k, 7)
+            assert k_identifiable(STAR, CAP, k)[0]
 
     def test_abstract_condition_soundness_on_corpus(self, corpus):
         for doc in corpus[:30]:
@@ -240,10 +244,10 @@ class TestAbstractConditions:
             for model in (CAP, CSP):
                 for k in range(topo.sigma + 1):
                     ok, _ = k_identifiable(topo, model, k)
-                    if abstract_sufficient(topo, model, k):
+                    if _sufficient(topo, model, k):
                         assert ok, (doc, model.kind, k)
                     if ok:
-                        assert abstract_necessary(topo, model, k), (doc, model.kind, k)
+                        assert reference_abstract_necessary(topo, model, k, 7), (doc, model.kind, k)
 
 
 class TestRestrict:
@@ -360,13 +364,13 @@ class TestComponentCondition:
 
     def test_path_all_small_sets(self):
         assert brute_component_condition(PATH4, 2)
-        assert abstract_sufficient(PATH4, CAP, 2)
+        assert _sufficient(PATH4, CAP, 2)
 
     def test_ring_trap_found(self):
         assert brute_component_condition(RING, 1)
         assert not brute_component_condition(RING, 2)
-        assert abstract_sufficient(RING, CAP, 1)
-        assert not abstract_sufficient(RING, CAP, 2)
+        assert _sufficient(RING, CAP, 1)
+        assert not _sufficient(RING, CAP, 2)
 
     def test_with_specific_monitor(self):
         # deleting m2 and one non-monitor may strand the far node
@@ -406,6 +410,37 @@ class TestCapWalksAddNothing:
                             assert all(b in topo.adjacency[a] for a, b in zip(walk, walk[1:]))
                             assert not set(walk[1:-1]) & topo.monitors
                             assert len(walk) == 2 * _monitor_distance(topo, v, avoid) + 1
+
+    def test_walk_is_the_flow_reference_walk(self, corpus):
+        # The BFS walk equals the first flow path from v to the monitors walked
+        # out and back: Dinic's first phase also takes the lexicographically
+        # first shortest path.
+        from itertools import combinations
+
+        bad, compared = [], 0
+        for doc in corpus:
+            topo = doc.to_topology()
+            pool = sorted(topo.non_monitors)
+            for v in pool:
+                others = [w for w in pool if w != v]
+                for size in range(min(2, len(others)) + 1):
+                    for avoid in combinations(others, size):
+                        p = disjoint_paths(topo, v, topo.monitors, avoid, limit=1)
+                        want = tuple(reversed(p[0])) + p[0][1:] if p else None
+                        compared += want is not None
+                        if find_measurable_path(topo, CAP, v, avoid) != want:
+                            bad.append((doc, v, avoid, want))
+        assert bad == [] and compared > 10_000
+
+    def test_cap_witness_builds_no_flow_network(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a flow network was built")
+
+        monkeypatch.setattr("nodeloc.graph._split_flow_net", refuse)
+        with pytest.raises(AssertionError, match="flow network"):
+            find_measurable_path(PATH3, CSP, 1)
+        assert find_measurable_path(PATH4, CAP, 2, {1}) == (3, 2, 3)
+        assert distinguishable(RING, CAP, {1}, {2}) == (True, DistinguishingPath(walk=(0, 3, 2, 3, 0)))
 
 
 def _monitor_distance(topo, v, avoid) -> int:
@@ -672,6 +707,6 @@ class TestAbstractSufficientPerFailureSet:
             measurable: dict = {}
             for k in range(topo.sigma + 1):
                 want = _literal_sufficient(topo, model, k, measurable)
-                assert abstract_sufficient(topo, model, k) == want, (topo, model.kind, k)
+                assert _sufficient(topo, model, k) == want, (topo, model.kind, k)
                 outcomes.add((model.kind, want))
         assert outcomes == {(kind, ok) for kind in ("CAP", "CSP", "UP") for ok in (True, False)}

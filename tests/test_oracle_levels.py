@@ -1,8 +1,9 @@
 """The oracle's stranding-level answers against every failure set.
 
-``max_identifiability``, ``k_identifiable`` and ``abstract_sufficient`` read
-the stranding level J off d, dm or delta and sweep at most two levels of
-failure sets (sets of one size); a CAP maximum or verdict sweeps none, and a
+``max_identifiability`` and ``k_identifiable`` read the stranding level J
+off d, dm or delta, as does the paper's sufficient condition ("no J, or J >
+k", ``_sufficient``), and sweep at most two levels of failure sets (sets of
+one size); a CAP maximum or verdict sweeps none, and a
 CAP ``k_identifiable`` above d sweeps levels d and d + 1 for its twin pair
 alone.  The references in ``bruteforce`` sweep every set up to the budget,
 and share no code with the connectivities.
@@ -29,8 +30,6 @@ from nodeloc.oracle import (
     CAP,
     CSP,
     IndistinguishablePair,
-    abstract_necessary,
-    abstract_sufficient,
     distinguishable,
     find_measurable_path,
     k_identifiable,
@@ -50,6 +49,13 @@ from bruteforce import (
 )
 from conftest import _seeded_monitor_walks, count_cover_searches, count_threshold_reads, count_walks
 from test_conditions import CSP_BEYOND_GUARD
+
+
+def _sufficient(topo, model, k) -> bool:
+    """The sufficient condition, every non-monitor measurable under every set
+    of at most k failures, as the oracle reads it: no J, or J > k."""
+    level = oracle._stranding_level(topo, model)
+    return level is None or level > k
 
 
 def _reference(topo, model):
@@ -72,7 +78,7 @@ def _mismatches(topo, model, guard):
         want = (True, None) if k < first else (False, IndistinguishablePair(*pair))
         if k_identifiable(topo, model, k, guard=guard) != want:
             out.append(("k", k, want))
-        if abstract_sufficient(topo, model, k, guard=guard) != (trap is None or k < trap):
+        if _sufficient(topo, model, k) != (trap is None or k < trap):
             out.append(("sufficient", k))
     return out
 
@@ -110,7 +116,7 @@ class TestAgainstEveryFailureSet:
             topo = doc.to_topology()
             sigma = topo.sigma
             for s in range(sigma + 1):
-                merged = abstract_sufficient(topo, CAP, s)
+                merged = _sufficient(topo, CAP, s)
                 if merged != brute_component_condition(topo, s):
                     bad.append((doc, None, s))
                 every = merged
@@ -221,7 +227,7 @@ class TestStrandingLevel:
         assert oracle._stranding_level(NO_NON_MONITOR, model) is None
         assert max_identifiability(NO_NON_MONITOR, model) == 0
         assert k_identifiable(NO_NON_MONITOR, model, 0) == (True, None)
-        assert abstract_sufficient(NO_NON_MONITOR, model, 0)
+        assert _sufficient(NO_NON_MONITOR, model, 0)
 
 
 class TestCapMaximum:
@@ -284,8 +290,8 @@ class TestCapMaximum:
 
 
 class TestNecessaryIsIdentifiability:
-    """``abstract_necessary`` answers from the whole network alone; the
-    reference conditions on every smaller deleted set."""
+    """The necessary condition is ``k_identifiable``, which answers from the
+    whole network alone; the reference conditions on every smaller deleted set."""
 
     def test_cap_and_csp_corpus(self, corpus):
         bad = []
@@ -296,7 +302,7 @@ class TestNecessaryIsIdentifiability:
                 for k in range(topo.sigma + 1):
                     want = reference_abstract_necessary(topo, model, k, 7)
                     outcomes.add(want)
-                    if abstract_necessary(topo, model, k) != want:
+                    if k_identifiable(topo, model, k)[0] != want:
                         bad.append((doc, model.kind, k, want))
         assert bad == [] and outcomes == {True, False}
 
@@ -309,7 +315,7 @@ class TestNecessaryIsIdentifiability:
             for k in range(topo.sigma + 1):
                 want = reference_abstract_necessary(topo, model, k, 7)
                 outcomes.add(want)
-                if abstract_necessary(topo, model, k) != want:
+                if k_identifiable(topo, model, k)[0] != want:
                     bad.append((doc, k, want))
         assert bad == [] and outcomes == {True, False}
 
@@ -397,7 +403,7 @@ class TestSweepCounts:
         outcomes = set()
         for model in (CAP, CSP):
             for k in range(topo.sigma + 1):
-                outcomes.add(abstract_sufficient(topo, model, k, guard=10))
+                outcomes.add(_sufficient(topo, model, k))
         assert outcomes == {True, False} and calls == []
 
     @pytest.mark.parametrize("kind, found", [("CAP", (2, 4)), ("CSP", (176, 56)), ("UP", (176, 56))])
@@ -533,7 +539,7 @@ class TestThresholdReads:
         for call in (
             lambda: max_identifiability(topo, model, guard=10),
             lambda: k_identifiable(topo, model, level, guard=10),
-            lambda: abstract_sufficient(topo, model, level, guard=10),
+            lambda: _sufficient(topo, model, level),
         ):
             call()
         # Three UP answers search each of the 10 non-monitors once in all.

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "Identifiability", "IdentifiabilityBounds", "IndistinguishablePair", "InputError",
     "InternalError", "NodelocError", "PathEnsemble",
     "ProbingModel", "Topology", "TopologyDocument", "UsageError",
-    "Verdict", "Witness", "abstract_necessary", "abstract_sufficient", "analyze",
+    "Verdict", "Witness", "analyze",
     "barabasi_albert", "build_ensemble", "cap_bounds",
     "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
     "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
@@ -43,7 +43,6 @@ PARAMETERS = {
     "disjoint_paths": [
         ("topology", None), ("source", None), ("targets", None), ("forbidden", ()), ("limit", None)
     ],
-    "abstract_necessary": [("topology", None), ("model", None), ("k", None), ("guard", 7)],
     "monitor_connectivity": [("topology", None), ("left_out", None)],
     "min_cover_size": [("ensemble", None), ("v", None)],
     "cover_profile": [("ensemble", None)],
@@ -61,7 +60,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 60
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
