@@ -8,16 +8,11 @@ from nodeloc import (
     CAP,
     CSP,
     Topology,
-    cap_bounds,
-    cap_verdicts,
-    csp_bounds,
-    csp_verdicts,
     build_ensemble,
     cover_profile,
     max_identifiability,
-    up_bounds,
     up_model,
-    up_verdicts,
+    verdict_table,
 )
 
 CASES = {
@@ -39,10 +34,8 @@ def main() -> None:
     for name, topo in CASES.items():
         print(f"\n{name}  (monitors {sorted(topo.monitors)}, sigma {topo.sigma})")
         print("=" * 60)
-        show_table("arbitrary walks (CAP)", cap_verdicts(topo), cap_bounds(topo),
-                   max_identifiability(topo, CAP))
-        show_table("simple paths (CSP)", csp_verdicts(topo), csp_bounds(topo),
-                   max_identifiability(topo, CSP))
+        show_table("arbitrary walks (CAP)", *verdict_table(topo, CAP), max_identifiability(topo, CAP))
+        show_table("simple paths (CSP)", *verdict_table(topo, CSP), max_identifiability(topo, CSP))
 
     print("\nfixed two-path ensemble on the diamond m1-v1-m2 / m1-v1-v2-m2")
     print("=" * 60)
@@ -50,12 +43,8 @@ def main() -> None:
     ensemble = build_ensemble(diamond, [(0, 1, 3), (0, 1, 2, 3)])
     profile = cover_profile(ensemble)
     print(f"  cover sizes: {profile.cover_sizes}  (min {profile.min_cover})")
-    show_table(
-        "uncontrollable probing (UP)",
-        up_verdicts(profile),
-        up_bounds(profile),
-        max_identifiability(diamond, up_model(ensemble)),
-    )
+    up = up_model(ensemble)
+    show_table("uncontrollable probing (UP)", *verdict_table(diamond, up), max_identifiability(diamond, up))
     print("""
   Reading the UP table: node v1 sits on every path, so no other node can
   hide it (cover size infinite), but v2's single path is already covered

@@ -8,17 +8,17 @@ survey tallies how often the window is tight at its top or bottom.
 
 from collections import Counter
 
-from nodeloc import CAP, CSP, cap_bounds, csp_bounds, max_identifiability
+from nodeloc import CAP, CSP, max_identifiability, verdict_table
 from nodeloc.generate import erdos_renyi
 
 
-def survey(model_name, bounds_fn, model, count=200):
+def survey(model_name, model, count=200):
     tallies = Counter()
     for i in range(count):
         doc = erdos_renyi(4 + i % 5, (0.3, 0.5, 0.7)[i % 3], seed=i, monitors=1 + i % 3)
         topo = doc.to_topology()
         omega = max_identifiability(topo, model)
-        b = bounds_fn(topo)
+        b = verdict_table(topo, model)[1]
         assert b.lower <= omega <= b.upper, "bound violation"
         if not b.applicable:
             if b.lower == b.upper:
@@ -37,8 +37,8 @@ def survey(model_name, bounds_fn, model, count=200):
 
 
 def main() -> None:
-    survey("arbitrary walks (CAP)", cap_bounds, CAP)
-    survey("simple paths (CSP)", csp_bounds, CSP)
+    survey("arbitrary walks (CAP)", CAP)
+    survey("simple paths (CSP)", CSP)
     print("""
 Every instance satisfied lower <= truth <= upper; the interesting split is
 how often the window needed the brute-force engine to resolve its one-unit

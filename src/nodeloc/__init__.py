@@ -14,17 +14,7 @@ Polynomial-time sufficient/necessary conditions live in
 sweeps of at most two levels of failure sets, in :mod:`nodeloc.oracle`.
 """
 
-from .conditions import (
-    Identifiability,
-    IdentifiabilityBounds,
-    Verdict,
-    cap_bounds,
-    cap_verdicts,
-    csp_bounds,
-    csp_verdicts,
-    up_bounds,
-    up_verdicts,
-)
+from .conditions import Identifiability, IdentifiabilityBounds, Verdict, verdict_table
 from .ensemble import (
     INFINITE_COVER,
     CoverProfile,

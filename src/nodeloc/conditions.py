@@ -15,10 +15,11 @@ sigma - 1 (CAP) or sigma - 2 (CSP), every exact rule refutes, so the span is
 [T - 1, T] floored at 0, the window the paper states; past it the bounds
 carry a guard note.
 d and dm are vertex connectivities of auxiliary graphs, with the monitors
-merged into one virtual monitor (d) or all but one of them (dm); every
-public CAP/CSP function is a view of :func:`controllable_table`, which reads
-them off the topology value (dm given d, under graph's cap rule), computed
-once per value in :mod:`~nodeloc.graph`, and builds no auxiliary graph.
+merged into one virtual monitor (d) or all but one of them (dm).  The one
+public builder, :func:`verdict_table`, takes a probing model as the oracle
+does and reads d and dm (dm given d, under graph's cap rule) off the topology
+value, which computes each once without an auxiliary graph, and delta off
+the ensemble value, which searches each node's cover once.
 
 T is also the oracle's stranding level J: CAP J = d when d < sigma, CSP
 J = max(T, 0) unless d = dm = sigma, and UP J = delta; otherwise there is no
@@ -28,11 +29,12 @@ docstring holds the proofs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .ensemble import CoverProfile
-from .errors import InternalError
+from .ensemble import cover_profile
+from .errors import InputError, InternalError
 from .graph import Topology
 
 
@@ -113,104 +115,52 @@ def _bounds(verdicts: tuple[Verdict, ...], note: str) -> IdentifiabilityBounds:
     return IdentifiabilityBounds(lower, upper, lower if lower == upper else None, not note, note)
 
 
-# ---------------------------------------------------------------------------
-# Controllable probing: CAP and CSP
-# ---------------------------------------------------------------------------
+def verdict_table(topology: Topology, model) -> tuple[tuple[Verdict, ...], IdentifiabilityBounds]:
+    """Verdicts for k = 0..sigma under ``model``, ``CAP``, ``CSP`` or
+    ``up_model(ensemble)`` as for ``max_identifiability``, and their span.
 
-
-def cap_verdicts(topology: Topology) -> tuple[Verdict, ...]:
-    """Verdicts for every k from 0 to the number of non-monitors."""
-    # Without a non-monitor only k = 0 exists, and no auxiliary graph does.
-    return controllable_table(topology, "CAP")[0] if topology.sigma else (_TRIVIAL,)
-
-
-def cap_bounds(topology: Topology) -> IdentifiabilityBounds:
-    """Maximum-identifiability bounds under arbitrary-path probing.
-
-    The span of :func:`cap_verdicts`.  While the merged-graph connectivity d
-    stays below the non-monitor count that is [d-1, d], the paper's window;
-    otherwise the merged graph is complete and the exact full-budget rule
-    pins the maximum at sigma.
+    Without a non-monitor the table is k = 0 alone and the bounds are
+    [0, 0], as the oracle answers; no threshold is read.
     """
-    return controllable_table(topology, "CAP")[1]
-
-
-def csp_verdicts(topology: Topology) -> tuple[Verdict, ...]:
-    return controllable_table(topology, "CSP")[0] if topology.sigma else (_TRIVIAL,)
-
-
-def csp_bounds(topology: Topology) -> IdentifiabilityBounds:
-    """Maximum-identifiability bounds under simple-path probing.
-
-    The span of :func:`csp_verdicts`.  While T = min(d - 1, dm) is at most
-    sigma - 2 that is [T - 1, T], the paper's window; past it the two exact
-    edge rules settle the bounds.
-    """
-    return controllable_table(topology, "CSP")[1]
-
-
-def controllable_table(
-    topology: Topology, kind: str
-) -> tuple[tuple[Verdict, ...], IdentifiabilityBounds]:
-    """Verdict table and bounds of the regime ``kind``, CAP or CSP.
-
-    The one builder behind every CAP and CSP function.  Both regimes read
-    the merged graph's connectivity d, computed once per topology value; CSP
-    adds dm, the least of the m leave-one-out connectivities, read given d
-    under the cap rule of ``graph._leave_one_out_connectivity``.
-    """
-    sigma, d = topology.sigma, topology._d
-    if kind == "CAP":
+    kind, ensemble, sigma = model.kind, model.ensemble, topology.sigma
+    if kind == "UP" and ensemble.topology != topology:
+        raise InputError("the UP ensemble was built for a different topology")
+    exact: dict[int, tuple[bool, str]] = {}
+    top, claim = math.inf, ""  # the precondition T <= top, and T as the note states it
+    if not sigma:
+        threshold, rationale = 0, ""
+    elif kind == "UP":  # no exact rules and no precondition
+        threshold, rationale = cover_profile(ensemble).min_cover, "cover-size-threshold"
+    elif kind == "CAP":
+        d = topology._d
         # Exact at the full budget: 1-hop probing reaches a node iff it has
         # a monitor neighbor, and nothing else survives to help.  Every
         # non-monitor has one exactly when the merged graph is complete,
         # which is when d = sigma; otherwise d <= sigma - 1.
-        adjacent = d == sigma
-        exact = {sigma: (adjacent, "full-budget-monitor-adjacency")}
-        verdicts = _table(sigma, d, exact, "merged-graph-connectivity")
-        note = (
-            f"merged-graph connectivity {d} exceeds sigma-1={sigma - 1}; "
-            "the connectivity bound is stated only below that threshold"
-        ) if d > sigma - 1 else ""
-        return verdicts, _bounds(verdicts, note)
-    # Weakly covered: non-monitors with fewer than two monitor neighbors.
-    weak = topology.non_monitors - topology._bordering_two
-    # Exact one short of the full budget: at most one weakly covered
-    # node, and that node must border one monitor and be reachable around
-    # any failure pattern through its own neighborhood.
-    near_full = not weak or (
-        len(weak) == 1
-        and weak <= topology._bordering_one
-        and topology.non_monitors - weak <= topology.adjacency[min(weak)]
-    )
-    dm = topology._dm
-    # Exact at the full budget: cycle-free 2-hop probing needs two
-    # distinct monitor endpoints per node once every other non-monitor
-    # may be down.
-    exact = {
-        sigma: (not weak, "full-budget-two-monitor-adjacency"),
-        sigma - 1: (near_full, "near-full-budget-characterization"),
-    }
-    threshold = min(d - 1, dm)
-    verdicts = _table(sigma, threshold, exact, "merged-and-leave-one-out-connectivity")
+        exact[sigma] = d == sigma, "full-budget-monitor-adjacency"
+        threshold, rationale = d, "merged-graph-connectivity"
+        top, claim = sigma - 1, f"merged-graph connectivity {d}"
+    else:
+        d, dm = topology._d, topology._dm
+        # Weakly covered: non-monitors with fewer than two monitor neighbors.
+        weak = topology.non_monitors - topology._bordering_two
+        # Exact at the full budget: cycle-free 2-hop probing needs two
+        # distinct monitor endpoints per node once every other non-monitor
+        # may be down.  Exact one short of it: at most one weakly covered
+        # node, and that node must border one monitor and be reachable
+        # around any failure pattern through its own neighborhood.
+        near_full = not weak or (
+            len(weak) == 1
+            and weak <= topology._bordering_one
+            and topology.non_monitors - weak <= topology.adjacency[min(weak)]
+        )
+        exact[sigma] = not weak, "full-budget-two-monitor-adjacency"
+        exact[sigma - 1] = near_full, "near-full-budget-characterization"
+        threshold, rationale = min(d - 1, dm), "merged-and-leave-one-out-connectivity"
+        top, claim = sigma - 2, f"min(leave-one-out {dm}, merged-1 {d - 1})"
     note = (
-        f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds "
-        f"sigma-2={sigma - 2}; the connectivity bound is stated only below that threshold"
-    ) if threshold > sigma - 2 else ""
+        f"{claim} exceeds sigma-{sigma - top}={top}; "
+        "the connectivity bound is stated only below that threshold"
+    ) if threshold > top else ""
+    verdicts = _table(sigma, threshold, exact, rationale)
     return verdicts, _bounds(verdicts, note)
-
-
-# ---------------------------------------------------------------------------
-# Uncontrollable probing
-# ---------------------------------------------------------------------------
-
-
-def up_verdicts(profile: CoverProfile) -> tuple[Verdict, ...]:
-    return _table(len(profile.cover_sizes), profile.min_cover, {}, "cover-size-threshold")
-
-
-def up_bounds(profile: CoverProfile) -> IdentifiabilityBounds:
-    """Maximum-identifiability bounds under a fixed path ensemble: the span
-    of :func:`up_verdicts`, which is the paper's window [delta - 1, delta]
-    for a finite minimum cover size delta and [sigma, sigma] otherwise."""
-    return _bounds(up_verdicts(profile), "")

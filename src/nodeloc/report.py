@@ -17,14 +17,7 @@ from dataclasses import asdict
 from typing import Any, Callable, Mapping
 
 from ._version import __version__
-from .conditions import (
-    Identifiability,
-    IdentifiabilityBounds,
-    Verdict,
-    controllable_table,
-    up_bounds,
-    up_verdicts,
-)
+from .conditions import Identifiability, IdentifiabilityBounds, Verdict, verdict_table
 from .document import _WORDS, TopologyDocument, _array, _dump_json, _layout, _load_json, _quote, emit_topology
 from .ensemble import cover_profile
 from .errors import FormatError, InternalError, UsageError
@@ -95,11 +88,9 @@ def analyze(
         if kind not in chosen:
             continue
         model = chosen[kind]
+        # The profile first: its search fills the ensemble's memo, which the table then reads.
         profile = cover_profile(model.ensemble) if kind == "UP" else None
-        if profile is None:
-            verdicts, bounds = controllable_table(topology, kind)
-        else:
-            verdicts, bounds = up_verdicts(profile), up_bounds(profile)
+        verdicts, bounds = verdict_table(topology, model)
         verdicts = verdicts[lo : hi + 1]
         oracle_max = max_identifiability(topology, model, guard=guard) if oracle else None
         _validate_section(kind, verdicts, bounds, oracle_max, lo)

@@ -15,16 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from nodeloc.conditions import (
-    cap_bounds,
-    cap_verdicts,
-    csp_bounds,
-    csp_verdicts,
-    up_bounds,
-    up_verdicts,
-)
+from nodeloc.conditions import verdict_table
 from nodeloc.document import parse_topology
-from nodeloc.ensemble import cover_profile, min_cover_size
+from nodeloc.ensemble import min_cover_size
 from nodeloc.graph import monitor_connectivity
 from nodeloc.oracle import CAP, CSP, localize, simulate_measurements, up_model
 from nodeloc.report import analyze, emit_report
@@ -84,7 +77,7 @@ def test_criterion_1_cap_condition_sandwich(corpus, cap_oracle):
     violations = []
     for doc, omega in zip(corpus, cap_oracle):
         topo = doc.to_topology()
-        for k, verdict in enumerate(cap_verdicts(topo)):
+        for k, verdict in enumerate(verdict_table(topo, CAP)[0]):
             oracle_ok = k <= omega
             if verdict.sufficient_holds and not oracle_ok:
                 violations.append(("sufficient-not-identifiable", doc, k))
@@ -98,7 +91,7 @@ def test_criterion_2_csp_condition_sandwich(corpus, csp_oracle):
     violations = []
     for doc, omega in zip(corpus, csp_oracle):
         topo = doc.to_topology()
-        for k, verdict in enumerate(csp_verdicts(topo)):
+        for k, verdict in enumerate(verdict_table(topo, CSP)[0]):
             oracle_ok = k <= omega
             if verdict.sufficient_holds and not oracle_ok:
                 violations.append(("sufficient-not-identifiable", doc, k))
@@ -111,8 +104,7 @@ def test_criterion_3_up_condition_sandwich(up_instances):
     started = time.monotonic()
     violations = []
     for doc, topo, model, omega in up_instances:
-        profile = cover_profile(model.ensemble)
-        for k, verdict in enumerate(up_verdicts(profile)):
+        for k, verdict in enumerate(verdict_table(topo, model)[0]):
             oracle_ok = k <= omega
             if verdict.sufficient_holds and not oracle_ok:
                 violations.append(("sufficient-not-identifiable", doc, k))
@@ -174,18 +166,18 @@ def test_criterion_6_bound_sandwiches(corpus, up_instances, cap_oracle, csp_orac
     violations = []
     for doc, omega_cap, omega_csp in zip(corpus, cap_oracle, csp_oracle):
         topo = doc.to_topology()
-        b = cap_bounds(topo)
+        b = verdict_table(topo, CAP)[1]
         if b.applicable and not b.lower <= omega_cap <= b.upper:
             violations.append(("cap", doc, omega_cap, b))
         if b.applicable and b.upper - b.lower > 1:
             violations.append(("cap-width", doc, b))
-        b = csp_bounds(topo)
+        b = verdict_table(topo, CSP)[1]
         if b.applicable and not b.lower <= omega_csp <= b.upper:
             violations.append(("csp", doc, omega_csp, b))
         if b.applicable and b.upper - b.lower > 1:
             violations.append(("csp-width", doc, b))
     for doc, topo, model, omega in up_instances:
-        b = up_bounds(cover_profile(model.ensemble))
+        b = verdict_table(topo, model)[1]
         if not b.lower <= omega <= b.upper:
             violations.append(("up", doc, omega, b))
     _report("6 bound sandwiches", violations)

@@ -8,21 +8,12 @@ from collections import Counter
 import pytest
 
 import nodeloc.oracle as oracle
-from nodeloc.conditions import (
-    Identifiability,
-    IdentifiabilityBounds,
-    cap_bounds,
-    cap_verdicts,
-    csp_bounds,
-    csp_verdicts,
-    up_bounds,
-    up_verdicts,
-)
+from nodeloc.conditions import Identifiability, IdentifiabilityBounds, verdict_table
 from nodeloc.ensemble import build_ensemble, cover_profile
 from nodeloc.errors import InputError
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 from nodeloc.graph import Topology, _leave_one_out_connectivity, monitor_connectivity
-from nodeloc.oracle import CAP, CSP, max_identifiability
+from nodeloc.oracle import CAP, CSP, max_identifiability, up_model
 
 from bruteforce import (
     brute_observations,
@@ -40,110 +31,113 @@ RING = Topology(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0])
 DIAMOND = Topology(4, [(0, 1), (1, 3), (1, 2), (2, 3)], [0, 3])
 
 
-def diamond_profile():
-    return cover_profile(build_ensemble(DIAMOND, [(0, 1, 3), (0, 1, 2, 3)]))
+def up_table(topology, paths):
+    """The UP verdict table and bounds of ``paths`` on ``topology``."""
+    return verdict_table(topology, up_model(build_ensemble(topology, paths)))
+
+
+def diamond_table():
+    return up_table(DIAMOND, [(0, 1, 3), (0, 1, 2, 3)])
 
 
 class TestCapVerdict:
     def test_k_zero_trivial(self):
-        v = cap_verdicts(RING)[0]
+        v = verdict_table(RING, CAP)[0][0]
         assert v.value is Identifiability.IDENTIFIABLE
         assert v.rationale == "empty-failure-set"
 
     def test_full_budget_monitor_adjacency(self):
-        assert cap_verdicts(PATH4)[2].value is Identifiability.IDENTIFIABLE
+        assert verdict_table(PATH4, CAP)[0][2].value is Identifiability.IDENTIFIABLE
 
     def test_full_budget_fails_without_adjacency(self):
-        assert cap_verdicts(RING)[3].value is Identifiability.NOT_IDENTIFIABLE
+        assert verdict_table(RING, CAP)[0][3].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_connectivity_steps_on_ring(self):
         # merged graph of the single-monitor ring has connectivity 2
-        assert cap_verdicts(RING)[1].value is Identifiability.IDENTIFIABLE
-        assert cap_verdicts(RING)[2].value is Identifiability.INDETERMINATE
+        assert verdict_table(RING, CAP)[0][1].value is Identifiability.IDENTIFIABLE
+        assert verdict_table(RING, CAP)[0][2].value is Identifiability.INDETERMINATE
 
 
 class TestCspVerdict:
     def test_two_monitor_neighbors_at_full_budget(self):
-        assert csp_verdicts(PATH3)[1].value is Identifiability.IDENTIFIABLE
+        assert verdict_table(PATH3, CSP)[0][1].value is Identifiability.IDENTIFIABLE
 
     def test_single_monitor_star_fails(self):
-        assert csp_verdicts(STAR)[3].value is Identifiability.NOT_IDENTIFIABLE
+        assert verdict_table(STAR, CSP)[0][3].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_near_full_characterization_clause_two(self):
         # v1 touches both monitors; v2 touches one monitor and v1
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (1, 2)], [0, 3])
         assert len(t.adjacency[1] & t.monitors) == 2
         assert len(t.adjacency[2] & t.monitors) == 1
-        assert csp_verdicts(t)[1].value is Identifiability.IDENTIFIABLE
+        assert verdict_table(t, CSP)[0][1].value is Identifiability.IDENTIFIABLE
 
     def test_near_full_fails_with_two_weak_nodes(self):
-        assert csp_verdicts(PATH4)[1].value is Identifiability.NOT_IDENTIFIABLE
+        assert verdict_table(PATH4, CSP)[0][1].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_formula_band(self):
         # two monitors, sigma 3: k=1 goes through the connectivity formulas;
         # merged connectivity 3 and both leave-one-out graphs 2-connected
         t = Topology(5, [(0, 1), (0, 2), (4, 1), (4, 3), (1, 2), (1, 3), (2, 3)], [0, 4])
-        verdict = csp_verdicts(t)[1]
+        verdict = verdict_table(t, CSP)[0][1]
         assert verdict.rationale == "merged-and-leave-one-out-connectivity"
         assert verdict.value is Identifiability.IDENTIFIABLE
 
 
 class TestUpVerdict:
     def test_running_example_indeterminate_at_one(self):
-        v = up_verdicts(diamond_profile())[1]
+        v = diamond_table()[0][1]
         assert v.value is Identifiability.INDETERMINATE
         assert not v.sufficient_holds and v.necessary_holds
 
     def test_all_infinite_cover(self):
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [0, 3])
-        profile = cover_profile(build_ensemble(t, [(0, 1, 3), (0, 2, 3)]))
+        verdicts = up_table(t, [(0, 1, 3), (0, 2, 3)])[0]
         for k in range(t.sigma + 1):
-            assert up_verdicts(profile)[k].value is Identifiability.IDENTIFIABLE
+            assert verdicts[k].value is Identifiability.IDENTIFIABLE
 
     def test_unobserved_node_kills_k1(self):
-        profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
-        assert up_verdicts(profile)[1].value is Identifiability.NOT_IDENTIFIABLE
+        assert up_table(DIAMOND, [(0, 1, 3)])[0][1].value is Identifiability.NOT_IDENTIFIABLE
 
     def test_k_zero_trivial(self):
-        profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
-        assert up_verdicts(profile)[0].value is Identifiability.IDENTIFIABLE
+        assert up_table(DIAMOND, [(0, 1, 3)])[0][0].value is Identifiability.IDENTIFIABLE
 
 
 class TestCapBounds:
     def test_single_monitor_ring_window(self):
-        b = cap_bounds(RING)
+        b = verdict_table(RING, CAP)[1]
         assert (b.lower, b.upper, b.applicable) == (1, 2, True)
 
     def test_guard_fail_falls_back_to_exact(self):
-        b = cap_bounds(PATH4)
+        b = verdict_table(PATH4, CAP)[1]
         assert not b.applicable and b.exact == 2
         assert "sigma-1" in b.guard_note
 
     def test_star_exact_sigma(self):
-        b = cap_bounds(STAR)
+        b = verdict_table(STAR, CAP)[1]
         assert b.exact == 3
 
 
 class TestCspBounds:
     def test_short_path_exact_via_two_neighbor_rule(self):
-        b = csp_bounds(PATH3)
+        b = verdict_table(PATH3, CSP)[1]
         assert not b.applicable and b.exact == 1
 
     def test_path4_scan_fallback(self):
-        b = csp_bounds(PATH4)
+        b = verdict_table(PATH4, CSP)[1]
         assert not b.applicable and (b.lower, b.upper) == (0, 0)
 
     def test_formula_window(self):
         # six-node path between two monitors: leave-one-out connectivity 1,
         # merged connectivity 2, sigma 4, so the guard holds
         t = Topology(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 5])
-        b = csp_bounds(t)
+        b = verdict_table(t, CSP)[1]
         assert b.applicable
         assert (b.lower, b.upper) == (0, 1)
 
     def test_near_full_exact_rule(self):
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (1, 2)], [0, 3])
-        b = csp_bounds(t)
+        b = verdict_table(t, CSP)[1]
         assert b.exact == t.sigma - 1
 
     def test_one_unit_window_from_both_connectivities(self):
@@ -156,24 +150,22 @@ class TestCspBounds:
             [(0, 1), (0, 2), (0, 3), (5, 1), (5, 2), (4, 1), (4, 2), (4, 3), (3, 1)],
             [0, 5],
         )
-        b = csp_bounds(t)
+        b = verdict_table(t, CSP)[1]
         assert b.applicable and (b.lower, b.upper) == (1, 2)
         assert b.lower <= max_identifiability(t, CSP) <= b.upper
 
 
 class TestUpBounds:
     def test_running_example_window(self):
-        b = up_bounds(diamond_profile())
+        b = diamond_table()[1]
         assert (b.lower, b.upper) == (0, 1)
 
     def test_infinite_cover_means_everything(self):
         t = Topology(4, [(0, 1), (1, 3), (0, 2), (2, 3)], [0, 3])
-        profile = cover_profile(build_ensemble(t, [(0, 1, 3), (0, 2, 3)]))
-        assert up_bounds(profile).exact == t.sigma
+        assert up_table(t, [(0, 1, 3), (0, 2, 3)])[1].exact == t.sigma
 
     def test_zero_cover_pins_zero(self):
-        profile = cover_profile(build_ensemble(DIAMOND, [(0, 1, 3)]))
-        b = up_bounds(profile)
+        b = up_table(DIAMOND, [(0, 1, 3)])[1]
         assert (b.lower, b.upper, b.exact) == (0, 0, 0)
 
 
@@ -181,7 +173,7 @@ class TestStructuralInvariants:
     def test_verdict_nesting_and_monotonicity(self, corpus):
         for doc in corpus[:80]:
             topo = doc.to_topology()
-            for table in (cap_verdicts(topo), csp_verdicts(topo)):
+            for table in (verdict_table(topo, CAP)[0], verdict_table(topo, CSP)[0]):
                 for earlier, later in zip(table, table[1:]):
                     assert not (later.sufficient_holds and not earlier.sufficient_holds)
                     assert not (later.necessary_holds and not earlier.necessary_holds)
@@ -191,8 +183,7 @@ class TestStructuralInvariants:
     def test_up_nesting(self, up_corpus):
         for doc in up_corpus[:60]:
             topo = doc.to_topology()
-            profile = cover_profile(doc.to_ensemble(topo))
-            table = up_verdicts(profile)
+            table = verdict_table(topo, up_model(doc.to_ensemble(topo)))[0]
             for earlier, later in zip(table, table[1:]):
                 assert not (later.sufficient_holds and not earlier.sufficient_holds)
                 assert not (later.necessary_holds and not earlier.necessary_holds)
@@ -200,7 +191,7 @@ class TestStructuralInvariants:
     def test_bounds_are_well_formed(self, corpus):
         for doc in corpus[:80]:
             topo = doc.to_topology()
-            for b in (cap_bounds(topo), csp_bounds(topo)):
+            for b in (verdict_table(topo, CAP)[1], verdict_table(topo, CSP)[1]):
                 assert 0 <= b.lower <= b.upper <= topo.sigma
                 if b.exact is not None:
                     assert b.lower <= b.exact <= b.upper
@@ -208,20 +199,50 @@ class TestStructuralInvariants:
                     assert b.guard_note
 
 
+def test_bounds_contain_the_oracle_maximum(corpus, up_corpus):
+    # The table is called as the oracle is, so each pair compares directly.
+    cases = [(doc.to_topology(), model) for doc in corpus for model in (CAP, CSP)]
+    for doc in up_corpus:
+        topo = doc.to_topology()
+        cases.append((topo, up_model(doc.to_ensemble(topo))))
+    for topo, model in cases:
+        bounds = verdict_table(topo, model)[1]
+        assert bounds.lower <= max_identifiability(topo, model) <= bounds.upper, (topo, model)
+    assert len(cases) == 3 * 300
+
+
 class TestAllMonitorEdgeCases:
     def test_k_zero_needs_no_auxiliary_graph(self):
         every = Topology(2, [(0, 1)], [0, 1])
-        for table in (cap_verdicts(every), csp_verdicts(every)):
+        for table in (verdict_table(every, CAP)[0], verdict_table(every, CSP)[0]):
             assert len(table) == 1
             assert table[0].value is Identifiability.IDENTIFIABLE
             assert table[0].rationale == "empty-failure-set"
 
-    def test_bounds_still_require_a_nonmonitor(self):
+    def test_all_monitor_table_matches_the_oracle(self):
+        # Only k = 0 exists: every model gets the trivial row and bounds
+        # [0, 0], the oracle's answer, where cover_profile refuses.
         every = Topology(2, [(0, 1)], [0, 1])
-        with pytest.raises(InputError):
-            cap_bounds(every)
-        with pytest.raises(InputError):
-            csp_bounds(every)
+        for model in (CAP, CSP, up_model(build_ensemble(every, [(0, 1)]))):
+            verdicts, bounds = verdict_table(every, model)
+            assert [(v.value, v.rationale) for v in verdicts] == [
+                (Identifiability.IDENTIFIABLE, "empty-failure-set")
+            ]
+            assert bounds == IdentifiabilityBounds(0, 0, 0, True, "")
+            assert bounds.exact == max_identifiability(every, model)
+        with pytest.raises(InputError, match="no non-monitors"):
+            cover_profile(build_ensemble(every, [(0, 1)]))
+
+    def test_foreign_ensemble_is_refused_as_the_oracle_refuses(self):
+        ensemble = build_ensemble(PATH4, [(0, 1, 2, 3)])
+        other = Topology(4, [(0, 1), (1, 2), (2, 3), (0, 2)], [0, 3])
+        message = "the UP ensemble was built for a different topology"
+        for ask in (verdict_table, max_identifiability):
+            with pytest.raises(InputError, match=message):
+                ask(other, up_model(ensemble))
+        # An equal topology value is not foreign.
+        twin = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
+        assert verdict_table(twin, up_model(ensemble)) == verdict_table(PATH4, up_model(ensemble))
 
 
 # Dense ER instances past the default brute-force guard of 7 non-monitors:
@@ -245,9 +266,9 @@ def test_csp_conditions_against_oracle_beyond_default_guard(sigma, monitors, p, 
     topo = erdos_renyi(sigma + monitors, p, seed=seed, monitors=monitors).to_topology()
     assert topo.sigma == sigma
     omega = max_identifiability(topo, CSP, guard=12)
-    b = csp_bounds(topo)
+    verdicts, b = verdict_table(topo, CSP)
     assert b.lower <= omega <= b.upper, (omega, b)
-    for k, verdict in enumerate(csp_verdicts(topo)):
+    for k, verdict in enumerate(verdicts):
         if verdict.value is Identifiability.IDENTIFIABLE:
             assert k <= omega, (k, omega)
         elif verdict.value is Identifiability.NOT_IDENTIFIABLE:
@@ -255,40 +276,37 @@ def test_csp_conditions_against_oracle_beyond_default_guard(sigma, monitors, p, 
 
 
 class TestOneTableBuilder:
-    """Every CAP/CSP function is a view of ``controllable_table``, and the
-    topology value reads d and dm once for all of them."""
+    """``verdict_table`` is the one builder, and the topology value reads d
+    and dm once for every call."""
 
     def test_connectivity_calls_per_public_function(self, monkeypatch):
-        from nodeloc.conditions import controllable_table
-
         reads = count_threshold_reads(monkeypatch)
         doc = erdos_renyi(14, 0.35, seed=4, monitors=3)
         # d = 4 < sigma = 11, so dm is read once, given d.
-        for fn, want in (
-            (cap_verdicts, ["d"]), (cap_bounds, ["d"]),
-            (csp_verdicts, ["d", ("dm", 4)]), (csp_bounds, ["d", ("dm", 4)]),
-            (lambda t: controllable_table(t, "CAP"), ["d"]),
-            (lambda t: controllable_table(t, "CSP"), ["d", ("dm", 4)]),
-        ):
+        for model, want in ((CAP, ["d"]), (CSP, ["d", ("dm", 4)])):
             topo = doc.to_topology()
             del reads[:]
-            fn(topo)
-            fn(topo)
+            verdict_table(topo, model)
+            verdict_table(topo, model)
             assert reads == want
         topo = doc.to_topology()
         del reads[:]
-        for fn in (cap_verdicts, cap_bounds, csp_verdicts, csp_bounds):
-            fn(topo)
+        for model in (CAP, CSP, CAP, CSP):
+            verdict_table(topo, model)
         assert reads == ["d", ("dm", 4)] and topo.sigma == 11
+        # UP reads delta off the ensemble, never d or dm.
+        del reads[:]
+        diamond_table()
+        assert reads == []
 
-    def test_views_agree_with_the_table(self):
-        from nodeloc.conditions import controllable_table
-
+    def test_one_table_per_topology_and_model(self):
         for seed in range(20):
-            topo = erdos_renyi(9, 0.45, seed=seed, monitors=1 + seed % 3).to_topology()
-            for kind, verdicts, bounds in (("CSP", csp_verdicts, csp_bounds), ("CAP", cap_verdicts, cap_bounds)):
-                table = controllable_table(topo, kind)
-                assert table == (verdicts(topo), bounds(topo))
+            doc = erdos_renyi(9, 0.45, seed=seed, monitors=1 + seed % 3)
+            topo = doc.to_topology()
+            for model in (CSP, CAP):
+                table = verdict_table(topo, model)
+                assert table == verdict_table(doc.to_topology(), model)
+                assert table == verdict_table(topo, oracle.ProbingModel(model.kind))
                 assert len(table[0]) == topo.sigma + 1
 
     def test_each_distinct_verdict_is_built_once(self):
@@ -306,26 +324,20 @@ class TestOneTableBuilder:
         for seed in range(6):
             doc = erdos_renyi(40, 0.15, seed=seed, monitors=2 + seed % 3)
             topo = doc.to_topology()
-            assert len({id(v) for v in cap_verdicts(topo)}) <= 1 + 4
-            assert len({id(v) for v in csp_verdicts(topo)}) <= 2 + 4
-        assert len({id(v) for v in up_verdicts(diamond_profile())}) <= 0 + 4
+            assert len({id(v) for v in verdict_table(topo, CAP)[0]}) <= 1 + 4
+            assert len({id(v) for v in verdict_table(topo, CSP)[0]}) <= 2 + 4
+        assert len({id(v) for v in diamond_table()[0]}) <= 0 + 4
 
     def test_all_monitor_verdicts_build_no_auxiliary_graph(self, monkeypatch):
+        # No threshold is read, so no call raises, and none memoises a failure.
         every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
         calls = count_threshold_reads(monkeypatch)
-        table = cap_verdicts(every)
-        assert csp_verdicts(every) == table and len(table) == 1
-        assert table[0].value is Identifiability.IDENTIFIABLE
+        table = verdict_table(every, CAP)
+        for model in (CSP, CAP, CSP):
+            assert verdict_table(every, model) == table
+        assert len(table[0]) == 1 and table[0][0].value is Identifiability.IDENTIFIABLE
+        assert table[1] == IdentifiabilityBounds(0, 0, 0, True, "")
         assert calls == []
-
-    def test_all_monitor_bounds_raise_on_every_call(self, monkeypatch):
-        # A failed read is not memoised: each call reads d again and raises.
-        every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
-        calls = count_threshold_reads(monkeypatch)
-        for fn in (cap_bounds, csp_bounds, cap_bounds, csp_bounds):
-            with pytest.raises(InputError, match="at least one non-monitor"):
-                fn(every)
-        assert calls == ["d"] * 4
 
 
 def _span_family():
@@ -372,9 +384,8 @@ class TestOneThresholdRule:
     def _check_controllable(self, topo, d, dm, seen):
         sigma = topo.sigma
         regimes = (
-            ("CAP", cap_verdicts(topo), cap_bounds(topo), d, sigma - 1, {0, sigma}),
-            ("CSP", csp_verdicts(topo), csp_bounds(topo), min(d - 1, dm), sigma - 2,
-             {0, sigma - 1, sigma}),
+            ("CAP", *verdict_table(topo, CAP), d, sigma - 1, {0, sigma}),
+            ("CSP", *verdict_table(topo, CSP), min(d - 1, dm), sigma - 2, {0, sigma - 1, sigma}),
         )
         for kind, verdicts, bounds, threshold, top, edges in regimes:
             self._check_rule(verdicts, threshold, edges)
@@ -399,7 +410,7 @@ class TestOneThresholdRule:
             assert monitor_connectivity(topo) == d
             assert min(monitor_connectivity(topo, m) for m in topo.monitors) == dm
             self._check_controllable(topo, d, dm, seen)
-        # Larger and denser networks, with T read as controllable_table
+        # Larger and denser networks, with T read as verdict_table
         # reads it: d, then dm given d.
         wider = Counter()
         for doc in _span_family():
@@ -414,8 +425,9 @@ class TestOneThresholdRule:
         tight = 0
         for doc in up_corpus:
             topo = doc.to_topology()
-            profile = cover_profile(doc.to_ensemble(topo))
-            verdicts, bounds, delta = up_verdicts(profile), up_bounds(profile), profile.min_cover
+            ensemble = doc.to_ensemble(topo)
+            verdicts, bounds = verdict_table(topo, up_model(ensemble))
+            delta = cover_profile(ensemble).min_cover
             self._check_rule(verdicts, delta, {0})
             # No exact rules and no precondition: delta is below sigma or infinite.
             window = (topo.sigma, topo.sigma) if math.isinf(delta) else (max(delta - 1, 0), delta)
@@ -511,18 +523,18 @@ class TestLeaveOneOutCap:
         d, dm = _reference_thresholds(topo)
         assert (topo.sigma, d, dm) == (5, 2, 2)
         assert _leave_one_out_connectivity(topo, d) == d - 1 < dm == _uncapped(topo)
-        assert csp_bounds(topo) == IdentifiabilityBounds(0, 1, None, True, "")
+        assert verdict_table(topo, CSP)[1] == IdentifiabilityBounds(0, 1, None, True, "")
         best, trap = _reference_csp(topo)
         assert oracle._stranding_level(topo, CSP) == trap == min(d - 1, dm)
         assert max_identifiability(topo, CSP) == best
-        assert csp_bounds(topo).lower <= best <= csp_bounds(topo).upper
+        assert verdict_table(topo, CSP)[1].lower <= best <= verdict_table(topo, CSP)[1].upper
 
     def test_guard_note_prints_the_exact_dm_at_d_sigma(self):
         topo = DOUBLY_COVERED
         d, dm = _reference_thresholds(topo)
         assert d == dm == topo.sigma == 3
         assert _leave_one_out_connectivity(topo, d) == dm
-        bounds = csp_bounds(topo)
+        bounds = verdict_table(topo, CSP)[1]
         assert not bounds.applicable
         assert bounds.guard_note.startswith(f"min(leave-one-out {dm}, merged-1 {d - 1}) exceeds")
         best, trap = _reference_csp(topo)
@@ -535,8 +547,8 @@ class TestLeaveOneOutCap:
 
         def answers(topo):
             return (
-                conditions.controllable_table(topo, "CAP"),
-                conditions.controllable_table(topo, "CSP"),
+                conditions.verdict_table(topo, CAP),
+                conditions.verdict_table(topo, CSP),
                 oracle._stranding_level(topo, CAP),
                 oracle._stranding_level(topo, CSP),
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -341,6 +342,31 @@ class TestEmitOutcomes:
         ]
         payload = {"model": model, "observations": observations}
         assert emit_outcomes(model, states, doc) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    # Each map would be written, or fail with a stray error, without the
+    # writer's checks; parse_outcomes could give none of them back.
+    @pytest.mark.parametrize(
+        "model, states, named",
+        [
+            ("CAP", {-1: True}, "probe key -1 "),  # would index from the end: "b"
+            ("CAP", {True: True}, "probe key True "),  # would write "a"
+            ("CAP", {7: True}, "probe key 7 "),  # IndexError
+            ("CAP", {1.0: True}, "probe key 1.0 "),  # TypeError
+            ("CSP", {0: False, True: True}, "probe key True "),  # a bool second
+            ("CSP", {0: False, 1.5: True, 2: True}, "probe key 1.5 "),  # a float inside the range
+            ("CAP", {"a": True}, "probe key 'a' "),  # a name, not an id
+            ("CAP", {0: True, "a": True}, "probe key 'a' "),  # keys that do not sort
+            ("UP", {-1: True}, "probe key -1 "),
+            ("UP", {True: True}, "probe key True "),
+            ("UP", {0.0: True}, "probe key 0.0 "),
+            ("UP", {0: True, 0.5: False, 9: True}, "probe key 0.5 "),
+            ("XYZ", {1: True}, "model 'XYZ'"),
+        ],
+    )
+    def test_keys_parse_outcomes_cannot_give_back_raise(self, model, states, named):
+        doc = TopologyDocument(("m", "a", "b"), frozenset({0}), frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(InputError, match=re.escape(named)):
+            emit_outcomes(model, states, doc)
 
 
 class TestNoPurePythonEncoder:

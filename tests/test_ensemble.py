@@ -8,7 +8,7 @@ import random
 import pytest
 
 import nodeloc.oracle as oracle
-from nodeloc.conditions import cap_verdicts, up_bounds, up_verdicts
+from nodeloc.conditions import verdict_table
 from nodeloc.ensemble import (
     INFINITE_COVER,
     build_ensemble,
@@ -19,7 +19,7 @@ from nodeloc.document import TopologyDocument
 from nodeloc.errors import CapacityError, FormatError, InputError
 from nodeloc.generate import generate_paths
 from nodeloc.graph import Topology
-from nodeloc.oracle import max_identifiability, up_model
+from nodeloc.oracle import CAP, max_identifiability, up_model
 from nodeloc.report import analyze
 
 from bruteforce import brute_min_cover
@@ -177,14 +177,15 @@ class TestBuildEnsemble:
 def test_up_analysis_builds_no_adjacency(monkeypatch):
     doc = ingest_like_star(0, 8)
     topology = doc.to_topology()
-    profile = cover_profile(doc.to_ensemble(topology))
-    up_verdicts(profile), up_bounds(profile)
+    ensemble = doc.to_ensemble(topology)
+    verdict_table(topology, up_model(ensemble))
     assert "adjacency" not in topology.__dict__
-    cap_verdicts(topology)  # a CAP table reads it, and builds it then
+    verdict_table(topology, CAP)  # a CAP table reads it, and builds it then
     assert "adjacency" in topology.__dict__
     # Nor does a whole UP report read it, on the topology that analyze builds.
     monkeypatch.setattr(Topology, "adjacency", property(lambda self: pytest.fail("adjacency read")))
-    assert analyze(doc, models=("UP",))["models"]["UP"]["cover_profile"]["min_cover"] == profile.min_cover
+    min_cover = cover_profile(ensemble).min_cover
+    assert analyze(doc, models=("UP",))["models"]["UP"]["cover_profile"]["min_cover"] == min_cover
 
 
 class TestMinCoverSize:

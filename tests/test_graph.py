@@ -346,7 +346,7 @@ class TestBorderingMemos:
 
     def test_each_value_computes_its_own_once(self, monkeypatch):
         from nodeloc import CAP, CSP, graph
-        from nodeloc.conditions import controllable_table
+        from nodeloc.conditions import verdict_table
         from nodeloc.generate import erdos_renyi
         from nodeloc.oracle import _reached
 
@@ -364,7 +364,7 @@ class TestBorderingMemos:
         for topology in (first, second, first, second):
             for failure in (frozenset(), frozenset(sorted(topology.non_monitors)[:3])):
                 assert _reached(topology, CAP, failure) >= _reached(topology, CSP, failure)
-            controllable_table(topology, "CSP")
+            verdict_table(topology, CSP)
         assert [(topology is first, need) for topology, need in computed] == [
             (True, 1), (True, 2), (False, 1), (False, 2)
         ]

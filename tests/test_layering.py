@@ -77,7 +77,10 @@ def test_oracle_reads_no_adjacency():
 
 
 def _calls(module: str, name: str) -> list[ast.Call]:
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return _named_calls(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8")), name)
+
+
+def _named_calls(tree: ast.AST, name: str) -> list[ast.Call]:
     return [
         node
         for node in ast.walk(tree)
@@ -122,7 +125,8 @@ def test_no_call_passes_max_candidates():
 
 def test_bounds_are_built_by_one_rule():
     # Every regime's bounds are the verdict table's span, built in one place
-    # with no formula branch; UP's bounds are a call to it.
+    # with no formula branch; verdict_table builds every regime's table with
+    # one call of _table and its bounds with one call of _bounds.
     def builds(tree):
         return [
             node
@@ -136,4 +140,13 @@ def test_bounds_are_built_by_one_rule():
     functions = {f.name: f for f in ast.walk(modules["conditions"]) if isinstance(f, ast.FunctionDef)}
     assert len(builds(functions["_bounds"])) == 1
     assert not any(isinstance(node, ast.If) for node in ast.walk(functions["_bounds"]))
-    assert ast.unparse(functions["up_bounds"].body[-1]) == "return _bounds(up_verdicts(profile), '')"
+    table = functions["verdict_table"]
+    assert len(_named_calls(table, "_table")) == len(_named_calls(table, "_bounds")) == 1
+    assert [name for name, f in functions.items() if _named_calls(f, "_table") or _named_calls(f, "_bounds")] == [
+        "verdict_table"
+    ]
+    # No regime branch reaches past the one pair of calls: both come last, unconditionally.
+    assert [ast.unparse(node) for node in table.body[-2:]] == [
+        "verdicts = _table(sigma, threshold, exact, rationale)",
+        "return (verdicts, _bounds(verdicts, note))",
+    ]

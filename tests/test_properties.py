@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 
-from nodeloc.conditions import cap_verdicts, csp_verdicts, up_verdicts
-from nodeloc.ensemble import build_ensemble, cover_profile
+from nodeloc.conditions import verdict_table
+from nodeloc.ensemble import build_ensemble
 from nodeloc.graph import Topology
 from nodeloc.oracle import (
     CAP,
@@ -106,8 +106,9 @@ def test_verdicts_and_oracle_are_isomorphism_invariant(corpus):
     for i, doc in enumerate(corpus[:30]):
         topo = doc.to_topology()
         other, _ = _relabel(topo, seed=70 + i)
-        assert [v.value for v in cap_verdicts(topo)] == [v.value for v in cap_verdicts(other)]
-        assert [v.value for v in csp_verdicts(topo)] == [v.value for v in csp_verdicts(other)]
+        for model in (CAP, CSP):
+            a, b = verdict_table(topo, model)[0], verdict_table(other, model)[0]
+            assert [v.value for v in a] == [v.value for v in b]
         assert max_identifiability(topo, CAP) == max_identifiability(other, CAP)
         assert max_identifiability(topo, CSP) == max_identifiability(other, CSP)
 
@@ -120,8 +121,8 @@ def test_up_verdicts_follow_relabelled_ensembles(up_corpus):
         relabelled = build_ensemble(
             other, [tuple(mapping[v] for v in p) for p in ens.paths]
         )
-        a = [v.value for v in up_verdicts(cover_profile(ens))]
-        b = [v.value for v in up_verdicts(cover_profile(relabelled))]
+        a = [v.value for v in verdict_table(topo, up_model(ens))[0]]
+        b = [v.value for v in verdict_table(other, up_model(relabelled))[0]]
         assert a == b
         assert max_identifiability(topo, up_model(ens)) == max_identifiability(
             other, up_model(relabelled)

@@ -15,16 +15,16 @@ PUBLIC_NAMES = [
     "InternalError", "NodelocError", "PathEnsemble",
     "ProbingModel", "Topology", "TopologyDocument", "UsageError",
     "Verdict", "Witness", "analyze",
-    "barabasi_albert", "build_ensemble", "cap_bounds",
-    "cap_verdicts", "conditions", "connected_components", "cover_profile", "csp_bounds",
-    "csp_verdicts", "disjoint_paths", "distinguishable", "document", "emit_outcomes",
+    "barabasi_albert", "build_ensemble",
+    "conditions", "connected_components", "cover_profile",
+    "disjoint_paths", "distinguishable", "document", "emit_outcomes",
     "emit_report", "emit_topology", "ensemble", "erdos_renyi", "errors",
     "find_measurable_path", "generate",
     "generate_paths", "graph", "grid",
     "k_identifiable", "localize", "max_identifiability",
     "min_cover_size",
     "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
-    "simulate_measurements", "up_bounds", "up_model", "up_verdicts",
+    "simulate_measurements", "up_model", "verdict_table",
 ]
 
 # Topology's public fields, properties and methods.
@@ -36,10 +36,7 @@ TOPOLOGY_MEMBERS = [
 # Parameter names and defaults of the functions whose bodies share one code
 # path with another public function, or that must take no guard knob.
 PARAMETERS = {
-    "cap_verdicts": [("topology", None)],
-    "csp_verdicts": [("topology", None)],
-    "cap_bounds": [("topology", None)],
-    "csp_bounds": [("topology", None)],
+    "verdict_table": [("topology", None), ("model", None)],
     "disjoint_paths": [
         ("topology", None), ("source", None), ("targets", None), ("forbidden", ()), ("limit", None)
     ],
@@ -60,7 +57,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 55
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from nodeloc.document import TopologyDocument, parse_topology
 from nodeloc.errors import CapacityError, FormatError, NodelocError, UsageError
 from nodeloc.generate import erdos_renyi, generate_paths
+from nodeloc.oracle import CAP, CSP
 from nodeloc.report import analyze, emit_report, reformat_report
 
 from conftest import count_threshold_reads
@@ -123,13 +124,11 @@ class TestAnalyze:
         assert reads == ["d", ("dm", 2)]
         assert graphs == [(None, 16)]
 
-        # The shared summaries give what the public functions give one by one.
+        # The shared summaries give what the public function gives one by one.
         topology = doc.to_topology()
-        for kind, verdicts, bounds in (
-            ("CAP", conditions.cap_verdicts(topology), conditions.cap_bounds(topology)),
-            ("CSP", conditions.csp_verdicts(topology), conditions.csp_bounds(topology)),
-        ):
-            entry = report["models"][kind]
+        for model in (CAP, CSP):
+            verdicts, bounds = conditions.verdict_table(topology, model)
+            entry = report["models"][model.kind]
             assert [
                 (row["k"], row["value"], row["sufficient"], row["necessary"], row["rationale"])
                 for row in entry["verdicts"]
