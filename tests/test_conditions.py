@@ -339,6 +339,20 @@ class TestOneTableBuilder:
         assert table[1] == IdentifiabilityBounds(0, 0, 0, True, "")
         assert calls == []
 
+    def test_all_monitor_bounds_raise_on_every_call(self, monkeypatch):
+        # The bounds answer [0, 0] on every call without reading d.  The d
+        # memo still refuses a value with no non-monitor, and a failed read
+        # is not memoised: each direct read reads d again and raises.
+        every = Topology(3, [(0, 1), (1, 2)], [0, 1, 2])
+        calls = count_threshold_reads(monkeypatch)
+        for model in (CAP, CSP, CAP, CSP):
+            assert verdict_table(every, model)[1] == IdentifiabilityBounds(0, 0, 0, True, "")
+        assert calls == []
+        for _ in range(4):
+            with pytest.raises(InputError, match="at least one non-monitor"):
+                every._d
+        assert calls == ["d"] * 4
+
 
 def _span_family():
     """200 seeded ER (p 0.1 to 0.95), BA and grid networks of 4 to 30 nodes."""
