@@ -280,29 +280,33 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
 def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument) -> str:
     """Canonical JSON form of an outcome map, from templates like :func:`emit_topology`.
 
-    A model or probe key that :func:`parse_outcomes` could not give back
-    raises InputError, checked in O(1) per map: once the keys are sorted a
+    A model, probe key or reading that :func:`parse_outcomes` could not give
+    back raises InputError, checked in O(1) per map: once the keys are sorted a
     negative key is first and a bool (0 or 1) first or second, and any other
-    stray key fails the sort, the type check of the ends or its own lookup.
+    stray key fails the sort, the type check of the ends or its own lookup; a
+    reading is looked up, so 0 and 1 write as down and up, equal on parse back.
     """
     if model not in ("CAP", "CSP", "UP"):
         raise InputError(f"unknown probing model {model!r}")
     names, rep = doc.names, int.__repr__
+    tail = {True: ',\n      "state": "up"\n    }', False: ',\n      "state": "down"\n    }'}
     try:
         keys = sorted(states)
         # keys[len(keys) > 1] is the second key, or the only one.
         if keys and (keys[0] < 0 or not type(keys[0]) is type(keys[len(keys) > 1]) is type(keys[-1]) is int):
             raise TypeError
         observations = [
-            f'{{\n      "probe": {rep(key)},\n      "state": "{"up" if states[key] else "down"}"\n    }}'
+            f'{{\n      "probe": {rep(key)}{tail[states[key]]}'
             for key in keys
         ] if model == "UP" else [
-            f'{{\n      "probe": {_quote(names[key])},\n      "state": "{"up" if states[key] else "down"}"\n    }}'
+            f'{{\n      "probe": {_quote(names[key])}{tail[states[key]]}'
             for key in keys
         ]
-    except (IndexError, TypeError):
+    except (IndexError, KeyError, TypeError):
         for key in states:
             if type(key) is not int or key < 0 or model != "UP" and key >= len(names):
                 raise InputError(f"probe key {key!r} is not a {'path' if model == 'UP' else 'node'} id") from None
+            if states[key] not in (True, False):
+                raise InputError(f"probe {key!r} reads {states[key]!r}, not True (up) or False (down)") from None
         raise
     return f'{{\n  "model": {_quote(model)},\n  "observations": {_array(observations, "  ")}\n}}\n'

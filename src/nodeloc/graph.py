@@ -6,13 +6,13 @@ so that the exhaustive analyses elsewhere in the package can use cheap set
 arithmetic; human-readable names live in the document layer.
 
 Auxiliary-graph connectivity d (:func:`monitor_connectivity`) comes from the
-low-point DFS and unit-capacity max-flow that the monitor block sweep and CSP
-witnesses (:func:`disjoint_paths`) also use; CAP witnesses and generated paths
-take one BFS (:func:`_shortest_paths`).  The leave-one-out minimum dm of d is
-exact at d = sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).
+monitor block sweep's low-point DFS and from unit max-flows on the node-split
+network of CSP witnesses (:func:`disjoint_paths`); CAP witnesses and generated
+paths take one BFS (:func:`_shortest_paths`).  The leave-one-out minimum dm of d
+is exact at d = sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).
 Each value builds its memos on first read: ``Topology._d``, ``_dm``, ``adjacency``
-(UP reads none), and the non-monitors with at least one and two monitor
-neighbours, ``_bordering_one`` and ``_bordering_two``, which certify most R(F).
+(UP reads none), that network ``_flow_network``, and the non-monitors with
+one and two monitor neighbours, ``_bordering_one`` and ``_bordering_two``.
 
 All functions here are pure and every value is frozen, so shared topologies
 may be analyzed concurrently without locking; every memo is idempotent.
@@ -126,6 +126,7 @@ class Topology:
 
     _d = cached_property(lambda self: monitor_connectivity(self))
     _dm = cached_property(lambda self: _leave_one_out_connectivity(self, self._d))
+    _flow_network = cached_property(lambda self: _node_split_network(self))
     _bordering_one = cached_property(lambda self: _bordering(self, 1))
     _bordering_two = cached_property(lambda self: _bordering(self, 2))
 
@@ -300,21 +301,17 @@ def _shortest_paths(topology: Topology, source: int, targets: Iterable[int], avo
 
 
 class _FlowNet:
-    """Unit-capacity max-flow network (Dinic); each augmenting path pushes one unit."""
+    """One unit max-flow (Dinic) on its topology's memoised :func:`_node_split_network`, on a
+    copy of its capacities: the ``targets`` feed the super-sink and the ``closed`` are shut."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(self, u: int, v: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(1)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
+    def __init__(self, topology: Topology, targets: Iterable[int], closed: Iterable[int]) -> None:
+        self.to, self.adj, base = topology._flow_network
+        self.cap = cap = list(base)
+        sinks = len(cap) - 2 * topology.node_count
+        for t in targets:
+            cap[sinks + 2 * t] = 1
+        for v in closed:
+            cap[2 * v] = 0
 
     def max_flow(self, s: int, t: int, limit: int) -> int:
         flow = 0
@@ -328,7 +325,7 @@ class _FlowNet:
     def _bfs_levels(self, s: int, t: int) -> list[int] | None:
         # Stop at t: every node on a shortest s-t path is levelled by then.
         adj, to, cap = self.adj, self.to, self.cap
-        level = [-1] * self.n
+        level = [-1] * len(adj)
         level[s] = 0
         queue = [s]
         for u in queue:
@@ -350,7 +347,7 @@ class _FlowNet:
         A dead end (no usable arc left) is retreated from and levelled -1.
         """
         adj, to, cap = self.adj, self.to, self.cap
-        it = [0] * self.n
+        it = [0] * len(adj)
         path: list[int] = []
         flow = 0
         u = s
@@ -381,21 +378,26 @@ class _FlowNet:
         return flow
 
 
-def _split_flow_net(node_count: int, edges: Iterable[Edge]) -> _FlowNet:
-    """Node-split digraph: node v is arc number 2v, from in-copy 2v to out-copy 2v+1.
+def _node_split_network(topology: Topology) -> tuple[tuple, tuple, tuple]:
+    """The network of every flow on ``topology``, as ``(to, adj, cap)``: arc a enters
+    ``to[a]``, its residual twin is a ^ 1, and ``adj[u]`` lists the arcs leaving u.
 
-    Edge {u, v} gives arcs 2u+1 -> 2v and 2v+1 -> 2u; id 2n is left for a
-    super-sink.  Flows start at a source's out-copy and end at a target's
-    in-copy, and any other out-copy receives only through its split arc, so
-    capacity one suffices everywhere.  Setting ``cap[2v]`` to 0 closes node v.
+    Node v is arc 2v, from in-copy 2v to out-copy 2v+1; each sorted edge {u, v} gives
+    arcs 2u+1 -> 2v and 2v+1 -> 2u; last, out-copy 2v+1 has an arc to the super-sink 2n,
+    which alone starts closed in ``cap``.  Flows start at a source's out-copy, and any
+    other out-copy receives only through its split arc, so capacity one suffices.
     """
-    net = _FlowNet(2 * node_count + 1)
-    for v in range(node_count):
-        net.add_arc(2 * v, 2 * v + 1)
-    for u, v in edges:
-        net.add_arc(2 * u + 1, 2 * v)
-        net.add_arc(2 * v + 1, 2 * u)
-    return net
+    n = topology.node_count
+    arcs = [(2 * v, 2 * v + 1) for v in range(n)]
+    arcs += [arc for u, v in sorted(topology.edges) for arc in ((2 * u + 1, 2 * v), (2 * v + 1, 2 * u))]
+    arcs += [(2 * v + 1, 2 * n) for v in range(n)]
+    to: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    for u, v in arcs:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += v, u
+    return tuple(to), tuple(map(tuple, adj)), (1, 0) * (len(arcs) - n) + (0, 0) * n
 
 
 def disjoint_paths(
@@ -410,11 +412,10 @@ def disjoint_paths(
     Each path is a node tuple from ``source`` to its own target; paths share
     only the source and avoid every ``forbidden`` node, so the list's length
     is the maximum number of such paths.  Pass ``limit`` to stop once that
-    many exist.  Computed as a unit-capacity flow on the node-split digraph,
-    with each forbidden node's split arc closed and each target feeding a
-    super-sink, built from the sorted edges and targets so that the paths
-    depend only on the topology value.  CSP witnesses take two; a CAP witness
-    needs one shortest path, which :func:`_shortest_paths` finds without a network.
+    many exist.  One flow on the value's node-split network, whose sorted edges
+    make the paths depend only on the value, with the targets feeding the sink
+    and the forbidden nodes closed.  CSP witnesses take two; a CAP witness needs
+    one shortest path, which :func:`_shortest_paths` finds without a network.
     """
     topology._check_node(source)
     target_set = topology._check_nodes(targets)
@@ -426,12 +427,8 @@ def disjoint_paths(
     if source in target_set:
         raise InputError("source must not be a target")
     cap = len(target_set) if limit is None else min(_plain_int(limit, "limit"), len(target_set))
-    net = _split_flow_net(topology.node_count, sorted(topology.edges))
-    for v in forbidden_set:
-        net.cap[2 * v] = 0
+    net = _FlowNet(topology, target_set, forbidden_set)
     sink = 2 * topology.node_count
-    for t in sorted(target_set):
-        net.add_arc(2 * t + 1, sink)
     flow = net.max_flow(2 * source + 1, sink, limit=cap)
     # Decompose the unit flow into node sequences.  A forward (even) arc carries
     # flow iff its reverse has residual capacity; taking that unit consumes it.
@@ -469,11 +466,11 @@ def monitor_connectivity(topology: Topology, left_out: int | None = None) -> int
 
     One low-point DFS of G' from x answers 0 (a non-monitor unreached) and
     1 (a cut vertex other than x, which is simplicial in H), and a least
-    H-degree of 2 answers 2; otherwise unit flows w -> x (whose BFS stops at
-    B), capped at the best cut so far, tried by ascending degree.  The flows
-    share one node-split network, each running Dinic from restored
-    capacities.  A w with best certified neighbours (B and each decided target,
-    all with kappa(x, u) >= best) needs none: a smaller cut strands one of them.
+    H-degree of 2 answers 2; otherwise unit flows w -> x, capped at the best
+    cut so far, tried by ascending degree, on the value's node-split network
+    with every monitor closed and B feeding the sink (each w-x path of G' ends
+    at its own B node).  A w with best certified neighbours (B and each decided
+    target, all with kappa(x, u) >= best) needs none: a smaller cut strands one.
     """
     return _capped_connectivity(topology, left_out, topology.sigma)
 
@@ -507,15 +504,10 @@ def _capped_connectivity(topology: Topology, left_out: int | None, cap: int) -> 
     best = min(len(boundary), degree[targets[0]], cap)
     if best <= 2:
         return best
-    edges = [(u, v) for u, v in topology.edges if u not in monitors and v not in monitors]
-    edges += [(b, x) for b in boundary]
-    net = _split_flow_net(x + 1, edges)
-    base = net.cap[:]
     certified = set(boundary)
     for w in targets:
         if len(certified & adjacency[w]) < best:
-            net.cap[:] = base
-            best = net.max_flow(2 * w + 1, 2 * x, limit=best)
+            best = _FlowNet(topology, boundary, monitors).max_flow(2 * w + 1, 2 * x, limit=best)
         certified.add(w)
     return best
 

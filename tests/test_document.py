@@ -368,6 +368,28 @@ class TestEmitOutcomes:
         with pytest.raises(InputError, match=re.escape(named)):
             emit_outcomes(model, states, doc)
 
+    # A reading is written by lookup, not by its truthiness: "down" is truthy
+    # and would have been written as up.
+    @pytest.mark.parametrize(
+        "model, states, named",
+        [
+            ("CAP", {1: "down", 2: 0}, "probe 1 reads 'down'"),
+            ("CSP", {1: True, 2: None}, "probe 2 reads None"),
+            ("CAP", {2: [True]}, "probe 2 reads [True]"),  # unhashable: TypeError
+            ("UP", {0: 2}, "probe 0 reads 2"),
+        ],
+    )
+    def test_readings_parse_outcomes_cannot_give_back_raise(self, model, states, named):
+        doc = TopologyDocument(("m", "a", "b"), frozenset({0}), frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(InputError, match=re.escape(named)):
+            emit_outcomes(model, states, doc)
+
+    def test_zero_and_one_write_as_down_and_up(self):
+        doc = TopologyDocument(("m", "a", "b"), frozenset({0}), frozenset({(0, 1), (1, 2)}))
+        text = emit_outcomes("CAP", {1: 0, 2: 1}, doc)
+        assert text == emit_outcomes("CAP", {1: False, 2: True}, doc)
+        assert parse_outcomes(text, doc) == ("CAP", {1: 0, 2: 1})
+
 
 class TestNoPurePythonEncoder:
     """Outcome maps, reports and CLI answers never enter ``json.encoder``'s

@@ -368,3 +368,66 @@ class TestBorderingMemos:
         assert [(topology is first, need) for topology, need in computed] == [
             (True, 1), (True, 2), (False, 1), (False, 2)
         ]
+
+
+class TestFlowNetworkMemo:
+    """Each topology value builds one node-split network, on its first flow,
+    shared by d, every dm flow and every CSP witness; each flow owns its
+    capacities, so the memo is read-only."""
+
+    def test_one_network_per_value(self, monkeypatch):
+        from nodeloc import CSP, graph
+        from nodeloc.generate import barabasi_albert, erdos_renyi, grid
+        from nodeloc.oracle import distinguishable, find_measurable_path
+
+        builds, flows, runs = [], [], []
+        network, capped = graph._node_split_network, graph._capped_connectivity
+        max_flow = graph._FlowNet.max_flow
+
+        def built(topology):
+            builds.append(topology)
+            return network(topology)
+
+        def counted(net, s, t, limit):
+            flows.append(s)
+            return max_flow(net, s, t, limit)
+
+        def capped_counted(topology, left_out, cap):
+            before = len(flows)
+            out = capped(topology, left_out, cap)
+            runs.append((left_out, len(flows) - before))
+            return out
+
+        monkeypatch.setattr(graph, "_node_split_network", built)
+        monkeypatch.setattr(graph._FlowNet, "max_flow", counted)
+        monkeypatch.setattr(graph, "_capped_connectivity", capped_counted)
+        topology = erdos_renyi(16, 0.4, seed=2, monitors=3).to_topology()
+        assert (topology._d, topology._dm) == (5, 4)
+        # H and all three H_m run flows.
+        assert [left_out for left_out, count in runs if count] == [None, *sorted(topology.monitors)]
+        leave_one_out = [graph.monitor_connectivity(topology, m) for m in sorted(topology.monitors)]
+        connectivity_flows = len(flows)
+        probed = sorted(topology.non_monitors)[:6]
+        walks = [find_measurable_path(topology, CSP, v) for v in probed]
+        assert all(walks) and distinguishable(topology, CSP, {probed[0]}, {probed[1]})[0]
+        assert len(flows) > connectivity_flows + len(walks) and builds == [topology]
+
+        # An equal value has its own memo, and its arcs' order gives the same walks.
+        edges = [(v, u) for u, v in reversed(sorted(topology.edges))]
+        flipped = Topology(topology.node_count, edges, topology.monitors)
+        assert flipped == topology and list(flipped.edges) != list(topology.edges)
+        assert [find_measurable_path(flipped, CSP, v) for v in probed] == walks
+        assert [graph.monitor_connectivity(flipped, m) for m in sorted(topology.monitors)] == leave_one_out
+        assert len(builds) == 2 and builds[1] is flipped
+        to, adj, cap = topology._flow_network
+        assert type(to) is type(adj) is type(cap) is tuple and all(type(arcs) is tuple for arcs in adj)
+        assert topology._flow_network == network(topology)
+
+        # d and dm from the low-point DFS (a tree), or the degree rule and the
+        # cap-1 components pass (a grid), build no network.
+        builds.clear()
+        tree, lattice = barabasi_albert(20, 1, seed=1, monitors=2), grid(4, 4, seed=1, monitors=2)
+        for doc, want in ((tree, (1, 0)), (lattice, (2, 1))):
+            value = doc.to_topology()
+            assert (value._d, value._dm) == want
+        assert builds == []

@@ -150,3 +150,41 @@ def test_bounds_are_built_by_one_rule():
         "verdicts = _table(sigma, threshold, exact, rationale)",
         "return (verdicts, _bounds(verdicts, note))",
     ]
+
+
+def test_flow_arcs_are_built_by_one_rule():
+    # Every flow runs on the arcs of one network per topology value: one
+    # function builds them (the only one that adds an arc to a node), the
+    # Topology memo alone calls it, and _FlowNet reads them off that memo.
+    # Only the two flow front ends construct a _FlowNet, which holds one flow's
+    # capacities.
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    assert [stem for stem, tree in modules.items() for _ in _named_calls(tree, "_node_split_network")] == ["graph"]
+    assert [stem for stem, tree in modules.items() for _ in _named_calls(tree, "_FlowNet")] == ["graph"] * 2
+    graph = modules["graph"]
+    functions = {f.name: f for f in ast.walk(graph) if isinstance(f, ast.FunctionDef)}
+    classes = {c.name: c for c in graph.body if isinstance(c, ast.ClassDef)}
+    memo = [node for node in classes["Topology"].body if _named_calls(node, "_node_split_network")]
+    assert [ast.unparse(node) for node in memo] == [
+        "_flow_network = cached_property(lambda self: _node_split_network(self))"
+    ]
+    arc_adders = {
+        name
+        for name, f in functions.items()
+        for node in ast.walk(f)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "append"
+        and isinstance(node.func.value, ast.Subscript)
+        and getattr(node.func.value.value, "id", getattr(node.func.value.value, "attr", None)) == "adj"
+    }
+    assert arc_adders == {"_node_split_network"}
+    assert [f.name for f in classes["_FlowNet"].body if isinstance(f, ast.FunctionDef)] == [
+        "__init__", "max_flow", "_bfs_levels", "_blocking_flow"
+    ]
+    readers = [
+        name for name, f in functions.items() for node in ast.walk(f)
+        if isinstance(node, ast.Attribute) and node.attr == "_flow_network"
+    ]
+    assert readers == ["__init__"]
+    assert [name for name, f in functions.items() if _named_calls(f, "_FlowNet")] == [
+        "disjoint_paths", "_capped_connectivity"
+    ]

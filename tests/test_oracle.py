@@ -436,11 +436,13 @@ class TestCapWalksAddNothing:
         def refuse(*args):
             raise AssertionError("a flow network was built")
 
-        monkeypatch.setattr("nodeloc.graph._split_flow_net", refuse)
+        monkeypatch.setattr("nodeloc.graph._node_split_network", refuse)
+        # Fresh values: a module-level one may hold its network from an earlier test.
+        path3, path4, ring = (Topology(t.node_count, t.edges, t.monitors) for t in (PATH3, PATH4, RING))
         with pytest.raises(AssertionError, match="flow network"):
-            find_measurable_path(PATH3, CSP, 1)
-        assert find_measurable_path(PATH4, CAP, 2, {1}) == (3, 2, 3)
-        assert distinguishable(RING, CAP, {1}, {2}) == (True, DistinguishingPath(walk=(0, 3, 2, 3, 0)))
+            find_measurable_path(path3, CSP, 1)
+        assert find_measurable_path(path4, CAP, 2, {1}) == (3, 2, 3)
+        assert distinguishable(ring, CAP, {1}, {2}) == (True, DistinguishingPath(walk=(0, 3, 2, 3, 0)))
 
 
 def _monitor_distance(topo, v, avoid) -> int:
@@ -475,6 +477,20 @@ class TestWitnessesFollowTheTopologyValue:
         assert ordered == flipped and list(ordered.edges) != list(flipped.edges)
         for model in (CAP, CSP):
             assert find_measurable_path(ordered, model, 1) == find_measurable_path(flipped, model, 1)
+
+    def test_exact_csp_walks(self):
+        # (v, avoid, walk): the two disjoint paths of one flow, joined at v.
+        table = [
+            (erdos_renyi(11, 0.5, seed=20, monitors=2),
+             [(0, (), (9, 1, 5, 0, 10, 2, 7, 6)), (1, (), (6, 7, 1, 9)), (2, (0,), (9, 1, 2, 7, 6))]),
+            (barabasi_albert(12, 2, seed=4, monitors=3),
+             [(1, (), (0, 2, 1, 4)), (2, (), (0, 2, 10)), (3, (1,), (0, 2, 3, 4))]),
+            (grid(3, 4, seed=1, monitors=3),
+             [(0, (), (1, 0, 3, 6, 9)), (3, (), (1, 0, 3, 6, 9)), (4, (0,), (1, 4, 5, 2))]),
+        ]
+        for doc, rows in table:
+            topo = doc.to_topology()
+            assert [find_measurable_path(topo, CSP, v, avoid) for v, avoid, _ in rows] == [w for *_, w in rows]
 
     def test_seeded_probes_and_witnesses(self):
         from itertools import combinations
