@@ -21,7 +21,6 @@ from .ensemble import (
     PathEnsemble,
     build_ensemble,
     cover_profile,
-    min_cover_size,
 )
 from .errors import (
     CapacityError,

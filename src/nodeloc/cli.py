@@ -175,33 +175,22 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 def _cmd_oracle(args: argparse.Namespace) -> None:
     doc = _load_document(args)
     topology = doc.to_topology()
-    results = {}
+    results, text = {}, {}  # kind: its JSON entry, its text lines
     for model in resolve_models(doc, topology, _parse_models(args.models)):
+        kind = model.kind
         if args.k is None:
-            results[model.kind] = {"max_identifiability": max_identifiability(topology, model, guard=args.guard)}
-        else:
-            ok, witness = k_identifiable(topology, model, args.k, guard=args.guard)
-            entry = {"k": args.k, "identifiable": ok}
-            if witness is not None:
-                entry["indistinguishable_pair"] = [
-                    sorted(doc.names[v] for v in witness.first),
-                    sorted(doc.names[v] for v in witness.second),
-                ]
-            results[model.kind] = entry
-    if args.format == "json":
-        _write(_dump_json(results), args.out)
-    else:
-        lines = []
-        for kind in sorted(results):
-            entry = results[kind]
-            if "max_identifiability" in entry:
-                lines.append(f"{kind}: max identifiability {entry['max_identifiability']}")
-            else:
-                lines.append(f"{kind}: k={entry['k']} identifiable: {'yes' if entry['identifiable'] else 'no'}")
-                if "indistinguishable_pair" in entry:
-                    a, b = entry["indistinguishable_pair"]
-                    lines.append(f"  counterexample: {{{', '.join(a)}}} vs {{{', '.join(b)}}}")
-        _write("\n".join(lines) + "\n", args.out)
+            level = max_identifiability(topology, model, guard=args.guard)
+            results[kind] = {"max_identifiability": level}
+            text[kind] = f"{kind}: max identifiability {level}\n"
+            continue
+        ok, witness = k_identifiable(topology, model, args.k, guard=args.guard)
+        results[kind] = {"k": args.k, "identifiable": ok}
+        text[kind] = f"{kind}: k={args.k} identifiable: {'yes' if ok else 'no'}\n"
+        if witness is not None:
+            a, b = (sorted(doc.names[v] for v in side) for side in (witness.first, witness.second))
+            results[kind]["indistinguishable_pair"] = [a, b]
+            text[kind] += f"  counterexample: {{{', '.join(a)}}} vs {{{', '.join(b)}}}\n"
+    _write(_dump_json(results) if args.format == "json" else "".join(text[kind] for kind in sorted(text)), args.out)
 
 
 def _cmd_localize(args: argparse.Namespace) -> None:

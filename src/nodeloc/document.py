@@ -42,12 +42,6 @@ class TopologyDocument:
     paths: tuple[tuple[int, ...], ...] | None = None
     index = cached_property(lambda self: {name: i for i, name in enumerate(self.names)})  # name: id
 
-    def id_of(self, name: str) -> int:
-        try:
-            return self.index[name]
-        except KeyError:
-            raise FormatError(f"unknown node name {name!r}") from None
-
     def to_topology(self) -> Topology:
         return Topology(len(self.names), self.edges, self.monitors)
 
@@ -268,7 +262,7 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
         elif type(probe) is str:
             key = index.get(probe)
             if key is None:
-                doc.id_of(probe)  # raises: unknown node name
+                raise FormatError(f"unknown node name {probe!r}")
         else:
             raise FormatError(f"observation {i} probe must be a node name")
         if key in states:

@@ -109,24 +109,9 @@ def _by_node(groups: Iterable[tuple[frozenset[int], list]]) -> dict[int, list]:
     return out
 
 
-def min_cover_size(ensemble: PathEnsemble, v: int) -> int | float:
-    """Minimum number of other non-monitors whose paths cover all of v's paths.
-
-    That is the least hitting set of v's distinct routes, a route being the
-    other non-monitors on one path through v.  Returns :data:`INFINITE_COVER`
-    when a route is empty, and 0 when v lies on no path at all (the empty
-    path set is covered by nobody failing, which is why such a node is
-    already unidentifiable).  The search is exact and branches over routes;
-    if more than 20 other non-monitors lie on v's paths the call refuses
-    with a capacity error rather than approximating.
-    """
-    ensemble.paths_through(v)
-    return _cover(ensemble, v, guarded=True)
-
-
 def _cover(ensemble: PathEnsemble, v: int, guarded: bool) -> int | float:
     """v's cover size, searched once per ensemble value; the memo keeps v's
-    candidate count too, so a guarded read refuses before any search, which
+    candidate count too, so a guarded read refuses before v's search, which
     branches on the unhit route with the fewest nodes, on an explicit stack."""
     candidates, best = ensemble._covers.get(v, (None, None))
     if best is None:
@@ -161,7 +146,13 @@ class CoverProfile:
 
 
 def cover_profile(ensemble: PathEnsemble) -> CoverProfile:
-    """Minimum cover size for every non-monitor, and the network-wide minimum."""
+    """Minimum cover size for every non-monitor, and the network-wide minimum.
+
+    Sizes are exact: 0 for a node on no path, :data:`INFINITE_COVER` when a
+    route holds no other node.  Nodes are searched in id order, and a node with
+    more than 20 other non-monitors on its paths is refused with a capacity
+    error before its search; no option raises that guard.
+    """
     if ensemble.topology.sigma == 0:
         raise InputError("the topology has no non-monitors to profile")
     sizes = {v: _cover(ensemble, v, guarded=True) for v in sorted(ensemble.topology.non_monitors)}

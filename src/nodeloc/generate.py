@@ -35,10 +35,11 @@ def _resolve_monitor_count(n: int, monitors: int | None, monitor_fraction: float
     return monitors
 
 
-def _document(n: int, edges: Iterable[tuple[int, int]], monitor_ids: Iterable[int]) -> TopologyDocument:
+def _document(n: int, edges: Iterable[tuple[int, int]], rng: random.Random, count: int) -> TopologyDocument:
+    """The document, with its ``count`` monitors drawn by ``rng`` after the edges."""
     return TopologyDocument(
         names=tuple(f"n{i}" for i in range(n)),
-        monitors=frozenset(monitor_ids),
+        monitors=frozenset(rng.sample(range(n), count)),
         edges=frozenset(edges),
     )
 
@@ -61,8 +62,7 @@ def erdos_renyi(
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob
     ]
-    monitor_ids = rng.sample(range(n), count)
-    return _document(n, edges, monitor_ids)
+    return _document(n, edges, rng, count)
 
 
 def barabasi_albert(
@@ -90,8 +90,7 @@ def barabasi_albert(
         while len(chosen) < attach:
             chosen.add(rng.choice(repeated))
         targets = sorted(chosen)
-    monitor_ids = rng.sample(range(n), count)
-    return _document(n, edges, monitor_ids)
+    return _document(n, edges, rng, count)
 
 
 def grid(
@@ -115,9 +114,7 @@ def grid(
                 edges.append((v, v + 1))
             if r + 1 < height:
                 edges.append((v, v + width))
-    rng = random.Random(seed)
-    monitor_ids = rng.sample(range(n), count)
-    return _document(n, edges, monitor_ids)
+    return _document(n, edges, random.Random(seed), count)
 
 
 def generate_paths(doc: TopologyDocument, per_pair: int) -> TopologyDocument:

@@ -43,11 +43,6 @@ def _plain_int(
     return value
 
 
-def _check_k(topology: Topology, k: int) -> None:
-    """A failure budget is a plain int in 0..sigma."""
-    _plain_int(k, "k", 0, topology.sigma)
-
-
 def _entries(values: object, what: str) -> tuple:
     """``values`` as a tuple; an :class:`InputError` naming ``what`` if it is not iterable."""
     try:
@@ -149,12 +144,7 @@ def connected_components(topology: Topology, removed: Iterable[int] = ()) -> tup
     every node; sorted by smallest member id, which makes every downstream
     report deterministic.
     """
-    return _components(topology, topology._check_nodes(removed))
-
-
-def _components(topology: Topology, removed: frozenset[int]) -> tuple[frozenset[int], ...]:
-    """:func:`connected_components` for a removed set the caller has checked."""
-    seen: set[int] = set(removed)
+    seen: set[int] = set(topology._check_nodes(removed))
     components: list[frozenset[int]] = []
     for start in topology.nodes:
         if start not in seen:
@@ -522,7 +512,7 @@ def _leave_one_out_connectivity(topology: Topology, d: int) -> int:
     if cap == 1:
         adjacency, monitors = topology.adjacency, topology.monitors
         return int(all(len(monitors.intersection(u for v in c for u in adjacency[v])) > 1
-                       for c in _components(topology, monitors)))
+                       for c in connected_components(topology, monitors)))
     for m in sorted(topology.monitors):
         cap = cap and _capped_connectivity(topology, m, cap)
     return cap

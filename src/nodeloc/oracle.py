@@ -122,7 +122,6 @@ from .errors import CapacityError, FormatError, InputError
 from .graph import (
     Topology,
     _biconnected_to_monitors,
-    _check_k,
     _connected_to_monitors,
     _plain_int,
     _shortest_paths,
@@ -332,7 +331,7 @@ def k_identifiable(
     no twins at J = d either, so it sweeps only for that pair when k > d.
     """
     _check_model(topology, model)
-    _check_k(topology, k)
+    _plain_int(k, "k", 0, topology.sigma)
     _check_guard(topology, guard)
     low = _stranding_level(topology, model)
     if low is None or low > k or (low == k and model.kind == "CAP"):

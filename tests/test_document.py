@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -44,7 +45,7 @@ class TestParseTopology:
         raw["paths"] = [["m1", "v", "m2"]]
         doc = parse_topology(json.dumps(raw))
         ens = doc.to_ensemble()
-        assert ens.paths_through(doc.id_of("v")) == {0}
+        assert ens.paths_through(doc.index["v"]) == {0}
 
     def test_document_without_paths_has_no_ensemble(self):
         with pytest.raises(FormatError, match="carries no measurement paths"):
@@ -551,6 +552,23 @@ class TestOutcomes:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: erdos_renyi(12, 0.3, seed=5, monitors=3),
+             "0b2ce176fa7a8c08752d68215feea5b39509162f38e875dd65d253e334dc2658"),
+            (lambda: barabasi_albert(12, 2, seed=5, monitor_fraction=0.25),
+             "dbafbfc4b9ca7d21d53ca4868c5ff39e08f56a2f0f2c8292f2d2c4f1a81c7f18"),
+            (lambda: grid(4, 3, seed=5, monitors=3),
+             "8704978ee777f9291082f2baa793cf461801e3253d55a8a271f11dabba696af8"),
+        ],
+        ids=["er", "ba", "grid"],
+    )
+    def test_seeded_bytes_are_stable_across_versions(self, make, digest):
+        # A seed names one document for good, not just within one run: the
+        # digests are literals, so a change to the edge or monitor draws fails.
+        assert hashlib.sha256(emit_topology(make()).encode("utf-8")).hexdigest() == digest
+
     def test_er_determinism(self):
         a = erdos_renyi(6, 0.5, seed=1, monitors=2)
         b = erdos_renyi(6, 0.5, seed=1, monitors=2)

@@ -13,7 +13,6 @@ from nodeloc.ensemble import (
     INFINITE_COVER,
     build_ensemble,
     cover_profile,
-    min_cover_size,
 )
 from nodeloc.document import TopologyDocument
 from nodeloc.errors import CapacityError, FormatError, InputError
@@ -190,19 +189,19 @@ def test_up_analysis_builds_no_adjacency(monkeypatch):
 
 class TestMinCoverSize:
     def test_running_example_values(self):
-        ens = diamond_ensemble()
-        assert min_cover_size(ens, 2) == 1  # v1 covers v2's only path
-        assert min_cover_size(ens, 1) == INFINITE_COVER  # path 0 has no other node
+        sizes = cover_profile(diamond_ensemble()).cover_sizes
+        assert sizes[2] == 1  # v1 covers v2's only path
+        assert sizes[1] == INFINITE_COVER  # path 0 has no other node
 
     def test_singleton_shared_path(self):
         t = Topology(4, [(0, 1), (1, 2), (2, 3)], [0, 3])
-        ens = build_ensemble(t, [(0, 1, 2, 3)])
-        assert min_cover_size(ens, 1) == 1
-        assert min_cover_size(ens, 2) == 1
+        sizes = cover_profile(build_ensemble(t, [(0, 1, 2, 3)])).cover_sizes
+        assert sizes[1] == 1
+        assert sizes[2] == 1
 
     def test_unobserved_node_costs_nothing_to_cover(self):
         ens = build_ensemble(DIAMOND, [(0, 1, 3)])
-        assert min_cover_size(ens, 2) == 0
+        assert cover_profile(ens).cover_sizes[2] == 0
 
     def test_search_beats_greedy(self):
         # Node 5 lies on four of node 2's six paths, so greedy takes it first
@@ -213,7 +212,7 @@ class TestMinCoverSize:
             (0, 2, 4, 5, 1), (0, 4, 2, 5, 1), (0, 2, 4, 1),
         ]
         ens = build_ensemble(k6, paths)
-        assert min_cover_size(ens, 2) == brute_min_cover(ens, 2) == 2
+        assert cover_profile(ens).cover_sizes[2] == brute_min_cover(ens, 2) == 2
 
     def test_search_reaches_past_its_first_cover(self):
         # Nodes 3-7 carry the sets below.  The first cover the search finds
@@ -222,7 +221,7 @@ class TestMinCoverSize:
         k8 = Topology(8, [(u, v) for u in range(8) for v in range(u + 1, 8)], [0, 1])
         paths = [(0, 2, *[3 + j for j, c in enumerate(sets) if e in c], 1) for e in range(6)]
         ens = build_ensemble(k8, paths)
-        assert min_cover_size(ens, 2) == brute_min_cover(ens, 2) == 2
+        assert cover_profile(ens).cover_sizes[2] == brute_min_cover(ens, 2) == 2
 
     @pytest.mark.parametrize("seed", range(8))
     def test_deep_search_matches_bruteforce(self, seed):
@@ -236,8 +235,9 @@ class TestMinCoverSize:
             for _ in range(rng.randint(14, 24))
         ]
         ens = build_ensemble(complete, paths)
+        sizes = cover_profile(ens).cover_sizes
         for v in range(2, n):
-            assert min_cover_size(ens, v) == brute_min_cover(ens, v), (paths, v)
+            assert sizes[v] == brute_min_cover(ens, v), (paths, v)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ingest_like_star_matches_bruteforce(self, seed):
@@ -246,7 +246,8 @@ class TestMinCoverSize:
         # As in ingested documents, every path crosses at least two core nodes.
         ens = build_ensemble(doc.to_topology(), [p for p in doc.paths if len(p) > 3])
         assert len(ens.paths) > 300
-        sizes = [min_cover_size(ens, v) for v in range(core)]
+        profile = cover_profile(ens).cover_sizes
+        sizes = [profile[v] for v in range(core)]
         assert sizes == [brute_min_cover(ens, v) for v in range(core)]
         assert any(1 < s < INFINITE_COVER for s in sizes), sizes
 
@@ -258,27 +259,24 @@ class TestMinCoverSize:
         paths = [(a, 1, b) for a in monitors for b in monitors if a != b]
         paths.append((5, 1, 2, 3, 4, 0))
         ens = build_ensemble(star, paths)
-        assert min_cover_size(ens, 1) == brute_min_cover(ens, 1) == INFINITE_COVER
-        assert min_cover_size(ens, 3) == brute_min_cover(ens, 3) == 1
+        sizes = cover_profile(ens).cover_sizes
+        assert sizes[1] == brute_min_cover(ens, 1) == INFINITE_COVER
+        assert sizes[3] == brute_min_cover(ens, 3) == 1
         # With 21 spokes 2-22 in place of nodes 2-4, each on a path (23, 1,
         # spoke, 0), the guard counts them before the empty routes are
-        # looked at, and refuses before any search.
+        # looked at, and refuses before any search: node 1 is read first.
         monitors, spokes = (0, 23, 24, 25), range(2, 23)
         edges = [(1, m) for m in monitors] + [e for u in spokes for e in ((1, u), (u, 0))]
         paths = [(a, 1, b) for a in monitors for b in monitors if a != b]
         searches = count_cover_searches(monkeypatch)
         ens = build_ensemble(Topology(26, edges, monitors), paths + [(23, 1, u, 0) for u in spokes])
         with pytest.raises(CapacityError) as excinfo:
-            min_cover_size(ens, 1)
+            cover_profile(ens)
         assert str(excinfo.value) == (
             "21 candidate covering sets exceed the exact-cover guard of 20; no option raises this guard"
         )
         assert searches == []
         assert oracle._cover(ens, 1, guarded=False) == INFINITE_COVER
-
-    def test_monitor_rejected(self):
-        with pytest.raises(InputError):
-            min_cover_size(diamond_ensemble(), 0)
 
     def test_candidate_guard(self, monkeypatch):
         n = 24
@@ -289,18 +287,18 @@ class TestMinCoverSize:
         searches = count_cover_searches(monkeypatch)
         ens = build_ensemble(t, paths)
         # The oracle's unguarded read searches node 1's 21-node cover; the
-        # guarded reads refuse with the same text before and after it.
+        # guarded read, which reaches node 1 first, refuses with the same
+        # text before and after it.
         refusals = []
         for _ in range(2):
-            for call in (lambda: min_cover_size(ens, 1), lambda: cover_profile(ens)):
-                with pytest.raises(CapacityError) as excinfo:
-                    call()
-                refusals.append(str(excinfo.value))
+            with pytest.raises(CapacityError) as excinfo:
+                cover_profile(ens)
+            refusals.append(str(excinfo.value))
             assert max_identifiability(t, up_model(ens), guard=t.sigma) == 1
             assert oracle._cover(ens, 1, guarded=False) == 21
         assert refusals == [
             "21 candidate covering sets exceed the exact-cover guard of 20; no option raises this guard"
-        ] * 4
+        ] * 2
         assert [v for _, v in searches].count(1) == 1
 
     def test_matches_bruteforce_on_random_ensembles(self):
@@ -325,8 +323,9 @@ class TestMinCoverSize:
                 if len(walk) >= 2:
                     paths.append(tuple(walk))
             ens = build_ensemble(t, paths)
+            sizes = cover_profile(ens).cover_sizes
             for v in sorted(t.non_monitors):
-                assert min_cover_size(ens, v) == brute_min_cover(ens, v), (t, paths, v)
+                assert sizes[v] == brute_min_cover(ens, v), (t, paths, v)
 
 
 class TestCoverProfile:
@@ -361,7 +360,7 @@ class TestCoverProfile:
         profile.cover_sizes[2] = 0
         profile.cover_sizes.clear()
         assert cover_profile(ens).cover_sizes == {1: INFINITE_COVER, 2: 1}
-        assert min_cover_size(ens, 2) == 1
+        assert ens._covers[2] == (1, 1)  # node 2: one candidate, cover size 1
         assert max_identifiability(DIAMOND, up_model(ens)) == before
 
     def test_all_monitor_topology_has_nothing_to_profile(self):
@@ -375,20 +374,20 @@ class TestMonotonicity:
         t = Topology(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)], [0, 4])
         base = [(0, 1, 2, 3, 4), (0, 2, 3, 4)]
         for extra in [(0, 1, 3, 4), (0, 2, 1, 3, 4)]:
-            before = build_ensemble(t, base)
-            after = build_ensemble(t, base + [extra])
+            before = cover_profile(build_ensemble(t, base)).cover_sizes
+            after = cover_profile(build_ensemble(t, base + [extra])).cover_sizes
             for v in sorted(t.non_monitors):
                 if v in extra:
-                    assert min_cover_size(after, v) >= min_cover_size(before, v)
+                    assert after[v] >= before[v]
 
     def test_removing_path_elsewhere_never_decreases_cover(self):
         t = Topology(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)], [0, 4])
         paths = [(0, 1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4)]
-        full = build_ensemble(t, paths)
+        full = cover_profile(build_ensemble(t, paths)).cover_sizes
         for drop in range(len(paths)):
-            reduced = build_ensemble(t, [p for i, p in enumerate(paths) if i != drop])
+            reduced = cover_profile(build_ensemble(t, [p for i, p in enumerate(paths) if i != drop])).cover_sizes
             for v in sorted(t.non_monitors):
                 if v not in paths[drop]:
                     # reindex: reduced path ids shift, but cover sizes only care
                     # about incidence structure
-                    assert min_cover_size(reduced, v) >= min_cover_size(full, v)
+                    assert reduced[v] >= full[v]

@@ -110,8 +110,36 @@ def test_cover_search_runs_only_in_ensemble():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert [name for name, text in sources.items() if "min(unhit, key=len)" in text] == ["ensemble.py"]
     assert [name for name, text in sources.items() if "._covers" in text] == ["ensemble.py"]
-    assert not {"cover_profile", "min_cover_size"} & _imports("oracle")["ensemble"]
-    assert _calls("oracle", "cover_profile") == _calls("oracle", "min_cover_size") == []
+    assert "cover_profile" not in _imports("oracle")["ensemble"]
+    assert _calls("oracle", "cover_profile") == []
+
+
+def test_cover_guard_has_one_site_each_way():
+    # cover_profile is the one guarded read of the cover memo and the
+    # oracle's stranding level the one unguarded read, so no second reader
+    # can refuse, or skip the refusal, on its own terms.
+    sites, calls = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += len(_named_calls(tree, "_cover"))
+        owner = {}  # call: innermost enclosing function, as ast.walk visits outer ones first
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                owner.update((node, f.name) for node in ast.walk(f) if isinstance(node, ast.Call))
+        sites += [
+            (path.stem, name, ast.unparse(kw.value))
+            for node, name in owner.items()
+            for kw in node.keywords
+            if kw.arg == "guarded"
+        ]
+    assert sorted(sites) == [("ensemble", "cover_profile", "True"), ("oracle", "_stranding_level", "False")]
+    assert calls == len(sites)
+
+
+def test_package_is_within_its_line_cap():
+    # The package's size cap, counted as ``wc -l src/nodeloc/*.py`` counts it.
+    lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))
+    assert lines <= 2310, lines
 
 
 def test_no_call_passes_max_candidates():

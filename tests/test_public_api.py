@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "find_measurable_path", "generate",
     "generate_paths", "graph", "grid",
     "k_identifiable", "localize", "max_identifiability",
-    "min_cover_size",
     "monitor_connectivity", "oracle", "parse_outcomes", "parse_topology", "reformat_report", "report",
     "simulate_measurements", "up_model", "verdict_table",
 ]
@@ -41,7 +40,6 @@ PARAMETERS = {
         ("topology", None), ("source", None), ("targets", None), ("forbidden", ()), ("limit", None)
     ],
     "monitor_connectivity": [("topology", None), ("left_out", None)],
-    "min_cover_size": [("ensemble", None), ("v", None)],
     "cover_profile": [("ensemble", None)],
     "emit_report": [("report", None), ("fmt", "json")],
     "reformat_report": [("data", None), ("fmt", None)],
@@ -57,7 +55,7 @@ def _parameters(fn):
 
 def test_exported_names():
     assert sorted(nodeloc.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 54
     assert all(hasattr(nodeloc, name) for name in PUBLIC_NAMES)
 
 
