@@ -119,8 +119,8 @@ def _cover(ensemble: PathEnsemble, v: int, guarded: bool) -> int | float:
         candidates = len(frozenset().union(*routes) - {v})
     if guarded and candidates > _MAX_CANDIDATES:
         raise CapacityError(
-            f"{candidates} candidate covering sets exceed the exact-cover "
-            f"guard of {_MAX_CANDIDATES}; no option raises this guard"
+            f"node {v}: {candidates} other non-monitors on its paths exceed the "
+            f"exact-cover guard of {_MAX_CANDIDATES}; no option raises this guard"
         )
     if best is None:  # a route of v alone is never hit, so no cover beats INFINITE_COVER
         best, stack = INFINITE_COVER if routes else 0, [(list(routes), 0)]

@@ -102,19 +102,21 @@ node v of D is in every match exactly when v is in R(D - {v}), which reads
 off T and the monitors M once D matches: under CAP and CSP v borders need
 nodes of T or M, by the step certifying R(F) above (a probe leaves v by need
 neighbours outside D); under UP some path through v has its other
-non-monitors in T.  A candidate, this forced set joined to a subset of the
-rest of D, matches if it is D or a match plus one node; else one sweep
-decides.  Under CAP the forced set itself always matches: a node of D
-outside it borders only D, so it stays cut off from every monitor, while T
-still reaches one in G - D.  So every CAP candidate closes upward; a CAP
-call sweeps R(D) alone.
+non-monitors in T.  When the forced set is D, D is the only candidate: the
+failure is identified, and the answer is D alone, or none if D exceeds
+k_max, with no candidate listed.  Else a candidate, the forced set joined to
+a subset of the rest of D, matches if it is D or a match plus one node; else
+one sweep decides.  Under CAP the forced set itself always matches: a node
+of D outside it borders only D, so it stays cut off from every monitor,
+while T still reaches one in G - D.  So every CAP candidate closes upward;
+a CAP call sweeps R(D) alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .ensemble import INFINITE_COVER, PathEnsemble, _cover
@@ -374,9 +376,12 @@ def localize(
     identifiability the result is a single set.  ``outcomes`` maps each
     probe key, a plain int, to a bool reading; neither is coerced.  The
     probes that read up give the target R(F); a map that no R(F) yields has
-    no candidates.  CAP/CSP sweep the down set once, UP none; CSP and UP
-    add one sweep per candidate (see the module docstring) that is neither
-    the down set nor a match plus one node (every CAP candidate matches).
+    no candidates.  CAP/CSP sweep the down set D once, UP none.  When every
+    node of D is forced (in every match), the failure is identified: the
+    answer is ``[D]``, or ``[]`` if D exceeds ``k_max``, listing no
+    candidate.  Else CSP and UP add one sweep per candidate (see the module
+    docstring) that is neither D nor a match plus one node (every CAP
+    candidate matches).
     """
     _check_model(topology, model)
     k_max = min(_plain_int(k_max, "k_max"), topology.sigma)  # larger sets cannot exist
@@ -403,12 +408,14 @@ def localize(
         down, through = topology.non_monitors - target, model.ensemble.paths_through
         forced = {v for v in down if any(members[p] - {v} <= target for p in through(v))}
     else:
-        target = frozenset(v for v, up in outcomes.items() if up)
+        target = frozenset(compress(outcomes, outcomes.values()))
         down = topology.non_monitors - target
         if _reached(topology, model, down) != target:
             return []
         kept, need = target | topology.monitors, 1 if model.kind == "CAP" else 2
         forced = {v for v in down if len(topology.neighbors(v) & kept) >= need}
+    if forced == down:  # D is the one match
+        return [down] if len(down) <= k_max else []
     matches: dict[FailureSet, None] = {}
     for extra in _failure_sets(sorted(down - forced), range(k_max - len(forced) + 1)):
         failure = extra.union(forced)

@@ -273,7 +273,7 @@ class TestMinCoverSize:
         with pytest.raises(CapacityError) as excinfo:
             cover_profile(ens)
         assert str(excinfo.value) == (
-            "21 candidate covering sets exceed the exact-cover guard of 20; no option raises this guard"
+            "node 1: 21 other non-monitors on its paths exceed the exact-cover guard of 20; no option raises this guard"
         )
         assert searches == []
         assert oracle._cover(ens, 1, guarded=False) == INFINITE_COVER
@@ -297,7 +297,7 @@ class TestMinCoverSize:
             assert max_identifiability(t, up_model(ens), guard=t.sigma) == 1
             assert oracle._cover(ens, 1, guarded=False) == 21
         assert refusals == [
-            "21 candidate covering sets exceed the exact-cover guard of 20; no option raises this guard"
+            "node 1: 21 other non-monitors on its paths exceed the exact-cover guard of 20; no option raises this guard"
         ] * 2
         assert [v for _, v in searches].count(1) == 1
 

@@ -426,6 +426,47 @@ class TestSweepCounts:
             assert len(candidates) == count and frozenset(truth) in candidates
             assert len(calls) == (2 if kind == "CSP" else 1)
 
+    def test_identified_failure_lists_no_candidate(self, monkeypatch):
+        # The forced set is the down set D exactly when D is the one match
+        # at any k_max: the failure is identified, and localize answers [D],
+        # or [] when D holds more than k_max nodes, without generating a
+        # candidate.  The network has localize-stream's shape (sigma 13, six
+        # monitors, p = 0.5).  Its shortest paths leave six non-monitors on
+        # no path, so no UP map would be identified; the UP paths are, as in
+        # localize-stream, a one-hop path per non-monitor with two monitor
+        # neighbours, then walks.
+        doc = erdos_renyi(19, 0.5, seed=1, monitors=6)
+        topo = doc.to_topology()
+        pool, monitors = sorted(topo.non_monitors), topo.monitors
+        hops = [(m[0], v, m[1]) for v in pool if len(m := sorted(topo.adjacency[v] & monitors)) >= 2]
+        ensemble = doc.with_paths(hops + list(_seeded_monitor_walks(doc, 1, 40).paths)).to_ensemble(topo)
+        generated = []
+        original = oracle._failure_sets
+        monkeypatch.setattr(oracle, "_failure_sets", lambda *args: generated.append(args) or original(*args))
+        identified, over_budget = {}, {}
+        for model in (CAP, CSP, up_model(ensemble)):
+            for truth in all_failure_sets(pool, 4):
+                outcomes = simulate_measurements(topo, model, truth)
+                every = localize(topo, model, outcomes, topo.sigma, guard=topo.sigma)
+                del generated[:]
+                answer = localize(topo, model, outcomes, 3, guard=topo.sigma)
+                if len(every) == 1:
+                    assert generated == [] and answer == ([] if len(every[0]) > 3 else every)
+                    identified[model.kind] = identified.get(model.kind, 0) + 1
+                    over_budget[model.kind] = over_budget.get(model.kind, 0) + (answer == [])
+                else:
+                    assert len(generated) == 1
+        assert identified == {"CAP": 1093, "CSP": 1082, "UP": 796}
+        assert over_budget == {"CAP": 715, "CSP": 705, "UP": 476}
+        # Not identified: BA-14's first non-monitor down under CSP has 176
+        # candidates, which the generator lists.
+        doc = generate_paths(barabasi_albert(14, 1, seed=1, monitors=3), 2)
+        topo = doc.to_topology()
+        outcomes = simulate_measurements(topo, CSP, [min(topo.non_monitors)])
+        del generated[:]
+        assert len(localize(topo, CSP, outcomes, 3, guard=topo.sigma)) == 176
+        assert len(generated) == 1
+
     def test_cap_localize_sweeps_one_set(self, corpus, monkeypatch):
         # Under CAP the forced set (the down nodes bordering an up node or a
         # monitor) reproduces every produced map once R(D) does, so R(D) is
