@@ -13,7 +13,8 @@ Node order in the file defines the dense ids used in memory, and
 ``parse_topology(emit_topology(doc)) == doc``.  Outcome maps look like
 ``{"model": "CAP", "observations": [{"probe": "v1", "state": "up"}]}``, with
 path ids as UP probes.  Every file is ``json.dumps(indent=2, sort_keys=True)``'s
-text, written without its pure-Python encoder.
+text, written without its pure-Python encoder.  A document value memoises its
+name index and each probe's observation texts, built on first use.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import FormatError, InputError
 from .graph import Topology
 
 FORMAT_VERSION = 1
+_TAILS = {True: ',\n      "state": "up"\n    }', False: ',\n      "state": "down"\n    }'}
 _WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -41,6 +43,10 @@ class TopologyDocument:
     edges: frozenset[tuple[int, int]]
     paths: tuple[tuple[int, ...], ...] | None = None
     index = cached_property(lambda self: {name: i for i, name in enumerate(self.names)})  # name: id
+    # emit_outcomes' memo: each probe's {reading: observation text}, for node ids, then path ids
+    _texts = cached_property(lambda self: tuple(
+        tuple({up: f'{{\n      "probe": {p}{_TAILS[up]}' for up in (False, True)} for p in probes)
+        for probes in (map(_quote, self.names), range(len(self.paths or ())))))
 
     def to_topology(self) -> Topology:
         return Topology(len(self.names), self.edges, self.monitors)
@@ -272,7 +278,9 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
 
 
 def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument) -> str:
-    """Canonical JSON form of an outcome map, from templates like :func:`emit_topology`.
+    """Canonical JSON form of an outcome map, spliced from ``doc``'s memo of each
+    probe's observation text per reading: the first write to a document value
+    quotes every name once, and UP keys past its path list are formatted per map.
 
     A model, probe key or reading that :func:`parse_outcomes` could not give
     back raises InputError, checked in O(1) per map: once the keys are sorted a
@@ -282,23 +290,19 @@ def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument)
     """
     if model not in ("CAP", "CSP", "UP"):
         raise InputError(f"unknown probing model {model!r}")
-    names, rep = doc.names, int.__repr__
-    tail = {True: ',\n      "state": "up"\n    }', False: ',\n      "state": "down"\n    }'}
+    n = len(texts := doc._texts[model == "UP"])
     try:
         keys = sorted(states)
         # keys[len(keys) > 1] is the second key, or the only one.
         if keys and (keys[0] < 0 or not type(keys[0]) is type(keys[len(keys) > 1]) is type(keys[-1]) is int):
             raise TypeError
         observations = [
-            f'{{\n      "probe": {rep(key)}{tail[states[key]]}'
+            texts[key][states[key]] if key < n else f'{{\n      "probe": {int.__repr__(key)}{_TAILS[states[key]]}'
             for key in keys
-        ] if model == "UP" else [
-            f'{{\n      "probe": {_quote(names[key])}{tail[states[key]]}'
-            for key in keys
-        ]
+        ] if model == "UP" else [texts[key][states[key]] for key in keys]
     except (IndexError, KeyError, TypeError):
         for key in states:
-            if type(key) is not int or key < 0 or model != "UP" and key >= len(names):
+            if type(key) is not int or key < 0 or model != "UP" and key >= n:
                 raise InputError(f"probe key {key!r} is not a {'path' if model == 'UP' else 'node'} id") from None
             if states[key] not in (True, False):
                 raise InputError(f"probe {key!r} reads {states[key]!r}, not True (up) or False (down)") from None

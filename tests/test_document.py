@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
+from json.encoder import encode_basestring_ascii as _quote
 
 import pytest
 from hypothesis import given
@@ -326,23 +328,30 @@ class TestDumpJson:
 def outcome_maps(draw):
     doc = draw(documents())
     model = draw(st.sampled_from(["CAP", "CSP", "UP"]))
-    keys = st.integers(0, 10**6) if model == "UP" else st.integers(0, len(doc.names) - 1)
+    # Most UP keys are the document's path ids or just past them, which the
+    # writer reads from its memo or formats; some lie far beyond.
+    near = st.integers(0, len(doc.paths or ()) + 2)
+    keys = st.one_of(near, near, near, st.integers(0, 10**6)) if model == "UP" else st.integers(0, len(doc.names) - 1)
     return model, draw(st.dictionaries(keys, st.booleans(), max_size=12)), doc
+
+
+def _json_outcomes(model, states, doc) -> str:
+    observations = [
+        {
+            "probe": key if model == "UP" else doc.names[key],
+            "state": "up" if states[key] else "down",
+        }
+        for key in sorted(states)
+    ]
+    payload = {"model": model, "observations": observations}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestEmitOutcomes:
     @given(outcome_maps())
     def test_matches_the_json_module(self, case):
         model, states, doc = case
-        observations = [
-            {
-                "probe": key if model == "UP" else doc.names[key],
-                "state": "up" if states[key] else "down",
-            }
-            for key in sorted(states)
-        ]
-        payload = {"model": model, "observations": observations}
-        assert emit_outcomes(model, states, doc) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert emit_outcomes(model, states, doc) == _json_outcomes(model, states, doc)
 
     # Each map would be written, or fail with a stray error, without the
     # writer's checks; parse_outcomes could give none of them back.
@@ -390,6 +399,94 @@ class TestEmitOutcomes:
         text = emit_outcomes("CAP", {1: 0, 2: 1}, doc)
         assert text == emit_outcomes("CAP", {1: False, 2: True}, doc)
         assert parse_outcomes(text, doc) == ("CAP", {1: 0, 2: 1})
+
+
+class TestOutcomeTextMemo:
+    """Each document value builds its probes' observation texts on its first
+    outcome map, node ids and path ids alike, and every later map splices them."""
+
+    @staticmethod
+    def _maps(doc, count, seed):
+        """Seeded outcome maps on ``doc``: node ids under CAP and CSP; under UP
+        path ids, ids just past the path list and a few far beyond it."""
+        rng = random.Random(seed)
+        readings = (True, False, 1, 0, 1.0, 0.0)
+        path_count = len(doc.paths or ())
+        for i in range(count):
+            model = rng.choice(("CAP", "CSP", "UP"))
+            if model == "UP":
+                pool = list(range(path_count + 3)) + [10**6 + i]
+            else:
+                pool = list(range(len(doc.names)))
+            keys = rng.sample(pool, rng.randint(0, min(len(pool), 12)))
+            yield model, {key: rng.choice(readings) for key in keys}
+
+    # A document with paths, and one with paths=None, whose UP keys all lie past its list.
+    @pytest.mark.parametrize("paths", [True, False])
+    def test_warm_memo_matches_the_json_module(self, paths):
+        doc = erdos_renyi(14, 0.4, seed=3, monitors=4)
+        doc = generate_paths(doc, 2) if paths else doc
+        maps = list(self._maps(doc, 300, seed=1))
+        assert {model for model, _ in maps} == {"CAP", "CSP", "UP"}
+        up_keys = {key for model, states in maps if model == "UP" for key in states}
+        assert max(up_keys) > 10**6 and len(doc.paths or ()) + 2 in up_keys and 0 in up_keys
+        for model, states in maps:
+            assert emit_outcomes(model, states, doc) == _json_outcomes(model, states, doc)
+        assert len(doc._texts[0]) == len(doc.names) and len(doc._texts[1]) == len(doc.paths or ())
+
+    def test_with_paths_copy_has_its_own_memo(self):
+        doc = generate_paths(erdos_renyi(10, 0.5, seed=4, monitors=3), 1)
+        for model, states in self._maps(doc, 50, seed=3):
+            emit_outcomes(model, states, doc)
+        memo = doc._texts
+        longer = doc.with_paths(doc.paths + ((0, 1), (1, 0)))
+        assert "_texts" not in vars(longer)
+        for model, states in self._maps(longer, 100, seed=4):
+            assert emit_outcomes(model, states, longer) == _json_outcomes(model, states, longer)
+        assert longer._texts is not memo and len(longer._texts[1]) == len(doc.paths) + 2
+        assert doc._texts is memo and len(memo[1]) == len(doc.paths)
+        # The original still writes its own path list's past-the-end ids as before.
+        past = {len(doc.paths): True, len(doc.paths) + 1: False}
+        assert emit_outcomes("UP", past, doc) == _json_outcomes("UP", past, doc)
+
+    def test_value_semantics_survive_a_write(self):
+        text = emit_topology(generate_paths(erdos_renyi(10, 0.5, seed=5, monitors=3), 1))
+        doc, twin = parse_topology(text), parse_topology(text)
+        before = (hash(doc), repr(doc))
+        for model, states in self._maps(doc, 30, seed=5):
+            emit_outcomes(model, states, doc)
+        assert "_texts" in vars(doc) and "_texts" not in vars(twin)
+        assert doc == twin and (hash(doc), repr(doc)) == before == (hash(twin), repr(twin))
+        assert len({doc, twin}) == 1 and parse_topology(emit_topology(doc)) == doc
+
+    def test_built_once_per_value(self, monkeypatch):
+        from nodeloc import document
+
+        doc = generate_paths(erdos_renyi(12, 0.4, seed=6, monitors=4), 2)
+        quoted = []
+
+        def counted(text):
+            quoted.append(text)
+            return _quote(text)
+
+        monkeypatch.setattr(document, "_quote", counted)
+        maps = list(self._maps(doc, 200, seed=6))
+        model, states = maps[0]
+        emit_outcomes(model, states, doc)
+        memo = doc._texts
+        for model, states in maps[1:]:
+            emit_outcomes(model, states, doc)
+            assert doc._texts is memo
+        # Each name is quoted once; each map quotes only its model.
+        assert [text for text in quoted if text in doc.names] == list(doc.names)
+        assert len(quoted) == len(doc.names) + len(maps)
+
+    def test_a_name_that_is_not_a_string_fails_the_first_write(self):
+        # As emit_topology does: the memo quotes every name, written or not.
+        doc = TopologyDocument(("m", 1, "b"), frozenset({0}), frozenset({(0, 1), (1, 2)}))
+        for write in (lambda: emit_topology(doc), lambda: emit_outcomes("CAP", {2: True}, doc)):
+            with pytest.raises(TypeError):
+                write()
 
 
 class TestNoPurePythonEncoder:
