@@ -50,12 +50,6 @@ class PathEnsemble:
     _covers = cached_property(lambda self: {})  # v: (candidate count, cover size), by _cover
     _routes = cached_property(lambda self: _by_node((r, [r]) for r in set(self.members)))  # v: its routes
 
-    def paths_through(self, v: int) -> frozenset[int]:
-        self.topology._check_node(v)
-        if v in self.topology.monitors:
-            raise InputError(f"node {v} is a monitor; only non-monitors are probed")
-        return self.incidence[v]
-
 
 def build_ensemble(topology: Topology, paths: Iterable[Sequence[int]]) -> PathEnsemble:
     """Validate raw node sequences into a :class:`PathEnsemble`.

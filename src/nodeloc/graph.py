@@ -12,7 +12,10 @@ paths take one BFS (:func:`_shortest_paths`).  The leave-one-out minimum dm of d
 is exact at d = sigma and capped at d - 1 below, where CSP reads only min(d - 1, dm).
 Each value builds its memos on first read: ``Topology._d``, ``_dm``, ``adjacency``
 (UP reads none), that network ``_flow_network``, and the non-monitors with
-one and two monitor neighbours, ``_bordering_one`` and ``_bordering_two``.
+one and two monitor neighbours, ``_bordering_one`` and ``_bordering_two``, which
+with ``adjacency`` are all that the R(F) certificate :func:`_certified` reads.
+The oracle runs it before the R(F) walks, :func:`_connected_to_monitors` and
+:func:`_biconnected_to_monitors`, which are walks only.
 
 All functions here are pure and every value is frozen, so shared topologies
 may be analyzed concurrently without locking; every memo is idempotent.
@@ -170,23 +173,21 @@ def _bordering(topology: Topology, need: int) -> frozenset[int]:
 
 
 def _certified(topology: Topology, removed: frozenset[int], need: int) -> bool:
-    """Whether every survivor has ``need`` neighbours that are monitors or anchors,
-    survivors bordering ``need`` monitors; then R(F) is every survivor (``oracle``
-    docstring).  Stops at the first survivor that fails, building no set before it."""
+    """Whether every survivor has ``need`` neighbours that are monitors or anchors, survivors
+    bordering ``need`` monitors: then R(F) is every survivor (``oracle`` docstring).  A survivor
+    outside the anchors borders need - 1 monitors at most, under CSP one iff in ``_bordering_one``."""
     anchors = topology._bordering_two if need == 2 else topology._bordering_one
-    monitors, adjacency = topology.monitors, topology.adjacency
+    bordering, adjacency = topology._bordering_one if need == 2 else (), topology.adjacency
     for v in topology.non_monitors:
         if v not in anchors and v not in removed:
-            if len(adjacency[v] & monitors) + len((adjacency[v] & anchors) - removed) < need:
+            if (v in bordering) + len((adjacency[v] & anchors) - removed) < need:
                 return False
     return True
 
 
 def _connected_to_monitors(topology: Topology, removed: frozenset[int]) -> frozenset[int]:
     """Non-monitors whose component of ``topology`` minus ``removed`` holds a monitor:
-    every survivor if :func:`_certified`, else one search from the monitors."""
-    if _certified(topology, removed, 1):
-        return topology.non_monitors - removed
+    one search from the monitors, with no certificate (``oracle._reached`` runs it)."""
     monitors = topology.monitors
     return frozenset(_reach(topology.adjacency, list(monitors), set(monitors).union(removed))[len(monitors):])
 
@@ -199,16 +200,14 @@ def _biconnected_to_monitors(topology: Topology, removed: frozenset[int]) -> fro
     surviving non-monitors with two vertex-disjoint paths to distinct
     monitors.  Empty when there are fewer than two monitors.
 
-    Every survivor if :func:`_certified`, else one low-point DFS rooted at t
-    (:func:`_low_points`): a node w whose tree parent u is not t shares t's
-    block iff u does and ``low[w] < disc[u]``; every child of t (a monitor)
-    does.  ``removed`` must be checked already.
+    A walk only, with no certificate (``oracle._reached`` runs it): one
+    low-point DFS rooted at t (:func:`_low_points`): a node w whose tree
+    parent u is not t shares t's block iff u does and ``low[w] < disc[u]``;
+    every child of t (a monitor) does.  ``removed`` must be checked already.
     """
     monitors = topology.monitors
     if len(monitors) < 2:
         return frozenset()
-    if _certified(topology, removed, 2):
-        return topology.non_monitors - removed
     sink = topology.node_count
     order, disc, low, parent = _low_points(topology.adjacency, monitors, removed)
     reached: set[int] = set()

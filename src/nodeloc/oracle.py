@@ -25,13 +25,14 @@ has two disjoint paths to distinct monitors, one avoiding z, so by the fan
 lemma v has two vertex-disjoint paths to distinct monitors, no single node
 meeting every path from v to a monitor.  Survivors bordering need monitors
 are in R(F), so when every survivor borders need monitors or such anchors,
-R(F) is every survivor (``graph._certified``).  Else CAP searches once from
-the monitors, and CSP makes one block (biconnected-component) sweep: v is
-in R(F) iff it shares a block with a virtual sink joined to every monitor,
-so one low-point DFS replaces a max-flow per node.  CAP/CSP probes read R(F)
-directly, one per non-monitor, and a UP path reads up exactly when its
-non-monitors all lie in R(F); so two failure sets are indistinguishable
-exactly when their R(F) are equal.
+R(F) is every survivor (``graph._certified``, run by :func:`_reached` before
+any walk).  Else CAP searches once from the monitors, and CSP makes one
+block sweep: v is in R(F) iff it shares a block (biconnected component)
+with a virtual sink joined to every monitor, so one low-point DFS replaces
+a max-flow per node.  CAP/CSP probes read R(F) directly, one per
+non-monitor, and a UP path reads up exactly when its non-monitors all lie
+in R(F); so two failure sets are indistinguishable exactly when their R(F)
+are equal.
 
 Identifiability needs at most two levels of failure sets (the sets of one
 size), not every set.  R(F) misses F, shrinks as F grows, and holds every
@@ -42,7 +43,7 @@ outside R(F)); no J exists when no set does.  No set below J has a twin (a
 distinct set with equal observations), a stranding set at J has one a level
 up, and twins of one size strand at that size.  So k-identifiability fails
 exactly when J < k or level k holds twins, and the maximum is sigma without
-a J, else J - 1 or J as level J does or does not hold twins.
+a J, else J or J - 1 as the network is or is not J-identifiable.
 
 The paper's abstract conditions reduce to these answers.  Its sufficient
 condition, every non-monitor measurable under every set of at most k
@@ -124,6 +125,7 @@ from .errors import CapacityError, FormatError, InputError
 from .graph import (
     Topology,
     _biconnected_to_monitors,
+    _certified,
     _connected_to_monitors,
     _plain_int,
     _shortest_paths,
@@ -222,11 +224,9 @@ def find_measurable_path(
         raise InputError(f"node {v} is a monitor; only non-monitors are probed")
     if v in avoid_set:
         raise InputError("the probed node cannot itself be avoided")
-    if model.kind == "UP":
-        for pid in sorted(model.ensemble.paths_through(v)):
-            if avoid_set.isdisjoint(model.ensemble.paths[pid]):
-                return pid
-        return None
+    if model.kind == "UP":  # members[p] meets avoid_set as paths[p] does, avoid_set holding non-monitors
+        members = model.ensemble.members
+        return next((p for p in sorted(model.ensemble.incidence[v]) if avoid_set.isdisjoint(members[p])), None)
     need, search = (1, _shortest_paths) if model.kind == "CAP" else (2, disjoint_paths)
     paths = search(topology, v, topology.monitors, avoid_set, need)
     return tuple(reversed(paths[0])) + paths[-1][1:] if len(paths) == need else None
@@ -235,16 +235,16 @@ def find_measurable_path(
 def _reached(topology: Topology, model: ProbingModel, failure: FailureSet) -> frozenset[int]:
     """R(F): the non-monitors some probe of ``model`` traverses while ``failure`` is down.
 
-    One sweep answers every non-monitor.  ``failure`` must be checked
-    already (the enumerations build theirs).
+    The one place R(F) is decided: under CAP/CSP ``graph._certified``, else one walk, answers
+    every non-monitor.  ``failure`` must be checked already (the enumerations build theirs).
     """
-    if model.kind == "CAP":
-        return _connected_to_monitors(topology, failure)
-    if model.kind == "CSP":
-        return _biconnected_to_monitors(topology, failure)
-    incidence = model.ensemble.incidence
-    down = set().union(*(incidence[v] for v in failure))
-    return frozenset(v for v in topology.non_monitors if not incidence[v] <= down)
+    if model.kind == "UP":
+        incidence = model.ensemble.incidence
+        down = set().union(*(incidence[v] for v in failure))
+        return frozenset(v for v in topology.non_monitors if not incidence[v] <= down)
+    if _certified(topology, failure, 1 if model.kind == "CAP" else 2):
+        return topology.non_monitors - failure
+    return (_connected_to_monitors if model.kind == "CAP" else _biconnected_to_monitors)(topology, failure)
 
 
 def _stranding_level(topology: Topology, model: ProbingModel) -> int | None:
@@ -347,19 +347,17 @@ def max_identifiability(
 ) -> int:
     """Largest k for which the network is k-identifiable under ``model``.
 
-    Sigma when no set strands a node, else J - 1 or J as the stranding
-    level J does or does not hold twins (see the module docstring).  A
-    network with no J costs no sweep, and neither does CAP, whose level J =
-    d never holds twins; CSP and UP sweep level J.
+    Sigma when no set strands a node, else J or J - 1 as the network is or
+    is not J-identifiable, read off :func:`k_identifiable` at the stranding
+    level J (see the module docstring): so CAP and a network with no J cost
+    no sweep, and CSP and UP sweep level J.
     """
     _check_model(topology, model)
     _check_guard(topology, guard)
     low = _stranding_level(topology, model)
     if low is None:
         return topology.sigma
-    if model.kind == "CAP":
-        return low
-    return low - 1 if _first_collision(topology, model, range(low, low + 1)) else low
+    return low if k_identifiable(topology, model, low, guard)[0] else low - 1
 
 
 def localize(
@@ -405,8 +403,8 @@ def localize(
                 down_paths.append(members[p])
         if any(map(target.issuperset, down_paths)):  # else R(D) = T (module docstring)
             return []
-        down, through = topology.non_monitors - target, model.ensemble.paths_through
-        forced = {v for v in down if any(members[p] - {v} <= target for p in through(v))}
+        down, incidence = topology.non_monitors - target, model.ensemble.incidence
+        forced = {v for v in down if any(members[p] - {v} <= target for p in incidence[v])}
     else:
         target = frozenset(compress(outcomes, outcomes.values()))
         down = topology.non_monitors - target

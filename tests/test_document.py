@@ -47,7 +47,7 @@ class TestParseTopology:
         raw["paths"] = [["m1", "v", "m2"]]
         doc = parse_topology(json.dumps(raw))
         ens = doc.to_ensemble()
-        assert ens.paths_through(doc.index["v"]) == {0}
+        assert ens.incidence[doc.index["v"]] == {0}
 
     def test_document_without_paths_has_no_ensemble(self):
         with pytest.raises(FormatError, match="carries no measurement paths"):

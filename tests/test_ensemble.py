@@ -57,25 +57,25 @@ def _check_cover_routes(ens):
 class TestBuildEnsemble:
     def test_incidence_of_running_example(self):
         ens = diamond_ensemble()
-        assert ens.paths_through(1) == {0, 1}
-        assert ens.paths_through(2) == {1}
+        assert ens.incidence[1] == {0, 1}
+        assert ens.incidence[2] == {1}
         assert ens.unobserved == frozenset()
 
     def test_empty_path_list(self):
         ens = build_ensemble(DIAMOND, [])
-        assert ens.paths_through(1) == frozenset()
+        assert ens.incidence[1] == frozenset()
         assert ens.unobserved == {1, 2}
 
     def test_monitor_to_monitor_hop_contributes_nothing(self):
         t = Topology(3, [(0, 1), (0, 2), (1, 2)], [0, 2])
         ens = build_ensemble(t, [(0, 2)])
-        assert ens.paths_through(1) == frozenset()
+        assert ens.incidence[1] == frozenset()
         assert ens.unobserved == {1}
 
     def test_walks_with_repeats_are_accepted(self):
         t = Topology(3, [(0, 1), (1, 2)], [0, 2])
         ens = build_ensemble(t, [(0, 1, 0, 1, 2)])
-        assert ens.paths_through(1) == {0}
+        assert ens.incidence[1] == {0}
 
     def test_rejects_nonmonitor_endpoint(self):
         with pytest.raises(FormatError):
@@ -105,10 +105,6 @@ class TestBuildEnsemble:
             build_ensemble(DIAMOND, [5])
         with pytest.raises(InputError):
             build_ensemble(DIAMOND, 5)
-
-    def test_monitor_incidence_query_rejected(self):
-        with pytest.raises(InputError):
-            diamond_ensemble().paths_through(0)
 
     @pytest.mark.parametrize(
         "paths, error, message",

@@ -136,6 +136,32 @@ def test_cover_guard_has_one_site_each_way():
     assert calls == len(sites)
 
 
+def test_each_oracle_rule_is_stated_once():
+    # R(F) is decided in one place: oracle._reached runs the neighbour
+    # certificate and walks only when it fails, so the two graph walks hold no
+    # certificate.  The maximum reads k_identifiable's verdict at J, which
+    # alone holds the level-J sweep and CAP's "no twins at J" rule.
+    def calls(tree, name):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+        ]
+
+    functions = {
+        (path.stem, f.name): f
+        for path in sorted(PACKAGE.glob("*.py"))
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(f, ast.FunctionDef)
+    }
+    assert [key for key, f in functions.items() for _ in calls(f, "_certified")] == [("oracle", "_reached")]
+    for walk in ("_connected_to_monitors", "_biconnected_to_monitors"):
+        assert calls(functions["graph", walk], "_certified") == [], walk
+    maximum = functions["oracle", "max_identifiability"]
+    assert calls(maximum, "_first_collision") == []
+    assert len(calls(maximum, "k_identifiable")) == 1
+
+
 def test_package_is_within_its_line_cap():
     # The package's size cap, counted as ``wc -l src/nodeloc/*.py`` counts it.
     lines = sum(path.read_bytes().count(b"\n") for path in PACKAGE.glob("*.py"))

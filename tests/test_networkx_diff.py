@@ -5,11 +5,13 @@ Seeded ER, BA and grid topologies with 30 to 300 nodes, one of them dense
 ``monitor_connectivity`` is checked on each, for the all-monitors merged
 graph and every leave-one-out graph, against networkx on the auxiliary
 graph as the reference construction builds it.  Disjoint paths are checked
-from a few sources under seeded forbidden sets, and the monitor block sweep
-under several seeded removed sets, and so is its CAP counterpart, the
-search for the components holding a monitor; dense networks check the
-neighbour certificate that answers both without a walk, sparse ones and an
-800-node ring the walks.  Hand-built topologies reach every rung
+from a few sources under seeded forbidden sets, and R(F) under CAP and CSP
+(``oracle._reached``, the one entry point) under several seeded removed
+sets, and so are the two walks it may make without its neighbour
+certificate: the monitor block sweep and its CAP counterpart, the search
+for the components holding a monitor.  Dense networks check the
+certificate that answers R(F) without a walk, sparse ones and an 800-node
+ring the walks.  Hand-built topologies reach every rung
 of ``monitor_connectivity``'s ladder, and a hypothesis property covers
 small random graphs.  ``_leave_one_out_connectivity`` (dm given d) is
 checked against the least networkx connectivity of the reference
@@ -28,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
+from nodeloc.oracle import CAP, CSP, _reached
 from nodeloc.graph import (
     Topology,
     _biconnected_to_monitors,
@@ -210,6 +213,7 @@ def test_connectivity_and_block_sweep_on_small_random_graphs(case):
     topology, removed = case
     _check_connectivities(topology)
     _check_reached(topology, removed)
+    _check_walks(topology, removed)
 
 
 @settings(max_examples=300)
@@ -288,7 +292,13 @@ def _networkx_monitor_components(topology: Topology, removed: frozenset[int]) ->
 
 
 def _check_reached(topology: Topology, removed: frozenset[int]) -> None:
-    """Both R(F) primitives against networkx."""
+    """R(F) under CAP and CSP, through its one entry point, against networkx."""
+    assert _reached(topology, CAP, removed) == _networkx_monitor_components(topology, removed)
+    assert _reached(topology, CSP, removed) == _networkx_sink_block(topology, removed)
+
+
+def _check_walks(topology: Topology, removed: frozenset[int]) -> None:
+    """Both walks against networkx, with no certificate run before them."""
     assert _connected_to_monitors(topology, removed) == _networkx_monitor_components(topology, removed)
     assert _biconnected_to_monitors(topology, removed) == _networkx_sink_block(topology, removed)
 
@@ -301,6 +311,7 @@ def test_monitor_block_sweep_under_seeded_removals(name):
     for size in (0, 1, 2, 3, len(pool) // 10, len(pool) // 3):
         removed = frozenset(rng.sample(pool, size))
         _check_reached(topology, removed)
+        _check_walks(topology, removed)
 
 
 # A 5-node path 0-1-2-3-4 with a chord 1-3, so node 2 sits on a cycle.
@@ -324,6 +335,23 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_monitor_block_sweep_edge_cases(name):
     _check_reached(*EDGE_CASES[name])
+    _check_walks(*EDGE_CASES[name])
+
+
+def test_reached_on_one_monitor_and_with_every_non_monitor_down():
+    # One monitor: no non-monitor has two paths to distinct monitors, though
+    # every leaf of this star borders it and the certificate counts that one.
+    star = Topology(5, [(0, v) for v in range(1, 5)] + [(1, 2), (3, 4)], [0])
+    for topology in (star, EDGE_CASES["one-monitor"][0]):
+        for removed in (frozenset(), frozenset({2})):
+            _check_reached(topology, removed)
+            assert _reached(topology, CSP, removed) == frozenset()
+        assert _reached(topology, CAP, frozenset()) == topology.non_monitors
+    # Every non-monitor down: the certificate holds with no survivor to fail it.
+    for topology in [star] + [case[0] for case in EDGE_CASES.values()]:
+        _check_reached(topology, topology.non_monitors)
+        assert _reached(topology, CAP, topology.non_monitors) == frozenset()
+        assert _reached(topology, CSP, topology.non_monitors) == frozenset()
 
 
 def test_monitor_block_sweep_edge_case_values():
