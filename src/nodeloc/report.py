@@ -7,24 +7,29 @@ runs on the same input are byte-identical.  The report is a JSON-ready dict:
 ``emit_report`` renders it as stable JSON or as a human-readable text
 table, and ``nodeloc report`` re-reads the JSON form.  The provenance's
 ``input_sha256`` is the SHA-256 of ``emit_topology(doc)``, the document's
-canonical text.
+canonical text: below 64 KiB by the interpreter's builtin SHA-256, which
+loads no OpenSSL, and from there on by ``hashlib``, which is faster per byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+import sys
 from typing import Any, Callable, Mapping
 
 from ._version import __version__
 from .conditions import Identifiability, IdentifiabilityBounds, Verdict, verdict_table
 from .document import _WORDS, TopologyDocument, _array, _dump_json, _layout, _load_json, _quote, emit_topology
 from .ensemble import cover_profile
-from .errors import FormatError, InternalError, UsageError
+from .errors import CapacityError, FormatError, InternalError, UsageError
 from .graph import Topology, _plain_int
 from .oracle import DEFAULT_GUARD, ProbingModel, max_identifiability, up_model
 
 _MODEL_ORDER = ("CAP", "CSP", "UP")
+# Shorter canonical texts are hashed by the builtin module hashlib itself falls
+# back to: about 6x slower per byte than OpenSSL, but it spares OpenSSL's load.
+_BUILTIN_SHA256_BELOW = 64 * 1024
+_BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
 
 
 def resolve_models(
@@ -88,8 +93,11 @@ def analyze(
         if kind not in chosen:
             continue
         model = chosen[kind]
-        # The profile first: its search fills the ensemble's memo, which the table then reads.
-        profile = cover_profile(model.ensemble) if kind == "UP" else None
+        try:  # The profile first: its search fills the ensemble's memo, which the table then reads.
+            profile = cover_profile(model.ensemble) if kind == "UP" else None
+        except CapacityError as exc:  # ensemble's "node <id>: ..." gets the document's name
+            v, _, rest = str(exc).removeprefix("node ").partition(": ")
+            raise CapacityError(f"node {names[int(v)]!r}: {rest}") from None
         verdicts, bounds = verdict_table(topology, model)
         verdicts = verdicts[lo : hi + 1]
         oracle_max = max_identifiability(topology, model, guard=guard) if oracle else None
@@ -98,14 +106,14 @@ def analyze(
             "verdicts": [
                 {
                     "k": k,
-                    "value": verdict.value.value,
+                    "value": verdict.value._value_,  # the member's plain attribute, not Enum's property
                     "sufficient": verdict.sufficient_holds,
                     "necessary": verdict.necessary_holds,
                     "rationale": verdict.rationale,
                 }
                 for k, verdict in enumerate(verdicts, lo)
             ],
-            "bounds": asdict(bounds),
+            "bounds": dict(vars(bounds)),
             "oracle": None if oracle_max is None else {"max_identifiability": oracle_max},
         }
         if profile is not None:
@@ -116,13 +124,10 @@ def analyze(
             }
         sections[kind] = entry
 
-    # Imported here: hashlib loads OpenSSL, which only a report's digest
-    # needs, so importing the package never pays for it.
-    import hashlib
     return {
         "report_version": 1,
         "provenance": {
-            "input_sha256": hashlib.sha256(emit_topology(doc).encode("utf-8")).hexdigest(),
+            "input_sha256": _sha256_hex(emit_topology(doc).encode("utf-8")),
             "options": {"models": list(chosen), "oracle": oracle, "guard": guard, "k_range": [lo, hi]},
             "tool": f"nodeloc {__version__}",
         },
@@ -131,6 +136,16 @@ def analyze(
         "sigma": sigma,
         "models": sections,
     }
+
+
+def _sha256_hex(text: bytes) -> str:
+    if len(text) < _BUILTIN_SHA256_BELOW:
+        try:
+            return __import__(_BUILTIN_SHA256).sha256(text).hexdigest()
+        except ImportError:  # a build without it hashes every size by hashlib
+            pass
+    import hashlib  # here, not at module level: it loads OpenSSL
+    return hashlib.sha256(text).hexdigest()
 
 
 def _validate_section(
@@ -142,10 +157,8 @@ def _validate_section(
             raise InternalError(f"{kind} verdict table is not monotone at k={k}")
         dead = dead or verdict.value is Identifiability.NOT_IDENTIFIABLE
     if oracle_max is not None and not bounds.lower <= oracle_max <= bounds.upper:
-        raise InternalError(
-            f"{kind} oracle result {oracle_max} escapes the "
-            f"reported bounds [{bounds.lower}, {bounds.upper}]"
-        )
+        raise InternalError(f"{kind} oracle result {oracle_max} escapes the "
+                            f"reported bounds [{bounds.lower}, {bounds.upper}]")
 
 
 def _size_json(size: int | float) -> int | str:
@@ -225,17 +238,12 @@ def render_text(payload: Mapping[str, Any]) -> str:
             f"{'' if b['applicable'] else '  [formula guard failed]'}{note}"
         )
         if entry.get("oracle"):
-            lines.append(
-                f"  oracle max identifiability: {entry['oracle']['max_identifiability']}"
-            )
+            lines.append(f"  oracle max identifiability: {entry['oracle']['max_identifiability']}")
         if "cover_profile" in entry:
             sizes = entry["cover_profile"]["sizes"]
             rendered = ", ".join(f"{name}={sizes[name]}" for name in sorted(sizes))
             lines.append(f"  cover sizes: {rendered}  (min {entry['cover_profile']['min_cover']})")
             if entry["cover_profile"]["unobserved"]:
-                lines.append(
-                    "  unobserved nodes: "
-                    + ", ".join(entry["cover_profile"]["unobserved"])
-                )
+                lines.append("  unobserved nodes: " + ", ".join(entry["cover_profile"]["unobserved"]))
         lines.append("")
     return "\n".join(lines)

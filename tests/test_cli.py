@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from nodeloc.cli import _build_parser, main
 from nodeloc.document import emit_outcomes, emit_topology, parse_topology
-from nodeloc.generate import barabasi_albert, erdos_renyi, grid
+from nodeloc.generate import barabasi_albert, erdos_renyi, generate_paths, grid
 
 from conftest import count_threshold_reads
 
@@ -118,6 +119,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", topo, "--models", "UP")
         assert code == 3 and "exact-cover guard" in err
         assert "--guard" not in err and "--oracle" not in err
+
+    def test_cover_guard_refusal_names_the_node_as_the_document_does(self, tmp_path, capsys):
+        # the same refusal on a copy whose names are not n<id>: node 5 is "host-58"
+        doc = generate_paths(grid(8, 8, seed=1, monitors=8), 2)
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(emit_topology(replace(doc, names=tuple(f"host-{63 - i}" for i in range(64)))),
+                           encoding="utf-8")
+        code, _, err = run(capsys, "analyze", renamed, "--models", "UP")
+        assert code == 3 and "node 'host-58': 25 other non-monitors" in err
+        assert "node 5" not in err
 
 
 class TestOracleCommand:

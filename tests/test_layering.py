@@ -40,8 +40,9 @@ def _imports(module: str) -> dict[str, set[str]]:
 
 
 def test_no_module_imports_hashlib_at_module_level():
-    # hashlib loads OpenSSL, which only a report's digest needs: analyze
-    # imports it where it hashes, so importing the package never loads it.
+    # hashlib loads OpenSSL, which only the digest of a report of 64 KiB or
+    # more needs: analyze imports it where it hashes such a text, and hashes
+    # a shorter one with the builtin SHA-256, so importing the package never loads it.
     for path in sorted(PACKAGE.glob("*.py")):
         body = ast.parse(path.read_text(encoding="utf-8")).body
         names = {alias.name for node in body if isinstance(node, ast.Import) for alias in node.names}

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nodeloc.document import TopologyDocument, parse_topology
+from nodeloc.document import TopologyDocument, emit_topology, parse_topology
+from nodeloc.ensemble import cover_profile
 from nodeloc.errors import CapacityError, FormatError, NodelocError, UsageError
-from nodeloc.generate import erdos_renyi, generate_paths
+from nodeloc.generate import erdos_renyi, generate_paths, grid
 from nodeloc.oracle import CAP, CSP
-from nodeloc.report import analyze, emit_report, reformat_report
+from nodeloc.report import _BUILTIN_SHA256, _BUILTIN_SHA256_BELOW, analyze, emit_report, reformat_report
 
 from conftest import count_threshold_reads
 from test_document import documents
@@ -202,6 +206,54 @@ class TestEmission:
                     if dead:
                         assert row["value"] == "not-identifiable"
                     dead = dead or row["value"] == "not-identifiable"
+
+
+def _path4_of_length(size: int) -> TopologyDocument:
+    """PATH4 renamed so that its canonical text is exactly ``size`` bytes long:
+    v1's name is written three times (its node and two edges), m1's twice."""
+    extra = size - len(emit_topology(PATH4))
+    pad_v1, pad_m1 = {0: (extra // 3, 0), 1: (extra // 3 - 1, 2), 2: (extra // 3, 1)}[extra % 3]
+    return dataclasses.replace(PATH4, names=("m1" + "m" * pad_m1, "v1" + "v" * pad_v1, "v2", "m2"))
+
+
+class TestInputDigest:
+    """``input_sha256`` is hashlib's SHA-256 of the canonical text on both sides
+    of the size limit: the builtin module below it, ``hashlib`` from it on."""
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_digest_on_both_sides_of_the_limit(self, delta, monkeypatch):
+        size = _BUILTIN_SHA256_BELOW + delta
+        doc = _path4_of_length(size)
+        text = emit_topology(doc).encode("utf-8")
+        assert len(text) == size
+        if delta < 0:  # hashlib must not be imported
+            monkeypatch.setitem(sys.modules, "hashlib", None)
+        else:  # the builtin must not be called
+            monkeypatch.setitem(sys.modules, _BUILTIN_SHA256, types.ModuleType("no_sha256"))
+        digest = analyze(doc, models=("CAP",))["provenance"]["input_sha256"]
+        assert digest == hashlib.sha256(text).hexdigest()
+
+    def test_without_a_builtin_module_hashlib_hashes_every_size(self, monkeypatch):
+        golden = json.loads((GOLDEN_DIR / "ring.report.json").read_text(encoding="utf-8"))
+        doc = parse_topology((GOLDEN_DIR / "ring.topology.json").read_text(encoding="utf-8"))
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+        report = analyze(doc)
+        assert report["provenance"]["input_sha256"] == golden["provenance"]["input_sha256"]
+
+
+def test_cover_refusal_names_the_node_as_the_document_does():
+    # The 8x8 grid's node 5 is the first over the exact-cover guard; renamed,
+    # the report's refusal gives its document name, and cover_profile its id.
+    doc = generate_paths(grid(8, 8, seed=1, monitors=8), 2)
+    doc = dataclasses.replace(doc, names=tuple(f"router-{i * 7}" for i in range(len(doc.names))))
+    with pytest.raises(CapacityError) as refused:
+        analyze(doc, models=("UP",))
+    message = str(refused.value)
+    assert message.startswith("node 'router-35': 25 other non-monitors on its paths exceed the exact-cover guard")
+    assert "node 5" not in message
+    with pytest.raises(CapacityError, match="^node 5: 25 other non-monitors"):
+        cover_profile(doc.to_ensemble())
 
 
 def _dumps(payload) -> str:
