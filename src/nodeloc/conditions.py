@@ -7,8 +7,10 @@ leave-one-out connectivity, and the minimum cover size delta under
 uncontrollable probing (UP).  A failure-set size k >= 1 is certified
 identifiable when T >= k + 1 (the sufficient condition) and refuted when
 T < k (the necessary one fails); in between the verdict is indeterminate and
-only the oracle can settle it.  Exact if-and-only-if rules
-override T at the full failure budget (CAP, CSP) and one short of it (CSP).
+only the oracle can settle it.  A verdict's value is read from those two
+outcomes, and each table is checked where it is built: a refuted k stays
+refuted.  Exact if-and-only-if rules override T at the full failure budget
+(CAP, CSP) and one short of it (CSP).
 In every regime the bounds on the largest identifiable k are the span of the
 verdict table, :func:`_bounds`.  Below the paper's precondition, T at most
 sigma - 1 (CAP) or sigma - 2 (CSP), every exact rule refutes, so the span is
@@ -46,12 +48,18 @@ class Identifiability(Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the condition pair at one failure-set size k."""
+    """Outcome of the condition pair at one failure-set size k.  ``value``, set
+    once, is read from the two outcomes; sufficient without necessary is a bug."""
 
-    value: Identifiability
     sufficient_holds: bool
     necessary_holds: bool
     rationale: str
+
+    def __post_init__(self) -> None:
+        if self.sufficient_holds and not self.necessary_holds:
+            raise InternalError(f"sufficient condition held without the necessary one ({self.rationale})")
+        object.__setattr__(self, "value", Identifiability.IDENTIFIABLE if self.sufficient_holds else (
+            Identifiability.INDETERMINATE if self.necessary_holds else Identifiability.NOT_IDENTIFIABLE))
 
 
 @dataclass(frozen=True)
@@ -71,21 +79,7 @@ class IdentifiabilityBounds:
     guard_note: str
 
 
-def _make_verdict(sufficient: bool, necessary: bool, rationale: str) -> Verdict:
-    if sufficient and not necessary:
-        raise InternalError(
-            f"sufficient condition held without the necessary one ({rationale})"
-        )
-    if sufficient:
-        value = Identifiability.IDENTIFIABLE
-    elif not necessary:
-        value = Identifiability.NOT_IDENTIFIABLE
-    else:
-        value = Identifiability.INDETERMINATE
-    return Verdict(value, sufficient, necessary, rationale)
-
-
-_TRIVIAL = _make_verdict(True, True, "empty-failure-set")
+_TRIVIAL = Verdict(True, True, "empty-failure-set")
 
 
 def _table(
@@ -97,11 +91,17 @@ def _table(
     name of its if-and-only-if rule; every other k is certified when
     ``threshold >= k + 1`` and refuted when ``threshold < k``.  Each distinct
     verdict is built once and repeated: at most ``len(exact) + 4`` objects.
+    The table is checked before it is returned: a refuted k stays refuted.
     """
-    rows = {(s, n): _make_verdict(s, n, rationale) for s, n in ((True, True), (False, True), (False, False))}
-    rules = {k: _make_verdict(hit, hit, name) for k, (hit, name) in exact.items()}
+    rows = {(s, n): Verdict(s, n, rationale) for s, n in ((True, True), (False, True), (False, False))}
+    rules = {k: Verdict(hit, hit, name) for k, (hit, name) in exact.items()}
     rest = (rules[k] if k in rules else rows[threshold >= k + 1, threshold >= k] for k in range(1, sigma + 1))
-    return (_TRIVIAL, *rest)
+    table, refuted = (_TRIVIAL, *rest), False
+    for k, verdict in enumerate(table):
+        if refuted and verdict.necessary_holds:
+            raise InternalError(f"verdict table is not monotone at k={k} ({rationale})")
+        refuted = not verdict.necessary_holds
+    return table
 
 
 def _bounds(verdicts: tuple[Verdict, ...], note: str) -> IdentifiabilityBounds:

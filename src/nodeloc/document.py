@@ -9,8 +9,9 @@ One JSON schema carries everything the analyses consume::
       "paths": [["m1", "v1", "m1"]]          # optional, enables UP analysis
     }
 
-Node order in the file defines the dense ids used in memory, and
-``parse_topology(emit_topology(doc)) == doc``.  Outcome maps look like
+Node order in the file defines the dense ids used in memory; ``emit_topology``
+writes the edges of ``doc.to_topology()``, each once with u < v, and
+``parse_topology`` reads them back.  Outcome maps look like
 ``{"model": "CAP", "observations": [{"probe": "v1", "state": "up"}]}``, with
 path ids as UP probes.  Every file is ``json.dumps(indent=2, sort_keys=True)``'s
 text, written without its pure-Python encoder.  A document value memoises its
@@ -204,12 +205,13 @@ def emit_topology(doc: TopologyDocument) -> str:
     around names quoted once by the C string encoder."""
     quoted, n = list(map(_quote, doc.names)), len(doc.names)
     marks = list(map(doc.monitors.__contains__, range(n)))
-    keys = sorted([u * n + v for u, v in doc.edges if type(u) is type(v) is int and 0 <= u < n and 0 <= v < n])
+    keys = sorted([u * n + v for u, v in doc.edges if type(u) is type(v) is int and 0 <= u < v < n])
     int_monitors = {int}.issuperset(map(type, doc.monitors))
     if len(keys) < len(doc.edges) or sum(marks) < len(doc.monitors) or not int_monitors:
-        # An edge or monitor id is not an int in 0..n-1: a bool or float
-        # would pass for the int it equals, and no other id has a node.
-        doc.to_topology()  # raises, naming the entry
+        # An id is not an int in 0..n-1 (a bool or float would pass for the
+        # int it equals), or an edge is not written u < v: the topology raises,
+        # naming the entry, or orders and deduplicates the edges.
+        keys = sorted(u * n + v for u, v in doc.to_topology().edges)
     heads = ('{\n      "monitor": false,\n      "name": ', '{\n      "monitor": true,\n      "name": ')
     nodes = [f"{heads[mark]}{name}\n    }}" for mark, name in zip(marks, quoted)]
     edges = [f"[\n      {quoted[key // n]},\n      {quoted[key % n]}\n    ]" for key in keys]

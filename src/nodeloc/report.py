@@ -18,7 +18,7 @@ import sys
 from typing import Any, Callable, Mapping
 
 from ._version import __version__
-from .conditions import Identifiability, IdentifiabilityBounds, Verdict, verdict_table
+from .conditions import verdict_table
 from .document import _WORDS, TopologyDocument, _array, _dump_json, _layout, _load_json, _quote, emit_topology
 from .ensemble import cover_profile
 from .errors import CapacityError, FormatError, InternalError, UsageError
@@ -99,9 +99,10 @@ def analyze(
             v, _, rest = str(exc).removeprefix("node ").partition(": ")
             raise CapacityError(f"node {names[int(v)]!r}: {rest}") from None
         verdicts, bounds = verdict_table(topology, model)
-        verdicts = verdicts[lo : hi + 1]
         oracle_max = max_identifiability(topology, model, guard=guard) if oracle else None
-        _validate_section(kind, verdicts, bounds, oracle_max, lo)
+        if oracle_max is not None and not bounds.lower <= oracle_max <= bounds.upper:
+            raise InternalError(f"{kind} oracle result {oracle_max} escapes the "
+                                f"reported bounds [{bounds.lower}, {bounds.upper}]")
         entry: dict[str, Any] = {
             "verdicts": [
                 {
@@ -111,7 +112,7 @@ def analyze(
                     "necessary": verdict.necessary_holds,
                     "rationale": verdict.rationale,
                 }
-                for k, verdict in enumerate(verdicts, lo)
+                for k, verdict in enumerate(verdicts[lo : hi + 1], lo)
             ],
             "bounds": dict(vars(bounds)),
             "oracle": None if oracle_max is None else {"max_identifiability": oracle_max},
@@ -146,19 +147,6 @@ def _sha256_hex(text: bytes) -> str:
             pass
     import hashlib  # here, not at module level: it loads OpenSSL
     return hashlib.sha256(text).hexdigest()
-
-
-def _validate_section(
-    kind: str, verdicts: tuple[Verdict, ...], bounds: IdentifiabilityBounds, oracle_max: int | None, k_lo: int
-) -> None:
-    dead = False
-    for k, verdict in enumerate(verdicts, k_lo):
-        if dead and verdict.value is not Identifiability.NOT_IDENTIFIABLE:
-            raise InternalError(f"{kind} verdict table is not monotone at k={k}")
-        dead = dead or verdict.value is Identifiability.NOT_IDENTIFIABLE
-    if oracle_max is not None and not bounds.lower <= oracle_max <= bounds.upper:
-        raise InternalError(f"{kind} oracle result {oracle_max} escapes the "
-                            f"reported bounds [{bounds.lower}, {bounds.upper}]")
 
 
 def _size_json(size: int | float) -> int | str:

@@ -11,6 +11,9 @@ nodes.  Each check tolerates no mismatch:
   ``verdict_table`` bounds must contain that maximum.
 * **Maximum, UP** (up to 6 nodes with at least 2 monitors, 6,863
   topologies, with ``generate_paths(doc, 2)``): the same.
+* **Maximum, UP over walks** (the same 6,863 topologies, each with four
+  seeded random monitor-to-monitor walks from
+  ``conftest._seeded_monitor_walks``, its index as the seed): the same.
 * **localize, CAP and CSP** (up to 5 nodes, 728 topologies): for each truth
   of at most 2 nodes, the sets ``localize`` returns from the truth's
   simulated map, with ``k_max`` 2, must be the sets of at most 2 nodes
@@ -23,10 +26,11 @@ nodes.  Each check tolerates no mismatch:
   set and meets a node of the other.  A CSP witness repeats no node and
   ends at two distinct monitors.
 
-Run as a script, ``PYTHONPATH=src python tests/test_atlas.py N`` makes
-every check on the topologies with up to N nodes (N at most 7), prints
-each check's counts and first mismatches, and exits 1 if any check has a
-mismatch.  Pytest does not run that block.
+Run as a script, ``PYTHONPATH=src python tests/test_atlas.py N [CHECK ...]``
+makes the named checks (every check when none is named, for example
+``check_witnesses`` alone) on the topologies with up to N nodes (N at most
+7), prints each check's counts and first mismatches, and exits 1 if any
+check has a mismatch.  Pytest does not run that block.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from nodeloc import (
 from nodeloc.graph import Topology
 
 from bruteforce import all_failure_sets, brute_observations, reference_identifiability
+from conftest import _seeded_monitor_walks
 
 
 def _small_documents(max_nodes: int, min_monitors: int = 1):
@@ -92,6 +97,18 @@ def check_up_maximum(max_nodes: int) -> tuple[int, int, list]:
     for doc in _small_documents(max_nodes, min_monitors=2):
         topologies += 1
         doc = generate_paths(doc, 2)
+        topology = doc.to_topology()
+        mismatches += _maximum_mismatches(topology, up_model(doc.to_ensemble(topology)))
+    return topologies, topologies, mismatches
+
+
+def check_walk_maximum(max_nodes: int) -> tuple[int, int, list]:
+    """UP maxima over four seeded random monitor walks per topology, the
+    topology's index its seed: (topologies, answers checked, mismatches)."""
+    topologies, mismatches = 0, []
+    for seed, doc in enumerate(_small_documents(max_nodes, min_monitors=2)):
+        topologies += 1
+        doc = _seeded_monitor_walks(doc, seed, 4)
         topology = doc.to_topology()
         mismatches += _maximum_mismatches(topology, up_model(doc.to_ensemble(topology)))
     return topologies, topologies, mismatches
@@ -160,6 +177,12 @@ def test_up_maximum_on_every_connected_topology_up_to_six_nodes():
     assert not mismatches, mismatches[:5]
 
 
+def test_up_maximum_over_seeded_walks_on_every_connected_topology_up_to_six_nodes():
+    topologies, _, mismatches = check_walk_maximum(6)
+    assert topologies == 6863
+    assert not mismatches, mismatches[:5]
+
+
 def test_localize_on_every_connected_topology_up_to_five_nodes():
     topologies, calls, mismatches = check_localize(5)
     assert (topologies, calls) == (728, 8150)
@@ -176,11 +199,16 @@ if __name__ == "__main__":
     import sys
     import time
 
-    max_nodes = int(sys.argv[1])
-    if not 2 <= max_nodes <= 7:
-        sys.exit("usage: test_atlas.py N, with N from 2 to 7 (the atlas holds graphs of up to 7 nodes)")
-    failed = False
-    for check in (check_maximum, check_up_maximum, check_localize, check_witnesses):
+    checks = {check.__name__: check for check in (
+        check_maximum, check_up_maximum, check_walk_maximum, check_localize, check_witnesses
+    )}
+    usage = f"usage: test_atlas.py N [CHECK ...], with N from 2 to 7 and each CHECK one of {', '.join(checks)}"
+    if len(sys.argv) < 2 or not sys.argv[1].isdigit() or not 2 <= int(sys.argv[1]) <= 7:
+        sys.exit(usage + " (the atlas holds graphs of up to 7 nodes)")
+    if not set(sys.argv[2:]) <= set(checks):
+        sys.exit(usage)
+    max_nodes, failed = int(sys.argv[1]), False
+    for check in [checks[name] for name in sys.argv[2:]] or checks.values():
         start = time.perf_counter()
         topologies, checked, mismatches = check(max_nodes)
         elapsed = time.perf_counter() - start

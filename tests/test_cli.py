@@ -338,6 +338,16 @@ def test_unexpected_failure_exits_4(topo_file, capsys, monkeypatch):
     assert code == 4 and "internal error" in err
 
 
+def test_oracle_maximum_outside_the_bounds_exits_4(topo_file, capsys, monkeypatch):
+    # PATH4's CAP bounds are [2, 2]: an oracle answer of 1 is a bug in one of the two.
+    import nodeloc.report as report
+
+    monkeypatch.setattr(report, "max_identifiability", lambda topology, model, guard: 1)
+    code, out, err = run(capsys, "analyze", topo_file, "--oracle", "--models", "CAP")
+    assert code == 4 and out == ""
+    assert "internal error" in err and "CAP oracle result 1 escapes the reported bounds [2, 2]" in err
+
+
 def test_out_flag_writes_file(topo_file, tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run(capsys, "analyze", topo_file, "--out", target)

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
 import pytest
 
 import nodeloc.oracle as oracle
-from nodeloc.conditions import Identifiability, IdentifiabilityBounds, verdict_table
+from nodeloc.conditions import Identifiability, IdentifiabilityBounds, Verdict, verdict_table
 from nodeloc.ensemble import build_ensemble, cover_profile
-from nodeloc.errors import InputError
+from nodeloc.errors import InputError, InternalError
 from nodeloc.generate import barabasi_albert, erdos_renyi, grid
 from nodeloc.graph import Topology, _leave_one_out_connectivity, monitor_connectivity
 from nodeloc.oracle import CAP, CSP, max_identifiability, up_model
@@ -38,6 +39,28 @@ def up_table(topology, paths):
 
 def diamond_table():
     return up_table(DIAMOND, [(0, 1, 3), (0, 1, 2, 3)])
+
+
+class TestVerdict:
+    """A verdict is its two outcomes: the value is read from them, never given."""
+
+    def test_stores_only_the_two_outcomes_and_the_rationale(self):
+        assert [f.name for f in dataclasses.fields(Verdict)] == ["sufficient_holds", "necessary_holds", "rationale"]
+
+    @pytest.mark.parametrize(
+        "sufficient, necessary, value",
+        [
+            (True, True, Identifiability.IDENTIFIABLE),
+            (False, True, Identifiability.INDETERMINATE),
+            (False, False, Identifiability.NOT_IDENTIFIABLE),
+        ],
+    )
+    def test_value_is_read_from_the_outcomes(self, sufficient, necessary, value):
+        assert Verdict(sufficient, necessary, "x").value is value
+
+    def test_sufficient_without_necessary_is_refused(self):
+        with pytest.raises(InternalError, match=r"^sufficient condition held without the necessary one \(x\)$"):
+            Verdict(True, False, "x")
 
 
 class TestCapVerdict:
@@ -314,11 +337,11 @@ class TestOneTableBuilder:
 
         # The certified, open and refuted verdicts are shared across k; only
         # k = 0 and the exact edge rules (CAP one, CSP two, UP none) add objects.
-        table = _table(60, 10, {60: (False, "edge"), 59: (True, "edge")}, "threshold")
+        table = _table(60, 10, {60: (False, "edge"), 59: (False, "edge")}, "threshold")
         assert len(table) == 61 and len({id(v) for v in table}) == 2 + 4
         assert [table[k].value for k in (9, 10, 11, 59, 60)] == [
             Identifiability.IDENTIFIABLE, Identifiability.INDETERMINATE,
-            Identifiability.NOT_IDENTIFIABLE, Identifiability.IDENTIFIABLE,
+            Identifiability.NOT_IDENTIFIABLE, Identifiability.NOT_IDENTIFIABLE,
             Identifiability.NOT_IDENTIFIABLE,
         ]
         for seed in range(6):
@@ -327,6 +350,16 @@ class TestOneTableBuilder:
             assert len({id(v) for v in verdict_table(topo, CAP)[0]}) <= 1 + 4
             assert len({id(v) for v in verdict_table(topo, CSP)[0]}) <= 2 + 4
         assert len({id(v) for v in diamond_table()[0]}) <= 0 + 4
+
+    def test_a_table_that_revives_a_refuted_k_is_refused(self):
+        from nodeloc.conditions import _table
+
+        # Refuted from k = 11 by the threshold, then certified at k = 59.
+        with pytest.raises(InternalError, match=r"not monotone at k=59 \(threshold\)"):
+            _table(60, 10, {60: (False, "edge"), 59: (True, "edge")}, "threshold")
+        # Refuted at k = 2 by a rule, then certified at k = 3 by the threshold.
+        with pytest.raises(InternalError, match=r"not monotone at k=3 \(threshold\)"):
+            _table(4, 9, {2: (False, "edge")}, "threshold")
 
     def test_all_monitor_verdicts_build_no_auxiliary_graph(self, monkeypatch):
         # No threshold is read, so no call raises, and none memoises a failure.

@@ -225,6 +225,41 @@ class TestEmitTopology:
         with pytest.raises(InputError, match=r"outside 0\.\.2"):
             emit_topology(doc)
 
+    @given(documents(), st.data())
+    def test_writes_the_canonical_edges_in_either_orientation(self, doc, data):
+        # Every edge of ``documents()`` is written u < v; flip any of them.
+        # to_topology needs a monitor, and so does the writer's fallback.
+        doc = TopologyDocument(doc.names, doc.monitors or frozenset({0}), doc.edges, doc.paths)
+        flipped = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in sorted(doc.edges)]
+        assert emit_topology(TopologyDocument(doc.names, doc.monitors, frozenset(flipped), doc.paths)) == (
+            emit_topology(doc)
+        )
+
+    NAMES, MONITORS = ("m", "a", "b"), frozenset({0})
+
+    def test_reversed_edges_write_the_same_text_and_digest(self):
+        from nodeloc.report import analyze
+
+        forward = TopologyDocument(self.NAMES, self.MONITORS, frozenset({(0, 1), (1, 2)}))
+        backward = TopologyDocument(self.NAMES, self.MONITORS, frozenset({(1, 0), (2, 1)}))
+        assert forward.to_topology() == backward.to_topology()
+        assert emit_topology(backward) == emit_topology(forward)
+        digest = analyze(forward)["provenance"]["input_sha256"]
+        assert analyze(backward)["provenance"]["input_sha256"] == digest
+
+    def test_an_edge_in_both_orientations_is_written_once(self):
+        doc = TopologyDocument(self.NAMES, self.MONITORS, frozenset({(0, 1), (1, 0), (1, 2)}))
+        text = emit_topology(doc)
+        assert text == emit_topology(TopologyDocument(self.NAMES, self.MONITORS, frozenset({(0, 1), (1, 2)})))
+        assert parse_topology(text).edges == frozenset({(0, 1), (1, 2)})
+
+    def test_a_self_loop_emits_nothing(self):
+        doc = TopologyDocument(self.NAMES, self.MONITORS, frozenset({(0, 1), (1, 1)}))
+        with pytest.raises(InputError, match="self-loop at node 1"):
+            doc.to_topology()
+        with pytest.raises(InputError, match="self-loop at node 1"):
+            emit_topology(doc)
+
     # A monitor id marks the node it equals: 7 and -1 mark none, and True
     # would mark b.
     @pytest.mark.parametrize("monitors", [{0, 7}, {True}, {-1}, {1.0}])

@@ -62,6 +62,20 @@ def test_conditions_imports_only_ensemble_errors_and_graph():
     assert set(_imports("conditions")) <= {"ensemble", "errors", "graph"}
 
 
+def test_verdict_tables_are_checked_only_where_they_are_built():
+    # conditions alone builds and checks a verdict table: report reads only
+    # verdict_table, and neither a verdict-maker nor a second table check is left.
+    assert _imports("report")["conditions"] == {"verdict_table"}
+    defined = {
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert ("conditions", "_table") in defined and ("conditions", "Verdict") in defined
+    assert not {name for _, name in defined} & {"_make_verdict", "_validate_section"}
+
+
 def test_graph_imports_only_errors():
     assert set(_imports("graph")) <= {"errors"}
 
