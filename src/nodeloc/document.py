@@ -14,8 +14,11 @@ writes the edges of ``doc.to_topology()``, each once with u < v, and
 ``parse_topology`` reads them back.  Outcome maps look like
 ``{"model": "CAP", "observations": [{"probe": "v1", "state": "up"}]}``, with
 path ids as UP probes.  Every file is ``json.dumps(indent=2, sort_keys=True)``'s
-text, written without its pure-Python encoder.  A document value memoises its
-name index and each probe's observation texts, built on first use.
+text, written without its pure-Python encoder.  ``parse_outcomes`` reads a map in
+``emit_outcomes``' layout back through the templates that wrote it and any other
+text with the JSON parser; both readers give the same result and errors.  A
+document value memoises its name index, each probe's observation texts and, per
+probe kind, the probes' reading templates, each built on first use.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import FormatError, InputError
 from .graph import Topology
 
 FORMAT_VERSION = 1
-_TAILS = {True: ',\n      "state": "up"\n    }', False: ',\n      "state": "down"\n    }'}
+_PROBE, _TAILS = '{\n      "probe": ', {True: ',\n      "state": "up"\n    }', False: ',\n      "state": "down"\n    }'}
 _WORDS = {None: "null", True: "true", False: "false", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -46,8 +49,9 @@ class TopologyDocument:
     index = cached_property(lambda self: {name: i for i, name in enumerate(self.names)})  # name: id
     # emit_outcomes' memo: each probe's {reading: observation text}, for node ids, then path ids
     _texts = cached_property(lambda self: tuple(
-        tuple({up: f'{{\n      "probe": {p}{_TAILS[up]}' for up in (False, True)} for p in probes)
+        tuple({up: f"{_PROBE}{p}{_TAILS[up]}" for up in (False, True)} for p in probes)
         for probes in (map(_quote, self.names), range(len(self.paths or ())))))
+    _readings = cached_property(lambda self: {})  # parse_outcomes' memo: {UP or not: {text: (probe key, reading)}}
 
     def to_topology(self) -> Topology:
         return Topology(len(self.names), self.edges, self.monitors)
@@ -205,7 +209,10 @@ def emit_topology(doc: TopologyDocument) -> str:
     around names quoted once by the C string encoder."""
     quoted, n = list(map(_quote, doc.names)), len(doc.names)
     marks = list(map(doc.monitors.__contains__, range(n)))
-    keys = sorted([u * n + v for u, v in doc.edges if type(u) is type(v) is int and 0 <= u < v < n])
+    try:
+        keys = sorted([u * n + v for u, v in doc.edges if type(u) is type(v) is int and 0 <= u < v < n])
+    except (TypeError, ValueError):  # an entry that is not a pair, which the topology names
+        keys = []
     int_monitors = {int}.issuperset(map(type, doc.monitors))
     if len(keys) < len(doc.edges) or sum(marks) < len(doc.monitors) or not int_monitors:
         # An id is not an int in 0..n-1 (a bool or float would pass for the
@@ -224,12 +231,9 @@ def emit_topology(doc: TopologyDocument) -> str:
 
 
 def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[int, ...], ...]:
-    """Plain-text path import: one path per line, whitespace-separated names.
-
-    Blank lines and lines starting with ``#`` are skipped.  Only name
-    resolution happens here; walk validity is checked when the ensemble is
-    built.
-    """
+    """Plain-text path import: one path per line, whitespace-separated names;
+    blank lines and lines starting with ``#`` are skipped.  Only name resolution
+    happens here; walk validity is checked when the ensemble is built."""
     get = doc.index.get
     paths = []
     for lineno, line in enumerate(_text(data).splitlines(), start=1):
@@ -246,14 +250,28 @@ def parse_path_lines(data: bytes | str, doc: TopologyDocument) -> tuple[tuple[in
 
 
 def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[int, bool]]:
-    """Parse an outcome map; returns the model kind and probe states."""
-    raw = _load_json(data)
+    """Parse an outcome map; returns the model kind and probe states.  A map in
+    :func:`emit_outcomes`' layout takes one split and one template lookup per
+    observation; any other text, a repeated probe included, goes to the JSON
+    parser.  Both readers give the same value, key order and errors."""
+    text = _text(data)
+    model, _, body = text[14:-8].partition('",\n  "observations": [\n    ')  # within the head and foot below
+    if text[:14] == '{\n  "model": "' and text[-8:] == "}\n  ]\n}\n" and model in ("CAP", "CSP", "UP"):
+        if (up := model == "UP") not in (memos := doc._readings):  # this kind's probe texts, less their "}"
+            keys = range(len(doc.paths or ())) if up else sorted(set(range(len(doc.names))) - doc.monitors)
+            texts = map(str, keys) if up else map(_quote, map(doc.names.__getitem__, keys))
+            # A name that JSON reads back as another (a surrogate pair held as two characters) stays out.
+            probes = [(k, p) for k, p in zip(keys, texts) if "\\ud" not in p or json.loads(p) == doc.names[k]]
+            memos[up] = {f"{_PROBE}{p}{t}": (k, r) for r in (False, True) for t in [_TAILS[r][:-1]] for k, p in probes}
+        entries = list(map(memos[up].get, body.split("},\n    ")))
+        if None not in entries and len(states := dict(entries)) == len(entries):
+            return model, states
+    raw = _load_json(text)
     _expect(type(raw) is dict, "top level must be a JSON object")
     model = raw.get("model")
     _expect(model in ("CAP", "CSP", "UP"), "'model' must be CAP, CSP or UP")
     observations = raw.get("observations")
     _expect(type(observations) is list, "'observations' must be a list")
-    index = doc.index
     states: dict[int, bool] = {}
     for i, obs in enumerate(observations):
         # Each message is built only once its check has failed.
@@ -263,16 +281,10 @@ def parse_outcomes(data: bytes | str, doc: TopologyDocument) -> tuple[str, dict[
         if state not in ("up", "down"):
             raise FormatError(f"observation {i} state must be up or down")
         probe = obs.get("probe")
-        if model == "UP":
-            if type(probe) is not int:
-                raise FormatError(f"observation {i} probe must be a path id")
-            key = probe
-        elif type(probe) is str:
-            key = index.get(probe)
-            if key is None:
-                raise FormatError(f"unknown node name {probe!r}")
-        else:
-            raise FormatError(f"observation {i} probe must be a node name")
+        if type(probe) is not (int if model == "UP" else str):
+            raise FormatError(f"observation {i} probe must be a {'path id' if model == 'UP' else 'node name'}")
+        if (key := probe if model == "UP" else doc.index.get(probe)) is None:
+            raise FormatError(f"unknown node name {probe!r}")
         if key in states:
             raise FormatError(f"observation {i} repeats probe {probe!r}")
         states[key] = state == "up"
@@ -283,13 +295,11 @@ def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument)
     """Canonical JSON form of an outcome map, spliced from ``doc``'s memo of each
     probe's observation text per reading: the first write to a document value
     quotes every name once, and UP keys past its path list are formatted per map.
-
     A model, probe key or reading that :func:`parse_outcomes` could not give
     back raises InputError, checked in O(1) per map: once the keys are sorted a
     negative key is first and a bool (0 or 1) first or second, and any other
     stray key fails the sort, the type check of the ends or its own lookup; a
-    reading is looked up, so 0 and 1 write as down and up, equal on parse back.
-    """
+    reading is looked up, so 0 and 1 write as down and up, equal on parse back."""
     if model not in ("CAP", "CSP", "UP"):
         raise InputError(f"unknown probing model {model!r}")
     n = len(texts := doc._texts[model == "UP"])
@@ -299,7 +309,7 @@ def emit_outcomes(model: str, states: Mapping[int, bool], doc: TopologyDocument)
         if keys and (keys[0] < 0 or not type(keys[0]) is type(keys[len(keys) > 1]) is type(keys[-1]) is int):
             raise TypeError
         observations = [
-            texts[key][states[key]] if key < n else f'{{\n      "probe": {int.__repr__(key)}{_TAILS[states[key]]}'
+            texts[key][states[key]] if key < n else f"{_PROBE}{int.__repr__(key)}{_TAILS[states[key]]}"
             for key in keys
         ] if model == "UP" else [texts[key][states[key]] for key in keys]
     except (IndexError, KeyError, TypeError):

@@ -203,6 +203,18 @@ class TestLocalize:
         payload = json.loads(out)
         assert code == 0 and payload["candidates"] == [["v1"]]
 
+    # The canonical map is read by template, the others by the JSON parser.
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_reindented_map_answers_byte_for_byte(self, fmt, topo_file, tmp_path, capsys):
+        canonical = emit_outcomes("CSP", {1: False, 2: False}, parse_topology(PATH4_JSON))
+        answers = []
+        for indent in ("canonical", None, 4):
+            text = canonical if indent == "canonical" else json.dumps(json.loads(canonical), indent=indent)
+            outcomes = tmp_path / f"obs-{indent}.json"
+            outcomes.write_text(text, encoding="utf-8")
+            answers.append(run(capsys, "localize", topo_file, outcomes, "--k-max", "2", "--format", fmt))
+        assert answers[0][0] == 0 and answers[0][1] and answers[1:] == [answers[0]] * 2
+
     def test_boolean_up_probe_exits_2(self, tmp_path, capsys):
         raw = json.loads(PATH4_JSON)
         raw["paths"] = [["m1", "v1", "v2", "m2"]]

@@ -225,6 +225,21 @@ class TestEmitTopology:
         with pytest.raises(InputError, match=r"outside 0\.\.2"):
             emit_topology(doc)
 
+    # An entry that does not unpack as (u, v) fails as ``to_topology`` fails it.
+    @pytest.mark.parametrize("edge", [(0, 1, 2), 5, (1,)])
+    def test_an_edge_that_is_not_a_pair_emits_nothing(self, edge):
+        doc = TopologyDocument(("a", "b", "c"), frozenset({0}), frozenset({(0, 1), edge}))
+        message = re.escape(f"edge {edge!r} is not a pair of node ids")
+        with pytest.raises(InputError, match=message):
+            doc.to_topology()
+        with pytest.raises(InputError, match=message):
+            emit_topology(doc)
+
+    def test_a_triple_alone_emits_nothing(self):
+        doc = TopologyDocument(("a", "b", "c"), frozenset({0}), frozenset({(0, 1, 2)}))
+        with pytest.raises(InputError, match=re.escape("edge (0, 1, 2) is not a pair of node ids")):
+            emit_topology(doc)
+
     @given(documents(), st.data())
     def test_writes_the_canonical_edges_in_either_orientation(self, doc, data):
         # Every edge of ``documents()`` is written u < v; flip any of them.
@@ -681,6 +696,107 @@ class TestOutcomes:
         with pytest.raises(FormatError) as excinfo:
             parse_outcomes(text, doc)
         assert str(excinfo.value) == message
+
+
+class TestTwoReaders:
+    """A map in ``emit_outcomes``' layout is read back through the document's
+    templates, never through the JSON parser, and builds only its own kind's memo."""
+
+    @pytest.mark.parametrize("model", ["CAP", "CSP", "UP"])
+    def test_canonical_maps_never_reach_the_json_parser(self, model, monkeypatch):
+        from nodeloc import document
+
+        doc = generate_paths(erdos_renyi(14, 0.4, seed=3, monitors=4), 2)
+        probes = range(len(doc.paths)) if model == "UP" else sorted(set(range(14)) - doc.monitors)
+        states = {key: key % 3 != 0 for key in probes}
+        text, fresh = emit_outcomes(model, states, doc), parse_topology(emit_topology(doc))
+
+        def refuse(data):
+            raise AssertionError("JSON parser entered")
+
+        monkeypatch.setattr(document, "_load_json", refuse)
+        # A fresh document value builds its memo on this map; the writer's value already has its texts.
+        for reader in (fresh, doc):
+            for data in (text, text.encode()):
+                assert repr(parse_outcomes(data, reader)) == repr((model, states))
+
+    def test_one_cap_map_builds_the_node_texts_alone(self):
+        written = generate_paths(erdos_renyi(30, 0.3, seed=2, monitors=20), 1)
+        probes = sorted(set(range(30)) - written.monitors)
+        doc = parse_topology(emit_topology(written))
+        assert parse_outcomes(emit_outcomes("CAP", {probes[0]: True}, written), doc) == ("CAP", {probes[0]: True})
+        # Two texts per non-monitor, none for a monitor or a path, and no name index.
+        memo = doc._readings
+        assert list(memo) == [False] and len(memo[False]) == 2 * len(probes) == 20
+        assert "index" not in vars(doc) and "_texts" not in vars(doc)
+        # They are the writer's texts, each less its closing brace.
+        assert set(memo[False]) == {text[:-1] for v in probes for text in written._texts[0][v].values()}
+        assert parse_outcomes(emit_outcomes("CSP", {probes[1]: False}, written), doc) == ("CSP", {probes[1]: False})
+        assert list(memo) == [False]
+        assert parse_outcomes(emit_outcomes("UP", {0: False}, written), doc) == ("UP", {0: False})
+        assert list(memo) == [False, True] and len(memo[True]) == 2 * len(doc.paths)
+        assert doc._readings is memo and "index" not in vars(doc)
+
+    def test_each_kind_is_built_once(self, monkeypatch):
+        from nodeloc import document
+
+        doc = generate_paths(erdos_renyi(12, 0.4, seed=6, monitors=4), 2)
+        maps = list(TestOutcomeTextMemo._maps(doc, 60, seed=7))
+        assert {model for model, _ in maps} == {"CAP", "CSP", "UP"}
+        maps = [emit_outcomes(model, states, doc) for model, states in maps]
+        doc, quoted = parse_topology(emit_topology(doc)), []
+
+        def counted(text):
+            quoted.append(text)
+            return _quote(text)
+
+        monkeypatch.setattr(document, "_quote", counted)
+        for text in maps:
+            parse_outcomes(text, doc)
+        # Each non-monitor's name is quoted once, by the first CAP or CSP map.
+        assert sorted(quoted) == sorted(doc.names[v] for v in set(range(12)) - doc.monitors)
+
+    def test_other_layouts_and_repeats_take_the_json_parser(self):
+        doc = parse_topology(MINIMAL)
+        text = emit_outcomes("CAP", {1: False}, doc)
+        for other in (text[:-1], text + " ", json.dumps(json.loads(text)), text.replace("    ", "   ")):
+            assert repr(parse_outcomes(other, doc)) == repr(("CAP", {1: False}))
+        assert "index" in vars(doc)
+        observation = text[text.index("[\n    ") + 6 : -len("\n  ]\n}\n")]
+        repeated = text.replace(observation, f"{observation},\n    {observation}")
+        with pytest.raises(FormatError, match="^observation 1 repeats probe 'v'$"):
+            parse_outcomes(repeated, doc)
+        # A monitor is a probe the JSON parser reads; the templates cover non-monitors only.
+        assert parse_outcomes(text.replace('"v"', '"m1"'), doc) == ("CAP", {0: False})
+
+    # One character off the frame, or a model no reader knows: the JSON parser names the fault.
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('{\n  "model"', '[\n  "model"', "not valid JSON"),
+            ('"model": "CAP"', '"model": "CAX"', "'model' must be CAP, CSP or UP"),
+            ("\n  ]\n}\n", "\n  ]\n]\n", "not valid JSON"),
+            ("\n    }\n  ]", "\n    ]\n  ]", "not valid JSON"),
+        ],
+    )
+    def test_a_frame_edit_takes_the_json_parser(self, old, new, message):
+        doc = parse_topology(MINIMAL)
+        text = emit_outcomes("CAP", {1: False}, doc)
+        assert text.count(old) == 1
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_outcomes(text.replace(old, new), doc)
+
+    # A name holding a surrogate pair as two characters is written as the pair's
+    # one character, which is what the JSON parser reads back.
+    def test_a_name_that_reads_back_as_another(self):
+        pair, astral = "\ud800\udfff", "\U000103ff"
+        doc = TopologyDocument(("m", pair, astral), frozenset({0}), frozenset())
+        text = emit_outcomes("CAP", {1: True}, doc)
+        assert text == emit_outcomes("CAP", {2: True}, doc)
+        assert repr(parse_outcomes(text, doc)) == repr(("CAP", {2: True}))
+        alone = TopologyDocument(("m", pair), frozenset({0}), frozenset())
+        with pytest.raises(FormatError, match=re.escape(f"unknown node name {astral!r}")):
+            parse_outcomes(emit_outcomes("CAP", {1: True}, alone), alone)
 
 
 class TestGenerators:

@@ -7,14 +7,20 @@ surfaces as exit 4, which is reserved for real bugs.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quote
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nodeloc.document import parse_outcomes, parse_path_lines, parse_topology
+from nodeloc import document
+from nodeloc.document import emit_outcomes, parse_outcomes, parse_path_lines, parse_topology
 from nodeloc.errors import NodelocError
 from nodeloc.report import analyze, reformat_report
+
+from test_document import documents
 
 DOC = parse_topology(
     '{"version": 1, "nodes": [{"name": "m1", "monitor": true},'
@@ -99,6 +105,78 @@ def test_parse_topology(data):
 @given(_documents(outcomes_like))
 def test_parse_outcomes(data):
     _only_nodeloc_errors(lambda d: parse_outcomes(d, DOC), data)
+
+
+#: The frame ``emit_outcomes`` writes around its observations, for one model.
+HEAD, FOOT = '{{\n  "model": "{}",\n  "observations": [\n    ', "\n  ]\n}\n"
+EDITS = ["none", "drop", "insert", "replace", "swap", "duplicate", "model", "newline"]
+
+
+@st.composite
+def edited_outcome_maps(draw):
+    """A map in ``emit_outcomes``' layout on a document with awkward names, then
+    at most one edit.  Returns the document, the text, and whether the
+    document's templates alone must read it."""
+    doc = draw(documents())
+    # At most half the nodes are monitors, so most maps have node probes to read.
+    ids = st.integers(0, len(doc.names) - 1)
+    doc = replace(doc, monitors=frozenset(draw(st.sets(ids, max_size=len(doc.names) // 2))))
+    model = draw(st.sampled_from(["CAP", "CSP", "UP"]))
+    # Most keys are probes the templates cover; the rest may be monitors, or UP ids past the path list.
+    count = len(doc.paths or ()) if model == "UP" else len(doc.names)
+    probes = sorted(set(range(count)) - (set() if model == "UP" else doc.monitors))
+    ids = st.integers(0, count + 2 if model == "UP" else count - 1)
+    near = st.sampled_from(probes) if probes else ids
+    states = draw(st.dictionaries(st.one_of(near, near, near, ids), st.booleans(), min_size=1, max_size=8))
+    text, head = emit_outcomes(model, states, doc), HEAD.format(model)
+    observations = [emit_outcomes(model, {key: up}, doc)[len(head) : -len(FOOT)] for key, up in sorted(states.items())]
+    assert text == head + ",\n    ".join(observations) + FOOT
+    # Many character edits fall in the frame that the template reader checks.
+    frame = st.integers(0, len(head) - 1) | st.integers(len(text) - len(FOOT) - 1, len(text) - 1)
+    edit, at = draw(st.sampled_from(EDITS)), draw(st.integers(0, len(text) - 1) | frame)
+    char = draw(st.sampled_from('{}[],:" \n\\u0d') | st.characters())
+    if edit in ("drop", "insert", "replace"):
+        text = text[:at] + (char if edit != "drop" else "") + text[at + (edit != "insert") :]
+    elif edit in ("swap", "duplicate") and observations:
+        i, j = (draw(st.integers(0, len(observations) - 1)) for _ in range(2))
+        if edit == "swap":
+            observations[i], observations[j] = observations[j], observations[i]
+        else:
+            observations.insert(j, observations[i])
+        text = head + ",\n    ".join(observations) + FOOT
+    elif edit == "model":
+        other = draw(st.sampled_from(sorted({"CAP", "CSP", "UP", "cap", "CAX", "UPS"} - {model})))
+        text = text.replace(f'"model": "{model}"', f'"model": "{other}"', 1)
+    elif edit == "newline":
+        text = text[:-1]
+    # The templates cover non-monitors whose quoted name reads back as the name, and path ids.
+    covered = all(
+        key < len(doc.paths or ()) if model == "UP"
+        else key not in doc.monitors and json.loads(_quote(doc.names[key])) == doc.names[key]
+        for key in states
+    )
+    return doc, text, covered and edit in ("none", "swap")
+
+
+def _reading(text, doc):
+    try:
+        return repr(parse_outcomes(text, doc))
+    except NodelocError as exc:
+        # A JSON-decoder message names offsets, which a trailing space can move.
+        if str(exc).startswith("not valid JSON"):
+            return type(exc), type(exc.__cause__)
+        return type(exc), str(exc)
+
+
+@given(edited_outcome_maps())
+def test_parse_outcomes_reads_its_own_layout_as_the_json_parser_does(case):
+    doc, text, by_templates = case
+    if by_templates:
+        # A fresh document value, whose first map builds the templates.
+        with mock.patch.object(document, "_load_json", side_effect=AssertionError("JSON parser entered")):
+            assert _reading(text, replace(doc)) == _reading(text, doc)
+    # A trailing space leaves the layout, so the JSON parser reads the reference.
+    assert _reading(text, doc) == _reading(text + " ", doc)
 
 
 @given(_documents(st.lists(st.lists(NAMES | json_values, max_size=4), max_size=4))
